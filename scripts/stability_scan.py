@@ -21,29 +21,19 @@ Usage:
 import argparse
 
 from liecurv import torus
+from liecurv.configio import sign_summary
 from liecurv.curvature import curvature_numerator_generic, curvature_numerator_semidirect
 from liecurv.sampling import sample_planes
 
 ZERO_TOL = 1e-12
 
 
-def sign_counts(backend, planes, semidirect):
-    counts = {"-": 0, "0": 0, "+": 0}
-    k_min, k_max = float("inf"), float("-inf")
+def sign_counts(numerator, backend, planes):
+    ks = []
     for plane in planes:
-        if semidirect:
-            br = curvature_numerator_semidirect(backend, plane.x, plane.y)
-        else:
-            br = curvature_numerator_generic(backend, plane.x, plane.y)
-        k = br.numerator / br.denominator
-        k_min, k_max = min(k_min, k), max(k_max, k)
-        if abs(k) <= ZERO_TOL:
-            counts["0"] += 1
-        elif k > 0:
-            counts["+"] += 1
-        else:
-            counts["-"] += 1
-    return counts, k_min, k_max
+        br = numerator(backend, plane.x, plane.y)
+        ks.append(br.numerator / br.denominator)
+    return sign_summary(ks, ZERO_TOL)
 
 
 def main():
@@ -53,27 +43,27 @@ def main():
     parser.add_argument("--band", type=int, default=2)
     args = parser.parse_args()
 
-    vol = torus.volume_preserving_backend()
-    mhd = torus.mhd_backend()
+    vol = torus.VolumeFieldBackend()
+    mhd = torus.MhdBackend()
 
     rows = []
     planes = sample_planes(vol, args.seed, args.count, band=args.band)
-    rows.append(("euler velocity planes", *sign_counts(vol, planes, semidirect=False)))
+    rows.append(("euler velocity planes", sign_counts(curvature_numerator_generic, vol, planes)))
     for family, label in (("hh", "mhd pure magnetic planes"),
                           ("gh", "mhd mixed planes"),
                           ("full", "mhd full planes")):
         planes = sample_planes(mhd, args.seed, args.count, family=family, band=args.band)
-        rows.append((label, *sign_counts(mhd, planes, semidirect=True)))
+        rows.append((label, sign_counts(curvature_numerator_semidirect, mhd, planes)))
 
     print(f"seed={args.seed} count={args.count} band={args.band} zero_tol={ZERO_TOL}")
     print(f"{'planes':<28}{'neg':>6}{'zero':>6}{'pos':>6}{'min K':>14}{'max K':>14}")
-    for label, counts, k_min, k_max in rows:
+    for label, summary in rows:
         print(
-            f"{label:<28}{counts['-']:>6}{counts['0']:>6}{counts['+']:>6}"
-            f"{k_min:>14.5g}{k_max:>14.5g}"
+            f"{label:<28}{summary['negative']:>6}{summary['zero']:>6}{summary['positive']:>6}"
+            f"{summary['min_k']:>14.5g}{summary['max_k']:>14.5g}"
         )
-    neg_euler = rows[0][1]["-"]
-    neg_mhd = rows[3][1]["-"]
+    neg_euler = rows[0][1]["negative"]
+    neg_mhd = rows[3][1]["negative"]
     print()
     print(
         f"negative-curvature fraction: euler {neg_euler}/{args.count}, "

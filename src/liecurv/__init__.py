@@ -36,9 +36,6 @@ from .semidirect import (
     build_semidirect,
     check_derivation_identity,
     check_h_identity,
-    check_isometric,
-    derive_h,
-    product_ad_transpose,
 )
 
 __all__ = [
@@ -55,17 +52,14 @@ __all__ = [
     "build_semidirect",
     "check_derivation_identity",
     "check_h_identity",
-    "check_isometric",
     "covariant_derivative",
     "curvature_numerator_generic",
     "curvature_numerator_semidirect",
-    "derive_h",
     "exact_conjugation_solution",
     "geodesic_rhs",
     "integrate",
     "isometric_sum",
     "oracle_curvature",
-    "product_ad_transpose",
     "rhs_generic",
     "rhs_magnetic",
     "rhs_semidirect",

@@ -76,9 +76,6 @@ class SemidirectBackendBase:
     def zero(self) -> Pair:
         return Pair(self.g.zero(), self.h.zero())
 
-    def pair(self, x, y) -> Pair:
-        return Pair(x, y)
-
     def bracket(self, p, q) -> Pair:
         p, q = as_pair(p), as_pair(q)
         return Pair(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import torus
 from .algebra import DenseBackend, MetricAlgebraSpec
 from .errors import ConfigError
 from .semidirect import ActionSpec, SemidirectAlgebra, build_semidirect
@@ -136,11 +137,9 @@ def resolve_algebra(selector: str):
     """Builtin name -> backend.  Torus names return trigonometric backends."""
     tokens = selector.split(":")
     if tokens[0] in ("torus-vol", "torus-full"):
-        from . import torus
-
         if len(tokens) != 1:
             raise ConfigError(f"{tokens[0]} takes no parameters")
-        return torus.volume_preserving_backend() if tokens[0] == "torus-vol" else torus.full_field_backend()
+        return torus.VolumeFieldBackend() if tokens[0] == "torus-vol" else torus.FullFieldBackend()
     return DenseBackend(_algebra_spec_from_tokens(tokens))
 
 
@@ -149,14 +148,12 @@ def resolve_semidirect(selector: str):
     tokens = selector.split(":")
     head = tokens[0]
     if head in ("passive-scalar", "compressible", "mhd"):
-        from . import torus
-
         if len(tokens) != 1:
             raise ConfigError(f"{head} takes no parameters")
         return {
-            "passive-scalar": torus.passive_scalar_backend,
-            "compressible": torus.compressible_scalar_backend,
-            "mhd": torus.mhd_backend,
+            "passive-scalar": torus.PassiveScalarBackend,
+            "compressible": torus.CompressibleScalarBackend,
+            "mhd": torus.MhdBackend,
         }[head]()
     if head in ("euclidean", "linear_so3_on_r3", "linear-so3-on-r3"):
         if len(tokens) != 1:

@@ -13,11 +13,12 @@ import sys
 
 from . import catalog, configio, torus
 from .algebra import DenseBackend, ValidationReport, validate
+from .backend import SemidirectBackendBase
 from .curvature import (
     Plane,
     curvature_numerator_generic,
     curvature_numerator_semidirect,
-    plane_gram2,
+    plane_denominator,
 )
 from .errors import (
     ConfigError,
@@ -34,14 +35,6 @@ from .errors import (
 from .geodesic import IntegratorConfig, geodesic_rhs, integrate
 from .sampling import FAMILIES, sample_planes
 from .semidirect import SemidirectAlgebra, validate_action
-
-_TORUS_BACKENDS = (
-    torus.VolumeFieldBackend,
-    torus.FullFieldBackend,
-    torus.PassiveScalarBackend,
-    torus.CompressibleScalarBackend,
-    torus.MhdBackend,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,8 +104,9 @@ def _resolve_backend(args):
     return configio.load_semidirect_file(args.semidirect_file)
 
 
-def _is_torus(backend) -> bool:
-    return isinstance(backend, _TORUS_BACKENDS)
+def _is_finite(backend) -> bool:
+    """Dense algebras and their semidirect products; everything else is a torus backend."""
+    return isinstance(backend, (DenseBackend, SemidirectAlgebra))
 
 
 def _emit(lines, args):
@@ -128,22 +122,24 @@ def _relative_residual(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
+def _adjointness_residual(backend) -> float:
+    """Worst residual of <[x, z], y> = <z, ad(x)^T y> over the band-1 modes."""
+    modes = backend.sample_basis(1)
+    worst = 0.0
+    for x in modes:
+        for z in modes:
+            for y in modes:
+                lhs = backend.inner(backend.bracket(x, z), y)
+                rhs = backend.inner(z, backend.ad_transpose(x, y))
+                worst = max(worst, _relative_residual(lhs, rhs))
+    return worst
+
+
 def _torus_spot_report(backend, tol: float) -> ValidationReport:
     """Adjointness and h-relation spot checks over the band-1 mode family."""
-    report = ValidationReport(subject=getattr(backend, "name", "torus backend"))
-    if hasattr(backend, "h_map"):
-        report.checked = ["g_adjointness", "h_defining_relation", "b_adjointness"]
+    if isinstance(backend, SemidirectBackendBase):
         gmodes = backend.g.sample_basis(1)
         hmodes = backend.h.sample_basis(1)
-        worst = 0.0
-        for x in gmodes:
-            for z in gmodes:
-                for y in gmodes:
-                    lhs = backend.g.inner(backend.g.bracket(x, z), y)
-                    rhs = backend.g.inner(z, backend.g.ad_transpose(x, y))
-                    worst = max(worst, _relative_residual(lhs, rhs))
-        if worst > tol:
-            report.add("g_adjointness", (), worst)
         worst_h = 0.0
         worst_b = 0.0
         for x in gmodes:
@@ -154,22 +150,17 @@ def _torus_spot_report(backend, tol: float) -> ValidationReport:
                     worst_h = max(worst_h, _relative_residual(lhs, rhs))
                     rhs = backend.h.inner(y1, backend.b_transpose(x, y2))
                     worst_b = max(worst_b, _relative_residual(lhs, rhs))
-        if worst_h > tol:
-            report.add("h_defining_relation", (), worst_h)
-        if worst_b > tol:
-            report.add("b_adjointness", (), worst_b)
+        residuals = {
+            "g_adjointness": _adjointness_residual(backend.g),
+            "h_defining_relation": worst_h,
+            "b_adjointness": worst_b,
+        }
     else:
-        report.checked = ["adjointness"]
-        modes = backend.sample_basis(1)
-        worst = 0.0
-        for x in modes:
-            for z in modes:
-                for y in modes:
-                    lhs = backend.inner(backend.bracket(x, z), y)
-                    rhs = backend.inner(z, backend.ad_transpose(x, y))
-                    worst = max(worst, _relative_residual(lhs, rhs))
+        residuals = {"adjointness": _adjointness_residual(backend)}
+    report = ValidationReport(subject=backend.name, checked=list(residuals))
+    for invariant, worst in residuals.items():
         if worst > tol:
-            report.add("adjointness", (), worst)
+            report.add(invariant, (), worst)
     return report
 
 
@@ -179,23 +170,24 @@ def _run_validate(args) -> int:
     except ValidationFailure as exc:
         print(exc.report)
         return 1
-    reports = []
-    if isinstance(backend, SemidirectAlgebra):
-        reports.append(validate(backend.g_spec, jacobi_tol=args.tol))
-        reports.append(validate(backend.h_spec, jacobi_tol=args.tol))
-        reports.append(validate_action(backend.g_spec, backend.h_spec, backend.action, tol=args.tol))
-        reports.append(validate(backend.product_spec, jacobi_tol=args.tol))
-    elif isinstance(backend, DenseBackend):
-        reports.append(validate(backend.spec, jacobi_tol=args.tol))
+    if not _is_finite(backend):
+        reports = [_torus_spot_report(backend, args.tol)]
+    elif isinstance(backend, SemidirectAlgebra):
+        reports = [
+            validate(backend.g_spec, jacobi_tol=args.tol),
+            validate(backend.h_spec, jacobi_tol=args.tol),
+            validate_action(backend.g_spec, backend.h_spec, backend.action, tol=args.tol),
+            validate(backend.product_spec, jacobi_tol=args.tol),
+        ]
     else:
-        reports.append(_torus_spot_report(backend, args.tol))
+        reports = [validate(backend.spec, jacobi_tol=args.tol)]
     for report in reports:
         print(report)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _breakdown_for(backend, plane: Plane):
-    if hasattr(backend, "h_map"):
+    if isinstance(backend, SemidirectBackendBase):
         return curvature_numerator_semidirect(backend, plane.x, plane.y)
     return curvature_numerator_generic(backend, plane.x, plane.y)
 
@@ -203,12 +195,8 @@ def _breakdown_for(backend, plane: Plane):
 def _run_curvature(args) -> int:
     backend = _resolve_backend(args)
     plane = configio.load_plane_file(args.plane_file, backend)
-    denom = plane_gram2(backend, plane.x, plane.y)
-    scale = backend.inner(plane.x, plane.x) * backend.inner(plane.y, plane.y)
-    if not denom > 1e-12 * max(scale, 0.0):
-        raise DegeneratePlane(f"plane Gram determinant {denom:.3e} below tolerance")
-    breakdown = _breakdown_for(backend, plane)
-    records = [(0, breakdown)]
+    plane_denominator(backend, plane.x, plane.y)
+    records = [(0, _breakdown_for(backend, plane))]
     if args.format == "csv":
         lines = configio.breakdown_csv_lines(records, args.zero_tol)
     else:
@@ -233,14 +221,7 @@ def _run_scan(args) -> int:
                 "sign": configio.sign_of(k, args.zero_tol),
             }
         )
-    summary = {
-        "count": len(records),
-        "negative": sum(r["sign"] == "-" for r in records),
-        "zero": sum(r["sign"] == "0" for r in records),
-        "positive": sum(r["sign"] == "+" for r in records),
-        "min_k": min((r["sectional"] for r in records), default=float("nan")),
-        "max_k": max((r["sectional"] for r in records), default=float("nan")),
-    }
+    summary = configio.sign_summary([r["sectional"] for r in records], args.zero_tol)
     if args.format == "csv":
         lines = configio.scan_csv_lines(records, summary)
     else:
@@ -253,7 +234,7 @@ def _run_geodesic(args) -> int:
     backend = _resolve_backend(args)
     state = configio.load_state_file(args.state_file, backend)
     rhs = geodesic_rhs(backend)
-    if _is_torus(backend):
+    if not _is_finite(backend):
         rhs = torus.capped_rhs(rhs, args.support_cap)
         print(
             f"note: torus run truncated at |k|_inf <= {args.support_cap}; "
@@ -263,9 +244,9 @@ def _run_geodesic(args) -> int:
     config = IntegratorConfig(dt=args.dt, steps=args.steps, scheme=args.scheme)
     traj = integrate(rhs, state, config, backend)
     if args.format == "csv":
-        lines = configio.trajectory_csv_lines(traj, backend)
+        lines = configio.trajectory_csv_lines(traj)
     else:
-        lines = configio.trajectory_jsonl_lines(traj, backend)
+        lines = configio.trajectory_jsonl_lines(traj)
     _emit(lines, args)
     return 0
 

@@ -30,7 +30,8 @@ import json
 import numpy as np
 
 from .algebra import DenseBackend, MetricAlgebraSpec
-from .backend import Pair
+from .backend import Pair, SemidirectBackendBase
+from .curvature import Plane
 from .errors import ConfigError
 from .semidirect import ActionSpec, SemidirectAlgebra, build_semidirect
 from . import torus
@@ -50,6 +51,12 @@ def load_config(path: str) -> configparser.ConfigParser:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    return cp
+
+
+def _require_section(cp: configparser.ConfigParser, section: str) -> configparser.ConfigParser:
+    if not cp.has_section(section):
+        raise ConfigError(f"missing section [{section}]")
     return cp
 
 
@@ -79,8 +86,7 @@ def _parse_gram(text: str, dim: int) -> np.ndarray:
 
 
 def parse_algebra_section(cp: configparser.ConfigParser, section: str) -> MetricAlgebraSpec:
-    if not cp.has_section(section):
-        raise ConfigError(f"missing section [{section}]")
+    _require_section(cp, section)
     try:
         dim = cp.getint(section, "dim")
     except (configparser.NoOptionError, ValueError):
@@ -117,8 +123,7 @@ def load_semidirect_file(path: str) -> SemidirectAlgebra:
     cp = load_config(path)
     g = parse_algebra_section(cp, "g")
     h = parse_algebra_section(cp, "h")
-    if not cp.has_section("action"):
-        raise ConfigError("missing section [action]")
+    _require_section(cp, "action")
     mats = np.zeros((g.dim, h.dim, h.dim))
     for line in cp.get("action", "entries", fallback="").splitlines():
         line = line.strip()
@@ -188,55 +193,40 @@ def parse_element(backend_part, text: str):
         if len(coords) != backend_part.dim:
             raise ConfigError(f"expected {backend_part.dim} coordinates, got {len(coords)}")
         return np.asarray(coords)
-    if isinstance(backend_part, torus.FunctionSpaceBackend):
+    zero = backend_part.zero()
+    if isinstance(zero, torus.TrigFunction):
         return parse_trig_function(text)
-    if isinstance(
-        backend_part,
-        (torus.VolumeFieldBackend, torus.FullFieldBackend, torus.FieldRepSpaceBackend),
-    ):
+    if isinstance(zero, torus.TrigVectorField):
         return parse_trig_field(text)
     raise ConfigError(f"no element syntax for backend {type(backend_part).__name__}")
 
 
-def _pair_from_section(cp, section, prefix, backend):
-    def part(key, factor):
-        if cp.has_option(section, key):
-            return parse_element(factor, cp.get(section, key))
+def _pair_from_section(cp, section, backend, key, g_key, h_key):
+    """The element under ``key``, or on a semidirect backend the pair of the
+    elements under ``g_key`` and ``h_key`` (an omitted part is zero)."""
+    def part(name, factor):
+        if cp.has_option(section, name):
+            return parse_element(factor, cp.get(section, name))
         return factor.zero()
 
-    if hasattr(backend, "h_map"):
-        return Pair(part(f"{prefix}_g", backend.g), part(f"{prefix}_h", backend.h))
-    if not cp.has_option(section, prefix):
-        raise ConfigError(f"missing key {prefix!r} in [{section}]")
-    return parse_element(backend, cp.get(section, prefix))
+    if isinstance(backend, SemidirectBackendBase):
+        return Pair(part(g_key, backend.g), part(h_key, backend.h))
+    if not cp.has_option(section, key):
+        raise ConfigError(f"missing key {key!r} in [{section}]")
+    return parse_element(backend, cp.get(section, key))
 
 
-def load_plane_file(path: str, backend):
-    cp = load_config(path)
-    if not cp.has_section("plane"):
-        raise ConfigError("missing section [plane]")
-    from .curvature import Plane
-
+def load_plane_file(path: str, backend) -> Plane:
+    cp = _require_section(load_config(path), "plane")
     return Plane(
-        _pair_from_section(cp, "plane", "x", backend),
-        _pair_from_section(cp, "plane", "y", backend),
+        _pair_from_section(cp, "plane", backend, "x", "x_g", "x_h"),
+        _pair_from_section(cp, "plane", backend, "y", "y_g", "y_h"),
     )
 
 
 def load_state_file(path: str, backend):
-    cp = load_config(path)
-    if not cp.has_section("state"):
-        raise ConfigError("missing section [state]")
-    if hasattr(backend, "h_map"):
-        def part(key, factor):
-            if cp.has_option("state", key):
-                return parse_element(factor, cp.get("state", key))
-            return factor.zero()
-
-        return Pair(part("u", backend.g), part("alpha", backend.h))
-    if not cp.has_option("state", "u"):
-        raise ConfigError("missing key 'u' in [state]")
-    return parse_element(backend, cp.get("state", "u"))
+    cp = _require_section(load_config(path), "state")
+    return _pair_from_section(cp, "state", backend, "u", "u", "alpha")
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +243,19 @@ def sign_of(k: float, zero_tol: float) -> str:
     if k != k or abs(k) <= zero_tol:  # nan counts as the zero band
         return "0"
     return "+" if k > 0 else "-"
+
+
+def sign_summary(ks, zero_tol: float) -> dict:
+    """Sign counts and extreme values of a list of sectional curvatures."""
+    signs = [sign_of(k, zero_tol) for k in ks]
+    return {
+        "count": len(signs),
+        "negative": signs.count("-"),
+        "zero": signs.count("0"),
+        "positive": signs.count("+"),
+        "min_k": min(ks, default=float("nan")),
+        "max_k": max(ks, default=float("nan")),
+    }
 
 
 def element_to_jsonable(element):
@@ -340,7 +343,7 @@ def scan_jsonl_lines(records, summary):
     return lines
 
 
-def trajectory_csv_lines(traj, backend):
+def trajectory_csv_lines(traj):
     """CSV for finite-dimensional trajectories: t, coordinates, energy."""
     first = traj.states[0]
     if isinstance(first, Pair):
@@ -364,7 +367,7 @@ def trajectory_csv_lines(traj, backend):
     return lines
 
 
-def trajectory_jsonl_lines(traj, backend):
+def trajectory_jsonl_lines(traj):
     lines = []
     for t, state, energy in zip(traj.times, traj.states, traj.energy):
         if isinstance(state, Pair):

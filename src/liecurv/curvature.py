@@ -94,18 +94,26 @@ class CurvatureBreakdown:
         raise KeyError(label)
 
 
-def plane_gram2(backend, x, y) -> float:
-    return backend.inner(x, x) * backend.inner(y, y) - backend.inner(x, y) ** 2
+def _plane_gram(backend, x, y, tol: float = PLANE_DEGENERACY_TOL):
+    """Plane Gram determinant |X|^2 |Y|^2 - <X,Y>^2, and whether it is above
+    ``tol`` relative to |X|^2 |Y|^2 (False means the plane is degenerate)."""
+    xx, yy = backend.inner(x, x), backend.inner(y, y)
+    denom = xx * yy - backend.inner(x, y) ** 2
+    return denom, denom > tol * max(xx * yy, 0.0)
+
+
+def plane_denominator(backend, x, y, tol: float = PLANE_DEGENERACY_TOL) -> float:
+    """Plane Gram determinant; raises DegeneratePlane when the plane is degenerate."""
+    denom, spans = _plane_gram(backend, x, y, tol)
+    if not spans:
+        raise DegeneratePlane(f"plane Gram determinant {denom:.3e} below tolerance")
+    return denom
 
 
 def _finish(backend, x, y, terms) -> CurvatureBreakdown:
     numerator = float(sum(v for _, v in terms))
-    denominator = plane_gram2(backend, x, y)
-    scale = backend.inner(x, x) * backend.inner(y, y)
-    if denominator > PLANE_DEGENERACY_TOL * max(scale, 0.0):
-        sec = numerator / denominator
-    else:
-        sec = float("nan")
+    denominator, spans = _plane_gram(backend, x, y)
+    sec = numerator / denominator if spans else float("nan")
     return CurvatureBreakdown(numerator, denominator, sec, terms)
 
 
@@ -133,12 +141,8 @@ def curvature_numerator_generic(backend, x, y) -> CurvatureBreakdown:
 
 def sectional(backend, plane: Plane, degeneracy_tol: float = PLANE_DEGENERACY_TOL) -> float:
     """Sectional curvature K = numerator / (|X|^2 |Y|^2 - <X,Y>^2)."""
-    x, y = plane.x, plane.y
-    denom = plane_gram2(backend, x, y)
-    scale = backend.inner(x, x) * backend.inner(y, y)
-    if not denom > degeneracy_tol * max(scale, 0.0):
-        raise DegeneratePlane(f"plane Gram determinant {denom:.3e} below tolerance")
-    return curvature_numerator_generic(backend, x, y).numerator / denom
+    denom = plane_denominator(backend, plane.x, plane.y, degeneracy_tol)
+    return curvature_numerator_generic(backend, plane.x, plane.y).numerator / denom
 
 
 def curvature_numerator_semidirect(sd, p1, p2) -> CurvatureBreakdown:

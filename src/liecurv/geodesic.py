@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .algebra import DenseBackend, MetricAlgebraSpec
-from .backend import Pair, as_pair
+from .backend import Pair, SemidirectBackendBase, as_pair
 from .errors import MidpointDivergence, NotAdInvariant
 
 
@@ -73,7 +73,7 @@ def rhs_magnetic(g_backend, u, v):
 
 def geodesic_rhs(backend):
     """State-valued right-hand side for ``integrate`` over the given backend."""
-    if hasattr(backend, "h_map"):
+    if isinstance(backend, SemidirectBackendBase):
         def rhs(state):
             state = as_pair(state)
             du, dalpha = rhs_semidirect(backend, state.x, state.y)

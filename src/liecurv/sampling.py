@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .backend import SemidirectBackendBase
 from .curvature import Plane
 from .errors import SamplingExhausted
 
@@ -81,7 +82,7 @@ def sample_planes(backend, seed: int, count: int, family: str = "full", band: in
     with nearly collinear legs are rejected.
     """
     part1, part2 = _family_parts(family)
-    if (part1 or part2) and not hasattr(backend, "h_map"):
+    if (part1 or part2) and not isinstance(backend, SemidirectBackendBase):
         raise ValueError(f"family {family!r} needs a semidirect backend")
     rng = rng_for_seed(seed)
     planes: list[Plane] = []
@@ -108,13 +109,3 @@ def sample_planes(backend, seed: int, count: int, family: str = "full", band: in
             planes.append(Plane(*pair))
     return planes
 
-
-def random_state(backend, seed: int, band: int = 2, normalize: bool = True):
-    """One random element (for geodesic initial data), unit norm by default."""
-    rng = rng_for_seed(seed)
-    v = random_element(backend, rng, band=band)
-    if normalize:
-        u = _normalize(backend, v)
-        if u is not None:
-            return u
-    return v

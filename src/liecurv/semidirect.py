@@ -169,21 +169,6 @@ def build_semidirect(g_spec, h_spec, action, name: str = "", tol: float = JACOBI
     return SemidirectAlgebra(g_spec, h_spec, action, name=name, tol=tol, check=True)
 
 
-def derive_h(sd: SemidirectAlgebra, y1, y2):
-    """The bilinear map h_map(y1, y2) in g, from the cached solve tensor."""
-    return sd.h_map(y1, y2)
-
-
-def product_ad_transpose(sd: SemidirectAlgebra, p1, p2) -> Pair:
-    """Closed-form transpose of ad on the product algebra."""
-    return sd.ad_transpose(as_pair(p1), as_pair(p2))
-
-
-def check_isometric(sd: SemidirectAlgebra) -> bool:
-    """True when b(e_i) is skew-adjoint for every g-basis vector."""
-    return sd.isometric
-
-
 def _scale(*norms: float) -> float:
     s = 1.0
     for n in norms:

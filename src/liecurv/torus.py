@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .backend import SemidirectBackendBase
+from .backend import Pair, SemidirectBackendBase
 from .errors import NotDivergenceFree
 
 COS, SIN = "cos", "sin"
@@ -489,26 +489,6 @@ class MhdBackend(SemidirectBackendBase):
         return ad_transpose_vol(y2, y1)
 
 
-def volume_preserving_backend() -> VolumeFieldBackend:
-    return VolumeFieldBackend()
-
-
-def full_field_backend() -> FullFieldBackend:
-    return FullFieldBackend()
-
-
-def passive_scalar_backend() -> PassiveScalarBackend:
-    return PassiveScalarBackend()
-
-
-def compressible_scalar_backend() -> CompressibleScalarBackend:
-    return CompressibleScalarBackend()
-
-
-def mhd_backend() -> MhdBackend:
-    return MhdBackend()
-
-
 # ---------------------------------------------------------------------------
 # displayed geodesic systems, coded directly from the calculus primitives
 # ---------------------------------------------------------------------------
@@ -659,12 +639,9 @@ def full_field_modes(band: int):
 
 def truncate_state(state, cap: int):
     """Drop modes with |k|_inf above the cap from a field, function or pair."""
-    if hasattr(state, "truncated"):
-        return state.truncated(cap)
-    from .backend import Pair, as_pair
-
-    p = as_pair(state)
-    return Pair(truncate_state(p.x, cap), truncate_state(p.y, cap))
+    if isinstance(state, Pair):
+        return Pair(truncate_state(state.x, cap), truncate_state(state.y, cap))
+    return state.truncated(cap)
 
 
 def capped_rhs(rhs, cap: int):

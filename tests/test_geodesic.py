@@ -18,7 +18,6 @@ from liecurv.geodesic import (
     rhs_magnetic,
     rhs_semidirect,
 )
-from liecurv.semidirect import product_ad_transpose
 
 E = np.eye(3)
 Z = np.zeros(3)
@@ -89,7 +88,7 @@ class TestRightHandSides:
         for _ in range(200):
             state = random_pair(rng, sd)
             du, da = rhs_semidirect(sd, state.x, state.y)
-            adt = product_ad_transpose(sd, state, state)
+            adt = sd.ad_transpose(state, state)
             assert rel_vec_err(du, -adt.x) < 1e-10
             assert rel_vec_err(da, -adt.y) < 1e-10
 

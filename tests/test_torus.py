@@ -244,7 +244,7 @@ class TestAdTransposeVol:
             ad_transpose_vol(bad, SHEAR)
 
     def test_adjointness_on_band1_family(self):
-        backend = torus.volume_preserving_backend()
+        backend = torus.VolumeFieldBackend()
         modes = divergence_free_modes(1)
         for x in modes:
             for z in modes:
@@ -274,7 +274,7 @@ class TestAdTransposeFull:
         assert np.max(np.abs(vals[0] + 2.0 * np.sin(X1))) < 1e-12
 
     def test_adjointness_on_band1_family(self):
-        backend = torus.full_field_backend()
+        backend = torus.FullFieldBackend()
         modes = torus.full_field_modes(1)[:12]
         for x in modes:
             for z in modes:
@@ -286,7 +286,7 @@ class TestAdTransposeFull:
 
 class TestPassiveScalarBackend:
     def setup_method(self):
-        self.backend = torus.passive_scalar_backend()
+        self.backend = torus.PassiveScalarBackend()
 
     def test_h_defining_relation_band1(self):
         gmodes = divergence_free_modes(1)
@@ -330,7 +330,7 @@ class TestPassiveScalarBackend:
 
 class TestCompressibleBackend:
     def setup_method(self):
-        self.backend = torus.compressible_scalar_backend()
+        self.backend = torus.CompressibleScalarBackend()
 
     def test_assembled_rhs_matches_displayed_system(self):
         rng = rng_for_seed(14)
@@ -370,8 +370,8 @@ class TestCompressibleBackend:
 
 class TestMhdBackend:
     def setup_method(self):
-        self.backend = torus.mhd_backend()
-        self.vol = torus.volume_preserving_backend()
+        self.backend = torus.MhdBackend()
+        self.vol = torus.VolumeFieldBackend()
 
     def test_no_field_reduces_to_euler(self):
         rng = rng_for_seed(16)
@@ -420,7 +420,7 @@ class TestMhdBackend:
 
 class TestPlaneFormulas:
     def test_mixed_plane_matches_expansion(self):
-        mhd = torus.mhd_backend()
+        mhd = torus.MhdBackend()
         rng = rng_for_seed(20)
         for _ in range(25):
             x = random_divfree_field(rng, band=1, scale=0.7)
@@ -435,7 +435,7 @@ class TestPlaneFormulas:
         assert mhd_mixed_plane(TrigVectorField.zero(), SHEAR) == 0.0
 
     def test_pure_magnetic_matches_expansion(self):
-        mhd = torus.mhd_backend()
+        mhd = torus.MhdBackend()
         rng = rng_for_seed(21)
         for _ in range(25):
             y1 = random_divfree_field(rng, band=1, scale=0.7)
@@ -462,7 +462,7 @@ class TestPlaneFormulas:
         assert mhd_pure_magnetic_plane(SHEAR, TrigVectorField.zero()) == 0.0
 
     def test_arnold_flat_matches_generic(self):
-        vol = torus.volume_preserving_backend()
+        vol = torus.VolumeFieldBackend()
         rng = rng_for_seed(24)
         for _ in range(25):
             x = random_divfree_field(rng, band=1, scale=0.7)
@@ -493,15 +493,15 @@ class TestPlaneFormulas:
 
 class TestFlatness:
     def test_sections_containing_function_direction(self):
-        ps = torus.passive_scalar_backend()
+        ps = torus.PassiveScalarBackend()
         planes = sample_planes(ps, seed=2026, count=20, family="contains-h", band=2)
         for plane in planes:
             br = curvature_numerator_semidirect(ps, plane.x, plane.y)
             assert abs(br.numerator) <= 1e-12
 
     def test_curvature_carried_by_velocity_part_only(self):
-        ps = torus.passive_scalar_backend()
-        vol = torus.volume_preserving_backend()
+        ps = torus.PassiveScalarBackend()
+        vol = torus.VolumeFieldBackend()
         rng = rng_for_seed(27)
         for _ in range(20):
             x1 = random_divfree_field(rng, band=1, scale=0.6)
@@ -515,7 +515,7 @@ class TestFlatness:
 
 class TestEulerReduction:
     def test_transpose_term_is_pure_gradient(self):
-        vol = torus.volume_preserving_backend()
+        vol = torus.VolumeFieldBackend()
         rng = rng_for_seed(28)
         for _ in range(10):
             u = random_divfree_field(rng, band=2, scale=0.5)
@@ -535,7 +535,7 @@ class TestTruncation:
         assert out.x.comp1.modes == SHEAR.comp1.modes
 
     def test_capped_rhs_stays_in_band(self):
-        ps = torus.passive_scalar_backend()
+        ps = torus.PassiveScalarBackend()
         rng = rng_for_seed(29)
         state = Pair(random_divfree_field(rng, band=2), random_function(rng, band=2))
         rhs = torus.capped_rhs(geodesic_rhs(ps), 3)
