@@ -190,7 +190,8 @@ class DenseBackend:
     def ad_transpose(self, x, y) -> np.ndarray:
         """Adjoint of ad(x) applied to y: solves G r = ad(x)^T G y."""
         y = self._coerce(y)
-        return cho_solve(self._cho, self.ad(x).T @ (self.spec.gram @ y))
+        # non-finite values pass through, so the integrator reports a blow-up itself
+        return cho_solve(self._cho, self.ad(x).T @ (self.spec.gram @ y), check_finite=False)
 
     def gram_solve(self, v) -> np.ndarray:
         """Solve G r = v for a vector or a stack of columns."""

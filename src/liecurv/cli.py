@@ -9,6 +9,7 @@ seeded PCG64 with no global state.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import catalog, configio, torus
@@ -26,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     LiecurvError,
     MidpointDivergence,
+    NonFiniteState,
     NotAdInvariant,
     NotDivergenceFree,
     NotIsometric,
@@ -40,6 +42,23 @@ from .semidirect import SemidirectAlgebra, validate_action
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route to the config code
         raise ConfigError(message)
+
+
+def _checked(convert, accept, requirement: str):
+    """Argument type: ``convert`` the text, then reject values failing ``accept``."""
+    def parse(text):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in its messages
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 0, "non-negative")
+_FINITE = _checked(float, math.isfinite, "finite")
+_TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and non-negative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,30 +77,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="validate an algebra or semidirect spec")
     backend_flags(sp)
-    sp.add_argument("--tol", type=float, default=1e-10, help="validation tolerance")
+    sp.add_argument("--tol", type=_FINITE, default=1e-10, help="validation tolerance")
 
     sp = sub.add_parser("curvature", help="evaluate the curvature of one plane")
     backend_flags(sp)
     sp.add_argument("--plane-file", required=True)
-    sp.add_argument("--zero-tol", type=float, default=1e-12)
+    sp.add_argument("--zero-tol", type=_TOLERANCE, default=1e-12)
     output_flags(sp)
 
     sp = sub.add_parser("scan", help="sectional-curvature sign statistics over random planes")
     backend_flags(sp)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--count", type=int, required=True)
+    sp.add_argument("--count", type=_COUNT, required=True)
     sp.add_argument("--family", choices=FAMILIES, default="full")
-    sp.add_argument("--band", type=int, default=2, help="torus sampling band |k|_inf")
-    sp.add_argument("--zero-tol", type=float, default=1e-12)
+    sp.add_argument("--band", type=_COUNT, default=2, help="torus sampling band |k|_inf")
+    sp.add_argument("--zero-tol", type=_TOLERANCE, default=1e-12)
     output_flags(sp)
 
     sp = sub.add_parser("geodesic", help="integrate the geodesic equation")
     backend_flags(sp)
     sp.add_argument("--state-file", required=True)
-    sp.add_argument("--dt", type=float, required=True)
+    sp.add_argument("--dt", type=_FINITE, required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--scheme", choices=("rk4", "implicit_midpoint"), default="rk4")
-    sp.add_argument("--support-cap", type=int, default=16,
+    sp.add_argument("--support-cap", type=_COUNT, default=16,
                     help="torus runs: drop modes with |k|_inf above this (experimental)")
     output_flags(sp)
     return parser
@@ -197,11 +216,8 @@ def _run_curvature(args) -> int:
     plane = configio.load_plane_file(args.plane_file, backend)
     plane_denominator(backend, plane.x, plane.y)
     records = [(0, _breakdown_for(backend, plane))]
-    if args.format == "csv":
-        lines = configio.breakdown_csv_lines(records, args.zero_tol)
-    else:
-        lines = configio.breakdown_jsonl_lines(records, args.zero_tol)
-    _emit(lines, args)
+    write = configio.breakdown_csv_lines if args.format == "csv" else configio.breakdown_jsonl_lines
+    _emit(write(records, args.zero_tol), args)
     return 0
 
 
@@ -222,11 +238,8 @@ def _run_scan(args) -> int:
             }
         )
     summary = configio.sign_summary([r["sectional"] for r in records], args.zero_tol)
-    if args.format == "csv":
-        lines = configio.scan_csv_lines(records, summary)
-    else:
-        lines = configio.scan_jsonl_lines(records, summary)
-    _emit(lines, args)
+    write = configio.scan_csv_lines if args.format == "csv" else configio.scan_jsonl_lines
+    _emit(write(records, summary), args)
     return 0
 
 
@@ -243,11 +256,8 @@ def _run_geodesic(args) -> int:
         )
     config = IntegratorConfig(dt=args.dt, steps=args.steps, scheme=args.scheme)
     traj = integrate(rhs, state, config, backend)
-    if args.format == "csv":
-        lines = configio.trajectory_csv_lines(traj)
-    else:
-        lines = configio.trajectory_jsonl_lines(traj)
-    _emit(lines, args)
+    write = configio.trajectory_csv_lines if args.format == "csv" else configio.trajectory_jsonl_lines
+    _emit(write(traj), args)
     return 0
 
 
@@ -267,7 +277,7 @@ def run(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
-    except (MidpointDivergence, SamplingExhausted) as exc:
+    except (MidpointDivergence, NonFiniteState, SamplingExhausted) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (

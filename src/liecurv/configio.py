@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 
 import numpy as np
 
@@ -60,9 +61,17 @@ def _require_section(cp: configparser.ConfigParser, section: str) -> configparse
     return cp
 
 
+def _number(token: str) -> float:
+    """A finite float; nan and inf are rejected like any other malformed number."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token!r}")
+    return value
+
+
 def _parse_floats(text: str, what: str):
     try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
+        return [_number(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
         raise ConfigError(f"cannot parse numbers in {what}: {text!r}") from None
 
@@ -102,7 +111,7 @@ def parse_algebra_section(cp: configparser.ConfigParser, section: str) -> Metric
             raise ConfigError(f"structure line needs 'i j k value': {line!r}")
         try:
             i, j, k = (int(p) - 1 for p in parts[:3])
-            value = float(parts[3])
+            value = _number(parts[3])
         except ValueError:
             raise ConfigError(f"bad structure line: {line!r}") from None
         if not all(0 <= idx < dim for idx in (i, j, k)):
@@ -134,7 +143,7 @@ def load_semidirect_file(path: str) -> SemidirectAlgebra:
             raise ConfigError(f"action line needs 'g-index h-row h-col value': {line!r}")
         try:
             i, r, c = (int(p) - 1 for p in parts[:3])
-            value = float(parts[3])
+            value = _number(parts[3])
         except ValueError:
             raise ConfigError(f"bad action line: {line!r}") from None
         if not (0 <= i < g.dim and 0 <= r < h.dim and 0 <= c < h.dim):
@@ -157,7 +166,7 @@ def parse_trig_function(text: str) -> torus.TrigFunction:
             raise ConfigError(f"parity must be cos or sin: {line!r}")
         try:
             key = (int(k1), int(k2), parity)
-            modes[key] = modes.get(key, 0.0) + float(coeff)
+            modes[key] = modes.get(key, 0.0) + _number(coeff)
         except ValueError:
             raise ConfigError(f"bad function mode line: {line!r}") from None
     return torus.TrigFunction({k: v for k, v in modes.items()})
@@ -180,7 +189,7 @@ def parse_trig_field(text: str) -> torus.TrigVectorField:
         try:
             key = (int(k1), int(k2), parity)
             target = comps[int(comp) - 1]
-            target[key] = target.get(key, 0.0) + float(coeff)
+            target[key] = target.get(key, 0.0) + _number(coeff)
         except ValueError:
             raise ConfigError(f"bad field mode line: {line!r}") from None
     return torus.TrigVectorField(torus.TrigFunction(comps[0]), torus.TrigFunction(comps[1]))
@@ -326,12 +335,7 @@ def scan_csv_lines(records, summary):
     lines.append(
         "# summary: count={count} negative={negative} zero={zero} positive={positive} "
         "min_k={min_k} max_k={max_k}".format(
-            count=summary["count"],
-            negative=summary["negative"],
-            zero=summary["zero"],
-            positive=summary["positive"],
-            min_k=fmt(summary["min_k"]) if summary["count"] else "nan",
-            max_k=fmt(summary["max_k"]) if summary["count"] else "nan",
+            **{**summary, "min_k": fmt(summary["min_k"]), "max_k": fmt(summary["max_k"])}
         )
     )
     return lines
@@ -343,26 +347,22 @@ def scan_jsonl_lines(records, summary):
     return lines
 
 
+def _state_parts(state) -> dict:
+    """A state's parts under their state-file keys: ``u``, plus ``alpha`` for a pair."""
+    if isinstance(state, Pair):
+        return {"u": state.x, "alpha": state.y}
+    return {"u": state}
+
+
 def trajectory_csv_lines(traj):
     """CSV for finite-dimensional trajectories: t, coordinates, energy."""
-    first = traj.states[0]
-    if isinstance(first, Pair):
-        if not isinstance(first.x, np.ndarray):
-            raise ConfigError("CSV trajectories need finite coordinates; use jsonl for torus runs")
-        nu, na = len(first.x), len(first.y)
-        header = ["t"] + [f"u{i+1}" for i in range(nu)] + [f"alpha{i+1}" for i in range(na)]
-    elif isinstance(first, np.ndarray):
-        nu, na = len(first), 0
-        header = ["t"] + [f"u{i+1}" for i in range(nu)]
-    else:
+    first = _state_parts(traj.states[0])
+    if not all(isinstance(part, np.ndarray) for part in first.values()):
         raise ConfigError("CSV trajectories need finite coordinates; use jsonl for torus runs")
-    header.append("energy")
-    lines = [",".join(header)]
+    header = ["t"] + [f"{key}{i+1}" for key, part in first.items() for i in range(len(part))]
+    lines = [",".join(header + ["energy"])]
     for t, state, energy in zip(traj.times, traj.states, traj.energy):
-        if isinstance(state, Pair):
-            coords = list(state.x) + list(state.y)
-        else:
-            coords = list(state)
+        coords = [c for part in _state_parts(state).values() for c in part]
         lines.append(",".join([fmt(t)] + [fmt(c) for c in coords] + [fmt(energy)]))
     return lines
 
@@ -370,14 +370,6 @@ def trajectory_csv_lines(traj):
 def trajectory_jsonl_lines(traj):
     lines = []
     for t, state, energy in zip(traj.times, traj.states, traj.energy):
-        if isinstance(state, Pair):
-            obj = {
-                "t": t,
-                "u": element_to_jsonable(state.x),
-                "alpha": element_to_jsonable(state.y),
-                "energy": energy,
-            }
-        else:
-            obj = {"t": t, "u": element_to_jsonable(state), "energy": energy}
-        lines.append(dumps_json(obj))
+        parts = {key: element_to_jsonable(part) for key, part in _state_parts(state).items()}
+        lines.append(dumps_json({"t": t, **parts, "energy": energy}))
     return lines

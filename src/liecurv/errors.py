@@ -33,6 +33,10 @@ class MidpointDivergence(LiecurvError):
     """Implicit midpoint fixed-point iteration failed to converge."""
 
 
+class NonFiniteState(LiecurvError):
+    """An integration step produced a state with non-finite energy."""
+
+
 class NotDivergenceFree(LiecurvError):
     """Operation defined only for divergence-free vector fields."""
 

@@ -23,7 +23,7 @@ from scipy.linalg import expm
 
 from .algebra import DenseBackend, MetricAlgebraSpec
 from .backend import Pair, SemidirectBackendBase, as_pair
-from .errors import MidpointDivergence, NotAdInvariant
+from .errors import MidpointDivergence, NonFiniteState, NotAdInvariant
 
 
 @dataclass(frozen=True)
@@ -113,22 +113,26 @@ def integrate(rhs, state0, config: IntegratorConfig, backend) -> Trajectory:
     identical inputs.
     """
     traj = Trajectory()
-    state = state0
-    t = 0.0
-    traj.times.append(t)
-    traj.states.append(state)
-    traj.energy.append(float(backend.inner(state, state)))
-    for _ in range(config.steps):
-        if config.scheme == "rk4":
-            state = _rk4_step(rhs, state, config.dt)
-        else:
-            state = _midpoint_step(
-                rhs, state, config.dt, backend, config.midpoint_tol, config.midpoint_max_iter
-            )
-        t += config.dt
-        traj.times.append(t)
+
+    def record(n, state):
+        energy = float(backend.inner(state, state))
+        if not math.isfinite(energy):
+            raise NonFiniteState(f"energy {energy} after {n} steps (dt={config.dt})")
+        traj.times.append(n * config.dt)  # not a running sum, which accumulates rounding
         traj.states.append(state)
-        traj.energy.append(float(backend.inner(state, state)))
+        traj.energy.append(energy)
+
+    state = state0
+    record(0, state)
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported by record()
+        for n in range(1, config.steps + 1):
+            if config.scheme == "rk4":
+                state = _rk4_step(rhs, state, config.dt)
+            else:
+                state = _midpoint_step(
+                    rhs, state, config.dt, backend, config.midpoint_tol, config.midpoint_max_iter
+                )
+            record(n, state)
     return traj
 
 

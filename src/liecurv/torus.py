@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .backend import Pair, SemidirectBackendBase
-from .errors import NotDivergenceFree
+from .errors import NonFiniteState, NotDivergenceFree
 
 COS, SIN = "cos", "sin"
 
@@ -274,10 +274,11 @@ def jacobi_lie_bracket(x: TrigVectorField, y: TrigVectorField) -> TrigVectorFiel
 
 def leray_project(x: TrigVectorField) -> TrigVectorField:
     """Remove the gradient part mode by mode; the constant mode is kept whole."""
-    keys = set(x.comp1.modes) | set(x.comp2.modes)
     out1: dict = {}
     out2: dict = {}
-    for key in keys:
+    # a dict, not a set: its key order, and with it the summation order, is
+    # independent of the string hash seed
+    for key in {**x.comp1.modes, **x.comp2.modes}:
         k1, k2, _parity = key
         v1 = x.comp1.modes.get(key, 0.0)
         v2 = x.comp2.modes.get(key, 0.0)
@@ -304,6 +305,8 @@ def q_project(x: TrigVectorField) -> TrigVectorField:
 def _require_divergence_free(*fields: TrigVectorField):
     for f in fields:
         if not f.is_divergence_free():
+            if not math.isfinite(field_inner(f, f)):
+                raise NonFiniteState("field with non-finite L2 norm")
             raise NotDivergenceFree(
                 f"field with divergence scale {f.divergence().coefficient_scale():.3e} rejected"
             )

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import liecurv
 from liecurv import catalog
 from liecurv.cli import run
 from liecurv.configio import (
@@ -122,6 +127,59 @@ class TestConfigFiles:
             load_plane_file(str(path), catalog.resolve_algebra("so3"))
 
 
+#: Input files of the bad-input cases; argv entries naming one get its path.
+BAD_INPUT_FILES = {
+    "plane.cfg": "[plane]\nx = 1 0 0\ny = 0 1 0\n",
+    "nan_plane.cfg": "[plane]\nx = 1 nan 0\ny = 0 1 0\n",
+    "inf_sd_plane.cfg": "[plane]\nx_g = 1 0 0\ny_h = 0 inf 0\n",
+    "torus_plane.cfg": "[plane]\nx_g =\n    sin 0 1 nan 1\ny_h =\n    cos 1 0 1.0\n",
+    "state.cfg": "[state]\nu = 1 1 1\n",
+    "inf_state.cfg": "[state]\nu = 1 -inf 1\n",
+    "torus_state.cfg": "[state]\nu =\n    sin 0 1 1.0 1\n",
+    "nan_torus_state.cfg": "[state]\nu =\n    sin 0 1 nan 1\n",
+}
+
+SCAN = ["scan", "--semidirect", "euclidean", "--seed", "1"]
+GEODESIC = ["geodesic", "--algebra", "so3:1,2,3", "--state-file", "state.cfg", "--steps", "1"]
+TORUS_GEODESIC = ["geodesic", "--algebra", "torus-vol", "--state-file", "torus_state.cfg",
+                  "--steps", "1", "--format", "jsonl"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["validate", "--algebra", "so3", "--semidirect", "euclidean"],
+    ["validate", "--algebra", "so3", "--tol", "nan"],
+    ["curvature", "--algebra", "so3", "--plane-file", "/nonexistent.cfg"],
+    ["curvature", "--algebra", "so3", "--plane-file", "plane.cfg", "--zero-tol", "-1"],
+    ["curvature", "--algebra", "so3", "--plane-file", "plane.cfg", "--zero-tol", "inf"],
+    ["curvature", "--algebra", "so3", "--plane-file", "nan_plane.cfg"],
+    ["curvature", "--semidirect", "euclidean", "--plane-file", "inf_sd_plane.cfg"],
+    ["curvature", "--semidirect", "passive-scalar", "--plane-file", "torus_plane.cfg"],
+    ["scan", "--semidirect", "euclidean", "--count", "5"],
+    ["scan", "--semidirect", "nope:so3", "--seed", "1", "--count", "1"],
+    SCAN + ["--count", "-3"],
+    ["scan", "--semidirect", "mhd", "--seed", "1", "--count", "1", "--band", "-1"],
+    SCAN + ["--count", "2", "--zero-tol", "-1"],
+    SCAN + ["--count", "2", "--zero-tol", "nan"],
+    GEODESIC + ["--dt", "nan"],
+    GEODESIC + ["--dt", "inf"],
+    ["geodesic", "--algebra", "so3:1,2,3", "--state-file", "inf_state.cfg", "--dt", "0.1",
+     "--steps", "1"],
+    TORUS_GEODESIC + ["--dt", "nan"],
+    TORUS_GEODESIC + ["--dt", "0.01", "--support-cap", "-1"],
+    ["geodesic", "--algebra", "torus-vol", "--state-file", "nan_torus_state.cfg", "--dt", "0.01",
+     "--steps", "1", "--format", "jsonl"],
+])
+def test_bad_input_is_config_error(argv, tmp_path, capsys):
+    for name, text in BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in BAD_INPUT_FILES else a for a in argv]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+
+
 class TestValidateCommand:
     def test_builtin_passes(self, capsys):
         assert run(["validate", "--algebra", "so3"]) == 0
@@ -211,6 +269,18 @@ class TestScanCommand:
         summary = json.loads(lines[-1])["summary"]
         assert summary["zero"] == 25
 
+    def test_torus_output_independent_of_hash_seed(self):
+        # the torus calculus must not sum in an order that depends on str hashing
+        argv = [sys.executable, "-m", "liecurv.cli", "scan", "--semidirect", "mhd",
+                "--seed", "3", "--count", "2", "--band", "1"]
+        src = str(Path(liecurv.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run(argv, env=env, capture_output=True, check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_count_zero_is_valid(self, capsys):
         assert run(["scan", "--semidirect", "euclidean", "--seed", "1", "--count", "0"]) == 0
 
@@ -289,6 +359,22 @@ class TestGeodesicCommand:
             "geodesic", "--algebra", "torus-vol", "--state-file", str(state),
             "--dt", "0.01", "--steps", "2", "--format", "csv",
         ]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["--algebra", "so3:1,2,3", "--state-file", "dense.cfg", "--dt", "10", "--steps", "20"],
+        ["--algebra", "torus-vol", "--state-file", "torus.cfg", "--dt", "1e100", "--steps", "1",
+         "--support-cap", "2", "--format", "jsonl"],
+    ])
+    def test_rk4_blow_up_is_numerical_failure(self, argv, tmp_path, capsys):
+        files = {
+            "dense.cfg": "[state]\nu = 1 1 1\n",
+            "torus.cfg": "[state]\nu =\n    sin 0 1 1.0 1\n    cos 1 1 0.5 1\n    cos 1 1 -0.5 2\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        assert run(["geodesic"] + argv) == 2
+        assert "numerical failure: NonFiniteState" in capsys.readouterr().err
 
     def test_midpoint_divergence_exit_code(self, tmp_path):
         state = tmp_path / "s.cfg"

@@ -87,6 +87,20 @@ class TestSectional:
         with pytest.raises(DegeneratePlane):
             sectional(so3_unit, Plane(E[0], 2.0 * E[0]))
 
+    @pytest.mark.parametrize("inertia", [(1.0, 2.0, 3.0), (1.0, 1.0, 1.0), (0.5, 4.0, 2.5)])
+    def test_milnor_closed_form(self, inertia):
+        # Milnor 1976, Adv. Math. 21, sec. 4: in the orthonormal frame
+        # f_i = e_i / sqrt(I_i) the bracket is [f_j, f_k] = lam_i f_i (cyclic), and
+        # K(f_i, f_j) = lam_k mu_k - mu_i mu_j with mu_i = (lam_1 + lam_2 + lam_3)/2 - lam_i.
+        backend = DenseBackend(catalog.so3(gram=list(inertia)))
+        i1, i2, i3 = inertia
+        lam = (np.sqrt(i1 / (i2 * i3)), np.sqrt(i2 / (i3 * i1)), np.sqrt(i3 / (i1 * i2)))
+        mu = [sum(lam) / 2.0 - lam_i for lam_i in lam]
+        f = [E[i] / np.sqrt(inertia[i]) for i in range(3)]
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            expected = lam[k] * mu[k] - mu[i] * mu[j]
+            assert sectional(backend, Plane(f[i], f[j])) == pytest.approx(expected, abs=1e-14)
+
     @settings(max_examples=40, deadline=None)
     @given(st.tuples(*(st.floats(-3, 3) for _ in range(4))))
     def test_basis_change_invariance(self, mat):

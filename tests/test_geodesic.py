@@ -7,7 +7,7 @@ from helpers import random_pair, rel_vec_err, semidirect_builtins
 from liecurv import catalog
 from liecurv.algebra import DenseBackend
 from liecurv.backend import Pair
-from liecurv.errors import MidpointDivergence, NotAdInvariant
+from liecurv.errors import MidpointDivergence, NonFiniteState, NotAdInvariant
 from liecurv.geodesic import (
     IntegratorConfig,
     exact_conjugation_solution,
@@ -209,6 +209,23 @@ class TestIntegrate:
     def test_midpoint_divergence_raises(self, so3_diag):
         cfg = IntegratorConfig(dt=50.0, steps=1, scheme="implicit_midpoint", midpoint_max_iter=5)
         with pytest.raises(MidpointDivergence):
+            integrate(lambda u: rhs_generic(so3_diag, u), np.ones(3), cfg, so3_diag)
+
+    def test_times_are_step_multiples(self, so3_diag):
+        cfg = IntegratorConfig(dt=0.1, steps=10)
+        traj = integrate(lambda u: rhs_generic(so3_diag, u), np.ones(3), cfg, so3_diag)
+        assert traj.times[-1] == 1.0  # a running sum of 0.1 gives 0.9999999999999999
+        assert traj.times == [n * 0.1 for n in range(11)]
+
+    @pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint"])
+    def test_non_finite_initial_state_raises(self, so3_diag, scheme):
+        cfg = IntegratorConfig(dt=0.1, steps=1, scheme=scheme)
+        with pytest.raises(NonFiniteState):
+            integrate(lambda u: rhs_generic(so3_diag, u), np.array([1.0, np.nan, 1.0]), cfg, so3_diag)
+
+    def test_rk4_blow_up_raises(self, so3_diag):
+        cfg = IntegratorConfig(dt=10.0, steps=20)
+        with pytest.raises(NonFiniteState):
             integrate(lambda u: rhs_generic(so3_diag, u), np.ones(3), cfg, so3_diag)
 
     def test_deterministic(self, so3_diag):
