@@ -123,7 +123,7 @@ def _resolve_backend(args):
     return configio.load_semidirect_file(args.semidirect_file)
 
 
-def _is_finite(backend) -> bool:
+def _finite_dimensional(backend) -> bool:
     """Dense algebras and their semidirect products; everything else is a torus backend."""
     return isinstance(backend, (DenseBackend, SemidirectAlgebra))
 
@@ -189,7 +189,7 @@ def _run_validate(args) -> int:
     except ValidationFailure as exc:
         print(exc.report)
         return 1
-    if not _is_finite(backend):
+    if not _finite_dimensional(backend):
         reports = [_torus_spot_report(backend, args.tol)]
     elif isinstance(backend, SemidirectAlgebra):
         reports = [
@@ -214,7 +214,7 @@ def _breakdown_for(backend, plane: Plane):
 def _run_curvature(args) -> int:
     backend = _resolve_backend(args)
     plane = configio.load_plane_file(args.plane_file, backend)
-    plane_denominator(backend, plane.x, plane.y)
+    plane_denominator(backend, plane.x, plane.y)  # raises DegeneratePlane before any evaluation
     records = [(0, _breakdown_for(backend, plane))]
     write = configio.breakdown_csv_lines if args.format == "csv" else configio.breakdown_jsonl_lines
     _emit(write(records, args.zero_tol), args)
@@ -247,7 +247,7 @@ def _run_geodesic(args) -> int:
     backend = _resolve_backend(args)
     state = configio.load_state_file(args.state_file, backend)
     rhs = geodesic_rhs(backend)
-    if not _is_finite(backend):
+    if not _finite_dimensional(backend):
         rhs = torus.capped_rhs(rhs, args.support_cap)
         print(
             f"note: torus run truncated at |k|_inf <= {args.support_cap}; "

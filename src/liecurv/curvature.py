@@ -97,8 +97,8 @@ class CurvatureBreakdown:
 def _plane_gram(backend, x, y, tol: float = PLANE_DEGENERACY_TOL):
     """Plane Gram determinant |X|^2 |Y|^2 - <X,Y>^2, and whether it is above
     ``tol`` relative to |X|^2 |Y|^2 (False means the plane is degenerate)."""
-    xx, yy = backend.inner(x, x), backend.inner(y, y)
-    denom = xx * yy - backend.inner(x, y) ** 2
+    xx, yy, xy = backend.inner(x, x), backend.inner(y, y), backend.inner(x, y)
+    denom = xx * yy - xy * xy  # overflows to inf or nan, where xy ** 2 would raise
     return denom, denom > tol * max(xx * yy, 0.0)
 
 

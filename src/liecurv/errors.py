@@ -34,7 +34,7 @@ class MidpointDivergence(LiecurvError):
 
 
 class NonFiniteState(LiecurvError):
-    """An integration step produced a state with non-finite energy."""
+    """A geodesic integration blew up: a state or a stage field is no longer finite."""
 
 
 class NotDivergenceFree(LiecurvError):

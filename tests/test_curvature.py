@@ -87,6 +87,11 @@ class TestSectional:
         with pytest.raises(DegeneratePlane):
             sectional(so3_unit, Plane(E[0], 2.0 * E[0]))
 
+    def test_overflowing_gram_determinant_rejected(self, so3_unit):
+        # |X|^2 |Y|^2 overflows; the plane is rejected instead of raising OverflowError
+        with pytest.raises(DegeneratePlane):
+            sectional(so3_unit, Plane(1e100 * (E[0] + E[1]), 1e100 * E[0]))
+
     @pytest.mark.parametrize("inertia", [(1.0, 2.0, 3.0), (1.0, 1.0, 1.0), (0.5, 4.0, 2.5)])
     def test_milnor_closed_form(self, inertia):
         # Milnor 1976, Adv. Math. 21, sec. 4: in the orthonormal frame
