@@ -137,6 +137,7 @@ BAD_INPUT_FILES = {
     "inf_state.cfg": "[state]\nu = 1 -inf 1\n",
     "torus_state.cfg": "[state]\nu =\n    sin 0 1 1.0 1\n",
     "nan_torus_state.cfg": "[state]\nu =\n    sin 0 1 nan 1\n",
+    "inf_algebra.cfg": "[algebra]\ndim = 3\nstructure =\n    1 2 3 inf\n",
 }
 
 SCAN = ["scan", "--semidirect", "euclidean", "--seed", "1"]
@@ -146,17 +147,13 @@ TORUS_GEODESIC = ["geodesic", "--algebra", "torus-vol", "--state-file", "torus_s
 
 
 @pytest.mark.parametrize("argv", [
-    ["validate"],
-    ["validate", "--algebra", "so3", "--semidirect", "euclidean"],
     ["validate", "--algebra", "so3", "--tol", "nan"],
-    ["curvature", "--algebra", "so3", "--plane-file", "/nonexistent.cfg"],
+    ["validate", "--algebra-file", "inf_algebra.cfg"],
     ["curvature", "--algebra", "so3", "--plane-file", "plane.cfg", "--zero-tol", "-1"],
     ["curvature", "--algebra", "so3", "--plane-file", "plane.cfg", "--zero-tol", "inf"],
     ["curvature", "--algebra", "so3", "--plane-file", "nan_plane.cfg"],
     ["curvature", "--semidirect", "euclidean", "--plane-file", "inf_sd_plane.cfg"],
     ["curvature", "--semidirect", "passive-scalar", "--plane-file", "torus_plane.cfg"],
-    ["scan", "--semidirect", "euclidean", "--count", "5"],
-    ["scan", "--semidirect", "nope:so3", "--seed", "1", "--count", "1"],
     SCAN + ["--count", "-3"],
     ["scan", "--semidirect", "mhd", "--seed", "1", "--count", "1", "--band", "-1"],
     SCAN + ["--count", "2", "--zero-tol", "-1"],
