@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Digest of the CLI's output on a fixed set of invocations.
+
+Runs each invocation in its own subprocess, one at a time, with
+PYTHONHASHSEED=0 and the ``liecurv`` package from this checkout's ``src/``,
+and prints one line per invocation:
+
+    sha256(stdout) sha256(stderr) exit-code argv
+
+The input files are written to a temporary directory that is the
+subprocesses' working directory, so argv names them without a path and the
+lines do not depend on where that directory is.  Run the script at two
+commits and diff the outputs: an empty diff means the change left stdout,
+stderr and exit codes byte-identical on this set.
+
+Usage:
+    python scripts/cli_digest.py > digest.txt
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+FILES = {
+    # divergence-free fields: mode (k1, k2) has components (-k2, k1) * c
+    "torus_plane.cfg": (
+        "[plane]\n"
+        "x_g =\n"
+        "    sin 0 1 -1.0 1\n"
+        "    cos 1 1 -0.5 1\n"
+        "    cos 1 1 0.5 2\n"
+        "    sin 2 -1 0.25 1\n"
+        "    sin 2 -1 0.5 2\n"
+        "x_h =\n"
+        "    cos 1 0 1.0\n"
+        "    sin 1 2 -0.75\n"
+        "y_g =\n"
+        "    cos 1 0 0.8 2\n"
+        "    sin 1 -1 0.3 1\n"
+        "    sin 1 -1 0.3 2\n"
+        "y_h =\n"
+        "    cos 0 0 0.5\n"
+        "    sin 0 2 1.25\n"
+        "    cos 2 1 -0.4\n"
+    ),
+    "torus_state.cfg": (
+        "[state]\n"
+        "u =\n"
+        "    cos 0 0 0.2 1\n"
+        "    sin 0 1 -1.0 1\n"
+        "    cos 1 0 0.7 2\n"
+        "    cos 1 1 -0.5 1\n"
+        "    cos 1 1 0.5 2\n"
+        "    sin 1 -2 0.6 1\n"
+        "    sin 1 -2 0.3 2\n"
+        "    cos 2 1 -0.2 1\n"
+        "    cos 2 1 0.4 2\n"
+    ),
+}
+
+_SCANS = [
+    ["--semidirect", "mhd", "--seed", "1", "--band", "2", "--count", "3"],
+    ["--semidirect", "passive-scalar", "--seed", "3", "--family", "contains-h", "--count", "5"],
+    ["--semidirect", "magnetic:random-solvable:8:1", "--seed", "1", "--count", "20"],
+]
+
+_TORUS_GEODESIC = ["geodesic", "--algebra", "torus-vol", "--state-file", "torus_state.cfg",
+                   "--dt", "0.01", "--steps", "2", "--support-cap", "6", "--format", "jsonl"]
+
+#: CLI argument lists, run as ``python -m liecurv.cli ARGS``.
+CLI_INVOCATIONS = [
+    ["validate", "--algebra", "so3"],
+    ["validate", "--semidirect", "magnetic:so3:1,2,3"],
+    ["validate", "--algebra", "torus-vol"],
+    ["validate", "--semidirect", "mhd"],
+    ["validate", "--semidirect", "passive-scalar"],
+    ["curvature", "--semidirect", "passive-scalar", "--plane-file", "torus_plane.cfg"],
+    *(["scan", *scan, "--format", fmt] for scan in _SCANS for fmt in ("csv", "jsonl")),
+    _TORUS_GEODESIC + ["--scheme", "rk4"],
+    _TORUS_GEODESIC + ["--scheme", "implicit_midpoint"],
+]
+
+#: Scripts under ``scripts/`` with their arguments.
+SCRIPT_INVOCATIONS = [
+    ["scripts/stability_scan.py", "--count", "5", "--band", "1"],
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = "0"
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    runs = [(["-m", "liecurv.cli", *argv], argv) for argv in CLI_INVOCATIONS]
+    runs += [([str(ROOT / argv[0]), *argv[1:]], argv) for argv in SCRIPT_INVOCATIONS]
+    with tempfile.TemporaryDirectory(prefix="cli_digest_") as work:
+        for name, text in FILES.items():
+            Path(work, name).write_text(text)
+        for args, shown in runs:
+            proc = subprocess.run([sys.executable, *args], cwd=work, env=env,
+                                  capture_output=True, check=False)
+            print(_sha256(proc.stdout), _sha256(proc.stderr), proc.returncode, " ".join(shown),
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
