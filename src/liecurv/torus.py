@@ -142,35 +142,92 @@ class TrigFunction:
         return "TrigFunction(" + " ".join(bits) + ")"
 
 
+#: Mode pairs per block of the product kernel.  Blocks bound its temporaries
+#: (a few hundred kB) whatever the operand sizes.
+_PAIR_BLOCK = 4096
+#: Largest accumulator indexed directly by cell code.  Sparse operands whose
+#: products spread over a larger grid index a sorted table of the cells hit.
+_GRID_CELLS = 1 << 16
+
+
+def _mode_arrays(f: TrigFunction):
+    """Modes of f in dict order: (k1s, k2s), (max |k1|, max |k2|), is_sin, coeff."""
+    k1, k2, parity = zip(*f.modes)
+    coeff = np.fromiter(f.modes.values(), float, len(f.modes))
+    return (k1, k2), (max(map(abs, k1)), max(map(abs, k2))), np.array(parity) == SIN, coeff
+
+
 def multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
-    """Exact product via product-to-sum identities; support adds."""
-    out: dict = {}
+    """Exact product via product-to-sum identities; support adds.
 
-    def put(k1, k2, parity, coeff):
-        entry = _canonical(k1, k2, parity, coeff)
-        if entry is not None:
-            key, val = entry
-            out[key] = out.get(key, 0.0) + val
+    Bit-identical to looping over f's modes, then g's, putting both identity
+    terms of each pair into a dict after folding them to canonical form: each
+    output coefficient adds its terms in that order starting from 0.0, and
+    the modes come out in the order the loop first touches them.  Cell
+    (k1, k2, parity) has code 2 |k1 w + k2| + is_sin, w = 2 max|k2| + 1; the
+    sign of k1 w + k2 is the lexicographic sign of k, so the fold is abs().
+    """
+    if not f.modes or not g.modes:
+        return TrigFunction()
+    ka, reach_a, a_sin, ca = _mode_arrays(f)
+    kb, reach_b, b_sin, cb = _mode_arrays(g)
+    reach2 = reach_a[1] + reach_b[1]
+    width = 2 * reach2 + 1
+    n_grid = 2 * ((reach_a[0] + reach_b[0]) * width + reach2 + 1)
+    # Python ints (object arrays) only where int64 cell codes could overflow
+    dtype = np.int64 if n_grid < 2**62 else object
+    la = np.array(ka[0], dtype) * width + np.array(ka[1], dtype)
+    lb = np.array(kb[0], dtype) * width + np.array(kb[1], dtype)
+    half_ca = 0.5 * ca
+    ng = len(lb)
+    rows = max(1, _PAIR_BLOCK // ng)
+    blocks = [(lo, min(lo + rows, len(la))) for lo in range(0, len(la), rows)]
 
-    for (a1, a2, p), ca in f.modes.items():
-        for (b1, b2, q), cb in g.modes.items():
-            c = 0.5 * ca * cb
-            sm = (a1 + b1, a2 + b2)
-            df = (a1 - b1, a2 - b2)
-            if p == COS and q == COS:
-                put(*df, COS, c)
-                put(*sm, COS, c)
-            elif p == SIN and q == SIN:
-                put(*df, COS, c)
-                put(*sm, COS, -c)
-            elif p == SIN and q == COS:
-                put(*sm, SIN, c)
-                put(*df, SIN, c)
-            else:  # cos * sin
-                put(*sm, SIN, c)
-                put(*df, SIN, -c)
+    def terms(lo, hi):
+        """Cell codes and values of both terms of each pair in f rows lo:hi."""
+        # cos.cos, sin.sin -> cos(a - b), cos(a + b); sin.cos, cos.sin -> sin(a + b), sin(a - b)
+        mixed = a_sin[lo:hi, None] ^ b_sin
+        sb = np.where(mixed, -lb, lb)
+        lin = np.empty((hi - lo, ng, 2), dtype)
+        np.subtract(la[lo:hi, None], sb, out=lin[..., 0])
+        np.add(la[lo:hi, None], sb, out=lin[..., 1])
+        c = half_ca[lo:hi, None] * cb
+        val = np.empty((hi - lo, ng, 2))
+        val[..., 0] = c
+        val[..., 1] = np.where(b_sin, -c, c)
+        mixed = mixed[..., None]
+        np.negative(val, out=val, where=(lin < 0) & mixed)
+        cell = np.abs(lin, out=lin)
+        cell *= 2
+        cell += mixed
+        return cell.ravel(), val.ravel()
+
+    # Python float arithmetic never warns; inf and nan propagate silently here too
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n_grid <= _GRID_CELLS:
+            table = None
+            cells = np.arange(n_grid)
+        else:
+            hit = [np.unique(terms(lo, hi)[0]) for lo, hi in blocks]
+            table = cells = np.unique(np.concatenate(hit))
+        acc = np.zeros(len(cells))
+        first = np.full(len(cells), 2 * len(la) * ng)
+        # ufunc.at is unbuffered and applies its indices in order, like the loop
+        for lo, hi in blocks:
+            cell, val = terms(lo, hi)
+            slot = cell if table is None else np.searchsorted(table, cell)
+            np.add.at(acc, slot, val)
+            np.minimum.at(first, slot, np.arange(2 * ng * lo, 2 * ng * hi))
+    # cell 1 is sin(0,0), which vanishes
+    keep = np.flatnonzero((acc != 0.0) & (cells != 1))
+    keep = keep[np.argsort(first[keep])]
+    lin = cells[keep] >> 1
+    k1 = (lin + reach2) // width
+    k2 = lin - k1 * width
+    parity = [(COS, SIN)[s] for s in (cells[keep] & 1).tolist()]
     result = TrigFunction.__new__(TrigFunction)
-    result.modes = {k: v for k, v in out.items() if v != 0.0}
+    # tolist(): Python ints and floats, as TrigFunction stores everywhere else
+    result.modes = dict(zip(zip(k1.tolist(), k2.tolist(), parity), acc[keep].tolist()))
     return result
 
 

@@ -5,6 +5,7 @@ import numpy as np
 from liecurv import catalog
 from liecurv.algebra import DenseBackend
 from liecurv.backend import Pair
+from liecurv.torus import COS, SIN, TrigFunction, _canonical
 
 #: Seeds of the five random 4-dimensional solvable algebras used throughout.
 SOLVABLE_SEEDS = (101, 102, 103, 104, 105)
@@ -53,3 +54,35 @@ def random_vectors(rng, dim, count):
 
 def random_pair(rng, sd) -> Pair:
     return Pair(rng.standard_normal(sd.g.dim), rng.standard_normal(sd.h.dim))
+
+
+def reference_multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
+    """Pairwise product-to-sum loop: the oracle for ``torus.multiply``."""
+    out: dict = {}
+
+    def put(k1, k2, parity, coeff):
+        entry = _canonical(k1, k2, parity, coeff)
+        if entry is not None:
+            key, val = entry
+            out[key] = out.get(key, 0.0) + val
+
+    for (a1, a2, p), ca in f.modes.items():
+        for (b1, b2, q), cb in g.modes.items():
+            c = 0.5 * ca * cb
+            sm = (a1 + b1, a2 + b2)
+            df = (a1 - b1, a2 - b2)
+            if p == COS and q == COS:
+                put(*df, COS, c)
+                put(*sm, COS, c)
+            elif p == SIN and q == SIN:
+                put(*df, COS, c)
+                put(*sm, COS, -c)
+            elif p == SIN and q == COS:
+                put(*sm, SIN, c)
+                put(*df, SIN, c)
+            else:  # cos * sin
+                put(*sm, SIN, c)
+                put(*df, SIN, -c)
+    result = TrigFunction.__new__(TrigFunction)
+    result.modes = {k: v for k, v in out.items() if v != 0.0}
+    return result

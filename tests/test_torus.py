@@ -1,9 +1,12 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import relerr
+from helpers import reference_multiply, relerr
 
 from liecurv.backend import Pair
 from liecurv.curvature import curvature_numerator_generic, curvature_numerator_semidirect
@@ -130,6 +133,108 @@ class TestMultiply:
         rhs = multiply(f.partial(0), g) + multiply(f, g.partial(0))
         diff = lhs - rhs
         assert diff.coefficient_scale() < 1e-13
+
+
+def _full_band(rng, band, values=None) -> TrigFunction:
+    """Every cos and sin mode with 0 < |k|_inf <= band (no constant)."""
+    modes = {}
+    for k in torus.canonical_wavevectors(band):
+        for parity in (COS, SIN):
+            coeff = rng.standard_normal() if values is None else rng.choice(values)
+            modes[(k[0], k[1], parity)] = float(coeff)
+    return TrigFunction(modes)
+
+
+def _partial_band(rng, band, count, values=None, scale=1) -> TrigFunction:
+    """count modes of the band (constant included), shuffled, wavevectors scaled."""
+    full = list(_full_band(rng, band, values).modes.items()) + [((0, 0, COS), 0.75)]
+    picks = [full[i] for i in rng.permutation(len(full))[:count]]
+    return TrigFunction({(k1 * scale, k2 * scale, parity): v for (k1, k2, parity), v in picks})
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(20240611)
+    one = TrigFunction.mode
+    cases = [
+        ("empty*empty", TrigFunction(), TrigFunction()),
+        ("empty*band2", TrigFunction(), _full_band(rng, 2)),
+        ("band2*empty", _full_band(rng, 2), TrigFunction()),
+        ("const*const", TrigFunction.constant(-1.5), TrigFunction.constant(3.0)),
+        ("const*band2", TrigFunction.constant(0.3), _full_band(rng, 2)),
+        ("cos*cos", one(COS, (1, 2), 0.7), one(COS, (3, -1), -1.3)),
+        ("sin*sin", one(SIN, (1, 2), 0.7), one(SIN, (3, -1), -1.3)),
+        ("sin*cos", one(SIN, (1, 2), 0.7), one(COS, (3, -1), -1.3)),
+        ("cos*sin", one(COS, (1, 2), 0.7), one(SIN, (3, -1), -1.3)),
+        ("sin*cos->sin(0,0)", one(SIN, (1, 2), 0.7), one(COS, (1, 2), 1.1)),
+        ("cos*sin->sin(0,0)", one(COS, (1, 2), 0.7), one(SIN, (1, 2), 1.1)),
+        ("cos*cos->negative k", one(COS, (1, -2), 0.7), one(COS, (2, 1), 1.1)),
+        ("sin*cos->negative k", one(SIN, (0, 1), 0.7), one(COS, (1, 0), 1.1)),
+        ("cos*sin->negative k", one(COS, (0, 1), 0.7), one(SIN, (1, 0), 1.1)),
+        ("sin*sin->negative k", one(SIN, (1, 0), 0.7), one(SIN, (2, 0), 1.1)),
+        (
+            "exact cancellation",
+            one(COS, (1, 1)) + one(SIN, (1, 1)),
+            one(COS, (0, 2)) - one(SIN, (0, 2)),
+        ),
+        ("full band 6, 168 modes each: several blocks", _full_band(rng, 6), _full_band(rng, 6)),
+        (
+            "overflow to inf and nan",
+            one(COS, (1, 0), 1e300) + one(SIN, (0, 1), float("inf")),
+            _full_band(rng, 1),
+        ),
+    ]
+    for i in range(24):
+        band_f, band_g = int(rng.integers(0, 9)), int(rng.integers(0, 9))
+        values = None if i % 2 else (-1.0, -0.5, 0.5, 1.0)  # small values cancel exactly
+        f = _partial_band(rng, band_f, int(rng.integers(1, 60)), values)
+        g = _partial_band(rng, band_g, int(rng.integers(1, 60)), values)
+        cases.append((f"bands {band_f}x{band_g} #{i}", f, g))
+    # far-apart wavevectors: the sorted-table accumulator, on int64 codes and,
+    # beyond their range, on Python ints
+    for scale in (100_003, 2**26, 2**31, 10**30):
+        f = _partial_band(rng, 3, 20, scale=scale)
+        g = _partial_band(rng, 3, 20, scale=scale)
+        cases.append((f"band 3 scaled by {scale}", f, g))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+def assert_same_product(f, g):
+    """multiply(f, g) equals the pairwise loop bit for bit, in dict order, with Python types."""
+    got = list(multiply(f, g).modes.items())
+    want = list(reference_multiply(f, g).modes.items())
+    assert [key for key, _ in got] == [key for key, _ in want]
+    # hex() also tells -0.0 from 0.0 and compares nan
+    assert [val.hex() for _, val in got] == [val.hex() for _, val in want]
+    for (k1, k2, parity), val in got:
+        assert (type(k1), type(k2), type(parity), type(val)) == (int, int, str, float)
+
+
+class TestMultiplyKernel:
+    @pytest.mark.parametrize("name, f, g", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+    def test_matches_pairwise_loop(self, name, f, g):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_product(f, g)
+
+    @pytest.mark.parametrize("name, f, g", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+    def test_matches_pairwise_loop_in_small_blocks(self, name, f, g, monkeypatch):
+        monkeypatch.setattr(torus, "_PAIR_BLOCK", 7)
+        assert_same_product(f, g)
+
+    def test_peak_memory_is_bounded_by_blocks(self):
+        rng = np.random.default_rng(7)
+        f, g = _full_band(rng, 6), _full_band(rng, 6)
+        multiply(f, g)
+        tracemalloc.start()
+        try:
+            multiply(f, g)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
 
 class TestDerivatives:
