@@ -103,26 +103,42 @@ def _jacobi_worst(c: np.ndarray):
     return idx[:3], float(np.abs(resid[idx]))
 
 
+def _first_non_finite(a: np.ndarray):
+    """Index of the first nan or infinite entry of a, or None."""
+    bad = np.argwhere(~np.isfinite(a))
+    return tuple(int(i) for i in bad[0]) if len(bad) else None
+
+
 def validate(spec: MetricAlgebraSpec, jacobi_tol: float = JACOBI_TOL) -> ValidationReport:
     """Check antisymmetry, the Jacobi identity and positive definiteness.
 
     Residuals are relative to the size of the structure constants (with a
     unit floor), so an exactly-given algebra passes regardless of scale.
+    A nan or infinite entry fails every invariant computed from its array,
+    with a nan residual: no tolerance comparison can pass or fail on it.
     """
     report = ValidationReport(subject=spec.name or "algebra")
     report.checked = ["antisymmetry", "jacobi", "gram_symmetric", "gram_positive_definite"]
     c = spec.structure
-    cmax = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
-
-    idx, worst = _antisymmetry_worst(c)
-    if worst > jacobi_tol * cmax:
-        report.add("antisymmetry", idx, worst / cmax)
-
-    idx, worst = _jacobi_worst(c)
-    if worst > jacobi_tol * cmax * cmax:
-        report.add("jacobi", idx, worst / (cmax * cmax))
-
     g = spec.gram
+    bad = _first_non_finite(c)
+    if bad is not None:
+        for invariant in ("antisymmetry", "jacobi"):
+            report.add(invariant, bad, float("nan"), "non-finite structure constant")
+    else:
+        cmax = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
+        idx, worst = _antisymmetry_worst(c)
+        if worst > jacobi_tol * cmax:
+            report.add("antisymmetry", idx, worst / cmax)
+        idx, worst = _jacobi_worst(c)
+        if worst > jacobi_tol * cmax * cmax:
+            report.add("jacobi", idx, worst / (cmax * cmax))
+
+    bad = _first_non_finite(g)
+    if bad is not None:
+        for invariant in ("gram_symmetric", "gram_positive_definite"):
+            report.add(invariant, bad, float("nan"), "non-finite Gram entry")
+        return report
     gmax = max(1.0, float(np.max(np.abs(g))))
     asym = float(np.max(np.abs(g - g.T)))
     if asym > jacobi_tol * gmax:

@@ -8,6 +8,8 @@ the command-line name grammar, e.g. ``so3:1,2,3``, ``conjugation:so3``,
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import torus
@@ -109,9 +111,12 @@ def random_solvable(dim: int, seed: int, gram=None) -> MetricAlgebraSpec:
 
 def _parse_gram_args(arg: str, what: str):
     try:
-        return [float(tok) for tok in arg.split(",")]
+        values = [float(tok) for tok in arg.split(",")]
     except ValueError:
         raise ConfigError(f"cannot parse Gram diagonal {arg!r} for {what}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"non-finite Gram diagonal {arg!r} for {what}")
+    return values
 
 
 def _algebra_spec_from_tokens(tokens: list[str]) -> MetricAlgebraSpec:

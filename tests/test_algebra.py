@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,25 @@ class TestValidate:
     def test_indefinite_gram_reported(self):
         report = validate(MetricAlgebraSpec(structure=np.zeros((3, 3, 3)), gram=np.diag([1.0, -1.0, 1.0])))
         assert any(i.invariant == "gram_positive_definite" for i in report.issues)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where", ["structure", "gram"])
+    def test_non_finite_entries_fail(self, bad, where):
+        c = catalog.so3().structure.copy()
+        g = np.eye(3)
+        if where == "structure":
+            c[0, 1, 2] = bad
+            location, failed = (0, 1, 2), {"antisymmetry", "jacobi"}
+        else:
+            g[1, 2] = g[2, 1] = bad
+            location, failed = (1, 2), {"gram_symmetric", "gram_positive_definite"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate(MetricAlgebraSpec(structure=c, gram=g))
+        assert not report.passed
+        assert {i.invariant for i in report.issues} == failed
+        assert all(i.location == location and np.isnan(i.residual) for i in report.issues)
+        assert "non-finite" in str(report)
 
     def test_worst_offender_location(self):
         c = np.zeros((3, 3, 3))

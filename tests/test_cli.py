@@ -148,6 +148,8 @@ TORUS_GEODESIC = ["geodesic", "--algebra", "torus-vol", "--state-file", "torus_s
 
 @pytest.mark.parametrize("argv", [
     ["validate", "--algebra", "so3", "--tol", "nan"],
+    ["scan", "--algebra", "so3:1,nan,3", "--seed", "1", "--count", "2"],
+    ["scan", "--semidirect", "magnetic:so3:1,inf,3", "--seed", "1", "--count", "2"],
     ["validate", "--algebra-file", "inf_algebra.cfg"],
     ["curvature", "--algebra", "so3", "--plane-file", "plane.cfg", "--zero-tol", "-1"],
     ["curvature", "--algebra", "so3", "--plane-file", "plane.cfg", "--zero-tol", "inf"],
