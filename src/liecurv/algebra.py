@@ -95,12 +95,35 @@ def _antisymmetry_worst(c: np.ndarray):
     return idx, float(np.abs(resid[idx]))
 
 
+def worst_entry(blocks):
+    """Location and size of the largest |entry| of an array given as its
+    ``(i, array[i])`` slices, the entry ``np.argmax`` finds on the whole array:
+    the first largest one, or the first nan."""
+    where, worst = (), 0.0
+    for i, block in blocks:
+        size = np.abs(block)
+        j = np.unravel_index(np.argmax(size), size.shape)
+        if not where or size[j] > worst or (size[j] != size[j] and worst == worst):
+            where, worst = (np.intp(i), *j), float(size[j])
+    return where, worst
+
+
 def _jacobi_worst(c: np.ndarray):
-    # cyclic sum of [[e_i,e_j],e_k] in coordinates: sum_m c[i,j,m] c[m,k,l] + cyc
-    d1 = np.einsum("ijm,mkl->ijkl", c, c)
-    resid = d1 + np.transpose(d1, (1, 2, 0, 3)) + np.transpose(d1, (2, 0, 1, 3))
-    idx = np.unravel_index(np.argmax(np.abs(resid)), resid.shape)
-    return idx[:3], float(np.abs(resid[idx]))
+    # cyclic sum of [[e_i,e_j],e_k] in coordinates, d[i,j,k,l] = sum_m c[i,j,m] c[m,k,l]:
+    # resid[i,j,k,l] = d[i,j,k,l] + d[j,k,i,l] + d[k,i,j,l], built one i at a time
+    # so that no temporary holds more than n^3 entries
+    n = c.shape[0]
+    rows = c.reshape(n, n * n)  # rows[m, (k, l)] = c[m, k, l]
+    pairs = c.reshape(n * n, n)  # pairs[(j, k), m] = c[j, k, m]
+
+    def resid(i):
+        d_ijk = (c[i] @ rows).reshape(n, n, n)
+        d_jki = (pairs @ c[:, i, :]).reshape(n, n, n)
+        d_kij = (c[:, i, :] @ rows).reshape(n, n, n).transpose(1, 0, 2)
+        return d_ijk + d_jki + d_kij
+
+    idx, worst = worst_entry((i, resid(i)) for i in range(n))
+    return idx[:3], worst
 
 
 def _first_non_finite(a: np.ndarray):
@@ -154,11 +177,26 @@ def validate(spec: MetricAlgebraSpec, jacobi_tol: float = JACOBI_TOL) -> Validat
     return report
 
 
+def bilinear(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_i x_i t[i] y for a C-contiguous tensor t of shape (n, a, b), over
+    stacks: x of shape (..., n) and y of shape (..., b) give shape (..., a)."""
+    m = (x @ t.reshape(t.shape[0], -1)).reshape(x.shape[:-1] + t.shape[1:])
+    return (m @ y[..., None])[..., 0]
+
+
+def _scalar(value):
+    """A Python float for a single value, the array itself for a stack."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 class DenseBackend:
     """Metric-algebra operations over a validated finite-dimensional spec.
 
     Exposes the backend operation set (bracket, inner, ad_transpose) that
-    the curvature and geodesic engines consume.  The Gram factorization is
+    the curvature and geodesic engines consume.  Every operation takes
+    single coordinate vectors or stacks of them (arrays of shape (..., dim)),
+    and returns a float or a vector for single inputs, arrays over the stack
+    otherwise.  The Gram factorization and the tensors of ad and ad^T are
     computed once and cached; all operations are pure.
     """
 
@@ -170,6 +208,11 @@ class DenseBackend:
         self.spec = spec
         self.dim = spec.dim
         self._cho = cho_factor(spec.gram)
+        c = spec.structure
+        # _ad[i] = ad(e_i): [e_i, e_j] = sum_k c[i, j, k] e_k
+        self._ad = np.ascontiguousarray(c.transpose(0, 2, 1))
+        # _adt[i] = ad(e_i)^T, the metric adjoint, so that ad(x)^T y = sum_i x_i _adt[i] y
+        self._adt = self.adjoints(self._ad)
 
     @property
     def name(self) -> str:
@@ -177,8 +220,8 @@ class DenseBackend:
 
     def _coerce(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=float)
-        if a.shape != (self.dim,):
-            raise DimensionMismatch(f"expected vector of length {self.dim}, got shape {a.shape}")
+        if a.shape[-1:] != (self.dim,):
+            raise DimensionMismatch(f"expected vectors of length {self.dim}, got shape {a.shape}")
         return a
 
     def zero(self) -> np.ndarray:
@@ -188,15 +231,15 @@ class DenseBackend:
         return self.spec.basis(i)
 
     def bracket(self, a, b) -> np.ndarray:
-        a, b = self._coerce(a), self._coerce(b)
-        return np.einsum("i,j,ijk->k", a, b, self.spec.structure)
+        return bilinear(self._ad, self._coerce(a), self._coerce(b))
 
-    def inner(self, a, b) -> float:
+    def inner(self, a, b):
         a, b = self._coerce(a), self._coerce(b)
-        return float(a @ self.spec.gram @ b)
+        # a row times a column, so that one pair takes the dot product of a @ G @ b
+        return _scalar(((a @ self.spec.gram)[..., None, :] @ b[..., :, None])[..., 0, 0])
 
-    def norm(self, a) -> float:
-        return float(np.sqrt(max(self.inner(a, a), 0.0)))
+    def norm(self, a):
+        return _scalar(np.sqrt(np.maximum(self.inner(a, a), 0.0)))
 
     def ad(self, x) -> np.ndarray:
         """Matrix of ad(x) = [x, .] in the declared basis."""
@@ -204,10 +247,16 @@ class DenseBackend:
         return np.einsum("i,ijk->kj", x, self.spec.structure)
 
     def ad_transpose(self, x, y) -> np.ndarray:
-        """Adjoint of ad(x) applied to y: solves G r = ad(x)^T G y."""
-        y = self._coerce(y)
+        """Adjoint of ad(x) for the Gram inner product, applied to y."""
+        return bilinear(self._adt, self._coerce(x), self._coerce(y))
+
+    def adjoints(self, mats) -> np.ndarray:
+        """Metric adjoints G^-1 M_i^T G of a stack of operators M_i on this algebra."""
+        k, n = len(mats), self.dim
+        rhs = (np.swapaxes(mats, 1, 2) @ self.spec.gram).transpose(1, 0, 2).reshape(n, k * n)
         # non-finite values pass through, so the integrator reports a blow-up itself
-        return cho_solve(self._cho, self.ad(x).T @ (self.spec.gram @ y), check_finite=False)
+        solved = cho_solve(self._cho, rhs, check_finite=False).reshape(n, k, n)
+        return np.ascontiguousarray(solved.transpose(1, 0, 2))
 
     def gram_solve(self, v) -> np.ndarray:
         """Solve G r = v for a vector or a stack of columns."""
@@ -217,8 +266,9 @@ class DenseBackend:
         return cho_solve(self._cho, v)
 
     def sample_basis(self, band: int = 0):
-        """Basis elements for random sampling (band is a torus-only notion)."""
-        return [self.basis(i) for i in range(self.dim)]
+        """Basis elements for random sampling, as the rows of an array (band is a
+        torus-only notion)."""
+        return np.eye(self.dim)
 
     def is_ad_invariant(self, tol: float = ADJOINT_TOL) -> bool:
         """True when every ad(e_i) is skew-adjoint for the Gram inner product."""

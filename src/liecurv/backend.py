@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Pair:
@@ -46,6 +48,13 @@ def as_pair(value) -> Pair:
         return value
     x, y = value
     return Pair(x, y)
+
+
+def stack(elements):
+    """Coordinate vectors, or Pairs of them, stacked along a new leading axis."""
+    if isinstance(elements[0], Pair):
+        return Pair(np.stack([e.x for e in elements]), np.stack([e.y for e in elements]))
+    return np.stack(elements)
 
 
 class SemidirectBackendBase:
@@ -87,8 +96,9 @@ class SemidirectBackendBase:
         p, q = as_pair(p), as_pair(q)
         return self.g.inner(p.x, q.x) + self.h.inner(p.y, q.y)
 
-    def norm(self, p) -> float:
-        return float(self.inner(p, p)) ** 0.5
+    def norm(self, p):
+        sq = np.maximum(self.inner(p, p), 0.0)
+        return np.sqrt(sq) if np.ndim(sq) else float(sq) ** 0.5
 
     def ad_transpose(self, p, q) -> Pair:
         p, q = as_pair(p), as_pair(q)
@@ -98,7 +108,7 @@ class SemidirectBackendBase:
         )
 
     def sample_basis(self, band: int = 2, part: str | None = None):
-        """Product basis as embedded pairs; ``part`` restricts to one factor."""
+        """Product basis as a list of embedded pairs; ``part`` restricts to one factor."""
         gz, hz = self.g.zero(), self.h.zero()
         basis = []
         if part in (None, "g"):

@@ -52,17 +52,16 @@ def conjugation(g_spec: MetricAlgebraSpec) -> SemidirectAlgebra:
         structure=g_spec.structure.copy(), gram=g_spec.gram.copy(),
         name=g_spec.name or "h",
     )
-    return build_semidirect(g_spec, h_spec, ActionSpec(mats),
+    return build_semidirect(g, h_spec, ActionSpec(mats),
                             name=f"conjugation:{g_spec.name or 'g'}")
 
 
 def linear_so3_on_r3() -> SemidirectAlgebra:
     """so(3) acting on abelian R^3 by the cross product, Euclidean Grams."""
-    g_spec = so3()
-    g = DenseBackend(g_spec)
+    g = DenseBackend(so3())
     mats = np.stack([g.ad(g.basis(i)) for i in range(3)])
     h_spec = abelian(3, name="r3")
-    return build_semidirect(g_spec, h_spec, ActionSpec(mats), name="linear_so3_on_r3")
+    return build_semidirect(g, h_spec, ActionSpec(mats), name="linear_so3_on_r3")
 
 
 def euclidean() -> SemidirectAlgebra:
@@ -80,12 +79,9 @@ def magnetic(g_spec: MetricAlgebraSpec) -> SemidirectAlgebra:
     derived identities b(X)^T Y = -ad(X) Y and h_map(Y1, Y2) = ad(Y2)^T Y1.
     """
     g = DenseBackend(g_spec)
-    mats = np.stack(
-        [-g.gram_solve(g.ad(g.basis(i)).T @ g_spec.gram) for i in range(g.dim)]
-    )
+    mats = -g.adjoints(np.stack([g.ad(g.basis(i)) for i in range(g.dim)]))
     h_spec = abelian(g.dim, gram=g_spec.gram.copy(), name=f"{g_spec.name or 'g'}*_reg")
-    return build_semidirect(g_spec, h_spec, ActionSpec(mats),
-                            name=f"magnetic:{g_spec.name or 'g'}")
+    return build_semidirect(g, h_spec, ActionSpec(mats), name=f"magnetic:{g_spec.name or 'g'}")
 
 
 def random_solvable(dim: int, seed: int, gram=None) -> MetricAlgebraSpec:

@@ -14,7 +14,7 @@ import sys
 
 from . import catalog, configio, torus
 from .algebra import DenseBackend, ValidationReport, validate
-from .backend import SemidirectBackendBase
+from .backend import SemidirectBackendBase, stack
 from .curvature import (
     Plane,
     curvature_numerator_generic,
@@ -35,7 +35,7 @@ from .errors import (
     ValidationFailure,
 )
 from .geodesic import IntegratorConfig, geodesic_rhs, integrate
-from .sampling import FAMILIES, sample_planes
+from .sampling import FAMILIES, check_family, sample_planes
 from .semidirect import SemidirectAlgebra, validate_action
 
 
@@ -205,6 +205,14 @@ def _run_validate(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _as_config_error(fn, *args, **kwargs):
+    """Call ``fn``, which checks command-line values; its ValueError is a configuration error."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _breakdown_for(backend, plane: Plane):
     if isinstance(backend, SemidirectBackendBase):
         return curvature_numerator_semidirect(backend, plane.x, plane.y)
@@ -223,16 +231,22 @@ def _run_curvature(args) -> int:
 
 def _run_scan(args) -> int:
     backend = _resolve_backend(args)
+    _as_config_error(check_family, backend, args.family)
     planes = sample_planes(backend, args.seed, args.count, family=args.family, band=args.band)
+    if planes and _finite_dimensional(backend):
+        # one evaluation over the stacked planes
+        br = _breakdown_for(backend, Plane(stack([p.x for p in planes]), stack([p.y for p in planes])))
+        values = zip(br.numerator.tolist(), br.denominator.tolist())
+    else:
+        values = [(br.numerator, br.denominator) for br in (_breakdown_for(backend, p) for p in planes)]
     records = []
-    for plane_id, plane in enumerate(planes):
-        br = _breakdown_for(backend, plane)
-        k = br.numerator / br.denominator
+    for plane_id, (numerator, denominator) in enumerate(values):
+        k = numerator / denominator
         records.append(
             {
                 "plane_id": plane_id,
-                "numerator": br.numerator,
-                "denominator": br.denominator,
+                "numerator": numerator,
+                "denominator": denominator,
                 "sectional": k,
                 "sign": configio.sign_of(k, args.zero_tol),
             }
@@ -254,7 +268,7 @@ def _run_geodesic(args) -> int:
             "experimental, not the exact geodesic flow",
             file=sys.stderr,
         )
-    config = IntegratorConfig(dt=args.dt, steps=args.steps, scheme=args.scheme)
+    config = _as_config_error(IntegratorConfig, dt=args.dt, steps=args.steps, scheme=args.scheme)
     traj = integrate(rhs, state, config, backend)
     write = configio.trajectory_csv_lines if args.format == "csv" else configio.trajectory_jsonl_lines
     _emit(write(traj), args)
@@ -293,9 +307,9 @@ def run(argv=None) -> int:
     except LiecurvError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 3
+    except ValueError as exc:  # bad input is a ConfigError by now; this one is the arithmetic's
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 def main():

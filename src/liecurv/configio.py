@@ -44,7 +44,7 @@ from . import torus
 
 
 def load_config(path: str) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # values are literal text; '%' is no syntax
     try:
         with open(path) as fh:
             cp.read_file(fh)
@@ -100,6 +100,8 @@ def parse_algebra_section(cp: configparser.ConfigParser, section: str) -> Metric
         dim = cp.getint(section, "dim")
     except (configparser.NoOptionError, ValueError):
         raise ConfigError(f"[{section}] needs an integer 'dim'") from None
+    if dim < 1:
+        raise ConfigError(f"[{section}] needs a positive 'dim', got {dim}")
     gram = _parse_gram(cp.get(section, "gram", fallback="identity"), dim)
     structure = np.zeros((dim, dim, dim))
     for line in cp.get(section, "structure", fallback="").splitlines():

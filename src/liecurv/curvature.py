@@ -1,7 +1,8 @@
 """Curvature evaluators for right-invariant metrics.
 
 Three routes to the curvature numerator <R(X,Y)Y,X> are implemented and
-cross-checked against each other:
+cross-checked against each other.  The first two take single planes or, on
+finite-dimensional backends, stacks of planes (one call for all of them):
 
 * the generic five-term expression in the right trivialization, valid on any
   metric-algebra backend;
@@ -21,6 +22,8 @@ cross-checked against each other:
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebra import DenseBackend, MetricAlgebraSpec
 from .backend import as_pair
@@ -79,7 +82,8 @@ class CurvatureBreakdown:
     ``numerator`` is <R(X,Y)Y,X>, ``denominator`` the plane Gram determinant
     |X|^2 |Y|^2 - <X,Y>^2, and ``sectional`` their quotient (nan when the
     plane is degenerate).  ``terms`` lists the labeled summands in display
-    order; they add up to the numerator.
+    order; they add up to the numerator.  For a stack of planes every value
+    is an array over the stack.
     """
 
     numerator: float
@@ -99,7 +103,7 @@ def _plane_gram(backend, x, y, tol: float = PLANE_DEGENERACY_TOL):
     ``tol`` relative to |X|^2 |Y|^2 (False means the plane is degenerate)."""
     xx, yy, xy = backend.inner(x, x), backend.inner(y, y), backend.inner(x, y)
     denom = xx * yy - xy * xy  # overflows to inf or nan, where xy ** 2 would raise
-    return denom, denom > tol * max(xx * yy, 0.0)
+    return denom, denom > tol * np.maximum(xx * yy, 0.0)
 
 
 def plane_denominator(backend, x, y, tol: float = PLANE_DEGENERACY_TOL) -> float:
@@ -111,10 +115,14 @@ def plane_denominator(backend, x, y, tol: float = PLANE_DEGENERACY_TOL) -> float
 
 
 def _finish(backend, x, y, terms) -> CurvatureBreakdown:
-    numerator = float(sum(v for _, v in terms))
+    numerator = sum(v for _, v in terms)
     denominator, spans = _plane_gram(backend, x, y)
-    sec = numerator / denominator if spans else float("nan")
-    return CurvatureBreakdown(numerator, denominator, sec, terms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sec = np.where(spans, np.divide(numerator, denominator), np.nan)
+    if np.ndim(numerator):
+        return CurvatureBreakdown(numerator, denominator, sec, terms)
+    return CurvatureBreakdown(float(numerator), float(denominator), float(sec),
+                              [(label, float(v)) for label, v in terms])
 
 
 def curvature_numerator_generic(backend, x, y) -> CurvatureBreakdown:
@@ -193,8 +201,7 @@ def curvature_numerator_semidirect(sd, p1, p2) -> CurvatureBreakdown:
         0.5 * hi(hat21, btsym - b2y1 + b1y2),
         -0.5 * hi(hbr12, b1t2 - b2t1 + 3.0 * b1y2 - 3.0 * b2y1),
     )
-    terms = list(zip(SEMIDIRECT_TERM_LABELS, (float(v) for v in values)))
-    return _finish(sd, p1, p2, terms)
+    return _finish(sd, p1, p2, list(zip(SEMIDIRECT_TERM_LABELS, values)))
 
 
 def special_plane(sd, case: str, first, second) -> float:

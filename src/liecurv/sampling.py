@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backend import SemidirectBackendBase
+from .backend import Pair, SemidirectBackendBase
 from .curvature import Plane
 from .errors import SamplingExhausted
 
@@ -33,13 +33,31 @@ def linear_combination(basis, coeffs):
     return total
 
 
+def _combine_rows(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``linear_combination`` of the rows of an array: the running sum adds the
+    scaled rows in the same order, so the result is the same bit for bit,
+    signed zeros included."""
+    return np.cumsum(coeffs[:, None] * rows, axis=0)[-1]
+
+
 def random_element(backend, rng, band: int = 2, part: str | None = None):
-    """Standard-normal combination of the sampling basis (optionally one factor)."""
+    """Standard-normal combination of the sampling basis (optionally one factor).
+
+    Finite-dimensional backends give their basis as the rows of an array (a
+    Pair of arrays on a product), combined in one product; other backends
+    give a list of elements.
+    """
     if part is None:
         basis = backend.sample_basis(band)
     else:
         basis = backend.sample_basis(band, part=part)
-    return linear_combination(basis, rng.standard_normal(len(basis)))
+    if isinstance(basis, Pair):
+        coeffs = rng.standard_normal(len(basis.x))
+        return Pair(_combine_rows(basis.x, coeffs), _combine_rows(basis.y, coeffs))
+    coeffs = rng.standard_normal(len(basis))
+    if isinstance(basis, np.ndarray):
+        return _combine_rows(basis, coeffs)
+    return linear_combination(basis, coeffs)
 
 
 def _normalize(backend, v, floor: float = 1e-12):
@@ -61,16 +79,21 @@ def _orthonormal_pair(backend, x, y):
     return x, y
 
 
-def _family_parts(family: str):
+def check_family(backend, family: str):
+    """The factor each leg of a ``family`` plane is drawn from (None: the whole
+    product); ValueError when the family is unknown or ``backend`` lacks factors."""
     if family not in FAMILIES:
         raise ValueError(f"unknown plane family {family!r} (expected one of {FAMILIES})")
-    return {
+    parts = {
         "full": (None, None),
         "gg": ("g", "g"),
         "hh": ("h", "h"),
         "gh": ("g", "h"),
         "contains-h": (None, "h"),
     }[family]
+    if any(parts) and not isinstance(backend, SemidirectBackendBase):
+        raise ValueError(f"family {family!r} needs a semidirect backend")
+    return parts
 
 
 def sample_planes(backend, seed: int, count: int, family: str = "full", band: int = 2):
@@ -81,9 +104,7 @@ def sample_planes(backend, seed: int, count: int, family: str = "full", band: in
     second leg exactly in the h factor: both legs are normalized and draws
     with nearly collinear legs are rejected.
     """
-    part1, part2 = _family_parts(family)
-    if (part1 or part2) and not isinstance(backend, SemidirectBackendBase):
-        raise ValueError(f"family {family!r} needs a semidirect backend")
+    part1, part2 = check_family(backend, family)
     rng = rng_for_seed(seed)
     planes: list[Plane] = []
     budget = 100 * max(count, 1)

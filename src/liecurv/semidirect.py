@@ -2,18 +2,26 @@
 
 The action is given per g-basis vector as a matrix on h.  Building the product
 derives the transposed action matrices, the bilinear map h_map (via Gram
-solves against its defining relation), the assembled product spec with block
-diagonal Gram, and the isometric flag.
+solves against its defining relation) and the isometric flag; the assembled
+product spec with block diagonal Gram is built when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from .algebra import ADJOINT_TOL, JACOBI_TOL, DenseBackend, MetricAlgebraSpec, ValidationReport, validate
+from .algebra import (
+    ADJOINT_TOL,
+    JACOBI_TOL,
+    DenseBackend,
+    MetricAlgebraSpec,
+    ValidationReport,
+    bilinear,
+    worst_entry,
+)
 from .backend import Pair, SemidirectBackendBase, as_pair
 from .errors import DimensionMismatch, ValidationFailure
 
@@ -54,25 +62,31 @@ def validate_action(
 
     B = action.matrices
     ch = h.structure
+    ng, nh = g.dim, h.dim
     scale = max(1.0, float(np.max(np.abs(B)))) * max(1.0, float(np.max(np.abs(ch))))
 
-    # derivation: b(e_i)[f_p, f_q] = [b(e_i) f_p, f_q] + [f_p, b(e_i) f_q]
-    lhs = np.einsum("irs,pqs->ipqr", B, ch)
-    rhs = np.einsum("isp,sqr->ipqr", B, ch) + np.einsum("isq,psr->ipqr", B, ch)
-    resid = lhs - rhs
-    idx = np.unravel_index(np.argmax(np.abs(resid)), resid.shape)
-    if abs(resid[idx]) > tol * scale:
-        report.add("derivation", idx, float(abs(resid[idx])) / scale)
+    # derivation: b(e_i)[f_p, f_q] = [b(e_i) f_p, f_q] + [f_p, b(e_i) f_q], residuals
+    # [i, p, q, r] built one i at a time so that no temporary holds more than nh^3 entries
+    def derivation(i):
+        lhs = (ch.reshape(nh * nh, nh) @ B[i].T).reshape(nh, nh, nh)
+        rhs = (B[i].T @ ch.reshape(nh, nh * nh)).reshape(nh, nh, nh) + B[i].T @ ch
+        return lhs - rhs
 
-    # homomorphism: b([e_i, e_j]) = b(e_i) b(e_j) - b(e_j) b(e_i)
+    idx, worst = worst_entry((i, derivation(i)) for i in range(ng))
+    if worst > tol * scale:
+        report.add("derivation", idx, worst / scale)
+
+    # homomorphism: b([e_i, e_j]) = b(e_i) b(e_j) - b(e_j) b(e_i), residuals [i, j, r, s]
     cg = g.structure
-    lhs = np.einsum("ijk,krs->ijrs", cg, B)
-    rhs = np.einsum("irt,jts->ijrs", B, B) - np.einsum("jrt,its->ijrs", B, B)
     scale2 = max(1.0, float(np.max(np.abs(B)))) ** 2 * max(1.0, float(np.max(np.abs(cg))))
-    resid = lhs - rhs
-    idx = np.unravel_index(np.argmax(np.abs(resid)), resid.shape)
-    if abs(resid[idx]) > tol * scale2:
-        report.add("homomorphism", idx, float(abs(resid[idx])) / scale2)
+
+    def homomorphism(i):
+        lhs = (cg[i] @ B.reshape(ng, nh * nh)).reshape(ng, nh, nh)
+        return lhs - (B[i] @ B - B @ B[i])
+
+    idx, worst = worst_entry((i, homomorphism(i)) for i in range(ng))
+    if worst > tol * scale2:
+        report.add("homomorphism", idx, worst / scale2)
     return report
 
 
@@ -95,59 +109,64 @@ def _assemble_product_spec(g: MetricAlgebraSpec, h: MetricAlgebraSpec, B: np.nda
 class SemidirectAlgebra(SemidirectBackendBase):
     """Finite-dimensional semidirect product with cached derived tensors.
 
-    ``h_tensor[p, q]`` holds the g-coordinates of h_map(f_p, f_q); the
-    transposed action matrices are cached per g-basis vector.  The fully
-    assembled product spec (and its DenseBackend) provides the independent
-    route to all product-algebra quantities.
+    Built from validated factor backends ``g`` and ``h`` and a validated
+    action (see ``build_semidirect``).  The action matrices, their metric
+    adjoints and the h_map tensor are cached in the layout of
+    ``algebra.bilinear``, so b, b^T and h_map take single vectors or stacks.
+    The fully assembled product spec (and its DenseBackend) provides the
+    independent route to all product-algebra quantities; it is built on
+    first use.
     """
 
-    def __init__(self, g_spec, h_spec, action: ActionSpec, name: str = "",
-                 tol: float = JACOBI_TOL, check: bool = True):
-        if check:
-            for spec in (g_spec, h_spec):
-                report = validate(spec, jacobi_tol=tol)
-                if not report.passed:
-                    raise ValidationFailure(report)
-            report = validate_action(g_spec, h_spec, action, tol=tol)
-            if not report.passed:
-                raise ValidationFailure(report)
-        self.g_spec = g_spec
-        self.h_spec = h_spec
+    def __init__(self, g: DenseBackend, h: DenseBackend, action: ActionSpec, name: str = ""):
+        self.g, self.h = g, h
+        self.g_spec, self.h_spec = g.spec, h.spec
         self.action = action
-        self.name = name or f"{g_spec.name or 'g'}|x{h_spec.name or 'h'}"
-        self.g = DenseBackend(g_spec, check=False)
-        self.h = DenseBackend(h_spec, check=False)
+        self.name = name or f"{g.spec.name or 'g'}|x{h.spec.name or 'h'}"
+        self._product_name = f"{self.name} (product)"
 
-        B = action.matrices
-        gram_h = h_spec.gram
-        # b(e_i)^T = G_h^{-1} B_i^T G_h
-        self._bt = np.stack([cho_solve(self.h._cho, B[i].T @ gram_h) for i in range(g_spec.dim)])
-        # h_tensor via <h(f_p, f_q), e_i> = <b(e_i) f_p, f_q>
+        B = np.ascontiguousarray(action.matrices)
+        gram_h = h.spec.gram
+        self._b = B
+        self._bt = h.adjoints(B)  # b(e_i)^T = G_h^-1 B_i^T G_h
+        # h_map via <h(f_p, f_q), e_i> = <b(e_i) f_p, f_q>; _h_tensor[p, k, q] = h(f_p, f_q)_k
         v = np.einsum("irp,rq->ipq", B, gram_h)
-        flat = cho_solve(self.g._cho, v.reshape(g_spec.dim, -1))
-        self._h_tensor = flat.reshape(g_spec.dim, h_spec.dim, h_spec.dim).transpose(1, 2, 0)
+        flat = g.gram_solve(v.reshape(g.dim, -1)).reshape(g.dim, h.dim, h.dim)
+        self._h_tensor = np.ascontiguousarray(flat.transpose(1, 0, 2))
 
-        skew = [np.max(np.abs(gram_h @ B[i] + B[i].T @ gram_h)) for i in range(g_spec.dim)]
+        skew = [np.max(np.abs(gram_h @ B[i] + B[i].T @ gram_h)) for i in range(g.dim)]
         scale = max(1.0, float(np.max(np.abs(B))) * float(np.max(np.abs(gram_h))))
         self._isometric = bool(max(skew, default=0.0) <= ADJOINT_TOL * scale)
 
-        self.product_spec = _assemble_product_spec(g_spec, h_spec, B, f"{self.name} (product)")
-        self.product = DenseBackend(self.product_spec, check=False)
+    @cached_property
+    def product_spec(self) -> MetricAlgebraSpec:
+        return _assemble_product_spec(self.g_spec, self.h_spec, self._b, self._product_name)
+
+    @cached_property
+    def product(self) -> DenseBackend:
+        return DenseBackend(self.product_spec, check=False)
 
     # -- semidirect operation set --
 
     def b(self, x, y):
-        return np.einsum("i,ipq,q->p", self.g._coerce(x), self.action.matrices, self.h._coerce(y))
+        return bilinear(self._b, self.g._coerce(x), self.h._coerce(y))
 
     def b_transpose(self, x, y):
-        return np.einsum("i,ipq,q->p", self.g._coerce(x), self._bt, self.h._coerce(y))
+        return bilinear(self._bt, self.g._coerce(x), self.h._coerce(y))
 
     def h_map(self, y1, y2):
-        return np.einsum("p,q,pqk->k", self.h._coerce(y1), self.h._coerce(y2), self._h_tensor)
+        return bilinear(self._h_tensor, self.h._coerce(y1), self.h._coerce(y2))
 
     @property
     def isometric(self) -> bool:
         return self._isometric
+
+    def sample_basis(self, band: int = 2, part: str | None = None) -> Pair:
+        """Product basis as the rows of a Pair of arrays; ``part`` restricts to one factor."""
+        ng = self.g.dim
+        rows = np.eye(ng + self.h.dim)
+        rows = {None: rows, "g": rows[:ng], "h": rows[ng:]}[part]
+        return Pair(rows[:, :ng], rows[:, ng:])
 
     # -- conversions between pairs and assembled product coordinates --
 
@@ -162,11 +181,20 @@ class SemidirectAlgebra(SemidirectBackendBase):
         return Pair(v[: self.g.dim], v[self.g.dim:])
 
 
-def build_semidirect(g_spec, h_spec, action, name: str = "", tol: float = JACOBI_TOL) -> SemidirectAlgebra:
-    """Validate the factors and the action, then assemble the product."""
+def build_semidirect(g, h, action, name: str = "", tol: float = JACOBI_TOL) -> SemidirectAlgebra:
+    """Validate the factors and the action, then assemble the product.
+
+    A factor is a spec, validated here, or a DenseBackend, validated when it
+    was built.  Each spec is validated before its Gram matrix is factorised.
+    """
+    g, h = (part if isinstance(part, DenseBackend) else DenseBackend(part, jacobi_tol=tol)
+            for part in (g, h))
     if not isinstance(action, ActionSpec):
         action = ActionSpec(np.asarray(action, dtype=float))
-    return SemidirectAlgebra(g_spec, h_spec, action, name=name, tol=tol, check=True)
+    report = validate_action(g.spec, h.spec, action, tol=tol)
+    if not report.passed:
+        raise ValidationFailure(report)
+    return SemidirectAlgebra(g, h, action, name=name)
 
 
 def _scale(*norms: float) -> float:

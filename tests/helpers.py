@@ -5,6 +5,7 @@ import numpy as np
 from liecurv import catalog
 from liecurv.algebra import DenseBackend
 from liecurv.backend import Pair
+from liecurv.semidirect import SemidirectAlgebra
 from liecurv.torus import COS, SIN, TrigFunction, _canonical
 
 #: Seeds of the five random 4-dimensional solvable algebras used throughout.
@@ -54,6 +55,25 @@ def random_vectors(rng, dim, count):
 
 def random_pair(rng, sd) -> Pair:
     return Pair(rng.standard_normal(sd.g.dim), rng.standard_normal(sd.h.dim))
+
+
+def reference_random_element(backend, rng, band: int = 2, part: str | None = None):
+    """One element or Pair per basis vector, summed in a loop: the oracle for
+    ``sampling.random_element`` on finite-dimensional backends."""
+    if isinstance(backend, SemidirectAlgebra):
+        gz, hz = np.zeros(backend.g.dim), np.zeros(backend.h.dim)
+        basis = []
+        if part in (None, "g"):
+            basis.extend(Pair(e, hz) for e in np.eye(backend.g.dim))
+        if part in (None, "h"):
+            basis.extend(Pair(gz, e) for e in np.eye(backend.h.dim))
+    else:
+        basis = list(np.eye(backend.dim))
+    total = None
+    for element, c in zip(basis, rng.standard_normal(len(basis))):
+        piece = float(c) * element
+        total = piece if total is None else total + piece
+    return total
 
 
 def reference_multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:

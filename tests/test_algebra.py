@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import finite_algebras, rel_vec_err
+from helpers import finite_algebras, rel_vec_err, relerr
 
 from liecurv import catalog
 from liecurv.algebra import DenseBackend, MetricAlgebraSpec, validate
@@ -115,6 +115,60 @@ class TestAdTranspose:
             lhs = backend.ad_transpose(y, a * x1 + b * x2)
             rhs = a * backend.ad_transpose(y, x1) + b * backend.ad_transpose(y, x2)
             assert rel_vec_err(lhs, rhs) < 1e-10
+
+
+class TestStacks:
+    """Primitives over stacks of vectors: leading axes broadcast, one call per stack."""
+
+    @pytest.fixture(scope="class")
+    def skewed(self):
+        # a non-diagonal Gram, so ad^T mixes coordinates through G and G^-1
+        rng = np.random.default_rng(31)
+        m = rng.standard_normal((5, 5))
+        return DenseBackend(catalog.random_solvable(5, 9, gram=m @ m.T + 5.0 * np.eye(5)))
+
+    def test_adjointness_on_stacks(self, skewed):
+        rng = np.random.default_rng(5)
+        x, y, z = (rng.standard_normal((9, 5)) for _ in range(3))
+        lhs = skewed.inner(skewed.bracket(x, z), y)
+        rhs = skewed.inner(z, skewed.ad_transpose(x, y))
+        assert lhs.shape == rhs.shape == (9,)
+        scale = (1.0 + skewed.norm(x)) * (1.0 + skewed.norm(y)) * (1.0 + skewed.norm(z))
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
+        # and against the brute-force adjointness solve, one row at a time
+        got = skewed.ad_transpose(x, y)
+        for i in range(9):
+            assert rel_vec_err(got[i], brute_force_ad_transpose(skewed, x[i], y[i])) < 1e-12
+
+    def test_rows_match_single_calls(self, skewed):
+        rng = np.random.default_rng(6)
+        x, y = rng.standard_normal((7, 5)), rng.standard_normal((7, 5))
+        for op in (skewed.bracket, skewed.ad_transpose):
+            stacked = op(x, y)
+            assert stacked.shape == (7, 5)
+            for i in range(7):
+                assert rel_vec_err(stacked[i], op(x[i], y[i])) < 1e-14
+        inner, norm = skewed.inner(x, y), skewed.norm(x)
+        for i in range(7):
+            assert relerr(inner[i], skewed.inner(x[i], y[i])) < 1e-14
+            assert relerr(norm[i], skewed.norm(x[i])) < 1e-14
+
+    def test_single_vector_broadcasts_against_stack(self, skewed):
+        rng = np.random.default_rng(8)
+        x, y = rng.standard_normal(5), rng.standard_normal((4, 5))
+        got = skewed.ad_transpose(x, y)
+        for i in range(4):
+            assert rel_vec_err(got[i], skewed.ad_transpose(x, y[i])) < 1e-14
+
+    def test_single_values_are_floats(self, skewed):
+        v = np.arange(5.0)
+        assert type(skewed.inner(v, v)) is float and type(skewed.norm(v)) is float
+
+    def test_trailing_dimension_checked(self, skewed):
+        with pytest.raises(DimensionMismatch):
+            skewed.inner(np.zeros((4, 3)), np.zeros((4, 3)))
+        with pytest.raises(DimensionMismatch):
+            skewed.ad_transpose(np.zeros((5, 2)), np.zeros(5))
 
 
 class TestStructureInvariants:

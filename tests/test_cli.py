@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import liecurv
-from liecurv import catalog
+from helpers import reference_random_element, relerr
+
+from liecurv import catalog, cli, sampling
+from liecurv.algebra import DenseBackend
 from liecurv.cli import run
 from liecurv.configio import (
     load_algebra_file,
@@ -138,6 +141,7 @@ BAD_INPUT_FILES = {
     "torus_state.cfg": "[state]\nu =\n    sin 0 1 1.0 1\n",
     "nan_torus_state.cfg": "[state]\nu =\n    sin 0 1 nan 1\n",
     "inf_algebra.cfg": "[algebra]\ndim = 3\nstructure =\n    1 2 3 inf\n",
+    "empty_algebra.cfg": "[algebra]\ndim = 0\n",
 }
 
 SCAN = ["scan", "--semidirect", "euclidean", "--seed", "1"]
@@ -151,6 +155,7 @@ TORUS_GEODESIC = ["geodesic", "--algebra", "torus-vol", "--state-file", "torus_s
     ["scan", "--algebra", "so3:1,nan,3", "--seed", "1", "--count", "2"],
     ["scan", "--semidirect", "magnetic:so3:1,inf,3", "--seed", "1", "--count", "2"],
     ["validate", "--algebra-file", "inf_algebra.cfg"],
+    ["validate", "--algebra-file", "empty_algebra.cfg"],
     ["curvature", "--algebra", "so3", "--plane-file", "plane.cfg", "--zero-tol", "-1"],
     ["curvature", "--algebra", "so3", "--plane-file", "plane.cfg", "--zero-tol", "inf"],
     ["curvature", "--algebra", "so3", "--plane-file", "nan_plane.cfg"],
@@ -162,6 +167,10 @@ TORUS_GEODESIC = ["geodesic", "--algebra", "torus-vol", "--state-file", "torus_s
     SCAN + ["--count", "2", "--zero-tol", "nan"],
     GEODESIC + ["--dt", "nan"],
     GEODESIC + ["--dt", "inf"],
+    GEODESIC + ["--dt", "-1"],
+    ["geodesic", "--algebra", "so3:1,2,3", "--state-file", "state.cfg", "--dt", "0.1",
+     "--steps", "0"],
+    ["scan", "--algebra", "so3", "--family", "gg", "--seed", "1", "--count", "2"],
     ["geodesic", "--algebra", "so3:1,2,3", "--state-file", "inf_state.cfg", "--dt", "0.1",
      "--steps", "1"],
     TORUS_GEODESIC + ["--dt", "nan"],
@@ -177,6 +186,18 @@ def test_bad_input_is_config_error(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("configuration error: ")
+
+
+def test_value_error_inside_a_computation_is_numerical_failure(monkeypatch, capsys):
+    def broken(self, x, y):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(DenseBackend, "ad_transpose", broken)
+    argv = ["scan", "--semidirect", "magnetic:so3:1,2,3", "--seed", "1", "--count", "3"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ValueError: operands could not")
 
 
 class TestValidateCommand:
@@ -280,6 +301,31 @@ class TestScanCommand:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("selector,calls", [("magnetic:random-solvable:8:1", 1), ("mhd", 2)])
+    def test_dense_planes_evaluated_in_one_call(self, selector, calls, monkeypatch, capsys):
+        seen = []
+        numerator = cli.curvature_numerator_semidirect
+        monkeypatch.setattr(cli, "curvature_numerator_semidirect",
+                            lambda sd, p, q: seen.append(p) or numerator(sd, p, q))
+        argv = ["scan", "--semidirect", selector, "--seed", "2", "--count", "2", "--band", "1"]
+        assert run(argv) == 0
+        assert len(seen) == calls
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
+    def test_curvature_prints_the_scanned_numerator(self, tmp_path, capsys):
+        selector = "magnetic:random-solvable:8:1"
+        assert run(["scan", "--semidirect", selector, "--seed", "4", "--count", "6"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:-1]
+        planes = sample_planes(catalog.resolve_semidirect(selector), seed=4, count=6)
+        for plane, row in zip(planes, rows):
+            path = tmp_path / "plane.cfg"
+            parts = {"x_g": plane.x.x, "x_h": plane.x.y, "y_g": plane.y.x, "y_h": plane.y.y}
+            path.write_text("[plane]\n" + "".join(
+                f"{key} = {' '.join(repr(float(v)) for v in value)}\n" for key, value in parts.items()))
+            assert run(["curvature", "--semidirect", selector, "--plane-file", str(path)]) == 0
+            printed = capsys.readouterr().out.splitlines()[1].split(",")
+            assert relerr(float(printed[1]), float(row.split(",")[1])) <= 1e-13
+
     def test_count_zero_is_valid(self, capsys):
         assert run(["scan", "--semidirect", "euclidean", "--seed", "1", "--count", "0"]) == 0
 
@@ -308,6 +354,29 @@ class TestSamplePlanes:
 
     def test_count_zero(self):
         assert sample_planes(catalog.resolve_algebra("so3"), seed=1, count=0) == []
+
+    @pytest.mark.parametrize("selector", ["so3:1,2,3", "magnetic:so3:1,2,3",
+                                          "magnetic:random-solvable:8:1"])
+    def test_planes_match_reference_combination(self, selector, monkeypatch):
+        try:
+            backend = catalog.resolve_semidirect(selector)
+            families = sampling.FAMILIES
+        except ConfigError:
+            backend = catalog.resolve_algebra(selector)
+            families = ("full",)
+
+        def hexes(planes):
+            def flat(e):
+                return [e] if isinstance(e, np.ndarray) else [e.x, e.y]
+            return [[v.hex() for part in flat(leg) for v in part.tolist()]
+                    for plane in planes for leg in (plane.x, plane.y)]
+
+        for family in families:
+            planes = sample_planes(backend, seed=13, count=25, family=family)
+            with monkeypatch.context() as m:
+                m.setattr(sampling, "random_element", reference_random_element)
+                expected = sample_planes(backend, seed=13, count=25, family=family)
+            assert hexes(planes) == hexes(expected)  # float.hex tells -0.0 from 0.0
 
     def test_family_needs_semidirect(self):
         with pytest.raises(ValueError):

@@ -162,6 +162,56 @@ class TestSemidirectExpansion:
             assert relerr(br.numerator, sum(v for _, v in br.terms)) < 1e-12
 
 
+def _stacked_cases():
+    """(name, backend, numerator) for a dense algebra and semidirect products."""
+    return [
+        ("so3:diag123", DenseBackend(catalog.so3(gram=[1.0, 2.0, 3.0])), curvature_numerator_generic),
+        ("solvable6:3", DenseBackend(catalog.random_solvable(6, 3)), curvature_numerator_generic),
+        ("magnetic:so3:diag123", catalog.magnetic(catalog.so3(gram=[1.0, 2.0, 3.0])),
+         curvature_numerator_semidirect),
+        ("conjugation:solvable4", catalog.conjugation(catalog.random_solvable(4, 104)),
+         curvature_numerator_semidirect),
+        ("magnetic:solvable8", catalog.magnetic(catalog.random_solvable(8, 1)),
+         curvature_numerator_semidirect),
+    ]
+
+
+class TestStackedPlanes:
+    """One call on a stack of planes equals one call per plane, term by term."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 100])
+    @pytest.mark.parametrize("name,backend,numerator", _stacked_cases())
+    def test_matches_per_plane(self, name, backend, numerator, batch):
+        rng = np.random.default_rng(batch)
+
+        def draw():
+            if isinstance(backend, DenseBackend):
+                return rng.standard_normal((batch, backend.dim))
+            return Pair(rng.standard_normal((batch, backend.g.dim)),
+                        rng.standard_normal((batch, backend.h.dim)))
+
+        x, y = draw(), draw()
+        stacked = numerator(backend, x, y)
+        assert stacked.numerator.shape == (batch,)
+        for i in range(batch):
+            xi, yi = (v[i] if isinstance(v, np.ndarray) else Pair(v.x[i], v.y[i]) for v in (x, y))
+            single = numerator(backend, xi, yi)
+            assert relerr(stacked.numerator[i], single.numerator) <= 1e-13
+            assert relerr(stacked.denominator[i], single.denominator) <= 1e-13
+            assert relerr(stacked.sectional[i], single.sectional) <= 1e-13
+            for (label, value), (single_label, single_value) in zip(stacked.terms, single.terms):
+                assert label == single_label
+                assert relerr(value[i], single_value) <= 1e-13
+
+    def test_degenerate_rows_get_nan_sectional(self):
+        backend = DenseBackend(catalog.so3())
+        x = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        y = np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0]])
+        br = curvature_numerator_generic(backend, x, y)
+        assert br.sectional[0] == pytest.approx(0.25)
+        assert np.isnan(br.sectional[1])
+
+
 class TestSpecialPlanes:
     def test_gg_is_factor_curvature(self):
         sd = catalog.conjugation(catalog.so3())

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import SOLVABLE_SEEDS, random_pair, rel_vec_err, semidirect_builtins
+from helpers import SOLVABLE_SEEDS, random_pair, rel_vec_err, relerr, semidirect_builtins
 
 from liecurv import catalog
+from liecurv.algebra import validate
 from liecurv.backend import Pair
 from liecurv.errors import ValidationFailure
 from liecurv.semidirect import (
@@ -200,3 +203,68 @@ def test_magnetic_seed_set_builds():
     for seed in SOLVABLE_SEEDS:
         sd = catalog.magnetic(catalog.random_solvable(4, seed))
         assert sd.g.dim == 4 and sd.h.dim == 4
+
+
+class TestStacks:
+    @pytest.mark.parametrize("name,sd", semidirect_builtins())
+    def test_rows_match_single_calls(self, name, sd):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((7, sd.g.dim))
+        y1, y2 = rng.standard_normal((7, sd.h.dim)), rng.standard_normal((7, sd.h.dim))
+        b, bt, hm = sd.b(x, y1), sd.b_transpose(x, y1), sd.h_map(y1, y2)
+        p, q = Pair(x, y1), Pair(-x, y2)
+        inner, norm = sd.inner(p, q), sd.norm(p)
+        for i in range(7):
+            assert rel_vec_err(b[i], sd.b(x[i], y1[i])) < 1e-14
+            assert rel_vec_err(bt[i], sd.b_transpose(x[i], y1[i])) < 1e-14
+            assert rel_vec_err(hm[i], sd.h_map(y1[i], y2[i])) < 1e-14
+            pi, qi = Pair(x[i], y1[i]), Pair(-x[i], y2[i])
+            assert relerr(inner[i], sd.inner(pi, qi)) < 1e-14
+            assert relerr(norm[i], sd.norm(pi)) < 1e-14
+
+    def test_norm_clamps_negative_roundoff(self, conj_unit, monkeypatch):
+        monkeypatch.setattr(conj_unit, "inner", lambda p, q: -1e-30)
+        assert conj_unit.norm(conj_unit.zero()) == 0.0
+        assert type(conj_unit.norm(conj_unit.zero())) is float
+        monkeypatch.setattr(conj_unit, "inner", lambda p, q: np.array([-1e-30, 4.0]))
+        np.testing.assert_array_equal(conj_unit.norm(conj_unit.zero()), [0.0, 2.0])
+
+
+class TestSetUp:
+    def test_each_spec_validated_once(self, monkeypatch):
+        from liecurv import algebra
+
+        seen = []
+        original = algebra.validate
+        monkeypatch.setattr(algebra, "validate", lambda spec, **kw: seen.append(spec) or original(spec, **kw))
+        for selector in ("magnetic:so3:1,2,3", "conjugation:so3", "euclidean"):
+            seen.clear()
+            sd = catalog.resolve_semidirect(selector)
+            assert len(seen) == 2 and {id(s) for s in seen} == {id(sd.g_spec), id(sd.h_spec)}
+
+    def test_indefinite_gram_fails_validation_before_factorisation(self):
+        with pytest.raises(ValidationFailure) as info:
+            catalog.resolve_semidirect("magnetic:so3:1,-1,3")
+        assert "gram_positive_definite" in str(info.value)
+
+    def test_product_built_on_first_use(self):
+        sd = catalog.magnetic(catalog.so3(gram=[1.0, 2.0, 3.0]))
+        assert "product" not in vars(sd) and "product_spec" not in vars(sd)
+        assert sd.product is sd.product
+        assert sd.product.spec is sd.product_spec
+        assert sd.product_spec.name == "magnetic:so3 (product)"
+
+    def test_blocked_validation_memory(self):
+        # unblocked, the residual arrays of a 32-dim action hold 32^4 entries each (about 42 MB)
+        sd = catalog.magnetic(catalog.random_solvable(32, 3))
+        tracemalloc.start()
+        try:
+            report = validate_action(sd.g_spec, sd.h_spec, sd.action)
+            _current, action_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            validate(sd.g_spec)
+            _current, jacobi_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert action_peak < 4e6 and jacobi_peak < 4e6
