@@ -104,6 +104,7 @@ def worst_entry(blocks):
         size = np.abs(block)
         j = np.unravel_index(np.argmax(size), size.shape)
         if not where or size[j] > worst or (size[j] != size[j] and worst == worst):
+            # numpy integers like those of unravel_index, so reports print as before
             where, worst = (np.intp(i), *j), float(size[j])
     return where, worst
 
