@@ -61,6 +61,12 @@ FILES = {
         "    cos 2 1 -0.2 1\n"
         "    cos 2 1 0.4 2\n"
     ),
+    # u alone is read by a plain algebra, u and alpha by a semidirect product
+    "dense_state.cfg": (
+        "[state]\n"
+        "u = 0.3 -0.7 0.45\n"
+        "alpha = 0.2 0.5 -0.35\n"
+    ),
 }
 
 _SCANS = [
@@ -71,6 +77,8 @@ _SCANS = [
 
 _TORUS_GEODESIC = ["geodesic", "--algebra", "torus-vol", "--state-file", "torus_state.cfg",
                    "--dt", "0.01", "--steps", "2", "--support-cap", "6", "--format", "jsonl"]
+
+_DENSE_GEODESIC = ["geodesic", "--state-file", "dense_state.cfg", "--dt", "0.01", "--steps", "200"]
 
 #: CLI argument lists, run as ``python -m liecurv.cli ARGS``.
 CLI_INVOCATIONS = [
@@ -83,6 +91,9 @@ CLI_INVOCATIONS = [
     *(["scan", *scan, "--format", fmt] for scan in _SCANS for fmt in ("csv", "jsonl")),
     _TORUS_GEODESIC + ["--scheme", "rk4"],
     _TORUS_GEODESIC + ["--scheme", "implicit_midpoint"],
+    *(_DENSE_GEODESIC + ["--semidirect", "magnetic:so3:1,2,3", "--scheme", scheme, "--format", "csv"]
+      for scheme in ("rk4", "implicit_midpoint")),
+    _DENSE_GEODESIC + ["--algebra", "so3:1,2,3", "--scheme", "rk4", "--format", "jsonl"],
 ]
 
 #: Scripts under ``scripts/`` with their arguments.
