@@ -36,7 +36,7 @@ from .errors import (
 )
 from .geodesic import IntegratorConfig, geodesic_rhs, integrate
 from .sampling import FAMILIES, check_family, sample_planes
-from .semidirect import SemidirectAlgebra, validate_action
+from .semidirect import SemidirectAlgebra, finite_dimensional, validate_action
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,11 +123,6 @@ def _resolve_backend(args):
     return configio.load_semidirect_file(args.semidirect_file)
 
 
-def _finite_dimensional(backend) -> bool:
-    """Dense algebras and their semidirect products; everything else is a torus backend."""
-    return isinstance(backend, (DenseBackend, SemidirectAlgebra))
-
-
 def _emit(lines, args):
     text = "\n".join(lines) + "\n"
     if args.output:
@@ -189,7 +184,7 @@ def _run_validate(args) -> int:
     except ValidationFailure as exc:
         print(exc.report)
         return 1
-    if not _finite_dimensional(backend):
+    if not finite_dimensional(backend):
         reports = [_torus_spot_report(backend, args.tol)]
     elif isinstance(backend, SemidirectAlgebra):
         reports = [
@@ -233,7 +228,7 @@ def _run_scan(args) -> int:
     backend = _resolve_backend(args)
     _as_config_error(check_family, backend, args.family)
     planes = sample_planes(backend, args.seed, args.count, family=args.family, band=args.band)
-    if planes and _finite_dimensional(backend):
+    if planes and finite_dimensional(backend):
         # one evaluation over the stacked planes
         br = _breakdown_for(backend, Plane(stack([p.x for p in planes]), stack([p.y for p in planes])))
         values = zip(br.numerator.tolist(), br.denominator.tolist())
@@ -261,7 +256,7 @@ def _run_geodesic(args) -> int:
     backend = _resolve_backend(args)
     state = configio.load_state_file(args.state_file, backend)
     rhs = geodesic_rhs(backend)
-    if not _finite_dimensional(backend):
+    if not finite_dimensional(backend):
         rhs = torus.capped_rhs(rhs, args.support_cap)
         print(
             f"note: torus run truncated at |k|_inf <= {args.support_cap}; "

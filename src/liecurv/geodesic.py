@@ -11,6 +11,10 @@ Right-hand sides:
 Fixed-step RK4 and implicit midpoint integrators with an energy monitor
 E(t) = <u, u> (+ <a, a> for product states).  The metric norm is conserved
 by the exact flow, so E is the integration diagnostic.
+
+On finite-dimensional backends the right-hand side is one fixed quadratic
+form in the flat coordinates of the state, compiled once into a tensor
+(``QuadraticRHS``), and the integrators step flat coordinate vectors.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from scipy.linalg import expm
 from .algebra import DenseBackend, MetricAlgebraSpec
 from .backend import Pair, SemidirectBackendBase, as_pair
 from .errors import MidpointDivergence, NonFiniteState, NotAdInvariant
+from .semidirect import SemidirectAlgebra, finite_dimensional
 
 
 @dataclass(frozen=True)
@@ -71,8 +76,53 @@ def rhs_magnetic(g_backend, u, v):
     return du, dv
 
 
+def _flat_coordinates(backend):
+    """(Gram matrix, state -> flat vector, flat vector -> state) of a
+    finite-dimensional backend, in ``SemidirectAlgebra.join`` order; None for
+    any other backend."""
+    if isinstance(backend, SemidirectAlgebra):
+        ng = backend.g.dim
+        return backend.gram, backend.join, lambda v: Pair(v[:ng], v[ng:])
+    if isinstance(backend, DenseBackend):
+        return backend.spec.gram, backend._coerce, lambda v: v
+    return None
+
+
+class QuadraticRHS:
+    """Geodesic right-hand side of a finite-dimensional backend, compiled.
+
+    The right-hand side is -ad(s)^T s for the backend's (product) ad-transpose,
+    a fixed quadratic form in the flat coordinates s of the state:
+    rhs(s)_k = sum_ij s_i s_j gamma[i, j, k] with gamma[i, j] = -ad(e_i)^T e_j.
+    The tensor is built once, from the stacked primitives on the broadcast
+    basis, so one evaluation is two small matrix products.  Called on a flat
+    coordinate vector it returns one; called on a state (a Pair on a
+    semidirect product), a state.
+    """
+
+    def __init__(self, backend):
+        _, self._to_flat, self._to_state = _flat_coordinates(backend)
+        rows = backend.sample_basis()
+        if isinstance(rows, Pair):
+            gamma = backend.ad_transpose(Pair(rows.x[:, None], rows.y[:, None]),
+                                         Pair(rows.x[None], rows.y[None]))
+            gamma = np.concatenate([gamma.x, gamma.y], axis=-1)
+        else:
+            gamma = backend.ad_transpose(rows[:, None], rows[None])
+        self.dim = m = gamma.shape[0]
+        self._gamma = np.ascontiguousarray(-gamma.reshape(m, m * m))
+
+    def __call__(self, state):
+        if isinstance(state, np.ndarray):
+            return state @ (state @ self._gamma).reshape(self.dim, self.dim)
+        return self._to_state(self(self._to_flat(state)))
+
+
 def geodesic_rhs(backend):
-    """State-valued right-hand side for ``integrate`` over the given backend."""
+    """State-valued right-hand side for ``integrate`` over the given backend:
+    a ``QuadraticRHS`` on a finite-dimensional backend."""
+    if finite_dimensional(backend):
+        return QuadraticRHS(backend)
     if isinstance(backend, SemidirectBackendBase):
         def rhs(state):
             state = as_pair(state)
@@ -80,6 +130,19 @@ def geodesic_rhs(backend):
             return Pair(du, dalpha)
         return rhs
     return lambda u: rhs_generic(backend, u)
+
+
+class _GramMetric:
+    """Inner product and norm of flat coordinate vectors under a Gram matrix."""
+
+    def __init__(self, gram):
+        self.gram = gram
+
+    def inner(self, a, b) -> float:
+        return float(a.dot(self.gram).dot(b))
+
+    def norm(self, a) -> float:
+        return max(self.inner(a, a), 0.0) ** 0.5  # max keeps a nan first argument
 
 
 def _rk4_step(rhs, state, dt):
@@ -109,20 +172,29 @@ def integrate(rhs, state0, config: IntegratorConfig, backend) -> Trajectory:
     """Integrate a state-valued ODE with the configured fixed-step scheme.
 
     ``backend`` supplies the inner product for the energy monitor and the
-    norm used by the implicit-midpoint convergence test.  Deterministic for
-    identical inputs.
+    norm used by the implicit-midpoint convergence test.  On a
+    finite-dimensional backend the steps run on flat coordinate vectors
+    (``SemidirectAlgebra.join`` order), which ``rhs`` takes and returns, as the
+    one ``geodesic_rhs`` builds does; inner product and norm come from the Gram
+    matrix, and the recorded states are converted back to the backend's
+    elements.  Deterministic for identical inputs.
     """
     traj = Trajectory()
+    flat = _flat_coordinates(backend)
+    if flat is None:
+        metric, state, to_state = backend, state0, None
+    else:
+        gram, to_flat, to_state = flat
+        metric, state = _GramMetric(gram), to_flat(state0)
 
     def record(n, state):
-        energy = float(backend.inner(state, state))
+        energy = float(metric.inner(state, state))
         if not math.isfinite(energy):
             raise NonFiniteState(f"energy {energy} after {n} steps (dt={config.dt})")
         traj.times.append(n * config.dt)  # not a running sum, which accumulates rounding
         traj.states.append(state)
         traj.energy.append(energy)
 
-    state = state0
     record(0, state)
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up is reported by record()
         for n in range(1, config.steps + 1):
@@ -130,9 +202,11 @@ def integrate(rhs, state0, config: IntegratorConfig, backend) -> Trajectory:
                 state = _rk4_step(rhs, state, config.dt)
             else:
                 state = _midpoint_step(
-                    rhs, state, config.dt, backend, config.midpoint_tol, config.midpoint_max_iter
+                    rhs, state, config.dt, metric, config.midpoint_tol, config.midpoint_max_iter
                 )
             record(n, state)
+    if to_state is not None:
+        traj.states = [to_state(v) for v in traj.states]
     return traj
 
 

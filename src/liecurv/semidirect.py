@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .algebra import (
     ADJOINT_TOL,
@@ -90,7 +91,8 @@ def validate_action(
     return report
 
 
-def _assemble_product_spec(g: MetricAlgebraSpec, h: MetricAlgebraSpec, B: np.ndarray, name: str):
+def _assemble_product_spec(g: MetricAlgebraSpec, h: MetricAlgebraSpec, B: np.ndarray,
+                           gram: np.ndarray, name: str):
     ng, nh = g.dim, h.dim
     n = ng + nh
     c = np.zeros((n, n, n))
@@ -100,9 +102,6 @@ def _assemble_product_spec(g: MetricAlgebraSpec, h: MetricAlgebraSpec, B: np.nda
         # [(e_i, 0), (0, f_q)] = (0, b(e_i) f_q)
         c[i, ng:, ng:] = B[i].T
         c[ng:, i, ng:] = -B[i].T
-    gram = np.zeros((n, n))
-    gram[:ng, :ng] = g.gram
-    gram[ng:, ng:] = h.gram
     return MetricAlgebraSpec(structure=c, gram=gram, name=name)
 
 
@@ -139,8 +138,14 @@ class SemidirectAlgebra(SemidirectBackendBase):
         self._isometric = bool(max(skew, default=0.0) <= ADJOINT_TOL * scale)
 
     @cached_property
+    def gram(self) -> np.ndarray:
+        """Block-diagonal Gram matrix of the product in ``join`` coordinates."""
+        return block_diag(self.g_spec.gram, self.h_spec.gram)
+
+    @cached_property
     def product_spec(self) -> MetricAlgebraSpec:
-        return _assemble_product_spec(self.g_spec, self.h_spec, self._b, self._product_name)
+        return _assemble_product_spec(self.g_spec, self.h_spec, self._b, self.gram,
+                                      self._product_name)
 
     @cached_property
     def product(self) -> DenseBackend:
@@ -179,6 +184,11 @@ class SemidirectAlgebra(SemidirectBackendBase):
         if v.shape != (self.g.dim + self.h.dim,):
             raise DimensionMismatch(f"expected vector of length {self.g.dim + self.h.dim}")
         return Pair(v[: self.g.dim], v[self.g.dim:])
+
+
+def finite_dimensional(backend) -> bool:
+    """Dense algebras and their semidirect products; everything else is a torus backend."""
+    return isinstance(backend, (DenseBackend, SemidirectAlgebra))
 
 
 def build_semidirect(g, h, action, name: str = "", tol: float = JACOBI_TOL) -> SemidirectAlgebra:

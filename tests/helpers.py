@@ -4,7 +4,9 @@ import numpy as np
 
 from liecurv import catalog
 from liecurv.algebra import DenseBackend
-from liecurv.backend import Pair
+from liecurv.backend import Pair, SemidirectBackendBase
+from liecurv.errors import MidpointDivergence
+from liecurv.geodesic import rhs_generic, rhs_semidirect
 from liecurv.semidirect import SemidirectAlgebra
 from liecurv.torus import COS, SIN, TrigFunction, _canonical
 
@@ -74,6 +76,40 @@ def reference_random_element(backend, rng, band: int = 2, part: str | None = Non
         piece = float(c) * element
         total = piece if total is None else total + piece
     return total
+
+
+def reference_integrate(backend, state0, config):
+    """Pair loop with one primitive call per right-hand-side term and the
+    backend's own inner product and norm: the oracle for ``integrate`` with the
+    compiled right-hand side on finite-dimensional backends.  Returns the
+    states and the energies."""
+    if isinstance(backend, SemidirectBackendBase):
+        def rhs(state):
+            return Pair(*rhs_semidirect(backend, state.x, state.y))
+    else:
+        def rhs(u):
+            return rhs_generic(backend, u)
+    dt = config.dt
+
+    def step(state):
+        if config.scheme == "rk4":
+            k1 = rhs(state)
+            k2 = rhs(state + (0.5 * dt) * k1)
+            k3 = rhs(state + (0.5 * dt) * k2)
+            k4 = rhs(state + dt * k3)
+            return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        mid = state + (0.5 * dt) * rhs(state)
+        for _ in range(config.midpoint_max_iter):
+            nxt = state + (0.5 * dt) * rhs(mid)
+            if backend.norm(nxt - mid) <= config.midpoint_tol * (1.0 + backend.norm(state)):
+                return 2.0 * nxt - state
+            mid = nxt
+        raise MidpointDivergence("reference fixed point not reached")
+
+    states = [state0]
+    for _ in range(config.steps):
+        states.append(step(states[-1]))
+    return states, [backend.inner(s, s) for s in states]
 
 
 def reference_multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import random_pair, rel_vec_err, semidirect_builtins
+from helpers import random_pair, reference_integrate, rel_vec_err, semidirect_builtins
 
-from liecurv import catalog
+from liecurv import catalog, cli, geodesic
 from liecurv.algebra import DenseBackend
 from liecurv.backend import Pair
 from liecurv.errors import MidpointDivergence, NonFiniteState, NotAdInvariant
 from liecurv.geodesic import (
     IntegratorConfig,
+    QuadraticRHS,
     exact_conjugation_solution,
     geodesic_rhs,
     integrate,
@@ -270,3 +271,137 @@ class TestReconstruction:
         mats = reconstruct_matrix_trajectory(traj, catalog.euclidean_matrix)
         assert mats[-1].shape == (4, 4)
         np.testing.assert_allclose(mats[-1][3], [0, 0, 0, 1], atol=1e-15)
+
+
+#: Every builtin dense and dense-semidirect selector head, with parameters.
+DENSE_SELECTORS = ["so3", "so3:1,2,3", "random-solvable:5:7"]
+SEMIDIRECT_SELECTORS = [
+    "euclidean", "linear_so3_on_r3", "linear-so3-on-r3",
+    "conjugation:so3", "conjugation:so3:1,2,3", "conjugation:random-solvable:4:3",
+    "magnetic:so3", "magnetic:so3:1,2,3", "magnetic:random-solvable:6:2",
+]
+
+
+def _resolve(selector):
+    if selector in DENSE_SELECTORS:
+        return catalog.resolve_algebra(selector)
+    return catalog.resolve_semidirect(selector)
+
+
+def _energy_state(sd, rng, energy):
+    """A seeded random state scaled to the given energy."""
+    state = random_pair(rng, sd)
+    return (energy / sd.inner(state, state)) ** 0.5 * state
+
+
+class TestCompiledRHS:
+    @pytest.mark.parametrize("selector", DENSE_SELECTORS + SEMIDIRECT_SELECTORS)
+    def test_equals_the_primitive_calls(self, selector):
+        backend = _resolve(selector)
+        rhs = geodesic_rhs(backend)
+        assert isinstance(rhs, QuadraticRHS)
+        rng = np.random.default_rng(808)
+        for _ in range(50):
+            if isinstance(backend, DenseBackend):
+                u = rng.standard_normal(backend.dim)
+                assert rel_vec_err(rhs(u), rhs_generic(backend, u)) <= 1e-13
+                continue
+            state = random_pair(rng, backend)
+            want = Pair(*rhs_semidirect(backend, state.x, state.y))
+            assert rel_vec_err(rhs(backend.join(state)), backend.join(want)) <= 1e-13
+            got = rhs(state)  # a Pair in, a Pair out
+            assert rel_vec_err(got.x, want.x) <= 1e-13
+            assert rel_vec_err(got.y, want.y) <= 1e-13
+
+    @pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint"])
+    @pytest.mark.parametrize(
+        "selector", ["so3:1,2,3", "magnetic:so3:1,2,3", "conjugation:random-solvable:4:3", "euclidean"]
+    )
+    def test_trajectory_matches_the_pair_loop(self, selector, scheme):
+        backend = _resolve(selector)
+        rng = np.random.default_rng(809)
+        if isinstance(backend, DenseBackend):
+            state0 = rng.standard_normal(backend.dim)
+        else:
+            state0 = random_pair(rng, backend)
+        config = IntegratorConfig(dt=0.01, steps=300, scheme=scheme)
+        traj = integrate(geodesic_rhs(backend), state0, config, backend)
+        states, energy = reference_integrate(backend, state0, config)
+        assert len(traj.states) == len(states) == 301
+        for got, want in zip(traj.states, states):
+            if isinstance(want, Pair):
+                assert isinstance(got, Pair)
+                assert rel_vec_err(got.x, want.x) <= 1e-12
+                assert rel_vec_err(got.y, want.y) <= 1e-12
+            else:
+                assert rel_vec_err(got, want) <= 1e-12
+        assert rel_vec_err(traj.energy, energy) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_midpoint_takes_three_evaluations_per_step(self, seed):
+        rng = np.random.default_rng(seed)
+        sd = catalog.magnetic(catalog.so3(gram=rng.uniform(0.5, 3.0, size=3)))
+        state0 = _energy_state(sd, rng, 0.1)
+        compiled = geodesic_rhs(sd)
+        calls = []
+
+        def counted(state):
+            calls.append(1)
+            return compiled(state)
+
+        config = IntegratorConfig(dt=1e-3, steps=200, scheme="implicit_midpoint")
+        integrate(counted, state0, config, sd)
+        assert len(calls) == 3 * config.steps
+
+    def test_rk4_blow_up_raises(self):
+        sd = catalog.magnetic(catalog.so3(gram=[1.0, 2.0, 3.0]))
+        state0 = Pair(np.array([1.0, 0.5, -0.3]), np.array([0.2, -1.0, 0.4]))
+        with pytest.raises(NonFiniteState, match=r"^energy inf after 2 steps \(dt=10\.0\)$"):
+            integrate(geodesic_rhs(sd), state0, IntegratorConfig(dt=10.0, steps=20), sd)
+
+    @pytest.mark.parametrize("max_iter,message", [
+        (5, r"^fixed point not reached in 5 iterations \(dt=50\.0\)$"),
+        (50, r"^fixed-point iterate diverged \(dt=50\.0\)$"),
+    ])
+    def test_midpoint_divergence_raises(self, max_iter, message):
+        sd = catalog.magnetic(catalog.so3(gram=[1.0, 2.0, 3.0]))
+        state0 = Pair(np.array([1.0, 0.5, -0.3]), np.array([0.2, -1.0, 0.4]))
+        config = IntegratorConfig(dt=50.0, steps=1, scheme="implicit_midpoint",
+                                  midpoint_max_iter=max_iter)
+        with pytest.raises(MidpointDivergence, match=message):
+            integrate(geodesic_rhs(sd), state0, config, sd)
+
+    def test_non_finite_pair_state_raises(self):
+        sd = catalog.magnetic(catalog.so3())
+        state0 = Pair(np.array([1.0, np.nan, 0.0]), np.zeros(3))
+        with pytest.raises(NonFiniteState, match=r"^energy nan after 0 steps"):
+            integrate(geodesic_rhs(sd), state0, IntegratorConfig(dt=0.1, steps=1), sd)
+
+    def test_tensor_built_only_for_a_geodesic(self, monkeypatch, tmp_path, capsys):
+        built = []
+        init = QuadraticRHS.__init__
+
+        def counted_init(self, backend):
+            built.append(backend)
+            init(self, backend)
+
+        monkeypatch.setattr(QuadraticRHS, "__init__", counted_init)
+        for selector in DENSE_SELECTORS + SEMIDIRECT_SELECTORS:
+            _resolve(selector)
+        assert cli.run(["scan", "--semidirect", "magnetic:random-solvable:8:1",
+                        "--seed", "1", "--count", "20"]) == 0
+        assert cli.run(["scan", "--algebra", "so3:1,2,3", "--seed", "1", "--count", "5"]) == 0
+        assert built == []
+        state = tmp_path / "state.cfg"
+        state.write_text("[state]\nu = 0.3 -0.7 0.45\nalpha = 0.2 0.5 -0.35\n")
+        assert cli.run(["geodesic", "--semidirect", "magnetic:so3", "--state-file", str(state),
+                        "--dt", "0.01", "--steps", "2"]) == 0
+        assert len(built) == 1
+        capsys.readouterr()
+
+    def test_torus_backends_keep_the_state_loop(self):
+        from liecurv import torus
+
+        assert not isinstance(geodesic_rhs(torus.VolumeFieldBackend()), QuadraticRHS)
+        assert not isinstance(geodesic_rhs(torus.MhdBackend()), QuadraticRHS)
+        assert geodesic._flat_coordinates(torus.MhdBackend()) is None
