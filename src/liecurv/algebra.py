@@ -21,6 +21,10 @@ JACOBI_TOL = 1e-10
 #: Default relative tolerance for adjointness residuals.
 ADJOINT_TOL = 1e-10
 
+#: Largest algebra dimension accepted from a selector or a file: the structure
+#: constants take dim^3 floats (128 MiB at 256).
+MAX_DIM = 256
+
 
 @dataclass(eq=False)
 class MetricAlgebraSpec:
@@ -77,6 +81,7 @@ class ValidationReport:
         return not self.issues
 
     def add(self, invariant: str, location: tuple, residual: float, message: str = ""):
+        location = tuple(int(i) for i in location)  # numpy 2 would print np.int64(i)
         self.issues.append(ValidationIssue(invariant, location, residual, message))
 
     def __str__(self):
@@ -104,8 +109,7 @@ def worst_entry(blocks):
         size = np.abs(block)
         j = np.unravel_index(np.argmax(size), size.shape)
         if not where or size[j] > worst or (size[j] != size[j] and worst == worst):
-            # numpy integers like those of unravel_index, so reports print as before
-            where, worst = (np.intp(i), *j), float(size[j])
+            where, worst = (i, *j), float(size[j])
     return where, worst
 
 

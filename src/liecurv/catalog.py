@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import torus
-from .algebra import DenseBackend, MetricAlgebraSpec
+from .algebra import MAX_DIM, DenseBackend, MetricAlgebraSpec
 from .errors import ConfigError
 from .semidirect import ActionSpec, SemidirectAlgebra, build_semidirect
 
@@ -128,7 +128,10 @@ def _algebra_spec_from_tokens(tokens: list[str]) -> MetricAlgebraSpec:
     if head == "random-solvable":
         if len(rest) == 2:
             try:
-                return random_solvable(int(rest[0]), int(rest[1]))
+                dim, seed = int(rest[0]), int(rest[1])
+                if dim > MAX_DIM:
+                    raise ConfigError(f"random-solvable dimension {dim} exceeds the limit of {MAX_DIM}")
+                return random_solvable(dim, seed)
             except ValueError:
                 raise ConfigError(f"random-solvable needs integer dim and seed, got {rest}") from None
     raise ConfigError(f"unknown algebra selector {':'.join(tokens)!r}")

@@ -126,8 +126,11 @@ def _resolve_backend(args):
 def _emit(lines, args):
     text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

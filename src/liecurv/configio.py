@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .algebra import DenseBackend, MetricAlgebraSpec
+from .algebra import MAX_DIM, DenseBackend, MetricAlgebraSpec
 from .backend import Pair, SemidirectBackendBase
 from .curvature import Plane
 from .errors import ConfigError
@@ -102,6 +102,8 @@ def parse_algebra_section(cp: configparser.ConfigParser, section: str) -> Metric
         raise ConfigError(f"[{section}] needs an integer 'dim'") from None
     if dim < 1:
         raise ConfigError(f"[{section}] needs a positive 'dim', got {dim}")
+    if dim > MAX_DIM:
+        raise ConfigError(f"[{section}] 'dim' {dim} exceeds the limit of {MAX_DIM}")
     gram = _parse_gram(cp.get(section, "gram", fallback="identity"), dim)
     structure = np.zeros((dim, dim, dim))
     for line in cp.get(section, "structure", fallback="").splitlines():

@@ -241,3 +241,10 @@ class TestValidate:
         issue = next(i for i in report.issues if i.invariant == "antisymmetry")
         assert issue.location in ((0, 1, 2), (1, 0, 2))
         assert issue.residual > 0
+
+    def test_locations_print_as_python_ints(self):
+        c = np.zeros((3, 3, 3))
+        c[0, 1, 2] = 1.0  # no antisymmetric partner
+        report = validate(MetricAlgebraSpec(structure=c, gram=np.eye(3)))
+        assert "FAIL antisymmetry at (0, 1, 2): residual 1.000e+00" in str(report).splitlines()[-1]
+        assert all(type(i) is int for issue in report.issues for i in issue.location)

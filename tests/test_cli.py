@@ -11,7 +11,7 @@ import liecurv
 from helpers import reference_random_element, relerr
 
 from liecurv import catalog, cli, sampling
-from liecurv.algebra import DenseBackend
+from liecurv.algebra import MAX_DIM, DenseBackend
 from liecurv.cli import run
 from liecurv.configio import (
     load_algebra_file,
@@ -186,6 +186,53 @@ def test_bad_input_is_config_error(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("configuration error: ")
+
+
+def _algebra_section(name, dim):
+    return f"[{name}]\ndim = {dim}\n"
+
+
+@pytest.mark.parametrize("argv,files", [
+    (["scan", "--algebra", f"random-solvable:{MAX_DIM + 1}:1", "--seed", "1", "--count", "1"], {}),
+    (["scan", "--semidirect", f"magnetic:random-solvable:{MAX_DIM + 1}:1", "--seed", "1",
+      "--count", "1"], {}),
+    (["validate", "--algebra-file", "big.cfg"], {"big.cfg": _algebra_section("algebra", MAX_DIM + 1)}),
+    (["validate", "--semidirect-file", "big.cfg"],
+     {"big.cfg": _algebra_section("g", 1) + _algebra_section("h", MAX_DIM + 1) + "[action]\n"}),
+])
+def test_dimension_above_the_limit_is_config_error(argv, files, tmp_path, capsys, monkeypatch):
+    zeros = np.zeros
+
+    def checked_zeros(shape, *args, **kwargs):  # the (dim, dim, dim) structure allocation
+        assert MAX_DIM + 1 not in np.atleast_1d(shape), "allocated before the dimension check"
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", checked_zeros)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert f"{MAX_DIM + 1}" in captured.err and f"limit of {MAX_DIM}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--algebra", "so3", "--seed", "1", "--count", "1"],
+    ["geodesic", "--algebra", "so3:1,2,3", "--state-file", "state.cfg", "--dt", "0.1",
+     "--steps", "1"],
+])
+def test_unwritable_output_is_config_error(argv, tmp_path, capsys):
+    (tmp_path / "state.cfg").write_text(BAD_INPUT_FILES["state.cfg"])
+    argv = [str(tmp_path / "state.cfg") if a == "state.cfg" else a for a in argv]
+    out = tmp_path / "a-directory"
+    out.mkdir()
+    assert run(argv + ["--output", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: cannot write {out}: ")
+    assert "Traceback" not in captured.err
 
 
 def test_value_error_inside_a_computation_is_numerical_failure(monkeypatch, capsys):
