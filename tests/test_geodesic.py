@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from helpers import random_pair, reference_integrate, rel_vec_err, semidirect_builtins
 
-from liecurv import catalog, cli, geodesic
+from liecurv import catalog, cli
 from liecurv.algebra import DenseBackend
 from liecurv.backend import Pair
 from liecurv.errors import MidpointDivergence, NonFiniteState, NotAdInvariant
@@ -404,4 +404,3 @@ class TestCompiledRHS:
 
         assert not isinstance(geodesic_rhs(torus.VolumeFieldBackend()), QuadraticRHS)
         assert not isinstance(geodesic_rhs(torus.MhdBackend()), QuadraticRHS)
-        assert geodesic._flat_coordinates(torus.MhdBackend()) is None
