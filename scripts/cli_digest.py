@@ -67,6 +67,25 @@ FILES = {
         "u = 0.3 -0.7 0.45\n"
         "alpha = 0.2 0.5 -0.35\n"
     ),
+    # so(3) with a non-diagonal Gram matrix, positive definite and not
+    "so3_spd.cfg": (
+        "[algebra]\n"
+        "dim = 3\n"
+        "gram = rows: 2.0 0.5 0.1; 0.5 1.5 -0.3; 0.1 -0.3 1.0\n"
+        "structure =\n"
+        "    1 2 3 1\n"
+        "    2 3 1 1\n"
+        "    1 3 2 -1\n"
+    ),
+    "so3_indefinite.cfg": (
+        "[algebra]\n"
+        "dim = 3\n"
+        "gram = rows: 1.0 2.0 0.0; 2.0 1.0 0.0; 0.0 0.0 1.0\n"
+        "structure =\n"
+        "    1 2 3 1\n"
+        "    2 3 1 1\n"
+        "    1 3 2 -1\n"
+    ),
 }
 
 _SCANS = [
@@ -94,6 +113,9 @@ CLI_INVOCATIONS = [
     *(_DENSE_GEODESIC + ["--semidirect", "magnetic:so3:1,2,3", "--scheme", scheme, "--format", "csv"]
       for scheme in ("rk4", "implicit_midpoint")),
     _DENSE_GEODESIC + ["--algebra", "so3:1,2,3", "--scheme", "rk4", "--format", "jsonl"],
+    ["validate", "--algebra-file", "so3_spd.cfg"],
+    ["validate", "--algebra-file", "so3_indefinite.cfg"],
+    _DENSE_GEODESIC + ["--algebra-file", "so3_spd.cfg", "--scheme", "rk4", "--format", "csv"],
 ]
 
 #: Scripts under ``scripts/`` with their arguments.
