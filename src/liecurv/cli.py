@@ -190,11 +190,12 @@ def _run_validate(args) -> int:
     if not finite_dimensional(backend):
         reports = [_torus_spot_report(backend, args.tol)]
     elif isinstance(backend, SemidirectAlgebra):
+        product = backend.product_spec  # an oversized product is refused before any check runs
         reports = [
             validate(backend.g_spec, jacobi_tol=args.tol),
             validate(backend.h_spec, jacobi_tol=args.tol),
             validate_action(backend.g_spec, backend.h_spec, backend.action, tol=args.tol),
-            validate(backend.product_spec, jacobi_tol=args.tol),
+            validate(product, jacobi_tol=args.tol),
         ]
     else:
         reports = [validate(backend.spec, jacobi_tol=args.tol)]

@@ -23,12 +23,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import DenseBackend, MetricAlgebraSpec
 from .backend import Pair, SemidirectBackendBase, as_pair
 from .errors import MidpointDivergence, NonFiniteState, NotAdInvariant
-from .semidirect import SemidirectAlgebra, finite_dimensional
+from .semidirect import SemidirectAlgebra, check_product_dim, finite_dimensional
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,7 @@ def _flat_coordinates(backend):
     any other backend."""
     if isinstance(backend, SemidirectAlgebra):
         ng = backend.g.dim
+        check_product_dim(ng, backend.h.dim)
         return backend.gram, backend.join, lambda v: Pair(v[:ng], v[ng:])
     if isinstance(backend, DenseBackend):
         return backend.spec.gram, backend._coerce, lambda v: v
@@ -155,12 +155,13 @@ def _rk4_step(rhs, state, dt):
 
 def _midpoint_step(rhs, state, dt, backend, tol, max_iter):
     mid = state + (0.5 * dt) * rhs(state)
+    bound = tol * (1.0 + backend.norm(state))
     for _ in range(max_iter):
         size = backend.norm(mid)
         if not math.isfinite(size) or size > 1e50:
             raise MidpointDivergence(f"fixed-point iterate diverged (dt={dt})")
         nxt = state + (0.5 * dt) * rhs(mid)
-        if backend.norm(nxt - mid) <= tol * (1.0 + backend.norm(state)):
+        if backend.norm(nxt - mid) <= bound:
             return 2.0 * nxt - state
         mid = nxt
     raise MidpointDivergence(
@@ -216,6 +217,8 @@ def exact_conjugation_solution(g_backend, u0, v0, t: float):
     u(t) = u0 and v(t) = exp(t ad(u0)) v0, via the matrix exponential of the
     finite-dimensional operator ad(u0).
     """
+    from scipy.linalg import expm  # kept off the import path of liecurv
+
     if isinstance(g_backend, MetricAlgebraSpec):
         g_backend = DenseBackend(g_backend, check=False)
     if not g_backend.is_ad_invariant():
@@ -233,6 +236,8 @@ def reconstruct_matrix_trajectory(traj: Trajectory, rep, start=None):
     logarithmic derivative convention gives the step
     g_{n+1} = exp(dt * rep(u_mid)) g_n with the midpoint velocity average.
     """
+    from scipy.linalg import expm  # kept off the import path of liecurv
+
     mats = []
     g = np.eye(rep(traj.states[0]).shape[0]) if start is None else np.asarray(start, dtype=float)
     mats.append(g.copy())

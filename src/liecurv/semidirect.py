@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .algebra import (
     ADJOINT_TOL,
     JACOBI_TOL,
+    MAX_DIM,
     DenseBackend,
     MetricAlgebraSpec,
     ValidationReport,
@@ -24,7 +24,7 @@ from .algebra import (
     worst_entry,
 )
 from .backend import Pair, SemidirectBackendBase, as_pair
-from .errors import DimensionMismatch, ValidationFailure
+from .errors import ConfigError, DimensionMismatch, ValidationFailure
 
 
 @dataclass(eq=False)
@@ -91,10 +91,20 @@ def validate_action(
     return report
 
 
+def check_product_dim(ng: int, nh: int) -> int:
+    """Dimension of a product of factors of dimensions ng and nh, refused above
+    ``MAX_DIM``: the assembled structure constants and the geodesic tensor each
+    take its cube in floats."""
+    n = ng + nh
+    if n > MAX_DIM:
+        raise ConfigError(f"product dimension {n} ({ng} + {nh}) exceeds the limit of {MAX_DIM}")
+    return n
+
+
 def _assemble_product_spec(g: MetricAlgebraSpec, h: MetricAlgebraSpec, B: np.ndarray,
                            gram: np.ndarray, name: str):
     ng, nh = g.dim, h.dim
-    n = ng + nh
+    n = check_product_dim(ng, nh)
     c = np.zeros((n, n, n))
     c[:ng, :ng, :ng] = g.structure
     c[ng:, ng:, ng:] = h.structure
@@ -140,7 +150,11 @@ class SemidirectAlgebra(SemidirectBackendBase):
     @cached_property
     def gram(self) -> np.ndarray:
         """Block-diagonal Gram matrix of the product in ``join`` coordinates."""
-        return block_diag(self.g_spec.gram, self.h_spec.gram)
+        ng, nh = self.g.dim, self.h.dim
+        gram = np.zeros((ng + nh, ng + nh))
+        gram[:ng, :ng] = self.g_spec.gram
+        gram[ng:, ng:] = self.h_spec.gram
+        return gram
 
     @cached_property
     def product_spec(self) -> MetricAlgebraSpec:

@@ -127,6 +127,14 @@ class TestStacks:
         m = rng.standard_normal((5, 5))
         return DenseBackend(catalog.random_solvable(5, 9, gram=m @ m.T + 5.0 * np.eye(5)))
 
+    def test_gram_solve(self, skewed):
+        rng = np.random.default_rng(8)
+        gram = skewed.spec.gram
+        for v in (rng.standard_normal(5), rng.standard_normal((5, 7))):
+            got = skewed.gram_solve(v)
+            assert got.shape == v.shape
+            assert rel_vec_err(gram @ got, v) < 1e-14
+
     def test_adjointness_on_stacks(self, skewed):
         rng = np.random.default_rng(5)
         x, y, z = (rng.standard_normal((9, 5)) for _ in range(3))
@@ -213,6 +221,20 @@ class TestValidate:
     def test_indefinite_gram_reported(self):
         report = validate(MetricAlgebraSpec(structure=np.zeros((3, 3, 3)), gram=np.diag([1.0, -1.0, 1.0])))
         assert any(i.invariant == "gram_positive_definite" for i in report.issues)
+
+    def test_indefinite_gram_reports_smallest_eigenvalue(self):
+        gram = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # eigenvalues -1, 1, 3
+        report = validate(MetricAlgebraSpec(structure=catalog.so3().structure, gram=gram, name="so3"))
+        [issue] = report.issues
+        assert (issue.invariant, issue.location) == ("gram_positive_definite", ())
+        assert abs(issue.residual + 1.0) <= 1e-14
+        assert str(report).splitlines() == [
+            "validation of so3: FAIL",
+            "  ok   antisymmetry",
+            "  ok   jacobi",
+            "  ok   gram_symmetric",
+            "  FAIL gram_positive_definite: residual -1.000e+00 (smallest eigenvalue)",
+        ]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("where", ["structure", "gram"])

@@ -11,7 +11,7 @@ import liecurv
 from helpers import reference_random_element, relerr
 
 from liecurv import catalog, cli, sampling
-from liecurv.algebra import MAX_DIM, DenseBackend
+from liecurv.algebra import MAX_DIM, DenseBackend, MetricAlgebraSpec
 from liecurv.cli import run
 from liecurv.configio import (
     load_algebra_file,
@@ -20,6 +20,8 @@ from liecurv.configio import (
     load_state_file,
 )
 from liecurv.errors import ConfigError
+from liecurv.geodesic import geodesic_rhs
+from liecurv.semidirect import ActionSpec, SemidirectAlgebra
 from liecurv.sampling import sample_planes
 
 
@@ -216,6 +218,65 @@ def test_dimension_above_the_limit_is_config_error(argv, files, tmp_path, capsys
     assert captured.out == ""
     assert captured.err.startswith("configuration error: ")
     assert f"{MAX_DIM + 1}" in captured.err and f"limit of {MAX_DIM}" in captured.err
+
+
+@pytest.fixture(scope="module")
+def oversized_product():
+    """Abelian factors of dimensions MAX_DIM // 2 and MAX_DIM // 2 + 1, each within
+    the limit, with the zero action.  Built without validation: validating a factor
+    of that size takes tens of seconds."""
+    ng = MAX_DIM // 2
+    nh = MAX_DIM + 1 - ng
+    g, h = (DenseBackend(MetricAlgebraSpec(np.zeros((n, n, n)), np.eye(n)), check=False)
+            for n in (ng, nh))
+    return SemidirectAlgebra(g, h, ActionSpec(np.zeros((ng, nh, nh))))
+
+
+def test_product_above_the_limit_is_refused_before_allocation(oversized_product):
+    n = MAX_DIM + 1
+    message = f"product dimension {n} .* exceeds the limit of {MAX_DIM}"
+    with pytest.raises(ConfigError, match=message):
+        oversized_product.product_spec
+    with pytest.raises(ConfigError, match=message):
+        geodesic_rhs(oversized_product)
+    assert oversized_product.gram.shape == (n, n)
+
+
+@pytest.mark.parametrize("task", ["validate", "geodesic"])
+def test_product_dimension_above_the_limit_is_config_error(task, oversized_product, tmp_path,
+                                                           capsys, monkeypatch):
+    ng, nh = oversized_product.g.dim, oversized_product.h.dim
+    state = tmp_path / "state.cfg"
+    state.write_text(f"[state]\nu = {' 0.1' * ng}\nalpha = {' 0.1' * nh}\n")
+    monkeypatch.setattr(catalog, "resolve_semidirect", lambda selector: oversized_product)
+    zeros = np.zeros
+
+    def checked_zeros(shape, *args, **kwargs):  # the (n, n, n) product structure
+        assert np.ndim(shape) == 0 or len(shape) < 3, "allocated before the dimension check"
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", checked_zeros)
+    argv = {"validate": ["validate"],
+            "geodesic": ["geodesic", "--state-file", str(state), "--dt", "0.1", "--steps", "1"]}
+    assert run(argv[task] + ["--semidirect", "oversized"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"configuration error: product dimension {ng + nh} ({ng} + {nh}) "
+                            f"exceeds the limit of {MAX_DIM}\n")
+
+
+def test_scan_of_a_product_above_the_limit_runs(oversized_product, capsys, monkeypatch):
+    monkeypatch.setattr(catalog, "resolve_semidirect", lambda selector: oversized_product)
+    assert run(["scan", "--semidirect", "oversized", "--seed", "1", "--count", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, liecurv, liecurv.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    src = str(Path(liecurv.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("argv", [
