@@ -10,8 +10,8 @@ import pytest
 import liecurv
 from helpers import reference_random_element, relerr
 
-from liecurv import catalog, cli, sampling
-from liecurv.algebra import MAX_DIM, DenseBackend, MetricAlgebraSpec
+from liecurv import catalog, cli, sampling, semidirect
+from liecurv.algebra import MAX_DIM, DenseBackend
 from liecurv.cli import run
 from liecurv.configio import (
     load_algebra_file,
@@ -20,8 +20,7 @@ from liecurv.configio import (
     load_state_file,
 )
 from liecurv.errors import ConfigError
-from liecurv.geodesic import geodesic_rhs
-from liecurv.semidirect import ActionSpec, SemidirectAlgebra
+from liecurv.semidirect import check_product_dim
 from liecurv.sampling import sample_planes
 
 
@@ -220,54 +219,45 @@ def test_dimension_above_the_limit_is_config_error(argv, files, tmp_path, capsys
     assert f"{MAX_DIM + 1}" in captured.err and f"limit of {MAX_DIM}" in captured.err
 
 
-@pytest.fixture(scope="module")
-def oversized_product():
-    """Abelian factors of dimensions MAX_DIM // 2 and MAX_DIM // 2 + 1, each within
-    the limit, with the zero action.  Built without validation: validating a factor
-    of that size takes tens of seconds."""
-    ng = MAX_DIM // 2
-    nh = MAX_DIM + 1 - ng
-    g, h = (DenseBackend(MetricAlgebraSpec(np.zeros((n, n, n)), np.eye(n)), check=False)
-            for n in (ng, nh))
-    return SemidirectAlgebra(g, h, ActionSpec(np.zeros((ng, nh, nh))))
+def test_product_dimension_limit():
+    assert check_product_dim(MAX_DIM // 2, MAX_DIM // 2) == MAX_DIM
+    for ng, nh in ((MAX_DIM // 2 + 1, MAX_DIM // 2 + 1), (1, MAX_DIM)):
+        with pytest.raises(ConfigError, match=rf"product dimension {ng + nh} \({ng} \+ {nh}\) "
+                                              rf"exceeds the limit of {MAX_DIM}$"):
+            check_product_dim(ng, nh)
 
 
-def test_product_above_the_limit_is_refused_before_allocation(oversized_product):
-    n = MAX_DIM + 1
-    message = f"product dimension {n} .* exceeds the limit of {MAX_DIM}"
-    with pytest.raises(ConfigError, match=message):
-        oversized_product.product_spec
-    with pytest.raises(ConfigError, match=message):
-        geodesic_rhs(oversized_product)
-    assert oversized_product.gram.shape == (n, n)
+# magnetic:random-solvable:9:1 has dimension 18, just over a product limit lowered to 17,
+# as magnetic:random-solvable:129:1 is over MAX_DIM; at 129 the factors alone take
+# tens of seconds to validate
+SMALL_LIMIT, OVERSIZED = 17, "magnetic:random-solvable:9:1"
 
 
 @pytest.mark.parametrize("task", ["validate", "geodesic"])
-def test_product_dimension_above_the_limit_is_config_error(task, oversized_product, tmp_path,
-                                                           capsys, monkeypatch):
-    ng, nh = oversized_product.g.dim, oversized_product.h.dim
+def test_product_dimension_above_the_limit_is_config_error(task, tmp_path, capsys, monkeypatch):
     state = tmp_path / "state.cfg"
-    state.write_text(f"[state]\nu = {' 0.1' * ng}\nalpha = {' 0.1' * nh}\n")
-    monkeypatch.setattr(catalog, "resolve_semidirect", lambda selector: oversized_product)
+    state.write_text(f"[state]\nu = {' 0.1' * 9}\nalpha = {' 0.1' * 9}\n")
+    monkeypatch.setattr(semidirect, "MAX_DIM", SMALL_LIMIT)
     zeros = np.zeros
 
-    def checked_zeros(shape, *args, **kwargs):  # the (n, n, n) product structure
-        assert np.ndim(shape) == 0 or len(shape) < 3, "allocated before the dimension check"
+    def checked_zeros(shape, *args, **kwargs):  # the (18, 18, 18) product structure
+        assert np.ndim(shape) == 0 or len(shape) < 3 or shape[0] != 18, \
+            "allocated before the dimension check"
         return zeros(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "zeros", checked_zeros)
     argv = {"validate": ["validate"],
             "geodesic": ["geodesic", "--state-file", str(state), "--dt", "0.1", "--steps", "1"]}
-    assert run(argv[task] + ["--semidirect", "oversized"]) == 3
+    assert run(argv[task] + ["--semidirect", OVERSIZED]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"configuration error: product dimension {ng + nh} ({ng} + {nh}) "
-                            f"exceeds the limit of {MAX_DIM}\n")
+    assert captured.err == (f"configuration error: product dimension 18 (9 + 9) "
+                            f"exceeds the limit of {SMALL_LIMIT}\n")
 
 
-def test_scan_of_a_product_above_the_limit_runs(oversized_product, capsys, monkeypatch):
-    monkeypatch.setattr(catalog, "resolve_semidirect", lambda selector: oversized_product)
-    assert run(["scan", "--semidirect", "oversized", "--seed", "1", "--count", "2"]) == 0
+def test_scan_of_a_product_above_the_limit_runs(capsys, monkeypatch):
+    monkeypatch.setattr(semidirect, "MAX_DIM", SMALL_LIMIT)
+    assert run(["scan", "--semidirect", OVERSIZED, "--seed", "1", "--count", "2"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 4
 
 
