@@ -86,6 +86,64 @@ FILES = {
         "    2 3 1 1\n"
         "    1 3 2 -1\n"
     ),
+    # the torus states of the semidirect products: u with a function or field alpha
+    "torus_scalar_state.cfg": (
+        "[state]\n"
+        "u =\n"
+        "    sin 0 1 -1.0 1\n"
+        "    cos 1 1 -0.5 1\n"
+        "    cos 1 1 0.5 2\n"
+        "    sin 1 -2 0.6 1\n"
+        "    sin 1 -2 0.3 2\n"
+        "alpha =\n"
+        "    cos 0 0 0.5\n"
+        "    cos 1 0 1.0\n"
+        "    sin 1 2 -0.75\n"
+    ),
+    "torus_mhd_state.cfg": (
+        "[state]\n"
+        "u =\n"
+        "    sin 0 1 -1.0 1\n"
+        "    cos 1 1 -0.5 1\n"
+        "    cos 1 1 0.5 2\n"
+        "alpha =\n"
+        "    cos 0 0 0.3 2\n"
+        "    cos 1 0 0.8 2\n"
+        "    sin 1 -1 0.3 1\n"
+        "    sin 1 -1 0.3 2\n"
+    ),
+    "dense_plane.cfg": (
+        "[plane]\n"
+        "x = 1.0 0.5 -0.25\n"
+        "y = -0.3 1.2 0.8\n"
+    ),
+    "dense_sd_plane.cfg": (
+        "[plane]\n"
+        "x_g = 1.0 0.5 -0.25\n"
+        "x_h = 0.2 -0.4 0.6\n"
+        "y_g = -0.3 1.2 0.8\n"
+        "y_h = 0.7 0.1 -0.5\n"
+    ),
+    # so(3) acting on R^3 by the cross product, with a diagonal Gram on g
+    "euclidean_sd.cfg": (
+        "[g]\n"
+        "dim = 3\n"
+        "gram = diag: 1, 2, 3\n"
+        "structure =\n"
+        "    1 2 3 1\n"
+        "    2 3 1 1\n"
+        "    3 1 2 1\n"
+        "[h]\n"
+        "dim = 3\n"
+        "[action]\n"
+        "entries =\n"
+        "    1 3 2 1\n"
+        "    1 2 3 -1\n"
+        "    2 1 3 1\n"
+        "    2 3 1 -1\n"
+        "    3 2 1 1\n"
+        "    3 1 2 -1\n"
+    ),
 }
 
 _SCANS = [
@@ -98,6 +156,9 @@ _TORUS_GEODESIC = ["geodesic", "--algebra", "torus-vol", "--state-file", "torus_
                    "--dt", "0.01", "--steps", "2", "--support-cap", "6", "--format", "jsonl"]
 
 _DENSE_GEODESIC = ["geodesic", "--state-file", "dense_state.cfg", "--dt", "0.01", "--steps", "200"]
+
+_TORUS_SD_GEODESIC = ["geodesic", "--dt", "0.01", "--steps", "2", "--support-cap", "5",
+                      "--format", "jsonl"]
 
 #: CLI argument lists, run as ``python -m liecurv.cli ARGS``.
 CLI_INVOCATIONS = [
@@ -116,6 +177,28 @@ CLI_INVOCATIONS = [
     ["validate", "--algebra-file", "so3_spd.cfg"],
     ["validate", "--algebra-file", "so3_indefinite.cfg"],
     _DENSE_GEODESIC + ["--algebra-file", "so3_spd.cfg", "--scheme", "rk4", "--format", "csv"],
+    *(_TORUS_SD_GEODESIC + ["--semidirect", name, "--state-file", state, "--scheme", "rk4"]
+      for name, state in (("passive-scalar", "torus_scalar_state.cfg"),
+                          ("compressible", "torus_scalar_state.cfg"),
+                          ("mhd", "torus_mhd_state.cfg"))),
+    _TORUS_SD_GEODESIC + ["--semidirect", "mhd", "--state-file", "torus_mhd_state.cfg",
+                          "--scheme", "implicit_midpoint"],
+    *(_DENSE_GEODESIC + ["--semidirect", name, "--scheme", "rk4", "--format", "csv"]
+      for name in ("euclidean", "linear_so3_on_r3")),
+    *(["validate", "--semidirect", name]
+      for name in ("euclidean", "linear_so3_on_r3", "linear-so3-on-r3", "conjugation:so3:1,2,3",
+                   "magnetic:random-solvable:6:2", "compressible")),
+    ["validate", "--algebra", "torus-full"],
+    ["validate", "--semidirect-file", "euclidean_sd.cfg"],
+    ["curvature", "--algebra", "so3:1,2,3", "--plane-file", "dense_plane.cfg"],
+    ["curvature", "--semidirect", "magnetic:so3:1,2,3", "--plane-file", "dense_sd_plane.cfg",
+     "--format", "jsonl"],
+    ["scan", "--semidirect", "euclidean", "--family", "hh", "--seed", "2", "--count", "10"],
+    ["scan", "--semidirect", "conjugation:so3:1,2,3", "--family", "gh", "--seed", "2",
+     "--count", "10"],
+    ["scan", "--semidirect", "compressible", "--family", "gh", "--band", "1", "--seed", "2",
+     "--count", "2"],
+    ["scan", "--algebra", "torus-full", "--band", "1", "--seed", "2", "--count", "3"],
 ]
 
 #: Scripts under ``scripts/`` with their arguments.
