@@ -48,11 +48,6 @@ class MetricAlgebraSpec:
     def dim(self) -> int:
         return self.gram.shape[0]
 
-    def basis(self, i: int) -> np.ndarray:
-        e = np.zeros(self.dim)
-        e[i] = 1.0
-        return e
-
 
 @dataclass
 class ValidationIssue:
@@ -186,6 +181,14 @@ def bilinear(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (m @ y[..., None])[..., 0]
 
 
+def skew_adjoint(mats: np.ndarray, gram: np.ndarray) -> bool:
+    """True when every matrix of the stack ``mats`` is skew-adjoint for ``gram``,
+    G M + M^T G = 0, within ``ADJOINT_TOL`` relative to max|M| max|G| (unit floor)."""
+    resid = gram @ mats + np.swapaxes(mats, 1, 2) @ gram
+    scale = max(1.0, float(np.max(np.abs(mats))) * float(np.max(np.abs(gram))))
+    return bool(np.max(np.abs(resid)) <= ADJOINT_TOL * scale)
+
+
 def _scalar(value):
     """A Python float for a single value, the array itself for a stack."""
     return float(value) if np.ndim(value) == 0 else value
@@ -229,9 +232,6 @@ class DenseBackend:
     def zero(self) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def basis(self, i: int) -> np.ndarray:
-        return self.spec.basis(i)
-
     def bracket(self, a, b) -> np.ndarray:
         return bilinear(self._ad, self._coerce(a), self._coerce(b))
 
@@ -244,9 +244,10 @@ class DenseBackend:
         return _scalar(np.sqrt(np.maximum(self.inner(a, a), 0.0)))
 
     def ad(self, x) -> np.ndarray:
-        """Matrix of ad(x) = [x, .] in the declared basis."""
+        """Matrix of ad(x) = [x, .] in the declared basis, of shape (..., dim, dim)."""
         x = self._coerce(x)
-        return np.einsum("i,ijk->kj", x, self.spec.structure)
+        n = self.dim
+        return (x @ self._ad.reshape(n, n * n)).reshape(x.shape[:-1] + (n, n))
 
     def ad_transpose(self, x, y) -> np.ndarray:
         """Adjoint of ad(x) for the Gram inner product, applied to y."""
@@ -276,12 +277,6 @@ class DenseBackend:
         torus-only notion)."""
         return np.eye(self.dim)
 
-    def is_ad_invariant(self, tol: float = ADJOINT_TOL) -> bool:
+    def is_ad_invariant(self) -> bool:
         """True when every ad(e_i) is skew-adjoint for the Gram inner product."""
-        g = self.spec.gram
-        scale = max(1.0, float(np.max(np.abs(self.spec.structure))) * float(np.max(np.abs(g))))
-        for i in range(self.dim):
-            m = self.ad(self.basis(i))
-            if np.max(np.abs(g @ m + m.T @ g)) > tol * scale:
-                return False
-        return True
+        return skew_adjoint(self._ad, self.spec.gram)

@@ -43,13 +43,6 @@ class Pair:
     __rmul__ = __mul__
 
 
-def as_pair(value) -> Pair:
-    if isinstance(value, Pair):
-        return value
-    x, y = value
-    return Pair(x, y)
-
-
 def stack(elements):
     """Coordinate vectors, or Pairs of them, stacked along a new leading axis."""
     if isinstance(elements[0], Pair):
@@ -86,14 +79,12 @@ class SemidirectBackendBase:
         return Pair(self.g.zero(), self.h.zero())
 
     def bracket(self, p, q) -> Pair:
-        p, q = as_pair(p), as_pair(q)
         return Pair(
             self.g.bracket(p.x, q.x),
             self.h.bracket(p.y, q.y) + self.b(p.x, q.y) - self.b(q.x, p.y),
         )
 
     def inner(self, p, q) -> float:
-        p, q = as_pair(p), as_pair(q)
         return self.g.inner(p.x, q.x) + self.h.inner(p.y, q.y)
 
     def norm(self, p):
@@ -101,7 +92,6 @@ class SemidirectBackendBase:
         return np.sqrt(sq) if np.ndim(sq) else float(sq) ** 0.5
 
     def ad_transpose(self, p, q) -> Pair:
-        p, q = as_pair(p), as_pair(q)
         return Pair(
             self.g.ad_transpose(p.x, q.x) - self.h_map(p.y, q.y),
             self.h.ad_transpose(p.y, q.y) + self.b_transpose(p.x, q.y),

@@ -47,7 +47,7 @@ def abelian(dim: int, gram=None, name: str = "abelian") -> MetricAlgebraSpec:
 def conjugation(g_spec: MetricAlgebraSpec) -> SemidirectAlgebra:
     """G acting on itself by conjugation: action b(X) = ad(X), h = g."""
     g = DenseBackend(g_spec)
-    mats = np.stack([g.ad(g.basis(i)) for i in range(g.dim)])
+    mats = g.ad(np.eye(g.dim))
     h_spec = MetricAlgebraSpec(
         structure=g_spec.structure.copy(), gram=g_spec.gram.copy(),
         name=g_spec.name or "h",
@@ -59,7 +59,7 @@ def conjugation(g_spec: MetricAlgebraSpec) -> SemidirectAlgebra:
 def linear_so3_on_r3() -> SemidirectAlgebra:
     """so(3) acting on abelian R^3 by the cross product, Euclidean Grams."""
     g = DenseBackend(so3())
-    mats = np.stack([g.ad(g.basis(i)) for i in range(3)])
+    mats = g.ad(np.eye(3))
     h_spec = abelian(3, name="r3")
     return build_semidirect(g, h_spec, ActionSpec(mats), name="linear_so3_on_r3")
 
@@ -79,7 +79,7 @@ def magnetic(g_spec: MetricAlgebraSpec) -> SemidirectAlgebra:
     derived identities b(X)^T Y = -ad(X) Y and h_map(Y1, Y2) = ad(Y2)^T Y1.
     """
     g = DenseBackend(g_spec)
-    mats = -g.adjoints(np.stack([g.ad(g.basis(i)) for i in range(g.dim)]))
+    mats = -g.adjoints(g.ad(np.eye(g.dim)))
     h_spec = abelian(g.dim, gram=g_spec.gram.copy(), name=f"{g_spec.name or 'g'}*_reg")
     return build_semidirect(g, h_spec, ActionSpec(mats), name=f"magnetic:{g_spec.name or 'g'}")
 

@@ -94,6 +94,26 @@ def _parse_gram(text: str, dim: int) -> np.ndarray:
     return np.asarray(matrix)
 
 
+def _index_entries(text: str, what: str, fields: str, bounds):
+    """Each non-blank line ``fields value`` of ``text`` as (line, 0-based indices,
+    value), for three 1-based indices checked against ``bounds``."""
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise ConfigError(f"{what} line needs '{fields} value': {line!r}")
+        try:
+            index = tuple(int(p) - 1 for p in parts[:3])
+            value = _number(parts[3])
+        except ValueError:
+            raise ConfigError(f"bad {what} line: {line!r}") from None
+        if not all(0 <= i < n for i, n in zip(index, bounds)):
+            raise ConfigError(f"{what} index out of range in: {line!r}")
+        yield line, index, value
+
+
 def parse_algebra_section(cp: configparser.ConfigParser, section: str) -> MetricAlgebraSpec:
     _require_section(cp, section)
     try:
@@ -106,20 +126,8 @@ def parse_algebra_section(cp: configparser.ConfigParser, section: str) -> Metric
         raise ConfigError(f"[{section}] 'dim' {dim} exceeds the limit of {MAX_DIM}")
     gram = _parse_gram(cp.get(section, "gram", fallback="identity"), dim)
     structure = np.zeros((dim, dim, dim))
-    for line in cp.get(section, "structure", fallback="").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ConfigError(f"structure line needs 'i j k value': {line!r}")
-        try:
-            i, j, k = (int(p) - 1 for p in parts[:3])
-            value = _number(parts[3])
-        except ValueError:
-            raise ConfigError(f"bad structure line: {line!r}") from None
-        if not all(0 <= idx < dim for idx in (i, j, k)):
-            raise ConfigError(f"structure index out of range in: {line!r}")
+    text = cp.get(section, "structure", fallback="")
+    for line, (i, j, k), value in _index_entries(text, "structure", "i j k", (dim, dim, dim)):
         if i == j:
             raise ConfigError(f"diagonal structure entry forbidden: {line!r}")
         structure[i, j, k] = value
@@ -138,64 +146,46 @@ def load_semidirect_file(path: str) -> SemidirectAlgebra:
     h = parse_algebra_section(cp, "h")
     _require_section(cp, "action")
     mats = np.zeros((g.dim, h.dim, h.dim))
-    for line in cp.get("action", "entries", fallback="").splitlines():
+    text = cp.get("action", "entries", fallback="")
+    for _, index, value in _index_entries(text, "action", "g-index h-row h-col", mats.shape):
+        mats[index] = value
+    return build_semidirect(g, h, ActionSpec(mats))
+
+
+def _mode_lines(text: str, what: str, fields: str):
+    """Each non-blank line ``fields`` of ``text``, 'parity k1 k2 coeff' plus an
+    optional 'component', as ((k1, k2, parity), coeff, [component])."""
+    for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 4:
-            raise ConfigError(f"action line needs 'g-index h-row h-col value': {line!r}")
+        if len(parts) != len(fields.split()):
+            raise ConfigError(f"{what} mode line needs '{fields}': {line!r}")
+        parity, k1, k2, coeff, *comp = parts
+        if parity not in (torus.COS, torus.SIN):
+            raise ConfigError(f"parity must be cos or sin: {line!r}")
+        if comp and comp[0] not in ("1", "2"):
+            raise ConfigError(f"component must be 1 or 2: {line!r}")
         try:
-            i, r, c = (int(p) - 1 for p in parts[:3])
-            value = _number(parts[3])
+            key, value = (int(k1), int(k2), parity), _number(coeff)
         except ValueError:
-            raise ConfigError(f"bad action line: {line!r}") from None
-        if not (0 <= i < g.dim and 0 <= r < h.dim and 0 <= c < h.dim):
-            raise ConfigError(f"action index out of range in: {line!r}")
-        mats[i, r, c] = value
-    return build_semidirect(g, h, ActionSpec(mats))
+            raise ConfigError(f"bad {what} mode line: {line!r}") from None
+        yield key, value, comp
 
 
 def parse_trig_function(text: str) -> torus.TrigFunction:
     modes = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ConfigError(f"function mode line needs 'parity k1 k2 coeff': {line!r}")
-        parity, k1, k2, coeff = parts
-        if parity not in (torus.COS, torus.SIN):
-            raise ConfigError(f"parity must be cos or sin: {line!r}")
-        try:
-            key = (int(k1), int(k2), parity)
-            modes[key] = modes.get(key, 0.0) + _number(coeff)
-        except ValueError:
-            raise ConfigError(f"bad function mode line: {line!r}") from None
-    return torus.TrigFunction({k: v for k, v in modes.items()})
+    for key, coeff, _ in _mode_lines(text, "function", "parity k1 k2 coeff"):
+        modes[key] = modes.get(key, 0.0) + coeff
+    return torus.TrigFunction(modes)
 
 
 def parse_trig_field(text: str) -> torus.TrigVectorField:
     comps = ({}, {})
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ConfigError(f"field mode line needs 'parity k1 k2 coeff component': {line!r}")
-        parity, k1, k2, coeff, comp = parts
-        if parity not in (torus.COS, torus.SIN):
-            raise ConfigError(f"parity must be cos or sin: {line!r}")
-        if comp not in ("1", "2"):
-            raise ConfigError(f"component must be 1 or 2: {line!r}")
-        try:
-            key = (int(k1), int(k2), parity)
-            target = comps[int(comp) - 1]
-            target[key] = target.get(key, 0.0) + _number(coeff)
-        except ValueError:
-            raise ConfigError(f"bad field mode line: {line!r}") from None
+    for key, coeff, (comp,) in _mode_lines(text, "field", "parity k1 k2 coeff component"):
+        target = comps[int(comp) - 1]
+        target[key] = target.get(key, 0.0) + coeff
     return torus.TrigVectorField(torus.TrigFunction(comps[0]), torus.TrigFunction(comps[1]))
 
 

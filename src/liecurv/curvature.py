@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DenseBackend, MetricAlgebraSpec
-from .backend import as_pair
 from .errors import DegeneratePlane, NotIsometric
 
 #: Sign of the field bracket relative to the algebra bracket inside the
@@ -91,24 +90,19 @@ class CurvatureBreakdown:
     sectional: float
     terms: list[tuple[str, float]]
 
-    def term(self, label: str) -> float:
-        for name, value in self.terms:
-            if name == label:
-                return value
-        raise KeyError(label)
 
-
-def _plane_gram(backend, x, y, tol: float = PLANE_DEGENERACY_TOL):
+def _plane_gram(backend, x, y):
     """Plane Gram determinant |X|^2 |Y|^2 - <X,Y>^2, and whether it is above
-    ``tol`` relative to |X|^2 |Y|^2 (False means the plane is degenerate)."""
+    ``PLANE_DEGENERACY_TOL`` relative to |X|^2 |Y|^2 (False means the plane is
+    degenerate)."""
     xx, yy, xy = backend.inner(x, x), backend.inner(y, y), backend.inner(x, y)
     denom = xx * yy - xy * xy  # overflows to inf or nan, where xy ** 2 would raise
-    return denom, denom > tol * np.maximum(xx * yy, 0.0)
+    return denom, denom > PLANE_DEGENERACY_TOL * np.maximum(xx * yy, 0.0)
 
 
-def plane_denominator(backend, x, y, tol: float = PLANE_DEGENERACY_TOL) -> float:
+def plane_denominator(backend, x, y) -> float:
     """Plane Gram determinant; raises DegeneratePlane when the plane is degenerate."""
-    denom, spans = _plane_gram(backend, x, y, tol)
+    denom, spans = _plane_gram(backend, x, y)
     if not spans:
         raise DegeneratePlane(f"plane Gram determinant {denom:.3e} below tolerance")
     return denom
@@ -147,9 +141,9 @@ def curvature_numerator_generic(backend, x, y) -> CurvatureBreakdown:
     return _finish(backend, x, y, terms)
 
 
-def sectional(backend, plane: Plane, degeneracy_tol: float = PLANE_DEGENERACY_TOL) -> float:
+def sectional(backend, plane: Plane) -> float:
     """Sectional curvature K = numerator / (|X|^2 |Y|^2 - <X,Y>^2)."""
-    denom = plane_denominator(backend, plane.x, plane.y, degeneracy_tol)
+    denom = plane_denominator(backend, plane.x, plane.y)
     return curvature_numerator_generic(backend, plane.x, plane.y).numerator / denom
 
 
@@ -160,7 +154,6 @@ def curvature_numerator_semidirect(sd, p1, p2) -> CurvatureBreakdown:
     display order); the total equals the generic formula applied to the
     assembled product algebra.
     """
-    p1, p2 = as_pair(p1), as_pair(p2)
     x1, y1, x2, y2 = p1.x, p1.y, p2.x, p2.y
     g, h = sd.g, sd.h
     gi, hi = g.inner, h.inner
@@ -243,7 +236,6 @@ def isometric_sum(sd, p1, p2) -> float:
     """Curvature numerator as the sum of the factor curvatures (isometric case)."""
     if not sd.isometric:
         raise NotIsometric(f"{getattr(sd, 'name', 'backend')} action is not skew-adjoint")
-    p1, p2 = as_pair(p1), as_pair(p2)
     return (
         curvature_numerator_generic(sd.g, p1.x, p2.x).numerator
         + curvature_numerator_generic(sd.h, p1.y, p2.y).numerator

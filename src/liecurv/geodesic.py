@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import DenseBackend, MetricAlgebraSpec
-from .backend import Pair, SemidirectBackendBase, as_pair
+from .backend import Pair
 from .errors import MidpointDivergence, NonFiniteState, NotAdInvariant
 from .semidirect import SemidirectAlgebra, check_product_dim, finite_dimensional
 
@@ -119,16 +119,11 @@ class QuadraticRHS:
 
 
 def geodesic_rhs(backend):
-    """State-valued right-hand side for ``integrate`` over the given backend:
-    a ``QuadraticRHS`` on a finite-dimensional backend."""
+    """State-valued right-hand side -ad(u)^T u for ``integrate`` over the given
+    backend: a ``QuadraticRHS`` on a finite-dimensional backend.  On a semidirect
+    torus backend the product ad-transpose gives ``rhs_semidirect`` as a Pair."""
     if finite_dimensional(backend):
         return QuadraticRHS(backend)
-    if isinstance(backend, SemidirectBackendBase):
-        def rhs(state):
-            state = as_pair(state)
-            du, dalpha = rhs_semidirect(backend, state.x, state.y)
-            return Pair(du, dalpha)
-        return rhs
     return lambda u: rhs_generic(backend, u)
 
 

@@ -60,9 +60,9 @@ def random_element(backend, rng, band: int = 2, part: str | None = None):
     return linear_combination(basis, coeffs)
 
 
-def _normalize(backend, v, floor: float = 1e-12):
+def _normalize(backend, v):
     n = backend.norm(v)
-    if n <= floor:
+    if n <= 1e-12:
         return None
     return (1.0 / n) * v
 

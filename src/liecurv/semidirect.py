@@ -14,17 +14,17 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (
-    ADJOINT_TOL,
     JACOBI_TOL,
     MAX_DIM,
     DenseBackend,
     MetricAlgebraSpec,
     ValidationReport,
     bilinear,
+    skew_adjoint,
     worst_entry,
 )
-from .backend import Pair, SemidirectBackendBase, as_pair
-from .errors import ConfigError, DimensionMismatch, ValidationFailure
+from .backend import Pair, SemidirectBackendBase
+from .errors import ConfigError, ValidationFailure
 
 
 @dataclass(eq=False)
@@ -139,13 +139,10 @@ class SemidirectAlgebra(SemidirectBackendBase):
         self._b = B
         self._bt = h.adjoints(B)  # b(e_i)^T = G_h^-1 B_i^T G_h
         # h_map via <h(f_p, f_q), e_i> = <b(e_i) f_p, f_q>; _h_tensor[p, k, q] = h(f_p, f_q)_k
-        v = np.einsum("irp,rq->ipq", B, gram_h)
+        v = np.swapaxes(B, 1, 2) @ gram_h  # v[i] = B_i^T G_h
         flat = g.gram_solve(v.reshape(g.dim, -1)).reshape(g.dim, h.dim, h.dim)
         self._h_tensor = np.ascontiguousarray(flat.transpose(1, 0, 2))
-
-        skew = [np.max(np.abs(gram_h @ B[i] + B[i].T @ gram_h)) for i in range(g.dim)]
-        scale = max(1.0, float(np.max(np.abs(B))) * float(np.max(np.abs(gram_h))))
-        self._isometric = bool(max(skew, default=0.0) <= ADJOINT_TOL * scale)
+        self._isometric = skew_adjoint(B, gram_h)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -187,17 +184,10 @@ class SemidirectAlgebra(SemidirectBackendBase):
         rows = {None: rows, "g": rows[:ng], "h": rows[ng:]}[part]
         return Pair(rows[:, :ng], rows[:, ng:])
 
-    # -- conversions between pairs and assembled product coordinates --
+    # -- conversion to assembled product coordinates --
 
     def join(self, p) -> np.ndarray:
-        p = as_pair(p)
         return np.concatenate([self.g._coerce(p.x), self.h._coerce(p.y)])
-
-    def split(self, v) -> Pair:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.g.dim + self.h.dim,):
-            raise DimensionMismatch(f"expected vector of length {self.g.dim + self.h.dim}")
-        return Pair(v[: self.g.dim], v[self.g.dim:])
 
 
 def finite_dimensional(backend) -> bool:

@@ -60,6 +60,13 @@ class TrigFunction:
         self.modes = {key: val for key, val in folded.items() if val != 0.0}
 
     @classmethod
+    def _of(cls, modes: dict) -> "TrigFunction":
+        """Wrap a dict that is already canonical and free of zeros, uncopied."""
+        result = cls.__new__(cls)
+        result.modes = modes
+        return result
+
+    @classmethod
     def zero(cls) -> "TrigFunction":
         return cls()
 
@@ -75,23 +82,19 @@ class TrigFunction:
         out = dict(self.modes)
         for key, val in other.modes.items():
             out[key] = out.get(key, 0.0) + val
-        result = TrigFunction.__new__(TrigFunction)
-        result.modes = {k: v for k, v in out.items() if v != 0.0}
-        return result
+        return TrigFunction._of({k: v for k, v in out.items() if v != 0.0})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        result = TrigFunction.__new__(TrigFunction)
-        result.modes = {k: -v for k, v in self.modes.items()}
-        return result
+        return TrigFunction._of({k: -v for k, v in self.modes.items()})
 
     def __mul__(self, scalar):
         scalar = float(scalar)
-        result = TrigFunction.__new__(TrigFunction)
-        result.modes = {k: scalar * v for k, v in self.modes.items()} if scalar != 0.0 else {}
-        return result
+        if scalar == 0.0:
+            return TrigFunction()
+        return TrigFunction._of({k: scalar * v for k, v in self.modes.items()})
 
     __rmul__ = __mul__
 
@@ -107,20 +110,16 @@ class TrigFunction:
             else:
                 key, val = (k1, k2, COS), ki * coeff
             out[key] = out.get(key, 0.0) + val
-        result = TrigFunction.__new__(TrigFunction)
-        result.modes = {k: v for k, v in out.items() if v != 0.0}
-        return result
+        return TrigFunction._of({k: v for k, v in out.items() if v != 0.0})
 
     def max_wavenumber(self) -> int:
         return max((max(abs(k1), abs(k2)) for (k1, k2, _p) in self.modes), default=0)
 
     def truncated(self, cap: int) -> "TrigFunction":
-        result = TrigFunction.__new__(TrigFunction)
-        result.modes = {
+        return TrigFunction._of({
             (k1, k2, p): v for (k1, k2, p), v in self.modes.items()
             if max(abs(k1), abs(k2)) <= cap
-        }
-        return result
+        })
 
     def coefficient_scale(self) -> float:
         return max((abs(v) for v in self.modes.values()), default=0.0)
@@ -225,10 +224,8 @@ def multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
     k1 = (lin + reach2) // width
     k2 = lin - k1 * width
     parity = [(COS, SIN)[s] for s in (cells[keep] & 1).tolist()]
-    result = TrigFunction.__new__(TrigFunction)
     # tolist(): Python ints and floats, as TrigFunction stores everywhere else
-    result.modes = dict(zip(zip(k1.tolist(), k2.tolist(), parity), acc[keep].tolist()))
-    return result
+    return TrigFunction._of(dict(zip(zip(k1.tolist(), k2.tolist(), parity), acc[keep].tolist())))
 
 
 def function_inner(f: TrigFunction, g: TrigFunction) -> float:
@@ -347,11 +344,7 @@ def leray_project(x: TrigVectorField) -> TrigVectorField:
             out1[key] = v1
         if v2 != 0.0:
             out2[key] = v2
-    f1 = TrigFunction.__new__(TrigFunction)
-    f1.modes = out1
-    f2 = TrigFunction.__new__(TrigFunction)
-    f2.modes = out2
-    return TrigVectorField(f1, f2)
+    return TrigVectorField(TrigFunction._of(out1), TrigFunction._of(out2))
 
 
 def q_project(x: TrigVectorField) -> TrigVectorField:
@@ -658,11 +651,9 @@ def canonical_wavevectors(band: int):
     return sorted(out)
 
 
-def function_modes(band: int, include_constant: bool = True):
+def function_modes(band: int):
     """Orthogonal basis of functions supported in the band."""
-    basis = []
-    if include_constant:
-        basis.append(TrigFunction.constant(1.0))
+    basis = [TrigFunction.constant(1.0)]
     for k in canonical_wavevectors(band):
         basis.append(TrigFunction.mode(COS, k))
         basis.append(TrigFunction.mode(SIN, k))

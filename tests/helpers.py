@@ -112,6 +112,15 @@ def reference_integrate(backend, state0, config):
     return states, [backend.inner(s, s) for s in states]
 
 
+def reference_skew_adjoint(mats, gram, tol: float = 1e-10) -> bool:
+    """One matrix at a time: the oracle for ``algebra.skew_adjoint``."""
+    scale = max(1.0, float(np.max(np.abs(mats))) * float(np.max(np.abs(gram))))
+    for m in mats:
+        if np.max(np.abs(gram @ m + m.T @ gram)) > tol * scale:
+            return False
+    return True
+
+
 def reference_multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
     """Pairwise product-to-sum loop: the oracle for ``torus.multiply``."""
     out: dict = {}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import finite_algebras, rel_vec_err, relerr
+from helpers import finite_algebras, reference_skew_adjoint, rel_vec_err, relerr
 
 from liecurv import catalog
 from liecurv.algebra import DenseBackend, MetricAlgebraSpec, validate
@@ -70,7 +70,7 @@ def brute_force_ad_transpose(backend, x, y):
     rows = np.zeros((n, n))
     rhs = np.zeros(n)
     for w in range(n):
-        basis_w = backend.basis(w)
+        basis_w = np.eye(n)[w]
         rows[w] = backend.spec.gram[w]  # <e_w, r> = (G r)_w
         rhs[w] = backend.inner(backend.bracket(x, basis_w), y)
     return np.linalg.solve(rows, rhs)
@@ -168,6 +168,20 @@ class TestStacks:
         for i in range(4):
             assert rel_vec_err(got[i], skewed.ad_transpose(x, y[i])) < 1e-14
 
+    @pytest.mark.parametrize("name,backend", finite_algebras())
+    def test_ad_on_a_stack_matches_rows(self, name, backend):
+        rng = np.random.default_rng(12)
+        n = backend.dim
+        x = rng.standard_normal((2, 3, n))
+        stacked = backend.ad(x)
+        assert stacked.shape == (2, 3, n, n)
+        for i in np.ndindex(2, 3):
+            assert rel_vec_err(stacked[i], backend.ad(x[i])) < 1e-14
+            y = rng.standard_normal(n)
+            assert rel_vec_err(stacked[i] @ y, backend.bracket(x[i], y)) < 1e-13
+        # on the basis, ad(e_i)[k, j] = c[i, j, k] exactly
+        np.testing.assert_array_equal(backend.ad(np.eye(n)), backend.spec.structure.transpose(0, 2, 1))
+
     def test_single_values_are_floats(self, skewed):
         v = np.arange(5.0)
         assert type(skewed.inner(v, v)) is float and type(skewed.norm(v)) is float
@@ -177,6 +191,14 @@ class TestStacks:
             skewed.inner(np.zeros((4, 3)), np.zeros((4, 3)))
         with pytest.raises(DimensionMismatch):
             skewed.ad_transpose(np.zeros((5, 2)), np.zeros(5))
+
+
+@pytest.mark.parametrize("selector", ["so3", "so3:1,2,3", "random-solvable:6:2"])
+def test_is_ad_invariant_matches_per_matrix_loop(selector):
+    backend = catalog.resolve_algebra(selector)
+    mats = backend.spec.structure.transpose(0, 2, 1)  # mats[i] = ad(e_i)
+    assert backend.is_ad_invariant() == reference_skew_adjoint(mats, backend.spec.gram)
+    assert backend.is_ad_invariant() == (selector == "so3")
 
 
 class TestStructureInvariants:

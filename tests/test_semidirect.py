@@ -3,7 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import SOLVABLE_SEEDS, random_pair, rel_vec_err, relerr, semidirect_builtins
+from helpers import (
+    SOLVABLE_SEEDS,
+    random_pair,
+    reference_skew_adjoint,
+    rel_vec_err,
+    relerr,
+    semidirect_builtins,
+)
 
 from liecurv import catalog
 from liecurv.algebra import validate
@@ -164,6 +171,20 @@ class TestIsometric:
         # b(e1) + b(e1)^T is visibly nonzero
         skew_defect = conj_diag.b(E[0], E[1]) + conj_diag.b_transpose(E[0], E[1])
         assert np.max(np.abs(skew_defect)) > 0.1
+
+
+    @pytest.mark.parametrize("selector,isometric", [
+        ("euclidean", True),
+        ("linear_so3_on_r3", True),
+        ("conjugation:so3", True),
+        ("conjugation:so3:1,2,3", False),
+        ("magnetic:so3", True),
+        ("magnetic:so3:1,2,3", False),
+        ("magnetic:random-solvable:6:2", False),
+    ])
+    def test_flag_matches_per_matrix_loop(self, selector, isometric):
+        sd = catalog.resolve_semidirect(selector)
+        assert sd.isometric == reference_skew_adjoint(sd.action.matrices, sd.h_spec.gram) == isometric
 
 
 class TestIdentities:

@@ -628,6 +628,31 @@ class TestEulerReduction:
             assert (rhs - torus.euler_rhs_direct(u)).coefficient_scale() < 1e-12
 
 
+def _hex_modes(element):
+    """(mode, coefficient as float.hex) in dict order, per component of a field."""
+    if isinstance(element, TrigVectorField):
+        return _hex_modes(element.comp1), _hex_modes(element.comp2)
+    return [(key, value.hex()) for key, value in element.modes.items()]
+
+
+@pytest.mark.parametrize("backend,velocity,alpha", [
+    (torus.PassiveScalarBackend(), random_divfree_field, random_function),
+    (torus.CompressibleScalarBackend(), random_full_field, random_function),
+    (torus.MhdBackend(), random_divfree_field, random_divfree_field),
+], ids=["passive-scalar", "compressible", "mhd"])
+def test_product_geodesic_rhs_is_rhs_semidirect_bit_for_bit(backend, velocity, alpha):
+    """-ad(u)^T u of the product backend makes the primitive calls of the
+    componentwise right-hand side in the same order, so the two agree exactly."""
+    rng = rng_for_seed(30)
+    rhs = geodesic_rhs(backend)
+    for _ in range(4):
+        u, a = velocity(rng, band=2, scale=0.5), alpha(rng, band=2, scale=0.5)
+        got = rhs(Pair(u, a))
+        du, da = rhs_semidirect(backend, u, a)
+        assert _hex_modes(got.x) == _hex_modes(du)
+        assert _hex_modes(got.y) == _hex_modes(da)
+
+
 class TestTruncation:
     def test_truncate_function(self):
         f = TrigFunction({(1, 0, COS): 1.0, (3, 0, COS): 2.0})
