@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import catalog, configio, torus
-from .algebra import DenseBackend, ValidationReport, validate
+from .algebra import JACOBI_TOL, DenseBackend, ValidationReport, validate
 from .backend import SemidirectBackendBase, stack
 from .curvature import (
     Plane,
@@ -59,6 +59,8 @@ def _checked(convert, accept, requirement: str):
 _COUNT = _checked(int, lambda v: v >= 0, "non-negative")
 _FINITE = _checked(float, math.isfinite, "finite")
 _TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and non-negative")
+# resolving a backend validates it at JACOBI_TOL already, so --tol can only tighten
+_VALIDATE_TOL = _checked(float, lambda v: 0 <= v <= JACOBI_TOL, f"between 0 and {JACOBI_TOL}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="validate an algebra or semidirect spec")
     backend_flags(sp)
-    sp.add_argument("--tol", type=_FINITE, default=1e-10, help="validation tolerance")
+    sp.add_argument("--tol", type=_VALIDATE_TOL, default=JACOBI_TOL,
+                    help=f"validation tolerance, at most {JACOBI_TOL}")
 
     sp = sub.add_parser("curvature", help="evaluate the curvature of one plane")
     backend_flags(sp)

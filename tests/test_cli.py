@@ -143,6 +143,8 @@ BAD_INPUT_FILES = {
     "nan_torus_state.cfg": "[state]\nu =\n    sin 0 1 nan 1\n",
     "inf_algebra.cfg": "[algebra]\ndim = 3\nstructure =\n    1 2 3 inf\n",
     "empty_algebra.cfg": "[algebra]\ndim = 0\n",
+    # Jacobi residual 1e-6: fails at the default tolerance whatever --tol says
+    "jacobi_defect.cfg": "[algebra]\ndim = 3\nstructure =\n    1 2 3 1\n    1 3 1 1e-6\n",
 }
 
 SCAN = ["scan", "--semidirect", "euclidean", "--seed", "1"]
@@ -178,6 +180,8 @@ TORUS_GEODESIC = ["geodesic", "--algebra", "torus-vol", "--state-file", "torus_s
     TORUS_GEODESIC + ["--dt", "0.01", "--support-cap", "-1"],
     ["geodesic", "--algebra", "torus-vol", "--state-file", "nan_torus_state.cfg", "--dt", "0.01",
      "--steps", "1", "--format", "jsonl"],
+    ["validate", "--algebra-file", "jacobi_defect.cfg", "--tol", "1e-3"],
+    ["validate", "--algebra", "so3", "--tol", "-1"],
 ])
 def test_bad_input_is_config_error(argv, tmp_path, capsys):
     for name, text in BAD_INPUT_FILES.items():
