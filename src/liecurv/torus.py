@@ -61,7 +61,7 @@ class TrigFunction:
 
     @classmethod
     def _of(cls, modes: dict) -> "TrigFunction":
-        """Wrap a dict that is already canonical and free of zeros, uncopied."""
+        """Wrap a dict of canonical modes as it is, without folding or copying it."""
         result = cls.__new__(cls)
         result.modes = modes
         return result
