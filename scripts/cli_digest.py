@@ -67,6 +67,10 @@ FILES = {
         "u = 0.3 -0.7 0.45\n"
         "alpha = 0.2 0.5 -0.35\n"
     ),
+    "dense_u_state.cfg": (
+        "[state]\n"
+        "u = 0.3 -0.7 0.45\n"
+    ),
     # so(3) with a non-diagonal Gram matrix, positive definite and not
     "so3_spd.cfg": (
         "[algebra]\n"
@@ -125,6 +129,21 @@ FILES = {
         "y_h = 0.7 0.1 -0.5\n"
     ),
     # so(3) acting on R^3 by the cross product, with a diagonal Gram on g
+    # divergence-free fields reaching |k|_inf = 32, the torus wavenumber bound, and 33
+    **{f"torus_k{kmax}_plane.cfg": (
+        "[plane]\n"
+        "x =\n"
+        "    sin 0 1 -1.0 1\n"
+        "    cos 1 1 -0.5 1\n"
+        "    cos 1 1 0.5 2\n"
+        f"    cos {kmax} 0 0.5 2\n"
+        "y =\n"
+        "    cos 1 0 0.8 2\n"
+        "    sin 1 32 -8.0 1\n"
+        "    sin 1 32 0.25 2\n"
+        "    sin 32 -32 0.25 1\n"
+        "    sin 32 -32 0.25 2\n"
+    ) for kmax in (32, 33)},
     "euclidean_sd.cfg": (
         "[g]\n"
         "dim = 3\n"
@@ -173,10 +192,12 @@ CLI_INVOCATIONS = [
     _TORUS_GEODESIC + ["--scheme", "implicit_midpoint"],
     *(_DENSE_GEODESIC + ["--semidirect", "magnetic:so3:1,2,3", "--scheme", scheme, "--format", "csv"]
       for scheme in ("rk4", "implicit_midpoint")),
-    _DENSE_GEODESIC + ["--algebra", "so3:1,2,3", "--scheme", "rk4", "--format", "jsonl"],
+    ["geodesic", "--state-file", "dense_u_state.cfg", "--dt", "0.01", "--steps", "200",
+     "--algebra", "so3:1,2,3", "--scheme", "rk4", "--format", "jsonl"],
     ["validate", "--algebra-file", "so3_spd.cfg"],
     ["validate", "--algebra-file", "so3_indefinite.cfg"],
-    _DENSE_GEODESIC + ["--algebra-file", "so3_spd.cfg", "--scheme", "rk4", "--format", "csv"],
+    ["geodesic", "--state-file", "dense_u_state.cfg", "--dt", "0.01", "--steps", "200",
+     "--algebra-file", "so3_spd.cfg", "--scheme", "rk4", "--format", "csv"],
     *(_TORUS_SD_GEODESIC + ["--semidirect", name, "--state-file", state, "--scheme", "rk4"]
       for name, state in (("passive-scalar", "torus_scalar_state.cfg"),
                           ("compressible", "torus_scalar_state.cfg"),
@@ -199,6 +220,12 @@ CLI_INVOCATIONS = [
     ["scan", "--semidirect", "compressible", "--family", "gh", "--band", "1", "--seed", "2",
      "--count", "2"],
     ["scan", "--algebra", "torus-full", "--band", "1", "--seed", "2", "--count", "3"],
+    # larger torus grids, up to the wavenumber bound and one past it
+    ["scan", "--algebra", "torus-vol", "--band", "8", "--seed", "1", "--count", "2"],
+    *(["curvature", "--algebra", "torus-vol", "--plane-file", f"torus_k{kmax}_plane.cfg"]
+      for kmax in (32, 33)),
+    ["geodesic", "--algebra", "torus-vol", "--state-file", "torus_state.cfg", "--dt", "0.01",
+     "--steps", "1", "--support-cap", "32", "--format", "jsonl"],
 ]
 
 #: Scripts under ``scripts/`` with their arguments.
