@@ -57,6 +57,8 @@ def _checked(convert, accept, requirement: str):
 
 
 _COUNT = _checked(int, lambda v: v >= 0, "non-negative")
+_WAVENUMBER = _checked(int, lambda v: 0 <= v <= torus.MAX_WAVENUMBER,
+                       f"between 0 and the limit of {torus.MAX_WAVENUMBER}")
 _FINITE = _checked(float, math.isfinite, "finite")
 _TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and non-negative")
 # resolving a backend validates it at JACOBI_TOL already, so --tol can only tighten
@@ -93,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--count", type=_COUNT, required=True)
     sp.add_argument("--family", choices=FAMILIES, default="full")
-    sp.add_argument("--band", type=_COUNT, default=2, help="torus sampling band |k|_inf")
+    sp.add_argument("--band", type=_WAVENUMBER, default=2, help="torus sampling band |k|_inf")
     sp.add_argument("--zero-tol", type=_TOLERANCE, default=1e-12)
     output_flags(sp)
 
@@ -103,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dt", type=_FINITE, required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--scheme", choices=("rk4", "implicit_midpoint"), default="rk4")
-    sp.add_argument("--support-cap", type=_COUNT, default=16,
+    sp.add_argument("--support-cap", type=_WAVENUMBER, default=16,
                     help="torus runs: drop modes with |k|_inf above this (experimental)")
     output_flags(sp)
     return parser

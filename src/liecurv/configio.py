@@ -15,9 +15,9 @@ Grammar summary (see README for the full description):
   plus ``[action]`` with ``entries`` lines ``g-index h-row h-col value``.
 * plane file: section ``[plane]``; keys ``x``/``y`` for a plain algebra,
   ``x_g``/``x_h``/``y_g``/``y_h`` for semidirect backends (omitted parts are
-  zero).  Finite elements are whitespace-separated coordinates; torus
-  functions are lines ``parity k1 k2 coeff``; torus fields are lines
-  ``parity k1 k2 coeff component``.
+  zero); any other key is an error.  Finite elements are whitespace-separated
+  coordinates; torus functions are lines ``parity k1 k2 coeff``; torus fields
+  are lines ``parity k1 k2 coeff component``; |k1|, |k2| <= ``torus.MAX_WAVENUMBER``.
 * state file: section ``[state]``; key ``u`` (plus ``alpha`` on semidirect
   backends) in the same element syntax.
 """
@@ -171,6 +171,8 @@ def _mode_lines(text: str, what: str, fields: str):
             key, value = (int(k1), int(k2), parity), _number(coeff)
         except ValueError:
             raise ConfigError(f"bad {what} mode line: {line!r}") from None
+        if max(abs(key[0]), abs(key[1])) > torus.MAX_WAVENUMBER:
+            raise ConfigError(f"wavevector above the limit |k|_inf <= {torus.MAX_WAVENUMBER}: {line!r}")
         yield key, value, comp
 
 
@@ -204,32 +206,36 @@ def parse_element(backend_part, text: str):
     raise ConfigError(f"no element syntax for backend {type(backend_part).__name__}")
 
 
-def _pair_from_section(cp, section, backend, key, g_key, h_key):
-    """The element under ``key``, or on a semidirect backend the pair of the
-    elements under ``g_key`` and ``h_key`` (an omitted part is zero)."""
-    def part(name, factor):
+def _elements(path, section, backend, keys, pair_keys):
+    """The elements of ``section`` under ``keys``, or on a semidirect backend the
+    pairs of the elements under ``pair_keys`` (an omitted part is zero).  A key
+    the backend does not read is an error, not a silently ignored line."""
+    cp = _require_section(load_config(path), section)
+    semidirect = isinstance(backend, SemidirectBackendBase)
+    known = [name for pair in pair_keys for name in pair] if semidirect else keys
+    unknown = [name for name in cp.options(section) if name not in known]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in [{section}]; "
+                          f"this backend reads {', '.join(known)}")
+
+    def get(name, factor):
         if cp.has_option(section, name):
             return parse_element(factor, cp.get(section, name))
+        if not semidirect:
+            raise ConfigError(f"missing key {name!r} in [{section}]")
         return factor.zero()
 
-    if isinstance(backend, SemidirectBackendBase):
-        return Pair(part(g_key, backend.g), part(h_key, backend.h))
-    if not cp.has_option(section, key):
-        raise ConfigError(f"missing key {key!r} in [{section}]")
-    return parse_element(backend, cp.get(section, key))
+    if semidirect:
+        return [Pair(get(g_key, backend.g), get(h_key, backend.h)) for g_key, h_key in pair_keys]
+    return [get(key, backend) for key in keys]
 
 
 def load_plane_file(path: str, backend) -> Plane:
-    cp = _require_section(load_config(path), "plane")
-    return Plane(
-        _pair_from_section(cp, "plane", backend, "x", "x_g", "x_h"),
-        _pair_from_section(cp, "plane", backend, "y", "y_g", "y_h"),
-    )
+    return Plane(*_elements(path, "plane", backend, ["x", "y"], [("x_g", "x_h"), ("y_g", "y_h")]))
 
 
 def load_state_file(path: str, backend):
-    cp = _require_section(load_config(path), "state")
-    return _pair_from_section(cp, "state", backend, "u", "u", "alpha")
+    return _elements(path, "state", backend, ["u"], [("u", "alpha")])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +272,10 @@ def element_to_jsonable(element):
     if isinstance(element, Pair):
         return {"g": element_to_jsonable(element.x), "h": element_to_jsonable(element.y)}
     if isinstance(element, torus.TrigFunction):
-        return [[p, k1, k2, v] for (k1, k2, p), v in sorted(element.modes.items())]
+        return [[p, k1, k2, v] for (k1, k2, p), v in element.modes.items()]
     if isinstance(element, torus.TrigVectorField):
-        rows = [[p, k1, k2, v, 1] for (k1, k2, p), v in sorted(element.comp1.modes.items())]
-        rows += [[p, k1, k2, v, 2] for (k1, k2, p), v in sorted(element.comp2.modes.items())]
+        rows = [[p, k1, k2, v, 1] for (k1, k2, p), v in element.comp1.modes.items()]
+        rows += [[p, k1, k2, v, 2] for (k1, k2, p), v in element.comp2.modes.items()]
         return rows
     return [float(v) for v in np.asarray(element).ravel()]
 

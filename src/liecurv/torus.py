@@ -1,10 +1,15 @@
 """Exact calculus on finitely supported trigonometric fields on the flat 2-torus.
 
-Functions are finite sums of cos(k.x) and sin(k.x) over integer wavevectors
-k, stored in canonical form: k lexicographically positive (first nonzero
-component > 0), sin(0,0) forbidden.  Products use product-to-sum identities,
-derivatives act mode by mode, and the L^2 metric on [0, 2pi)^2 is diagonal on
-canonical modes (|1|^2 = 4 pi^2, |cos k|^2 = |sin k|^2 = 2 pi^2).
+A function is a finite sum of cos(k.x) and sin(k.x) over integer wavevectors
+k.  It is stored as the complex coefficients c_k of exp(i k.x) on a centred
+square grid, ``c[r + k1, r + k2]`` with half-width r >= |k|_inf, and since the
+function is real, c_{-k} = conj(c_k).  In canonical form (k lexicographically
+positive, first nonzero component > 0; sin(0,0) forbidden) the coefficient
+of cos(k.x) is 2 Re c_k, that of sin(k.x) is -2 Im c_k and the constant is
+c_0.  Products are exact direct convolutions of the grids, derivatives
+multiply by i k, and the L^2 metric on [0, 2pi)^2 is 4 pi^2 Re <c_f, c_g>,
+diagonal on canonical modes (|1|^2 = 4 pi^2, |cos k|^2 = |sin k|^2 = 2 pi^2).
+Wavevectors given from outside are bounded by ``MAX_WAVENUMBER``.
 
 Three semidirect backends are provided on top of this calculus:
 
@@ -29,41 +34,50 @@ from .errors import NonFiniteState, NotDivergenceFree
 
 COS, SIN = "cos", "sin"
 
-_TWO_PI_SQ = 2.0 * math.pi**2
+#: Largest |k|_inf of a mode given to ``TrigFunction``, so that products of
+#: two products of such functions stay on grids of at most (4 * 32 + 1)^2 cells.
+MAX_WAVENUMBER = 32
+
 _FOUR_PI_SQ = 4.0 * math.pi**2
 
 
-def _canonical(k1: int, k2: int, parity: str, coeff: float):
-    """Fold a raw mode onto its canonical representative (or None if it vanishes)."""
-    if k1 == 0 and k2 == 0:
-        return ((0, 0, COS), coeff) if parity == COS else None
-    if k1 > 0 or (k1 == 0 and k2 > 0):
-        return ((k1, k2, parity), coeff)
-    return ((-k1, -k2, parity), coeff if parity == COS else -coeff)
+def _embed(c: np.ndarray, r: int) -> np.ndarray:
+    """The grid c, widened with zeros to half-width r (c itself when already that wide)."""
+    s = c.shape[0] // 2
+    if s == r:
+        return c
+    out = np.zeros((2 * r + 1, 2 * r + 1), complex)
+    out[r - s:r + s + 1, r - s:r + s + 1] = c
+    return out
 
 
 class TrigFunction:
-    """Finitely supported trigonometric polynomial; immutable."""
+    """Finitely supported trigonometric polynomial on its coefficient grid; immutable."""
 
-    __slots__ = ("modes",)
+    __slots__ = ("c",)
 
     def __init__(self, modes=None):
-        folded: dict = {}
-        if modes:
-            for (k1, k2, parity), coeff in modes.items():
-                if parity not in (COS, SIN):
-                    raise ValueError(f"parity must be {COS!r} or {SIN!r}, got {parity!r}")
-                entry = _canonical(int(k1), int(k2), parity, float(coeff))
-                if entry is not None:
-                    key, val = entry
-                    folded[key] = folded.get(key, 0.0) + val
-        self.modes = {key: val for key, val in folded.items() if val != 0.0}
+        terms, r = [], 0
+        for (k1, k2, parity), coeff in (modes or {}).items():
+            if parity not in (COS, SIN):
+                raise ValueError(f"parity must be {COS!r} or {SIN!r}, got {parity!r}")
+            k1, k2, half = int(k1), int(k2), 0.5 * float(coeff)
+            r = max(r, abs(k1), abs(k2))
+            if r > MAX_WAVENUMBER:
+                raise ValueError(f"wavevector ({k1}, {k2}) exceeds the limit "
+                                 f"|k|_inf <= {MAX_WAVENUMBER}")
+            if (k1, k2, parity) != (0, 0, SIN):  # sin(0,0) vanishes
+                terms.append((k1, k2, complex(half, 0.0) if parity == COS else complex(0.0, -half)))
+        self.c = np.zeros((2 * r + 1, 2 * r + 1), complex)
+        for k1, k2, half in terms:  # at k = 0 the two halves make the constant
+            self.c[r + k1, r + k2] += half
+            self.c[r - k1, r - k2] += half.conjugate()
 
     @classmethod
-    def _of(cls, modes: dict) -> "TrigFunction":
-        """Wrap a dict of canonical modes as it is, without folding or copying it."""
+    def _of(cls, c: np.ndarray) -> "TrigFunction":
+        """Wrap a Hermitian coefficient grid as it is, without copying it."""
         result = cls.__new__(cls)
-        result.modes = modes
+        result.c = c
         return result
 
     @classmethod
@@ -78,51 +92,64 @@ class TrigFunction:
     def mode(cls, parity: str, k, coeff: float = 1.0) -> "TrigFunction":
         return cls({(k[0], k[1], parity): coeff})
 
+    @property
+    def modes(self) -> dict:
+        """Nonzero canonical modes {(k1, k2, parity): coeff}, in (k1, k2) order with
+        cos first, as Python ints, strs and floats."""
+        r, mid = self.c.shape[0] // 2, self.c.size // 2
+        # the canonical half of the grid in row-major order: k = 0, then every
+        # lexicographically positive k in (k1, k2) order
+        half = self.c.ravel()[mid:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.stack([2.0 * half.real, -2.0 * half.imag], axis=1)
+        vals[0] = half[0].real, 0.0
+        keep = np.flatnonzero(vals)
+        k1, k2 = np.divmod(keep // 2 + mid, 2 * r + 1)
+        keys = zip((k1 - r).tolist(), (k2 - r).tolist(), np.array([COS, SIN])[keep % 2].tolist())
+        return dict(zip(keys, vals.ravel()[keep].tolist()))
+
     def __add__(self, other):
-        out = dict(self.modes)
-        for key, val in other.modes.items():
-            out[key] = out.get(key, 0.0) + val
-        return TrigFunction._of({k: v for k, v in out.items() if v != 0.0})
+        r = max(self.c.shape[0], other.c.shape[0]) // 2
+        return TrigFunction._of(_embed(self.c, r) + _embed(other.c, r))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return TrigFunction._of({k: -v for k, v in self.modes.items()})
+        return TrigFunction._of(-self.c)
 
     def __mul__(self, scalar):
         scalar = float(scalar)
         if scalar == 0.0:
             return TrigFunction()
-        return TrigFunction._of({k: scalar * v for k, v in self.modes.items()})
+        return TrigFunction._of(scalar * self.c)
 
     __rmul__ = __mul__
 
     def partial(self, axis: int) -> "TrigFunction":
-        """Exact partial derivative along coordinate axis 0 or 1."""
-        out: dict = {}
-        for (k1, k2, parity), coeff in self.modes.items():
-            ki = (k1, k2)[axis]
-            if ki == 0:
-                continue
-            if parity == COS:
-                key, val = (k1, k2, SIN), -ki * coeff
-            else:
-                key, val = (k1, k2, COS), ki * coeff
-            out[key] = out.get(key, 0.0) + val
-        return TrigFunction._of({k: v for k, v in out.items() if v != 0.0})
+        """Exact partial derivative along coordinate axis 0 or 1: c_k times i k_axis."""
+        r = self.c.shape[0] // 2
+        ik = 1j * np.arange(-r, r + 1)
+        return TrigFunction._of(self.c * (ik[:, None] if axis == 0 else ik[None, :]))
 
     def max_wavenumber(self) -> int:
-        return max((max(abs(k1), abs(k2)) for (k1, k2, _p) in self.modes), default=0)
+        r = self.c.shape[0] // 2
+        k1, k2 = np.divmod(np.flatnonzero(self.c), 2 * r + 1)
+        return int(np.max(np.abs(np.concatenate([k1, k2]) - r), initial=0))
 
     def truncated(self, cap: int) -> "TrigFunction":
-        return TrigFunction._of({
-            (k1, k2, p): v for (k1, k2, p), v in self.modes.items()
-            if max(abs(k1), abs(k2)) <= cap
-        })
+        r = self.c.shape[0] // 2
+        if cap >= r:
+            return self
+        return TrigFunction._of(self.c[r - cap:r + cap + 1, r - cap:r + cap + 1].copy())
 
     def coefficient_scale(self) -> float:
-        return max((abs(v) for v in self.modes.values()), default=0.0)
+        """Largest |coefficient| of a canonical mode (nan if any is nan)."""
+        flat = self.c.ravel()
+        c0 = abs(flat[flat.size // 2].real)
+        with np.errstate(over="ignore"):
+            rest = 2.0 * np.abs(flat[flat.size // 2 + 1:].view(float)).max(initial=0.0)
+        return float(np.maximum(c0, rest))
 
     def sample(self, x1, x2):
         """Pointwise values at numpy coordinate arrays (exact summation)."""
@@ -137,107 +164,40 @@ class TrigFunction:
     def __repr__(self):
         if not self.modes:
             return "TrigFunction(0)"
-        bits = [f"{v:+g}*{p}({k1},{k2})" for (k1, k2, p), v in sorted(self.modes.items())]
+        bits = [f"{v:+g}*{p}({k1},{k2})" for (k1, k2, p), v in self.modes.items()]
         return "TrigFunction(" + " ".join(bits) + ")"
 
 
-#: Mode pairs per block of the product kernel.  Blocks bound its temporaries
-#: (a few hundred kB) whatever the operand sizes.
-_PAIR_BLOCK = 4096
-#: Largest accumulator indexed directly by cell code.  Sparse operands whose
-#: products spread over a larger grid index a sorted table of the cells hit.
-_GRID_CELLS = 1 << 16
-
-
-def _mode_arrays(f: TrigFunction):
-    """Modes of f in dict order: (k1s, k2s), (max |k1|, max |k2|), is_sin, coeff."""
-    k1, k2, parity = zip(*f.modes)
-    coeff = np.fromiter(f.modes.values(), float, len(f.modes))
-    return (k1, k2), (max(map(abs, k1)), max(map(abs, k2))), np.array(parity) == SIN, coeff
-
-
 def multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
-    """Exact product via product-to-sum identities; support adds.
+    """Exact product: the direct convolution of the coefficient grids; support adds.
 
-    Bit-identical to looping over f's modes, then g's, putting both identity
-    terms of each pair into a dict after folding them to canonical form: each
-    output coefficient adds its terms in that order starting from 0.0, and
-    the modes come out in the order the loop first touches them.  Cell
-    (k1, k2, parity) has code 2 |k1 w + k2| + is_sin, w = 2 max|k2| + 1; the
-    sign of k1 w + k2 is the lexicographic sign of k, so the fold is abs().
+    One shifted copy of the grid with more nonzero cells is added per nonzero
+    cell of the other, so every output coefficient is a plain sum of products
+    of input coefficients, with no transform roundoff and exact zeros kept.
+    The canonical half is then mirrored, so c_{-k} = conj(c_k) holds exactly.
     """
-    if not f.modes or not g.modes:
-        return TrigFunction()
-    ka, reach_a, a_sin, ca = _mode_arrays(f)
-    kb, reach_b, b_sin, cb = _mode_arrays(g)
-    reach2 = reach_a[1] + reach_b[1]
-    width = 2 * reach2 + 1
-    n_grid = 2 * ((reach_a[0] + reach_b[0]) * width + reach2 + 1)
-    # Python ints (object arrays) only where int64 cell codes could overflow
-    dtype = np.int64 if n_grid < 2**62 else object
-    la = np.array(ka[0], dtype) * width + np.array(ka[1], dtype)
-    lb = np.array(kb[0], dtype) * width + np.array(kb[1], dtype)
-    half_ca = 0.5 * ca
-    ng = len(lb)
-    rows = max(1, _PAIR_BLOCK // ng)
-    blocks = [(lo, min(lo + rows, len(la))) for lo in range(0, len(la), rows)]
-
-    def terms(lo, hi):
-        """Cell codes and values of both terms of each pair in f rows lo:hi."""
-        # cos.cos, sin.sin -> cos(a - b), cos(a + b); sin.cos, cos.sin -> sin(a + b), sin(a - b)
-        mixed = a_sin[lo:hi, None] ^ b_sin
-        sb = np.where(mixed, -lb, lb)
-        lin = np.empty((hi - lo, ng, 2), dtype)
-        np.subtract(la[lo:hi, None], sb, out=lin[..., 0])
-        np.add(la[lo:hi, None], sb, out=lin[..., 1])
-        c = half_ca[lo:hi, None] * cb
-        val = np.empty((hi - lo, ng, 2))
-        val[..., 0] = c
-        val[..., 1] = np.where(b_sin, -c, c)
-        mixed = mixed[..., None]
-        np.negative(val, out=val, where=(lin < 0) & mixed)
-        cell = np.abs(lin, out=lin)
-        cell *= 2
-        cell += mixed
-        return cell.ravel(), val.ravel()
-
-    # Python float arithmetic never warns; inf and nan propagate silently here too
+    a, b = f.c, g.c
+    nonzero_a, nonzero_b = np.flatnonzero(a), np.flatnonzero(b)
+    if nonzero_a.size > nonzero_b.size:
+        a, b, nonzero_a = b, a, nonzero_b
+    na, nb = a.shape[0], b.shape[0]
+    out = np.zeros((na + nb - 1, na + nb - 1), complex)
+    flat, mid = out.ravel(), out.size // 2
+    # inf and nan propagate without warnings, as in Python float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        if n_grid <= _GRID_CELLS:
-            table = None
-            cells = np.arange(n_grid)
-        else:
-            hit = [np.unique(terms(lo, hi)[0]) for lo, hi in blocks]
-            table = cells = np.unique(np.concatenate(hit))
-        acc = np.zeros(len(cells))
-        first = np.full(len(cells), 2 * len(la) * ng)
-        # ufunc.at is unbuffered and applies its indices in order, like the loop
-        for lo, hi in blocks:
-            cell, val = terms(lo, hi)
-            slot = cell if table is None else np.searchsorted(table, cell)
-            np.add.at(acc, slot, val)
-            np.minimum.at(first, slot, np.arange(2 * ng * lo, 2 * ng * hi))
-    # cell 1 is sin(0,0), which vanishes
-    keep = np.flatnonzero((acc != 0.0) & (cells != 1))
-    keep = keep[np.argsort(first[keep])]
-    lin = cells[keep] >> 1
-    k1 = (lin + reach2) // width
-    k2 = lin - k1 * width
-    parity = [(COS, SIN)[s] for s in (cells[keep] & 1).tolist()]
-    # tolist(): Python ints and floats, as TrigFunction stores everywhere else
-    return TrigFunction._of(dict(zip(zip(k1.tolist(), k2.tolist(), parity), acc[keep].tolist())))
+        for cell, coeff in zip(nonzero_a.tolist(), a.ravel()[nonzero_a].tolist()):
+            i1, i2 = divmod(cell, na)
+            out[i1:i1 + nb, i2:i2 + nb] += coeff * b
+        flat[:mid] = np.conj(flat[:mid:-1])
+    flat[mid] = flat[mid].real
+    return TrigFunction._of(out)
 
 
 def function_inner(f: TrigFunction, g: TrigFunction) -> float:
     """L^2 inner product over [0, 2pi)^2 with the bare volume form."""
-    total = 0.0
-    small, large = (f.modes, g.modes) if len(f.modes) <= len(g.modes) else (g.modes, f.modes)
-    for key, val in small.items():
-        other = large.get(key)
-        if other is not None:
-            weight = _FOUR_PI_SQ if key == (0, 0, COS) else _TWO_PI_SQ
-            total += weight * val * other
-    return total
+    a, b = sorted((f.c, g.c), key=len)
+    r, s = a.shape[0] // 2, b.shape[0] // 2
+    return _FOUR_PI_SQ * float(np.vdot(a, b[s - r:s + r + 1, s - r:s + r + 1]).real)
 
 
 class TrigVectorField:
@@ -328,23 +288,17 @@ def jacobi_lie_bracket(x: TrigVectorField, y: TrigVectorField) -> TrigVectorFiel
 
 def leray_project(x: TrigVectorField) -> TrigVectorField:
     """Remove the gradient part mode by mode; the constant mode is kept whole."""
-    out1: dict = {}
-    out2: dict = {}
-    # a dict, not a set: its key order, and with it the summation order, is
-    # independent of the string hash seed
-    for key in {**x.comp1.modes, **x.comp2.modes}:
-        k1, k2, _parity = key
-        v1 = x.comp1.modes.get(key, 0.0)
-        v2 = x.comp2.modes.get(key, 0.0)
-        if (k1, k2) != (0, 0):
-            coeff = (v1 * k1 + v2 * k2) / float(k1 * k1 + k2 * k2)
-            v1 -= coeff * k1
-            v2 -= coeff * k2
-        if v1 != 0.0:
-            out1[key] = v1
-        if v2 != 0.0:
-            out2[key] = v2
-    return TrigVectorField(TrigFunction._of(out1), TrigFunction._of(out2))
+    r = max(x.comp1.c.shape[0], x.comp2.c.shape[0]) // 2
+    v1, v2 = _embed(x.comp1.c, r), _embed(x.comp2.c, r)
+    k = np.arange(-r, r + 1, dtype=float)
+    k1, k2 = k[:, None], k[None, :]
+    ksq = k1 * k1 + k2 * k2
+    ksq[r, r] = 1.0  # k = 0: the coefficient below is 0, so the constant stays
+    coeff = v1 * k1 + v2 * k2
+    # real and imaginary parts divided apart: complex division rounds differently
+    coeff.real /= ksq
+    coeff.imag /= ksq
+    return TrigVectorField(TrigFunction._of(v1 - coeff * k1), TrigFunction._of(v2 - coeff * k2))
 
 
 def q_project(x: TrigVectorField) -> TrigVectorField:
@@ -641,14 +595,7 @@ def mhd_pure_magnetic_plane(y1: TrigVectorField, y2: TrigVectorField) -> float:
 
 def canonical_wavevectors(band: int):
     """Lexicographically positive integer wavevectors with |k|_inf <= band."""
-    out = []
-    for k1 in range(0, band + 1):
-        for k2 in range(-band, band + 1):
-            if k1 == 0 and k2 <= 0:
-                continue
-            if max(abs(k1), abs(k2)) <= band:
-                out.append((k1, k2))
-    return sorted(out)
+    return [(k1, k2) for k1 in range(band + 1) for k2 in range(-band, band + 1) if k1 > 0 or k2 > 0]
 
 
 def function_modes(band: int):

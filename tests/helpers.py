@@ -8,7 +8,7 @@ from liecurv.backend import Pair, SemidirectBackendBase
 from liecurv.errors import MidpointDivergence
 from liecurv.geodesic import rhs_generic, rhs_semidirect
 from liecurv.semidirect import SemidirectAlgebra
-from liecurv.torus import COS, SIN, TrigFunction, _canonical
+from liecurv.torus import COS, SIN, TrigFunction
 
 #: Seeds of the five random 4-dimensional solvable algebras used throughout.
 SOLVABLE_SEEDS = (101, 102, 103, 104, 105)
@@ -121,6 +121,15 @@ def reference_skew_adjoint(mats, gram, tol: float = 1e-10) -> bool:
     return True
 
 
+def _canonical(k1: int, k2: int, parity: str, coeff: float):
+    """Fold a raw mode onto its canonical representative (or None if it vanishes)."""
+    if k1 == 0 and k2 == 0:
+        return ((0, 0, COS), coeff) if parity == COS else None
+    if k1 > 0 or (k1 == 0 and k2 > 0):
+        return ((k1, k2, parity), coeff)
+    return ((-k1, -k2, parity), coeff if parity == COS else -coeff)
+
+
 def reference_multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
     """Pairwise product-to-sum loop: the oracle for ``torus.multiply``."""
     out: dict = {}
@@ -148,6 +157,4 @@ def reference_multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
             else:  # cos * sin
                 put(*sm, SIN, c)
                 put(*df, SIN, -c)
-    result = TrigFunction.__new__(TrigFunction)
-    result.modes = {k: v for k, v in out.items() if v != 0.0}
-    return result
+    return TrigFunction(out)

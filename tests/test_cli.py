@@ -10,7 +10,7 @@ import pytest
 import liecurv
 from helpers import reference_random_element, relerr
 
-from liecurv import catalog, cli, sampling, semidirect
+from liecurv import catalog, cli, sampling, semidirect, torus
 from liecurv.algebra import MAX_DIM, DenseBackend
 from liecurv.cli import run
 from liecurv.configio import (
@@ -145,12 +145,25 @@ BAD_INPUT_FILES = {
     "empty_algebra.cfg": "[algebra]\ndim = 0\n",
     # Jacobi residual 1e-6: fails at the default tolerance whatever --tol says
     "jacobi_defect.cfg": "[algebra]\ndim = 3\nstructure =\n    1 2 3 1\n    1 3 1 1e-6\n",
+    # one wavenumber past torus.MAX_WAVENUMBER = 32
+    "k33_plane.cfg": "[plane]\nx =\n    cos 33 0 1.0 2\ny =\n    sin 0 1 1.0 1\n",
+    "k33_state.cfg": "[state]\nu =\n    sin 0 1 1.0 1\n    cos -5 33 0.5 1\n    cos -5 33 0.5 2\n",
+    # misspelled keys: alpha and x_g
+    "typo_state.cfg": "[state]\nu = 1 1 1\nalpah = 0 1 0\n",
+    "typo_sd_plane.cfg": "[plane]\nx = 1 0 0\ny_h = 0 1 0\n",
 }
 
 SCAN = ["scan", "--semidirect", "euclidean", "--seed", "1"]
 GEODESIC = ["geodesic", "--algebra", "so3:1,2,3", "--state-file", "state.cfg", "--steps", "1"]
 TORUS_GEODESIC = ["geodesic", "--algebra", "torus-vol", "--state-file", "torus_state.cfg",
                   "--steps", "1", "--format", "jsonl"]
+ABOVE_WAVENUMBER_LIMIT = [
+    ["curvature", "--algebra", "torus-vol", "--plane-file", "k33_plane.cfg"],
+    ["geodesic", "--algebra", "torus-vol", "--state-file", "k33_state.cfg", "--dt", "0.01",
+     "--steps", "1", "--format", "jsonl"],
+    ["scan", "--algebra", "torus-vol", "--seed", "1", "--count", "1", "--band", "33"],
+    TORUS_GEODESIC + ["--dt", "0.01", "--support-cap", "33"],
+]
 
 
 @pytest.mark.parametrize("argv", [
@@ -182,15 +195,36 @@ TORUS_GEODESIC = ["geodesic", "--algebra", "torus-vol", "--state-file", "torus_s
      "--steps", "1", "--format", "jsonl"],
     ["validate", "--algebra-file", "jacobi_defect.cfg", "--tol", "1e-3"],
     ["validate", "--algebra", "so3", "--tol", "-1"],
+    *ABOVE_WAVENUMBER_LIMIT,
+    ["geodesic", "--semidirect", "euclidean", "--state-file", "typo_state.cfg", "--dt", "0.1",
+     "--steps", "1"],
+    ["curvature", "--semidirect", "euclidean", "--plane-file", "typo_sd_plane.cfg"],
 ])
 def test_bad_input_is_config_error(argv, tmp_path, capsys):
+    assert _run_with_bad_input(argv, tmp_path, capsys).startswith("configuration error: ")
+
+
+def _run_with_bad_input(argv, tmp_path, capsys) -> str:
+    """Run argv on the bad-input files; it must exit 3 with empty stdout.  Returns stderr."""
     for name, text in BAD_INPUT_FILES.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in BAD_INPUT_FILES else a for a in argv]
     assert run(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("configuration error: ")
+    return captured.err
+
+
+@pytest.mark.parametrize("argv,named", [
+    *((argv, f"limit of {torus.MAX_WAVENUMBER}") for argv in ABOVE_WAVENUMBER_LIMIT[2:]),
+    *((argv, f"limit |k|_inf <= {torus.MAX_WAVENUMBER}") for argv in ABOVE_WAVENUMBER_LIMIT[:2]),
+    (["geodesic", "--semidirect", "euclidean", "--state-file", "typo_state.cfg", "--dt", "0.1",
+      "--steps", "1"], "unknown key 'alpah' in [state]"),
+    (["curvature", "--semidirect", "euclidean", "--plane-file", "typo_sd_plane.cfg"],
+     "unknown key 'x' in [plane]"),
+])
+def test_config_error_names_the_cause(argv, named, tmp_path, capsys):
+    assert named in _run_with_bad_input(argv, tmp_path, capsys)
 
 
 def _algebra_section(name, dim):
