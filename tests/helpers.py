@@ -8,7 +8,7 @@ from liecurv.backend import Pair, SemidirectBackendBase
 from liecurv.errors import MidpointDivergence
 from liecurv.geodesic import rhs_generic, rhs_semidirect
 from liecurv.semidirect import SemidirectAlgebra
-from liecurv.torus import COS, SIN, TrigFunction
+from liecurv.torus import COS, SIN, TrigFunction, TrigVectorField
 
 #: Seeds of the five random 4-dimensional solvable algebras used throughout.
 SOLVABLE_SEEDS = (101, 102, 103, 104, 105)
@@ -158,3 +158,18 @@ def reference_multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
                 put(*sm, SIN, c)
                 put(*df, SIN, -c)
     return TrigFunction(out)
+
+
+def reference_leray(x: TrigVectorField) -> TrigVectorField:
+    """Per-mode loop over the canonical modes: the oracle for ``torus.leray_project``."""
+    m1, m2 = x.comp1.modes, x.comp2.modes
+    out1, out2 = {}, {}
+    for key in {**m1, **m2}:
+        k1, k2, _parity = key
+        v1, v2 = m1.get(key, 0.0), m2.get(key, 0.0)
+        if (k1, k2) != (0, 0):
+            coeff = (v1 * k1 + v2 * k2) / float(k1 * k1 + k2 * k2)
+            v1 -= coeff * k1
+            v2 -= coeff * k2
+        out1[key], out2[key] = v1, v2
+    return TrigVectorField(TrigFunction(out1), TrigFunction(out2))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_multiply, relerr
+from helpers import reference_leray, reference_multiply, relerr
 
 from liecurv.backend import Pair
 from liecurv.curvature import curvature_numerator_generic, curvature_numerator_semidirect
@@ -340,6 +340,11 @@ class TestLeray:
         x = TrigVectorField(TrigFunction.constant(2.0), TrigFunction.constant(-1.0))
         p = leray_project(x)
         assert (p - x).coefficient_scale() == 0.0
+
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_matches_per_mode_loop_bit_for_bit(self, seed):
+        x = random_full_field(rng_for_seed(seed), band=3)
+        assert _hex_modes(leray_project(x)) == _hex_modes(reference_leray(x))
 
     def test_q_complements_p(self):
         rng = rng_for_seed(8)
