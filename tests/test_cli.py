@@ -164,6 +164,11 @@ ABOVE_WAVENUMBER_LIMIT = [
     ["scan", "--algebra", "torus-vol", "--seed", "1", "--count", "1", "--band", "33"],
     TORUS_GEODESIC + ["--dt", "0.01", "--support-cap", "33"],
 ]
+MISSPELLED_KEYS = [
+    ["geodesic", "--semidirect", "euclidean", "--state-file", "typo_state.cfg", "--dt", "0.1",
+     "--steps", "1"],
+    ["curvature", "--semidirect", "euclidean", "--plane-file", "typo_sd_plane.cfg"],
+]
 
 
 @pytest.mark.parametrize("argv", [
@@ -196,9 +201,7 @@ ABOVE_WAVENUMBER_LIMIT = [
     ["validate", "--algebra-file", "jacobi_defect.cfg", "--tol", "1e-3"],
     ["validate", "--algebra", "so3", "--tol", "-1"],
     *ABOVE_WAVENUMBER_LIMIT,
-    ["geodesic", "--semidirect", "euclidean", "--state-file", "typo_state.cfg", "--dt", "0.1",
-     "--steps", "1"],
-    ["curvature", "--semidirect", "euclidean", "--plane-file", "typo_sd_plane.cfg"],
+    *MISSPELLED_KEYS,
 ])
 def test_bad_input_is_config_error(argv, tmp_path, capsys):
     assert _run_with_bad_input(argv, tmp_path, capsys).startswith("configuration error: ")
@@ -218,10 +221,7 @@ def _run_with_bad_input(argv, tmp_path, capsys) -> str:
 @pytest.mark.parametrize("argv,named", [
     *((argv, f"limit of {torus.MAX_WAVENUMBER}") for argv in ABOVE_WAVENUMBER_LIMIT[2:]),
     *((argv, f"limit |k|_inf <= {torus.MAX_WAVENUMBER}") for argv in ABOVE_WAVENUMBER_LIMIT[:2]),
-    (["geodesic", "--semidirect", "euclidean", "--state-file", "typo_state.cfg", "--dt", "0.1",
-      "--steps", "1"], "unknown key 'alpah' in [state]"),
-    (["curvature", "--semidirect", "euclidean", "--plane-file", "typo_sd_plane.cfg"],
-     "unknown key 'x' in [plane]"),
+    *zip(MISSPELLED_KEYS, ["unknown key 'alpah' in [state]", "unknown key 'x' in [plane]"]),
 ])
 def test_config_error_names_the_cause(argv, named, tmp_path, capsys):
     assert named in _run_with_bad_input(argv, tmp_path, capsys)
