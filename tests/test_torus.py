@@ -147,10 +147,11 @@ def _full_band(rng, band, values=None) -> TrigFunction:
     return TrigFunction(modes)
 
 
-def _partial_band(rng, band, count, values=None) -> TrigFunction:
-    """count modes of the band (constant included), shuffled."""
+def _partial_band(rng, band, count, values=None, scale=1) -> TrigFunction:
+    """count modes of the band (constant included), shuffled, wavevectors scaled."""
     full = list(_full_band(rng, band, values).modes.items()) + [((0, 0, COS), 0.75)]
-    return TrigFunction(dict(full[i] for i in rng.permutation(len(full))[:count]))
+    picks = [full[i] for i in rng.permutation(len(full))[:count]]
+    return TrigFunction({(k1 * scale, k2 * scale, parity): v for (k1, k2, parity), v in picks})
 
 
 def _oracle_cases():
@@ -198,6 +199,13 @@ def _oracle_cases():
         f = _partial_band(rng, band_f, int(rng.integers(1, 60)), values)
         g = _partial_band(rng, band_g, int(rng.integers(1, 60)), values)
         cases.append((f"bands {band_f}x{band_g} #{i}", f, g, "rounded" if i % 2 else "exact"))
+    # far-apart wavevectors whose products reach the bound: sparse operands on
+    # the largest grids the oracle can hold
+    for band, scale in ((4, MAX // 8), (2, MAX // 4), (1, MAX // 2)):
+        for values, kind in (((-1.0, -0.5, 0.5, 1.0), "exact"), (None, "rounded")):
+            f = _partial_band(rng, band, 20, values, scale)
+            g = _partial_band(rng, band, 20, values, scale)
+            cases.append((f"band {band} scaled by {scale}, {kind}", f, g, kind))
     return cases
 
 
@@ -233,6 +241,14 @@ class TestMultiplyKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert_same_product(f, g, kind)
+
+    @pytest.mark.parametrize("name, f, g, kind", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+    def test_matches_pairwise_loop_with_operands_swapped(self, name, f, g, kind):
+        # multiply walks the operand with fewer nonzero cells, so the swapped
+        # order takes the other side of that choice whenever the counts differ
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_product(g, f, kind)
 
     def test_peak_memory_is_bounded_by_blocks(self):
         rng = np.random.default_rng(7)
