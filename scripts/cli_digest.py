@@ -128,7 +128,6 @@ FILES = {
         "y_g = -0.3 1.2 0.8\n"
         "y_h = 0.7 0.1 -0.5\n"
     ),
-    # so(3) acting on R^3 by the cross product, with a diagonal Gram on g
     # divergence-free fields reaching |k|_inf = 32, the torus wavenumber bound, and 33
     **{f"torus_k{kmax}_plane.cfg": (
         "[plane]\n"
@@ -144,6 +143,7 @@ FILES = {
         "    sin 32 -32 0.25 1\n"
         "    sin 32 -32 0.25 2\n"
     ) for kmax in (32, 33)},
+    # so(3) acting on R^3 by the cross product, with a diagonal Gram on g
     "euclidean_sd.cfg": (
         "[g]\n"
         "dim = 3\n"
@@ -162,6 +162,19 @@ FILES = {
         "    2 3 1 -1\n"
         "    3 2 1 1\n"
         "    3 1 2 -1\n"
+    ),
+    # failing inputs: y = 2x spans no plane; the mode (1, 0) along e1 has divergence
+    "dense_degenerate_plane.cfg": (
+        "[plane]\n"
+        "x = 1.0 0.5 -0.25\n"
+        "y = 2.0 1.0 -0.5\n"
+    ),
+    "torus_divergent_plane.cfg": (
+        "[plane]\n"
+        "x =\n"
+        "    cos 1 0 1.0 1\n"
+        "y =\n"
+        "    cos 1 0 0.8 2\n"
     ),
 }
 
@@ -226,6 +239,13 @@ CLI_INVOCATIONS = [
       for kmax in (32, 33)),
     ["geodesic", "--algebra", "torus-vol", "--state-file", "torus_state.cfg", "--dt", "0.01",
      "--steps", "1", "--support-cap", "32", "--format", "jsonl"],
+    # one failure per exit code of the CLI: 1 twice, 2 twice, 3
+    ["curvature", "--algebra", "so3", "--plane-file", "dense_degenerate_plane.cfg"],
+    ["curvature", "--algebra", "torus-vol", "--plane-file", "torus_divergent_plane.cfg"],
+    *(["geodesic", "--semidirect", "magnetic:so3:1,2,3", "--state-file", "dense_state.cfg",
+       "--scheme", scheme, "--dt", dt, "--steps", steps]
+      for scheme, dt, steps in (("implicit_midpoint", "50", "1"), ("rk4", "1e300", "2"))),
+    ["validate", "--algebra", "random-solvable:1:3"],
 ]
 
 #: Scripts under ``scripts/`` with their arguments.
