@@ -88,12 +88,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _antisymmetry_worst(c: np.ndarray):
-    resid = c + np.transpose(c, (1, 0, 2))
-    idx = np.unravel_index(np.argmax(np.abs(resid)), resid.shape)
-    return idx, float(np.abs(resid[idx]))
-
-
 def worst_entry(blocks):
     """Location and size of the largest |entry| of an array given as its
     ``(i, array[i])`` slices, the entry ``np.argmax`` finds on the whole array:
@@ -149,7 +143,7 @@ def validate(spec: MetricAlgebraSpec, jacobi_tol: float = JACOBI_TOL) -> Validat
             report.add(invariant, bad, float("nan"), "non-finite structure constant")
     else:
         cmax = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
-        idx, worst = _antisymmetry_worst(c)
+        idx, worst = worst_entry(enumerate(c + c.transpose(1, 0, 2)))
         if worst > jacobi_tol * cmax:
             report.add("antisymmetry", idx, worst / cmax)
         idx, worst = _jacobi_worst(c)
@@ -205,9 +199,9 @@ class DenseBackend:
     computed once and cached; all operations are pure.
     """
 
-    def __init__(self, spec: MetricAlgebraSpec, check: bool = True, jacobi_tol: float = JACOBI_TOL):
+    def __init__(self, spec: MetricAlgebraSpec, check: bool = True):
         if check:
-            report = validate(spec, jacobi_tol=jacobi_tol)
+            report = validate(spec)
             if not report.passed:
                 raise ValidationFailure(report)
         self.spec = spec

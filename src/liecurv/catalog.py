@@ -84,7 +84,7 @@ def magnetic(g_spec: MetricAlgebraSpec) -> SemidirectAlgebra:
     return build_semidirect(g, h_spec, ActionSpec(mats), name=f"magnetic:{g_spec.name or 'g'}")
 
 
-def random_solvable(dim: int, seed: int, gram=None) -> MetricAlgebraSpec:
+def random_solvable(dim: int, seed: int) -> MetricAlgebraSpec:
     """Seeded random solvable algebra with the Jacobi identity exact by construction.
 
     One generator acts on an abelian ideal spanned by the remaining basis
@@ -100,9 +100,7 @@ def random_solvable(dim: int, seed: int, gram=None) -> MetricAlgebraSpec:
     for j in range(1, dim):
         c[0, j, 1:] = d[:, j - 1]
         c[j, 0, 1:] = -d[:, j - 1]
-    return MetricAlgebraSpec(
-        structure=c, gram=_gram_from(gram, dim), name=f"solvable{dim}(seed={seed})"
-    )
+    return MetricAlgebraSpec(structure=c, gram=np.eye(dim), name=f"solvable{dim}(seed={seed})")
 
 
 def _parse_gram_args(arg: str, what: str):
@@ -129,11 +127,15 @@ def _algebra_spec_from_tokens(tokens: list[str]) -> MetricAlgebraSpec:
         if len(rest) == 2:
             try:
                 dim, seed = int(rest[0]), int(rest[1])
-                if dim > MAX_DIM:
-                    raise ConfigError(f"random-solvable dimension {dim} exceeds the limit of {MAX_DIM}")
-                return random_solvable(dim, seed)
             except ValueError:
                 raise ConfigError(f"random-solvable needs integer dim and seed, got {rest}") from None
+            if dim > MAX_DIM:
+                raise ConfigError(f"random-solvable dimension {dim} exceeds the limit of {MAX_DIM}")
+            if dim < 2:
+                raise ConfigError(f"random-solvable dimension {dim} is below 2")
+            if seed < 0:
+                raise ConfigError(f"random-solvable seed {seed} is negative")
+            return random_solvable(dim, seed)
     raise ConfigError(f"unknown algebra selector {':'.join(tokens)!r}")
 
 

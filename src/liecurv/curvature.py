@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DenseBackend, MetricAlgebraSpec
 from .errors import DegeneratePlane, NotIsometric
 
 #: Sign of the field bracket relative to the algebra bracket inside the
@@ -253,9 +252,6 @@ def oracle_curvature(backend, x, y) -> float:
     Independent of the five-term formula: only ``covariant_derivative`` and
     the bracket enter.  Finite-dimensional backends only.
     """
-    if isinstance(backend, MetricAlgebraSpec):
-        backend = DenseBackend(backend, check=False)
-
     def gamma(a, b):
         return covariant_derivative(backend, a, b)
 

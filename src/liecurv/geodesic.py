@@ -24,10 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DenseBackend, MetricAlgebraSpec
+from .algebra import DenseBackend
 from .backend import Pair
 from .errors import MidpointDivergence, NonFiniteState, NotAdInvariant
 from .semidirect import SemidirectAlgebra, check_product_dim, finite_dimensional
+
+#: Implicit midpoint: the fixed-point iteration stops once an update is below
+#: MIDPOINT_TOL (1 + |state|), and fails after MIDPOINT_MAX_ITER updates.
+MIDPOINT_TOL = 1e-12
+MIDPOINT_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -35,8 +40,6 @@ class IntegratorConfig:
     dt: float
     steps: int
     scheme: str = "rk4"
-    midpoint_tol: float = 1e-12
-    midpoint_max_iter: int = 50
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -68,8 +71,6 @@ def rhs_semidirect(sd, u, alpha):
 
 def rhs_magnetic(g_backend, u, v):
     """Geodesic right-hand side of the magnetic extension, on g-representatives."""
-    if isinstance(g_backend, MetricAlgebraSpec):
-        g_backend = DenseBackend(g_backend, check=False)
     du = -g_backend.ad_transpose(u, u) + g_backend.ad_transpose(v, v)
     dv = g_backend.bracket(u, v)
     return du, dv
@@ -148,10 +149,10 @@ def _rk4_step(rhs, state, dt):
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _midpoint_step(rhs, state, dt, backend, tol, max_iter):
+def _midpoint_step(rhs, state, dt, backend):
     mid = state + (0.5 * dt) * rhs(state)
-    bound = tol * (1.0 + backend.norm(state))
-    for _ in range(max_iter):
+    bound = MIDPOINT_TOL * (1.0 + backend.norm(state))
+    for _ in range(MIDPOINT_MAX_ITER):
         size = backend.norm(mid)
         if not math.isfinite(size) or size > 1e50:
             raise MidpointDivergence(f"fixed-point iterate diverged (dt={dt})")
@@ -160,7 +161,7 @@ def _midpoint_step(rhs, state, dt, backend, tol, max_iter):
             return 2.0 * nxt - state
         mid = nxt
     raise MidpointDivergence(
-        f"fixed point not reached in {max_iter} iterations (dt={dt})"
+        f"fixed point not reached in {MIDPOINT_MAX_ITER} iterations (dt={dt})"
     )
 
 
@@ -197,9 +198,7 @@ def integrate(rhs, state0, config: IntegratorConfig, backend) -> Trajectory:
             if config.scheme == "rk4":
                 state = _rk4_step(rhs, state, config.dt)
             else:
-                state = _midpoint_step(
-                    rhs, state, config.dt, metric, config.midpoint_tol, config.midpoint_max_iter
-                )
+                state = _midpoint_step(rhs, state, config.dt, metric)
             record(n, state)
     if to_state is not None:
         traj.states = [to_state(v) for v in traj.states]
@@ -214,8 +213,6 @@ def exact_conjugation_solution(g_backend, u0, v0, t: float):
     """
     from scipy.linalg import expm  # kept off the import path of liecurv
 
-    if isinstance(g_backend, MetricAlgebraSpec):
-        g_backend = DenseBackend(g_backend, check=False)
     if not g_backend.is_ad_invariant():
         raise NotAdInvariant("closed form requires a bi-invariant (Ad-invariant) metric")
     u0 = np.asarray(u0, dtype=float)
@@ -224,7 +221,7 @@ def exact_conjugation_solution(g_backend, u0, v0, t: float):
     return u0.copy(), flow @ v0
 
 
-def reconstruct_matrix_trajectory(traj: Trajectory, rep, start=None):
+def reconstruct_matrix_trajectory(traj: Trajectory, rep):
     """Group trajectory g(t) for matrix-representable algebras.
 
     ``rep`` maps a state to its matrix-algebra representative; the right
@@ -233,12 +230,11 @@ def reconstruct_matrix_trajectory(traj: Trajectory, rep, start=None):
     """
     from scipy.linalg import expm  # kept off the import path of liecurv
 
-    mats = []
-    g = np.eye(rep(traj.states[0]).shape[0]) if start is None else np.asarray(start, dtype=float)
-    mats.append(g.copy())
+    g = np.eye(rep(traj.states[0]).shape[0])
+    mats = [g]
     for n in range(len(traj.times) - 1):
         dt = traj.times[n + 1] - traj.times[n]
         mid = 0.5 * (rep(traj.states[n]) + rep(traj.states[n + 1]))
         g = expm(dt * mid) @ g
-        mats.append(g.copy())
+        mats.append(g)
     return mats

@@ -129,10 +129,8 @@ class SemidirectAlgebra(SemidirectBackendBase):
 
     def __init__(self, g: DenseBackend, h: DenseBackend, action: ActionSpec, name: str = ""):
         self.g, self.h = g, h
-        self.g_spec, self.h_spec = g.spec, h.spec
         self.action = action
         self.name = name or f"{g.spec.name or 'g'}|x{h.spec.name or 'h'}"
-        self._product_name = f"{self.name} (product)"
 
         B = np.ascontiguousarray(action.matrices)
         gram_h = h.spec.gram
@@ -149,14 +147,14 @@ class SemidirectAlgebra(SemidirectBackendBase):
         """Block-diagonal Gram matrix of the product in ``join`` coordinates."""
         ng, nh = self.g.dim, self.h.dim
         gram = np.zeros((ng + nh, ng + nh))
-        gram[:ng, :ng] = self.g_spec.gram
-        gram[ng:, ng:] = self.h_spec.gram
+        gram[:ng, :ng] = self.g.spec.gram
+        gram[ng:, ng:] = self.h.spec.gram
         return gram
 
     @cached_property
     def product_spec(self) -> MetricAlgebraSpec:
-        return _assemble_product_spec(self.g_spec, self.h_spec, self._b, self.gram,
-                                      self._product_name)
+        return _assemble_product_spec(self.g.spec, self.h.spec, self._b, self.gram,
+                                      f"{self.name} (product)")
 
     @cached_property
     def product(self) -> DenseBackend:
@@ -195,17 +193,16 @@ def finite_dimensional(backend) -> bool:
     return isinstance(backend, (DenseBackend, SemidirectAlgebra))
 
 
-def build_semidirect(g, h, action, name: str = "", tol: float = JACOBI_TOL) -> SemidirectAlgebra:
+def build_semidirect(g, h, action, name: str = "") -> SemidirectAlgebra:
     """Validate the factors and the action, then assemble the product.
 
     A factor is a spec, validated here, or a DenseBackend, validated when it
     was built.  Each spec is validated before its Gram matrix is factorised.
     """
-    g, h = (part if isinstance(part, DenseBackend) else DenseBackend(part, jacobi_tol=tol)
-            for part in (g, h))
+    g, h = (part if isinstance(part, DenseBackend) else DenseBackend(part) for part in (g, h))
     if not isinstance(action, ActionSpec):
         action = ActionSpec(np.asarray(action, dtype=float))
-    report = validate_action(g.spec, h.spec, action, tol=tol)
+    report = validate_action(g.spec, h.spec, action)
     if not report.passed:
         raise ValidationFailure(report)
     return SemidirectAlgebra(g, h, action, name=name)

@@ -339,8 +339,6 @@ def ad_transpose_full(x: TrigVectorField, y: TrigVectorField) -> TrigVectorField
 class _FieldBackend:
     """Shared interface bits for vector-field backends."""
 
-    name = "torus fields"
-
     def zero(self) -> TrigVectorField:
         return TrigVectorField.zero()
 

@@ -6,7 +6,7 @@ from liecurv import catalog
 from liecurv.algebra import DenseBackend
 from liecurv.backend import Pair, SemidirectBackendBase
 from liecurv.errors import MidpointDivergence
-from liecurv.geodesic import rhs_generic, rhs_semidirect
+from liecurv.geodesic import MIDPOINT_MAX_ITER, MIDPOINT_TOL, rhs_generic, rhs_semidirect
 from liecurv.semidirect import SemidirectAlgebra
 from liecurv.torus import COS, SIN, TrigFunction, TrigVectorField
 
@@ -99,9 +99,9 @@ def reference_integrate(backend, state0, config):
             k4 = rhs(state + dt * k3)
             return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         mid = state + (0.5 * dt) * rhs(state)
-        for _ in range(config.midpoint_max_iter):
+        for _ in range(MIDPOINT_MAX_ITER):
             nxt = state + (0.5 * dt) * rhs(mid)
-            if backend.norm(nxt - mid) <= config.midpoint_tol * (1.0 + backend.norm(state)):
+            if backend.norm(nxt - mid) <= MIDPOINT_TOL * (1.0 + backend.norm(state)):
                 return 2.0 * nxt - state
             mid = nxt
         raise MidpointDivergence("reference fixed point not reached")

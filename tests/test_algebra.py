@@ -125,7 +125,8 @@ class TestStacks:
         # a non-diagonal Gram, so ad^T mixes coordinates through G and G^-1
         rng = np.random.default_rng(31)
         m = rng.standard_normal((5, 5))
-        return DenseBackend(catalog.random_solvable(5, 9, gram=m @ m.T + 5.0 * np.eye(5)))
+        gram = m @ m.T + 5.0 * np.eye(5)
+        return DenseBackend(MetricAlgebraSpec(catalog.random_solvable(5, 9).structure, gram))
 
     def test_gram_solve(self, skewed):
         rng = np.random.default_rng(8)
@@ -225,12 +226,16 @@ class TestValidate:
         assert "pass" in str(report)
 
     def test_antisymmetry_violation_reported(self):
+        # two violations: c[0,1,2] + c[1,0,2] = 0.5 and the larger c[1,2,0] + c[2,1,0] = 3,
+        # which is reported at its first entry, relative to max|c| = 2
         c = np.zeros((3, 3, 3))
-        c[0, 1, 2] = 1.0
-        c[1, 0, 2] = 1.0  # should be -1
+        c[0, 1, 2] = 0.5
+        c[1, 2, 0] = 2.0
+        c[2, 1, 0] = 1.0  # should be -2
         report = validate(MetricAlgebraSpec(structure=c, gram=np.eye(3)))
         assert not report.passed
-        assert any(i.invariant == "antisymmetry" for i in report.issues)
+        found = [(i.location, i.residual) for i in report.issues if i.invariant == "antisymmetry"]
+        assert found == [((1, 2, 0), 1.5)]
 
     def test_jacobi_violation_reported(self):
         # so(3) constants with an extra [e1,e2] -> e1 component break Jacobi

@@ -84,8 +84,8 @@ class TestMagnetic:
 
     def test_abelian_dual_factor(self):
         sd = catalog.magnetic(catalog.so3())
-        assert np.all(sd.h_spec.structure == 0)
-        np.testing.assert_allclose(sd.h_spec.gram, sd.g_spec.gram)
+        assert np.all(sd.h.spec.structure == 0)
+        np.testing.assert_allclose(sd.h.spec.gram, sd.g.spec.gram)
 
     def test_unit_gram_examples(self):
         sd = catalog.magnetic(catalog.so3())
@@ -155,7 +155,7 @@ class TestResolution:
     def test_semidirect_selectors(self):
         assert catalog.resolve_semidirect("conjugation:so3").g.dim == 3
         sd = catalog.resolve_semidirect("magnetic:so3:1,2,3")
-        np.testing.assert_allclose(sd.g_spec.gram, np.diag([1.0, 2.0, 3.0]))
+        np.testing.assert_allclose(sd.g.spec.gram, np.diag([1.0, 2.0, 3.0]))
         assert catalog.resolve_semidirect("euclidean").name == "euclidean"
         assert isinstance(catalog.resolve_semidirect("mhd"), torus.MhdBackend)
         assert isinstance(catalog.resolve_semidirect("passive-scalar"), torus.PassiveScalarBackend)
@@ -184,7 +184,7 @@ def test_every_builtin_validates_end_to_end():
         catalog.magnetic(catalog.so3(gram=[1.0, 2.0, 3.0])),
     ]
     for sd in builtins:
-        assert validate(sd.g_spec).passed
-        assert validate(sd.h_spec).passed
-        assert validate_action(sd.g_spec, sd.h_spec, sd.action).passed
+        assert validate(sd.g.spec).passed
+        assert validate(sd.h.spec).passed
+        assert validate_action(sd.g.spec, sd.h.spec, sd.action).passed
         assert validate(sd.product_spec).passed

@@ -10,7 +10,7 @@ import pytest
 import liecurv
 from helpers import reference_random_element, relerr
 
-from liecurv import catalog, cli, sampling, semidirect, torus
+from liecurv import catalog, cli, errors, sampling, semidirect, torus
 from liecurv.algebra import MAX_DIM, DenseBackend
 from liecurv.cli import run
 from liecurv.configio import (
@@ -169,6 +169,9 @@ MISSPELLED_KEYS = [
      "--steps", "1"],
     ["curvature", "--semidirect", "euclidean", "--plane-file", "typo_sd_plane.cfg"],
 ]
+#: random-solvable selectors with integer values that random_solvable cannot take
+BAD_SOLVABLE = [["validate", "--algebra", f"random-solvable:{dim}:{seed}"]
+                for dim, seed in ((1, 3), (0, 1), (3, -1))]
 
 
 @pytest.mark.parametrize("argv", [
@@ -202,6 +205,7 @@ MISSPELLED_KEYS = [
     ["validate", "--algebra", "so3", "--tol", "-1"],
     *ABOVE_WAVENUMBER_LIMIT,
     *MISSPELLED_KEYS,
+    *BAD_SOLVABLE,
 ])
 def test_bad_input_is_config_error(argv, tmp_path, capsys):
     assert _run_with_bad_input(argv, tmp_path, capsys).startswith("configuration error: ")
@@ -222,6 +226,9 @@ def _run_with_bad_input(argv, tmp_path, capsys) -> str:
     *((argv, f"limit of {torus.MAX_WAVENUMBER}") for argv in ABOVE_WAVENUMBER_LIMIT[2:]),
     *((argv, f"limit |k|_inf <= {torus.MAX_WAVENUMBER}") for argv in ABOVE_WAVENUMBER_LIMIT[:2]),
     *zip(MISSPELLED_KEYS, ["unknown key 'alpah' in [state]", "unknown key 'x' in [plane]"]),
+    *zip(BAD_SOLVABLE, ["random-solvable dimension 1 is below 2\n",
+                        "random-solvable dimension 0 is below 2\n",
+                        "random-solvable seed -1 is negative\n"]),
 ])
 def test_config_error_names_the_cause(argv, named, tmp_path, capsys):
     assert named in _run_with_bad_input(argv, tmp_path, capsys)
@@ -336,6 +343,28 @@ def test_value_error_inside_a_computation_is_numerical_failure(monkeypatch, caps
     assert captured.err.startswith("numerical failure: ValueError: operands could not")
 
 
+NUMERICAL_FAILURES = (errors.MidpointDivergence, errors.NonFiniteState, errors.SamplingExhausted,
+                      ValueError)
+
+
+@pytest.mark.parametrize("error", [*errors.LiecurvError.__subclasses__(), ValueError],
+                         ids=lambda error: error.__name__)
+def test_exit_code_policy(error, monkeypatch, capsys):
+    """Every error a task raises gets the exit code and stderr prefix the README lists."""
+    def fail(args):
+        raise error("the cause")
+
+    monkeypatch.setitem(cli._TASKS, "validate", fail)
+    if error is errors.ConfigError:
+        code, err = 3, "configuration error: the cause\n"
+    elif error in NUMERICAL_FAILURES:
+        code, err = 2, f"numerical failure: {error.__name__}: the cause\n"
+    else:
+        code, err = 1, f"validation failure: {error.__name__}: the cause\n"
+    assert run(["validate", "--algebra", "so3"]) == code
+    assert capsys.readouterr() == ("", err)
+
+
 class TestValidateCommand:
     def test_builtin_passes(self, capsys):
         assert run(["validate", "--algebra", "so3"]) == 0
@@ -343,6 +372,10 @@ class TestValidateCommand:
 
     def test_semidirect_builtin_passes(self, capsys):
         assert run(["validate", "--semidirect", "magnetic:so3:1,2,3"]) == 0
+
+    def test_product_named_after_the_selector(self, capsys):
+        assert run(["validate", "--semidirect", "euclidean"]) == 0
+        assert "validation of euclidean (product): pass\n" in capsys.readouterr().out
 
     def test_torus_backend_spot_checks(self, capsys):
         assert run(["validate", "--semidirect", "passive-scalar"]) == 0

@@ -280,11 +280,11 @@ class TestIsometricSum:
 
 
 class TestOracle:
-    def test_bi_invariant_value(self):
-        assert oracle_curvature(catalog.so3(), E[0], E[1]) == pytest.approx(0.25, abs=1e-12)
+    def test_bi_invariant_value(self, so3_unit):
+        assert oracle_curvature(so3_unit, E[0], E[1]) == pytest.approx(0.25, abs=1e-12)
 
-    def test_abelian_vanishes(self):
-        assert oracle_curvature(catalog.abelian(3), E[0], E[1]) == 0.0
+    def test_abelian_vanishes(self, abelian3):
+        assert oracle_curvature(abelian3, E[0], E[1]) == 0.0
 
     def test_anisotropic_so3_agrees_both_paths(self):
         backend = DenseBackend(catalog.so3(gram=[1.0, 2.0, 3.0]))

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from helpers import random_pair, reference_integrate, rel_vec_err, semidirect_builtins
 
-from liecurv import catalog, cli
+from liecurv import catalog, cli, geodesic
 from liecurv.algebra import DenseBackend
 from liecurv.backend import Pair
 from liecurv.errors import MidpointDivergence, NonFiniteState, NotAdInvariant
@@ -207,8 +207,9 @@ class TestIntegrate:
         drift = max(abs(e - traj.energy[0]) for e in traj.energy) / traj.energy[0]
         assert drift <= bound
 
-    def test_midpoint_divergence_raises(self, so3_diag):
-        cfg = IntegratorConfig(dt=50.0, steps=1, scheme="implicit_midpoint", midpoint_max_iter=5)
+    def test_midpoint_divergence_raises(self, so3_diag, monkeypatch):
+        monkeypatch.setattr(geodesic, "MIDPOINT_MAX_ITER", 5)
+        cfg = IntegratorConfig(dt=50.0, steps=1, scheme="implicit_midpoint")
         with pytest.raises(MidpointDivergence):
             integrate(lambda u: rhs_generic(so3_diag, u), np.ones(3), cfg, so3_diag)
 
@@ -363,11 +364,11 @@ class TestCompiledRHS:
         (5, r"^fixed point not reached in 5 iterations \(dt=50\.0\)$"),
         (50, r"^fixed-point iterate diverged \(dt=50\.0\)$"),
     ])
-    def test_midpoint_divergence_raises(self, max_iter, message):
+    def test_midpoint_divergence_raises(self, max_iter, message, monkeypatch):
+        monkeypatch.setattr(geodesic, "MIDPOINT_MAX_ITER", max_iter)
         sd = catalog.magnetic(catalog.so3(gram=[1.0, 2.0, 3.0]))
         state0 = Pair(np.array([1.0, 0.5, -0.3]), np.array([0.2, -1.0, 0.4]))
-        config = IntegratorConfig(dt=50.0, steps=1, scheme="implicit_midpoint",
-                                  midpoint_max_iter=max_iter)
+        config = IntegratorConfig(dt=50.0, steps=1, scheme="implicit_midpoint")
         with pytest.raises(MidpointDivergence, match=message):
             integrate(geodesic_rhs(sd), state0, config, sd)
 

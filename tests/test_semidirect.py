@@ -184,7 +184,7 @@ class TestIsometric:
     ])
     def test_flag_matches_per_matrix_loop(self, selector, isometric):
         sd = catalog.resolve_semidirect(selector)
-        assert sd.isometric == reference_skew_adjoint(sd.action.matrices, sd.h_spec.gram) == isometric
+        assert sd.isometric == reference_skew_adjoint(sd.action.matrices, sd.h.spec.gram) == isometric
 
 
 class TestIdentities:
@@ -261,7 +261,7 @@ class TestSetUp:
         for selector in ("magnetic:so3:1,2,3", "conjugation:so3", "euclidean"):
             seen.clear()
             sd = catalog.resolve_semidirect(selector)
-            assert len(seen) == 2 and {id(s) for s in seen} == {id(sd.g_spec), id(sd.h_spec)}
+            assert len(seen) == 2 and {id(s) for s in seen} == {id(sd.g.spec), id(sd.h.spec)}
 
     def test_indefinite_gram_fails_validation_before_factorisation(self):
         with pytest.raises(ValidationFailure) as info:
@@ -280,10 +280,10 @@ class TestSetUp:
         sd = catalog.magnetic(catalog.random_solvable(32, 3))
         tracemalloc.start()
         try:
-            report = validate_action(sd.g_spec, sd.h_spec, sd.action)
+            report = validate_action(sd.g.spec, sd.h.spec, sd.action)
             _current, action_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            validate(sd.g_spec)
+            validate(sd.g.spec)
             _current, jacobi_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
