@@ -176,6 +176,23 @@ FILES = {
         "y =\n"
         "    cos 1 0 0.8 2\n"
     ),
+    # a state whose products overflow, so multiply meets non-finite operands
+    "torus_overflow_state.cfg": (
+        "[state]\n"
+        "u =\n"
+        "    cos 0 1 1e150 1\n"
+        "    sin 1 1 1e150 2\n"
+    ),
+    # two modes per field, one of them at the bound: sparse operands, exact sums
+    "torus_sparse_bound_plane.cfg": (
+        "[plane]\n"
+        "x =\n"
+        "    sin 0 32 -32.0 1\n"
+        "    cos 1 0 1.0 2\n"
+        "y =\n"
+        "    cos 32 0 32.0 2\n"
+        "    sin 0 1 -1.0 1\n"
+    ),
 }
 
 _SCANS = [
@@ -246,6 +263,13 @@ CLI_INVOCATIONS = [
        "--scheme", scheme, "--dt", dt, "--steps", steps]
       for scheme, dt, steps in (("implicit_midpoint", "50", "1"), ("rk4", "1e300", "2"))),
     ["validate", "--algebra", "random-solvable:1:3"],
+    # exit 2 after products of non-finite grids
+    ["geodesic", "--algebra", "torus-full", "--state-file", "torus_overflow_state.cfg",
+     "--dt", "1e10", "--steps", "3", "--format", "jsonl"],
+    ["curvature", "--algebra", "torus-vol", "--plane-file", "torus_sparse_bound_plane.cfg"],
+    # exit 3: a torus run in the default CSV format
+    ["geodesic", "--algebra", "torus-vol", "--state-file", "torus_state.cfg", "--dt", "0.01",
+     "--steps", "2"],
 ]
 
 #: Scripts under ``scripts/`` with their arguments.
