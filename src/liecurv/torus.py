@@ -168,26 +168,64 @@ class TrigFunction:
         return "TrigFunction(" + " ".join(bits) + ")"
 
 
-def multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
-    """Exact product: the direct convolution of the coefficient grids; support adds.
+def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Convolution of the grids a and b as one complex matrix product.
 
-    One shifted copy of the grid with more nonzero cells is added per nonzero
-    cell of the other, so every output coefficient is a plain sum of products
-    of input coefficients, with no transform roundoff and exact zeros kept.
-    The canonical half is then mirrored, so c_{-k} = conj(c_k) holds exactly.
+    Only the rows R of a and the columns C of b that hold a nonzero cell take
+    part.  With n = na + nb - 1, A[(i1, j2), q] = a[i1, q - j2] and
+    B[(i1, j2), p1] = b[p1 - i1, j2] are gathered from zero-padded copies of
+    a[R] and b[:, C], and out[p1, q] is the sum over (i1, j2) of
+    B[(i1, j2), p1] A[(i1, j2), q].  Rows below the centre of out are left
+    unset: the caller mirrors them from the canonical half.
     """
-    a, b = f.c, g.c
+    na, nb = a.shape[0], b.shape[0]
+    n, centre = na + nb - 1, (na + nb - 1) // 2
+    rows, cols = np.flatnonzero(a.any(axis=1)), np.flatnonzero(b.any(axis=0))
+    a_pad = np.zeros((rows.size, n + nb - 1), complex)  # a_pad[i, t + nb - 1] = a[R_i, t]
+    a_pad[:, nb - 1:n] = a[rows]
+    b_pad = np.zeros((n + na - 1, cols.size), complex)  # b_pad[t + na - 1, j] = b[t, C_j]
+    b_pad[na - 1:n] = b[:, cols]
+    q = np.arange(n)
+    a_cells = (nb - 1 + q) - cols[:, None] + (a_pad.shape[1] * np.arange(rows.size))[:, None, None]
+    b_cells = ((na - 1 + q[centre:]) - rows[:, None, None]) * cols.size + np.arange(cols.size)[:, None]
+    k = rows.size * cols.size
+    out = np.empty((n, n), complex)
+    out[centre:] = b_pad.take(b_cells).reshape(k, n - centre).T @ a_pad.take(a_cells).reshape(k, n)
+    return out
+
+
+def _shifted_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Convolution of the grids a and b: one shifted copy of the grid with more
+    nonzero cells added per nonzero cell of the other."""
     nonzero_a, nonzero_b = np.flatnonzero(a), np.flatnonzero(b)
     if nonzero_a.size > nonzero_b.size:
         a, b, nonzero_a = b, a, nonzero_b
     na, nb = a.shape[0], b.shape[0]
     out = np.zeros((na + nb - 1, na + nb - 1), complex)
-    flat, mid = out.ravel(), out.size // 2
+    for cell, coeff in zip(nonzero_a.tolist(), a.ravel()[nonzero_a].tolist()):
+        i1, i2 = divmod(cell, na)
+        out[i1:i1 + nb, i2:i2 + nb] += coeff * b
+    return out
+
+
+def multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
+    """Exact product: the direct convolution of the coefficient grids; support adds.
+
+    Every output coefficient is a plain sum of products of input coefficients,
+    with no transform roundoff: finite grids are convolved in one complex
+    matrix product over the nonzero rows of f and the nonzero columns of g,
+    so terms that are structurally zero add an exact 0 and sums of dyadic
+    values are exact, while rounded sums are added in BLAS order.  A grid
+    with a non-finite cell is convolved by shifted copies instead: in a matrix
+    product its inf would meet zero cells of the other grid, and the nan of
+    inf * 0 would replace coefficients that the copies leave at +-inf.
+    The canonical half is then mirrored, so c_{-k} = conj(c_k) holds exactly.
+    """
+    a, b = f.c, g.c
     # inf and nan propagate without warnings, as in Python float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        for cell, coeff in zip(nonzero_a.tolist(), a.ravel()[nonzero_a].tolist()):
-            i1, i2 = divmod(cell, na)
-            out[i1:i1 + nb, i2:i2 + nb] += coeff * b
+        out = _contract(a, b) if np.isfinite(a).all() and np.isfinite(b).all() else _shifted_sum(a, b)
+        flat, mid = out.ravel(), out.size // 2
         flat[:mid] = np.conj(flat[:mid:-1])
     flat[mid] = flat[mid].real
     return TrigFunction._of(out)

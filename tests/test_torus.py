@@ -206,6 +206,12 @@ def _oracle_cases():
             f = _partial_band(rng, band, 20, values, scale)
             g = _partial_band(rng, band, 20, values, scale)
             cases.append((f"band {band} scaled by {scale}, {kind}", f, g, kind))
+    # operands with few nonzero rows or columns, which the product trims away
+    cases.append(("single modes at (MAX, 0) and (0, MAX)", one(COS, (MAX, 0), 0.75),
+                  one(SIN, (0, MAX), -1.25), "exact"))
+    centre_row = TrigFunction({(0, k2, parity): float(rng.standard_normal())
+                               for k2 in range(7) for parity in (COS, SIN)})
+    cases.append(("full band 6 x one nonzero row", _full_band(rng, 6), centre_row, "rounded"))
     return cases
 
 
