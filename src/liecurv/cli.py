@@ -261,6 +261,8 @@ def _run_geodesic(args) -> int:
     state = configio.load_state_file(args.state_file, backend)
     rhs = geodesic_rhs(backend)
     if not finite_dimensional(backend):
+        if args.format == "csv":  # refused before the run, not after it
+            raise ConfigError(configio.CSV_NEEDS_FINITE)
         rhs = torus.capped_rhs(rhs, args.support_cap)
         print(
             f"note: torus run truncated at |k|_inf <= {args.support_cap}; "

@@ -354,11 +354,15 @@ def _state_parts(state) -> dict:
     return {"u": state}
 
 
+#: Why a trajectory is refused as CSV: only finite-dimensional states have coordinates.
+CSV_NEEDS_FINITE = "CSV trajectories need finite coordinates; use jsonl for torus runs"
+
+
 def trajectory_csv_lines(traj):
     """CSV for finite-dimensional trajectories: t, coordinates, energy."""
     first = _state_parts(traj.states[0])
     if not all(isinstance(part, np.ndarray) for part in first.values()):
-        raise ConfigError("CSV trajectories need finite coordinates; use jsonl for torus runs")
+        raise ConfigError(CSV_NEEDS_FINITE)
     header = ["t"] + [f"{key}{i+1}" for key, part in first.items() for i in range(len(part))]
     lines = [",".join(header + ["energy"])]
     for t, state, energy in zip(traj.times, traj.states, traj.energy):

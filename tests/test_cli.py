@@ -470,6 +470,18 @@ class TestScanCommand:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
 
+    def test_torus_output_independent_of_blas_threads(self):
+        # torus products are BLAS matrix products; their sums must not be split by thread
+        argv = [sys.executable, "-m", "liecurv.cli", "scan", "--semidirect", "mhd",
+                "--band", "2", "--count", "3", "--seed", "1"]
+        src = str(Path(liecurv.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run(argv, env=env, capture_output=True, check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("selector,calls", [("magnetic:random-solvable:8:1", 1), ("mhd", 2)])
     def test_dense_planes_evaluated_in_one_call(self, selector, calls, monkeypatch, capsys):
         seen = []
@@ -596,6 +608,18 @@ class TestGeodesicCommand:
             "geodesic", "--algebra", "torus-vol", "--state-file", str(state),
             "--dt", "0.01", "--steps", "2", "--format", "csv",
         ]) == 3
+
+    def test_torus_csv_rejected_before_integrating(self, tmp_path, monkeypatch, capsys):
+        state = tmp_path / "s.cfg"
+        state.write_text("[state]\nu =\n    sin 0 1 1.0 1\n")
+        monkeypatch.setattr(cli, "integrate", lambda *args: pytest.fail("integrate was called"))
+        assert run([
+            "geodesic", "--algebra", "torus-vol", "--state-file", str(state),
+            "--dt", "0.01", "--steps", "2",
+        ]) == 3
+        assert capsys.readouterr().err == (
+            "configuration error: CSV trajectories need finite coordinates; "
+            "use jsonl for torus runs\n")
 
     @pytest.mark.parametrize("argv", [
         ["--algebra", "so3:1,2,3", "--state-file", "dense.cfg", "--dt", "10", "--steps", "20"],
