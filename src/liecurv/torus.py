@@ -169,14 +169,17 @@ class TrigFunction:
 
 
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Convolution of the grids a and b as one complex matrix product.
+    """Convolution of the grids a and b as one stack of complex matrix products.
 
     Only the rows R of a and the columns C of b that hold a nonzero cell take
-    part.  With n = na + nb - 1, A[(i1, j2), q] = a[i1, q - j2] and
-    B[(i1, j2), p1] = b[p1 - i1, j2] are gathered from zero-padded copies of
-    a[R] and b[:, C], and out[p1, q] is the sum over (i1, j2) of
-    B[(i1, j2), p1] A[(i1, j2), q].  Rows below the centre of out are left
-    unset: the caller mirrors them from the canonical half.
+    part.  With n = na + nb - 1, A[i1, j2, q] = a[i1, q - j2] and
+    B[i1, j2, p1] = b[p1 - i1, j2] (i1 in R, j2 in C) are gathered from
+    zero-padded copies of a[R] and b[:, C], and out[p1, q] is the sum over i1
+    of (B[i1]^T A[i1])[p1, q].  Each matrix product sums the terms of one row
+    of a, added in row order afterwards: over longer sums BLAS adds in blocks
+    whose bounds move with its thread count, and the output would too.  Rows
+    below the centre of out are left unset: the caller mirrors them from the
+    canonical half.
     """
     na, nb = a.shape[0], b.shape[0]
     n, centre = na + nb - 1, (na + nb - 1) // 2
@@ -188,9 +191,8 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     q = np.arange(n)
     a_cells = (nb - 1 + q) - cols[:, None] + (a_pad.shape[1] * np.arange(rows.size))[:, None, None]
     b_cells = ((na - 1 + q[centre:]) - rows[:, None, None]) * cols.size + np.arange(cols.size)[:, None]
-    k = rows.size * cols.size
     out = np.empty((n, n), complex)
-    out[centre:] = b_pad.take(b_cells).reshape(k, n - centre).T @ a_pad.take(a_cells).reshape(k, n)
+    out[centre:] = np.matmul(b_pad.take(b_cells).transpose(0, 2, 1), a_pad.take(a_cells)).sum(axis=0)
     return out
 
 

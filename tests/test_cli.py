@@ -470,10 +470,13 @@ class TestScanCommand:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
 
-    def test_torus_output_independent_of_blas_threads(self):
-        # torus products are BLAS matrix products; their sums must not be split by thread
-        argv = [sys.executable, "-m", "liecurv.cli", "scan", "--semidirect", "mhd",
-                "--band", "2", "--count", "3", "--seed", "1"]
+    @pytest.mark.parametrize("backend", [
+        ["--semidirect", "mhd", "--band", "2", "--count", "3"],
+        ["--algebra", "torus-vol", "--band", "8", "--count", "2"],  # sums BLAS would block
+    ])
+    def test_torus_output_independent_of_blas_threads(self, backend):
+        # torus products are BLAS matrix products; their sums must not depend on threads
+        argv = [sys.executable, "-m", "liecurv.cli", "scan", *backend, "--seed", "1"]
         src = str(Path(liecurv.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
