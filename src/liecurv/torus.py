@@ -6,9 +6,11 @@ square grid, ``c[r + k1, r + k2]`` with half-width r >= |k|_inf, and since the
 function is real, c_{-k} = conj(c_k).  In canonical form (k lexicographically
 positive, first nonzero component > 0; sin(0,0) forbidden) the coefficient
 of cos(k.x) is 2 Re c_k, that of sin(k.x) is -2 Im c_k and the constant is
-c_0.  Products are exact direct convolutions of the grids, derivatives
-multiply by i k, and the L^2 metric on [0, 2pi)^2 is 4 pi^2 Re <c_f, c_g>,
-diagonal on canonical modes (|1|^2 = 4 pi^2, |cos k|^2 = |sin k|^2 = 2 pi^2).
+c_0.  Products are exact direct convolutions of the grids, formed as BLAS
+matrix products over the grids' nonzero rows and columns (no transform, so no
+transform roundoff), derivatives multiply by i k, and the L^2 metric on
+[0, 2pi)^2 is 4 pi^2 Re <c_f, c_g>, diagonal on canonical modes
+(|1|^2 = 4 pi^2, |cos k|^2 = |sin k|^2 = 2 pi^2).
 Wavevectors given from outside are bounded by ``MAX_WAVENUMBER``.
 
 Three semidirect backends are provided on top of this calculus:
@@ -175,20 +177,23 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     part.  With n = na + nb - 1, A[i1, j2, q] = a[i1, q - j2] and
     B[i1, j2, p1] = b[p1 - i1, j2] (i1 in R, j2 in C) are gathered from
     zero-padded copies of a[R] and b[:, C], and out[p1, q] is the sum over i1
-    of (B[i1]^T A[i1])[p1, q].  Each matrix product sums the terms of one row
-    of a, added in row order afterwards: over longer sums BLAS adds in blocks
-    whose bounds move with its thread count, and the output would too.  Rows
+    of (B[i1]^T A[i1])[p1, q], added in row order.  Each matrix product sums
+    over C alone, at most 2 * MAX_WAVENUMBER + 1 terms on grids within the
+    wavenumber bound: OpenBLAS adds a sum that short in one block, where it
+    splits a longer one at bounds that move with its thread count.  Rows
     below the centre of out are left unset: the caller mirrors them from the
     canonical half.
     """
     na, nb = a.shape[0], b.shape[0]
-    n, centre = na + nb - 1, (na + nb - 1) // 2
+    n = na + nb - 1
+    centre = n // 2
     rows, cols = np.flatnonzero(a.any(axis=1)), np.flatnonzero(b.any(axis=0))
     a_pad = np.zeros((rows.size, n + nb - 1), complex)  # a_pad[i, t + nb - 1] = a[R_i, t]
     a_pad[:, nb - 1:n] = a[rows]
     b_pad = np.zeros((n + na - 1, cols.size), complex)  # b_pad[t + na - 1, j] = b[t, C_j]
     b_pad[na - 1:n] = b[:, cols]
     q = np.arange(n)
+    # flat indices into a_pad of A[i, j, q], and into b_pad of B[i, j, p1] for p1 >= centre
     a_cells = (nb - 1 + q) - cols[:, None] + (a_pad.shape[1] * np.arange(rows.size))[:, None, None]
     b_cells = ((na - 1 + q[centre:]) - rows[:, None, None]) * cols.size + np.arange(cols.size)[:, None]
     out = np.empty((n, n), complex)
@@ -214,11 +219,13 @@ def multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
     """Exact product: the direct convolution of the coefficient grids; support adds.
 
     Every output coefficient is a plain sum of products of input coefficients,
-    with no transform roundoff: finite grids are convolved in one complex
-    matrix product over the nonzero rows of f and the nonzero columns of g,
-    so terms that are structurally zero add an exact 0 and sums of dyadic
-    values are exact, while rounded sums are added in BLAS order.  A grid
-    with a non-finite cell is convolved by shifted copies instead: in a matrix
+    with no transform roundoff.  Finite grids are convolved by complex matrix
+    products, one per nonzero row of f over the nonzero columns of g, added
+    row by row: terms that are structurally zero add an exact 0 and sums of
+    dyadic values are exact, while rounded sums are added in BLAS order within
+    a row.  While g stays within the wavenumber bound, that order does not
+    depend on the BLAS thread count (see ``_contract``).  A grid with a
+    non-finite cell is convolved by shifted copies instead: in a matrix
     product its inf would meet zero cells of the other grid, and the nan of
     inf * 0 would replace coefficients that the copies leave at +-inf.
     The canonical half is then mirrored, so c_{-k} = conj(c_k) holds exactly.
