@@ -193,7 +193,31 @@ FILES = {
         "    cos 32 0 32.0 2\n"
         "    sin 0 1 -1.0 1\n"
     ),
+    # so(3) with [e1, e2] = e3 + 1e-11 e1: a Jacobi residual of 1e-11
+    "so3_jacobi_1e-11.cfg": (
+        "[algebra]\n"
+        "dim = 3\n"
+        "structure =\n"
+        "    1 2 3 1\n"
+        "    2 3 1 1\n"
+        "    3 1 2 1\n"
+        "    1 2 1 1e-11\n"
+    ),
+    # a Gram matrix that is not symmetric, with -1 on its diagonal
+    "so3_asymmetric.cfg": (
+        "[algebra]\n"
+        "dim = 3\n"
+        "gram = rows: 1 2 0; 0 1 0; 0 0 -1\n"
+        "structure =\n"
+        "    1 2 3 1\n"
+        "    2 3 1 1\n"
+        "    3 1 2 1\n"
+    ),
 }
+
+# the action of euclidean_sd.cfg with one entry off by 1e-11: a homomorphism residual of 1e-11
+FILES["euclidean_sd_1e-11.cfg"] = FILES["euclidean_sd.cfg"].replace(
+    "    1 3 2 1\n", "    1 3 2 1.00000000001\n")
 
 _SCANS = [
     ["--semidirect", "mhd", "--seed", "1", "--band", "2", "--count", "3"],
@@ -270,6 +294,13 @@ CLI_INVOCATIONS = [
     # exit 3: a torus run in the default CSV format
     ["geodesic", "--algebra", "torus-vol", "--state-file", "torus_state.cfg", "--dt", "0.01",
      "--steps", "2"],
+    # validate --tol: residuals of 1e-11 pass at the default tolerance and fail at 1e-12
+    ["validate", "--algebra-file", "so3_jacobi_1e-11.cfg"],
+    ["validate", "--algebra-file", "so3_jacobi_1e-11.cfg", "--tol", "1e-12"],
+    ["validate", "--semidirect-file", "euclidean_sd_1e-11.cfg", "--tol", "1e-12"],
+    ["validate", "--algebra", "torus-vol", "--tol", "0"],
+    ["validate", "--semidirect", "mhd", "--tol", "0"],
+    ["validate", "--algebra-file", "so3_asymmetric.cfg"],
 ]
 
 #: Scripts under ``scripts/`` with their arguments.
