@@ -8,13 +8,14 @@ Elements are plain coordinate vectors (numpy arrays) in the declared basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationFailure
 
-#: Default relative tolerance for the Jacobi identity check.
+#: Relative tolerance at which a validation report judges its checks.
 JACOBI_TOL = 1e-10
 
 #: Default relative tolerance for adjointness residuals.
@@ -49,42 +50,62 @@ class MetricAlgebraSpec:
         return self.gram.shape[0]
 
 
-@dataclass
-class ValidationIssue:
+@dataclass(eq=False)
+class Check:
+    """One check's worst entry: its location, its size ``worst`` and the factors of the
+    scale it is measured against.  ``outright`` marks a failure at every tolerance."""
+
     invariant: str
     location: tuple
-    residual: float
+    worst: float
+    scale: tuple = ()
     message: str = ""
+    outright: bool = False
 
-    def __str__(self):
-        loc = "" if not self.location else f" at {self.location}"
-        msg = f" ({self.message})" if self.message else ""
-        return f"FAIL {self.invariant}{loc}: residual {self.residual:.3e}{msg}"
+    @property
+    def residual(self) -> float:
+        return self.worst / math.prod(self.scale)
 
 
 @dataclass
 class ValidationReport:
-    """Outcome of validating a spec; failures are entries, never exceptions."""
+    """The checks run on a spec, judged at the tolerance ``tol``; failures are
+    entries, never exceptions.  ``at`` judges the same checks at another tolerance."""
 
     subject: str
-    issues: list[ValidationIssue] = field(default_factory=list)
-    checked: list[str] = field(default_factory=list)
+    checks: list[Check] = field(default_factory=list)
+    tol: float = JACOBI_TOL
+
+    def record(self, invariant: str, location: tuple = (), worst: float = 0.0,
+               scale: tuple = (), message: str = "", outright: bool = False) -> Check:
+        location = tuple(int(i) for i in location)  # numpy 2 would print np.int64(i)
+        self.checks.append(Check(invariant, location, worst, scale, message, outright))
+        return self.checks[-1]
+
+    def at(self, tol: float) -> ValidationReport:
+        return replace(self, tol=tol)
+
+    def fails(self, check: Check) -> bool:
+        """worst > tol * scale (tol times each factor in turn); nan and outright always fail."""
+        return (check.outright or math.isnan(check.worst)
+                or check.worst > math.prod(check.scale, start=self.tol))
+
+    @property
+    def issues(self) -> list[Check]:
+        return [c for c in self.checks if self.fails(c)]
 
     @property
     def passed(self) -> bool:
         return not self.issues
 
-    def add(self, invariant: str, location: tuple, residual: float, message: str = ""):
-        location = tuple(int(i) for i in location)  # numpy 2 would print np.int64(i)
-        self.issues.append(ValidationIssue(invariant, location, residual, message))
-
     def __str__(self):
-        head = f"validation of {self.subject}: " + ("pass" if self.passed else "FAIL")
-        lines = [head]
-        for name in self.checked:
-            if not any(i.invariant == name for i in self.issues):
-                lines.append(f"  ok   {name}")
-        lines.extend("  " + str(i) for i in self.issues)
+        issues = self.issues
+        lines = [f"validation of {self.subject}: " + ("FAIL" if issues else "pass")]
+        lines.extend(f"  ok   {c.invariant}" for c in self.checks if c not in issues)
+        for c in issues:
+            loc = f" at {c.location}" if c.location else ""
+            msg = f" ({c.message})" if c.message else ""
+            lines.append(f"  FAIL {c.invariant}{loc}: residual {c.residual:.3e}{msg}")
         return "\n".join(lines)
 
 
@@ -125,46 +146,43 @@ def _first_non_finite(a: np.ndarray):
     return tuple(int(i) for i in bad[0]) if len(bad) else None
 
 
-def validate(spec: MetricAlgebraSpec, jacobi_tol: float = JACOBI_TOL) -> ValidationReport:
+def validate(spec: MetricAlgebraSpec) -> ValidationReport:
     """Check antisymmetry, the Jacobi identity and positive definiteness.
 
     Residuals are relative to the size of the structure constants (with a
     unit floor), so an exactly-given algebra passes regardless of scale.
+    The report judges them at ``JACOBI_TOL``; ``report.at(tol)`` at ``tol``.
     A nan or infinite entry fails every invariant computed from its array,
     with a nan residual: no tolerance comparison can pass or fail on it.
     """
     report = ValidationReport(subject=spec.name or "algebra")
-    report.checked = ["antisymmetry", "jacobi", "gram_symmetric", "gram_positive_definite"]
     c = spec.structure
     g = spec.gram
     bad = _first_non_finite(c)
     if bad is not None:
         for invariant in ("antisymmetry", "jacobi"):
-            report.add(invariant, bad, float("nan"), "non-finite structure constant")
+            report.record(invariant, bad, float("nan"), message="non-finite structure constant")
     else:
         cmax = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
-        idx, worst = worst_entry(enumerate(c + c.transpose(1, 0, 2)))
-        if worst > jacobi_tol * cmax:
-            report.add("antisymmetry", idx, worst / cmax)
-        idx, worst = _jacobi_worst(c)
-        if worst > jacobi_tol * cmax * cmax:
-            report.add("jacobi", idx, worst / (cmax * cmax))
+        report.record("antisymmetry", *worst_entry(enumerate(c + c.transpose(1, 0, 2))), (cmax,))
+        report.record("jacobi", *_jacobi_worst(c), (cmax, cmax))
 
     bad = _first_non_finite(g)
     if bad is not None:
         for invariant in ("gram_symmetric", "gram_positive_definite"):
-            report.add(invariant, bad, float("nan"), "non-finite Gram entry")
+            report.record(invariant, bad, float("nan"), message="non-finite Gram entry")
         return report
     gmax = max(1.0, float(np.max(np.abs(g))))
     asym = float(np.max(np.abs(g - g.T)))
-    if asym > jacobi_tol * gmax:
-        report.add("gram_symmetric", (), asym / gmax)
+    if report.fails(report.record("gram_symmetric", (), asym, (gmax,))):
+        return report  # the factorisation reads one triangle only
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        lam = float(np.linalg.eigvalsh(g)[0])
+        report.record("gram_positive_definite", (), lam, message="smallest eigenvalue", outright=True)
     else:
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            lam = float(np.linalg.eigvalsh(g)[0])
-            report.add("gram_positive_definite", (), lam, "smallest eigenvalue")
+        report.record("gram_positive_definite")
     return report
 
 
@@ -200,10 +218,9 @@ class DenseBackend:
     """
 
     def __init__(self, spec: MetricAlgebraSpec, check: bool = True):
-        if check:
-            report = validate(spec)
-            if not report.passed:
-                raise ValidationFailure(report)
+        self.report = validate(spec) if check else None  # kept for ``liecurv validate``
+        if check and not self.report.passed:
+            raise ValidationFailure(self.report)
         self.spec = spec
         self.dim = spec.dim
         self._chol = np.linalg.cholesky(spec.gram)  # G = L L^T

@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import catalog, configio, torus
-from .algebra import JACOBI_TOL, DenseBackend, ValidationReport, validate
+from .algebra import JACOBI_TOL, Check, DenseBackend, ValidationReport, validate
 from .backend import SemidirectBackendBase, stack
 from .curvature import (
     Plane,
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .geodesic import IntegratorConfig, geodesic_rhs, integrate
 from .sampling import FAMILIES, check_family, sample_planes
-from .semidirect import SemidirectAlgebra, finite_dimensional, validate_action
+from .semidirect import SemidirectAlgebra, finite_dimensional
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,7 +56,7 @@ _WAVENUMBER = _checked(int, lambda v: 0 <= v <= torus.MAX_WAVENUMBER,
                        f"between 0 and the limit of {torus.MAX_WAVENUMBER}")
 _FINITE = _checked(float, math.isfinite, "finite")
 _TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and non-negative")
-# resolving a backend validates it at JACOBI_TOL already, so --tol can only tighten
+# resolving a backend refuses it when a check fails at JACOBI_TOL, so --tol can only tighten
 _VALIDATE_TOL = _checked(float, lambda v: 0 <= v <= JACOBI_TOL, f"between 0 and {JACOBI_TOL}")
 
 
@@ -152,7 +152,7 @@ def _adjointness_residual(backend) -> float:
     return worst
 
 
-def _torus_spot_report(backend, tol: float) -> ValidationReport:
+def _torus_spot_report(backend) -> ValidationReport:
     """Adjointness and h-relation spot checks over the band-1 mode family."""
     if isinstance(backend, SemidirectBackendBase):
         gmodes = backend.g.sample_basis(1)
@@ -174,11 +174,7 @@ def _torus_spot_report(backend, tol: float) -> ValidationReport:
         }
     else:
         residuals = {"adjointness": _adjointness_residual(backend)}
-    report = ValidationReport(subject=backend.name, checked=list(residuals))
-    for invariant, worst in residuals.items():
-        if worst > tol:
-            report.add(invariant, (), worst)
-    return report
+    return ValidationReport(backend.name, [Check(name, (), worst) for name, worst in residuals.items()])
 
 
 def _run_validate(args) -> int:
@@ -188,17 +184,13 @@ def _run_validate(args) -> int:
         print(exc.report)
         return 1
     if not finite_dimensional(backend):
-        reports = [_torus_spot_report(backend, args.tol)]
+        reports = [_torus_spot_report(backend)]
     elif isinstance(backend, SemidirectAlgebra):
-        product = backend.product_spec  # an oversized product is refused before any check runs
-        reports = [
-            validate(backend.g.spec, jacobi_tol=args.tol),
-            validate(backend.h.spec, jacobi_tol=args.tol),
-            validate_action(backend.g.spec, backend.h.spec, backend.action, tol=args.tol),
-            validate(product, jacobi_tol=args.tol),
-        ]
+        # factors and action were checked while resolving; an oversized product is refused here
+        reports = [backend.g.report, backend.h.report, backend.report, validate(backend.product_spec)]
     else:
-        reports = [validate(backend.spec, jacobi_tol=args.tol)]
+        reports = [backend.report]
+    reports = [report.at(args.tol) for report in reports]
     for report in reports:
         print(report)
     return 0 if all(r.passed for r in reports) else 1

@@ -14,7 +14,6 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (
-    JACOBI_TOL,
     MAX_DIM,
     DenseBackend,
     MetricAlgebraSpec,
@@ -47,19 +46,14 @@ class ActionSpec:
         return self.matrices.shape[1]
 
 
-def validate_action(
-    g: MetricAlgebraSpec,
-    h: MetricAlgebraSpec,
-    action: ActionSpec,
-    tol: float = JACOBI_TOL,
-) -> ValidationReport:
+def validate_action(g: MetricAlgebraSpec, h: MetricAlgebraSpec, action: ActionSpec) -> ValidationReport:
     """Check shapes, the derivation property and the homomorphism property."""
     report = ValidationReport(subject="action")
-    report.checked = ["shape", "derivation", "homomorphism"]
     if action.dim_g != g.dim or action.dim_h != h.dim:
-        report.add("shape", (action.dim_g, action.dim_h), float("nan"),
-                   f"expected ({g.dim}, {h.dim}, {h.dim})")
+        report.record("shape", (action.dim_g, action.dim_h), float("nan"),
+                      message=f"expected ({g.dim}, {h.dim}, {h.dim})")
         return report
+    report.record("shape")
 
     B = action.matrices
     ch = h.structure
@@ -73,9 +67,7 @@ def validate_action(
         rhs = (B[i].T @ ch.reshape(nh, nh * nh)).reshape(nh, nh, nh) + B[i].T @ ch
         return lhs - rhs
 
-    idx, worst = worst_entry((i, derivation(i)) for i in range(ng))
-    if worst > tol * scale:
-        report.add("derivation", idx, worst / scale)
+    report.record("derivation", *worst_entry((i, derivation(i)) for i in range(ng)), (scale,))
 
     # homomorphism: b([e_i, e_j]) = b(e_i) b(e_j) - b(e_j) b(e_i), residuals [i, j, r, s]
     cg = g.structure
@@ -85,9 +77,7 @@ def validate_action(
         lhs = (cg[i] @ B.reshape(ng, nh * nh)).reshape(ng, nh, nh)
         return lhs - (B[i] @ B - B @ B[i])
 
-    idx, worst = worst_entry((i, homomorphism(i)) for i in range(ng))
-    if worst > tol * scale2:
-        report.add("homomorphism", idx, worst / scale2)
+    report.record("homomorphism", *worst_entry((i, homomorphism(i)) for i in range(ng)), (scale2,))
     return report
 
 
@@ -118,8 +108,8 @@ def _assemble_product_spec(g: MetricAlgebraSpec, h: MetricAlgebraSpec, B: np.nda
 class SemidirectAlgebra(SemidirectBackendBase):
     """Finite-dimensional semidirect product with cached derived tensors.
 
-    Built from validated factor backends ``g`` and ``h`` and a validated
-    action (see ``build_semidirect``).  The action matrices, their metric
+    Built from validated factor backends ``g`` and ``h`` and an action, which
+    it validates and whose ``report`` it keeps.  The action matrices, their metric
     adjoints and the h_map tensor are cached in the layout of
     ``algebra.bilinear``, so b, b^T and h_map take single vectors or stacks.
     The fully assembled product spec (and its DenseBackend) provides the
@@ -128,6 +118,9 @@ class SemidirectAlgebra(SemidirectBackendBase):
     """
 
     def __init__(self, g: DenseBackend, h: DenseBackend, action: ActionSpec, name: str = ""):
+        self.report = validate_action(g.spec, h.spec, action)
+        if not self.report.passed:
+            raise ValidationFailure(self.report)
         self.g, self.h = g, h
         self.action = action
         self.name = name or f"{g.spec.name or 'g'}|x{h.spec.name or 'h'}"
@@ -202,9 +195,6 @@ def build_semidirect(g, h, action, name: str = "") -> SemidirectAlgebra:
     g, h = (part if isinstance(part, DenseBackend) else DenseBackend(part) for part in (g, h))
     if not isinstance(action, ActionSpec):
         action = ActionSpec(np.asarray(action, dtype=float))
-    report = validate_action(g.spec, h.spec, action)
-    if not report.passed:
-        raise ValidationFailure(report)
     return SemidirectAlgebra(g, h, action, name=name)
 
 

@@ -282,6 +282,24 @@ class TestValidate:
         assert all(i.location == location and np.isnan(i.residual) for i in report.issues)
         assert "non-finite" in str(report)
 
+    @pytest.mark.parametrize("tol", [1e-10, 0.0])
+    def test_nan_and_indefinite_gram_fail_at_every_tolerance(self, tol):
+        c = catalog.so3().structure.copy()
+        c[0, 1, 2] = np.nan
+        report = validate(MetricAlgebraSpec(structure=c, gram=np.diag([1.0, -1.0, 1.0]))).at(tol)
+        assert report.tol == tol
+        assert {i.invariant for i in report.issues} == {"antisymmetry", "jacobi", "gram_positive_definite"}
+
+    def test_tolerance_rejudges_the_same_checks(self):
+        c = catalog.so3().structure.copy()
+        c[0, 1, 0], c[1, 0, 0] = 1e-11, -1e-11
+        report = validate(MetricAlgebraSpec(structure=c, gram=np.eye(3)))
+        tight = report.at(1e-12)
+        assert report.passed and not tight.passed and report.at(1e-11).passed
+        assert tight.checks is report.checks and report.tol == 1e-10
+        [issue] = tight.issues
+        assert (issue.invariant, issue.location, issue.residual) == ("jacobi", (0, 1, 2), 1e-11)
+
     def test_worst_offender_location(self):
         c = np.zeros((3, 3, 3))
         c[0, 1, 2] = 1.0

@@ -122,7 +122,7 @@ class TestRandomSolvable:
     def test_jacobi_exact(self):
         for seed in SOLVABLE_SEEDS:
             spec = catalog.random_solvable(4, seed)
-            report = validate(spec, jacobi_tol=1e-12)
+            report = validate(spec).at(1e-12)
             assert report.passed
 
     def test_seed_determinism(self):

@@ -10,8 +10,8 @@ import pytest
 import liecurv
 from helpers import reference_random_element, relerr
 
-from liecurv import catalog, cli, errors, sampling, semidirect, torus
-from liecurv.algebra import MAX_DIM, DenseBackend
+from liecurv import algebra, catalog, cli, configio, errors, sampling, semidirect, torus
+from liecurv.algebra import MAX_DIM, DenseBackend, MetricAlgebraSpec
 from liecurv.cli import run
 from liecurv.configio import (
     load_algebra_file,
@@ -20,7 +20,7 @@ from liecurv.configio import (
     load_state_file,
 )
 from liecurv.errors import ConfigError
-from liecurv.semidirect import check_product_dim
+from liecurv.semidirect import ActionSpec, build_semidirect, check_product_dim
 from liecurv.sampling import sample_planes
 
 
@@ -66,6 +66,18 @@ entries =
     2 1 3 1.0
     3 2 1 1.0
     3 1 2 -1.0
+"""
+
+
+# a Gram matrix that is not symmetric, with -1 on its diagonal
+ASYMMETRIC_GRAM_FILE = """
+[algebra]
+dim = 3
+gram = rows: 1 2 0; 0 1 0; 0 0 -1
+structure =
+    1 2 3 1.0
+    2 3 1 1.0
+    3 1 2 1.0
 """
 
 
@@ -387,11 +399,139 @@ class TestValidateCommand:
         assert run(["validate", "--algebra-file", str(path)]) == 1
         assert "gram_positive_definite" in capsys.readouterr().out
 
+    def test_unfactorised_gram_not_reported(self, tmp_path, capsys):
+        # an asymmetric Gram matrix is never factorised, so no line claims it positive definite
+        path = tmp_path / "asymmetric.cfg"
+        path.write_text(ASYMMETRIC_GRAM_FILE)
+        assert run(["validate", "--algebra-file", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "validation of algebra: FAIL",
+            "  ok   antisymmetry",
+            "  ok   jacobi",
+            "  FAIL gram_symmetric: residual 1.000e+00",
+        ]
+
+    @pytest.mark.parametrize("argv, product", [
+        (["--semidirect", "magnetic:so3:1,2,3"], True),
+        (["--semidirect-file", "euclidean.cfg"], True),
+        (["--algebra", "so3"], False),
+        (["--algebra-file", "so3.cfg"], False),
+    ], ids=["selector-product", "file-product", "selector-algebra", "file-algebra"])
+    def test_each_spec_validated_once(self, argv, product, tmp_path, monkeypatch, capsys):
+        (tmp_path / "euclidean.cfg").write_text(EUCLIDEAN_FILE)
+        (tmp_path / "so3.cfg").write_text(SO3_FILE)
+        monkeypatch.chdir(tmp_path)
+        specs = _record_calls(monkeypatch, algebra.validate)
+        actions = _record_calls(monkeypatch, semidirect.validate_action)
+        assert run(["validate", *argv]) == 0
+        # a product: each factor once while resolving, then the assembled product
+        assert len(specs) == len({id(s) for s in specs}) == (3 if product else 1)
+        assert specs[-1].name.endswith(" (product)") == product
+        assert len(actions) == (1 if product else 0)
+        assert capsys.readouterr().out.count("validation of ") == (4 if product else 1)
+
     def test_no_backend_given_is_config_error(self):
         assert run(["validate"]) == 3
 
     def test_both_backends_given_is_config_error(self):
         assert run(["validate", "--algebra", "so3", "--semidirect", "euclidean"]) == 3
+
+
+def _record_calls(monkeypatch, fn):
+    """The first arguments of the calls of ``fn``, through every liecurv module binding it."""
+    seen = []
+
+    def recorded(*args, **kwargs):
+        seen.append(args[0])
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("liecurv") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, recorded)
+    return seen
+
+
+def _edited(spec, structure=(), gram=()):
+    """``spec`` with the entries ``(index, value)`` of ``structure`` and ``gram`` replaced."""
+    c, g = spec.structure.copy(), spec.gram.copy()
+    for array, entries in ((c, structure), (g, gram)):
+        for index, value in entries:
+            array[index] = value
+    return MetricAlgebraSpec(c, g)
+
+
+def _action_with(g, h, mats, index):
+    """The product by ``mats``, with the entry ``index`` moved by 1e-11."""
+    mats = mats.copy()
+    mats[index] += 1e-11
+    return build_semidirect(g, h, ActionSpec(mats))
+
+
+def _so3_ad():
+    return DenseBackend(catalog.so3()).ad(np.eye(3))
+
+
+#: Specs with one residual of 1e-11, the flag that reads them, and the exact line
+#: that fails them at --tol 1e-12.
+THRESHOLD_CASES = {
+    "antisymmetry": (  # c[0, 1, 2] without its antisymmetric partner
+        "--algebra-file",
+        lambda: _edited(catalog.abelian(3), [((0, 1, 2), 1e-11)]),
+        "  FAIL antisymmetry at (0, 1, 2): residual 1.000e-11",
+    ),
+    "jacobi": (
+        "--algebra-file",
+        lambda: _edited(catalog.so3(), [((0, 1, 0), 1e-11), ((1, 0, 0), -1e-11)]),
+        "  FAIL jacobi at (0, 1, 2): residual 1.000e-11",
+    ),
+    "gram_symmetric": (
+        "--algebra-file",
+        lambda: _edited(catalog.so3(), gram=[((0, 1), 1e-11)]),
+        "  FAIL gram_symmetric: residual 1.000e-11",
+    ),
+    "derivation": (  # ad(e1) on so(3), off the derivations by 1e-11; abelian g keeps it a homomorphism
+        "--semidirect-file",
+        lambda: _action_with(catalog.abelian(1), catalog.so3(), _so3_ad()[:1], (0, 0, 0)),
+        "  FAIL derivation at (0, 0, 1, 2): residual 1.000e-11",
+    ),
+    "homomorphism": (  # so(3) on abelian R^3, where every matrix is a derivation
+        "--semidirect-file",
+        lambda: _action_with(catalog.so3(), catalog.abelian(3), _so3_ad(), (0, 2, 1)),
+        "  FAIL homomorphism at (0, 1, 0, 1): residual 1.000e-11",
+    ),
+}
+
+
+class TestValidateTolerance:
+    @pytest.mark.parametrize("invariant", THRESHOLD_CASES)
+    def test_residual_between_tolerances(self, invariant, monkeypatch, capsys):
+        flag, make, fail_line = THRESHOLD_CASES[invariant]
+        loader = {"--algebra-file": "load_algebra_file", "--semidirect-file": "load_semidirect_file"}[flag]
+        monkeypatch.setattr(configio, loader, lambda path: make())
+        assert run(["validate", flag, "spec.cfg"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert run(["validate", flag, "spec.cfg", "--tol", "1e-12"]) == 1
+        assert fail_line in capsys.readouterr().out.splitlines()
+
+    def test_torus_adjointness_between_tolerances(self, monkeypatch, capsys):
+        ad_transpose = torus.VolumeFieldBackend.ad_transpose
+        monkeypatch.setattr(torus.VolumeFieldBackend, "ad_transpose",
+                            lambda self, x, y: ad_transpose(self, x, y) * (1 + 1e-11))
+        assert run(["validate", "--algebra", "torus-vol"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert run(["validate", "--algebra", "torus-vol", "--tol", "1e-12"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "validation of torus-vol: FAIL",
+            "  FAIL adjointness: residual 1.000e-11",
+        ]
+
+    @pytest.mark.parametrize("tol", ["1e-10", "0"])
+    def test_nan_residual_fails(self, tol, monkeypatch, capsys):
+        spec = _edited(catalog.so3(), [((0, 1, 2), np.nan)])
+        monkeypatch.setattr(configio, "load_algebra_file", lambda path: spec)
+        assert run(["validate", "--algebra-file", "spec.cfg", "--tol", tol]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "  FAIL antisymmetry at (0, 1, 2): residual nan (non-finite structure constant)" in out
 
 
 class TestCurvatureCommand:

@@ -81,6 +81,14 @@ class TestBuild:
         report = validate_action(catalog.so3(), catalog.abelian(2), ActionSpec(np.zeros((3, 3, 3))))
         assert not report.passed
 
+    def test_checks_after_a_shape_mismatch_not_reported(self):
+        # the derivation and homomorphism checks never run on a wrongly shaped action
+        report = validate_action(catalog.so3(), catalog.abelian(2), ActionSpec(np.zeros((3, 3, 3))))
+        assert str(report).splitlines() == [
+            "validation of action: FAIL",
+            "  FAIL shape at (3, 3): residual nan (expected (3, 2, 2))",
+        ]
+
     def test_homomorphism_violation_reported(self):
         # valid derivations of abelian h are arbitrary matrices; break the
         # homomorphism by acting only through e1
