@@ -213,6 +213,28 @@ FILES = {
         "    2 3 1 1\n"
         "    3 1 2 1\n"
     ),
+    # so(3) with a Jacobi residual of 1e-9 and a Gram matrix asymmetric by 1e-11
+    "so3_jacobi_1e-9_asymmetric.cfg": (
+        "[algebra]\n"
+        "dim = 3\n"
+        "gram = rows: 1 1e-11 0; 0 1 0; 0 0 1\n"
+        "structure =\n"
+        "    1 2 3 1\n"
+        "    2 3 1 1\n"
+        "    3 1 2 1\n"
+        "    1 2 1 1e-9\n"
+    ),
+    # a field whose first component reaches |k|_inf = 3 and whose second stops at 1
+    "torus_unequal_state.cfg": (
+        "[state]\n"
+        "u =\n"
+        "    cos 0 0 0.2 1\n"
+        "    sin 0 1 -1.0 1\n"
+        "    cos 1 2 0.5 1\n"
+        "    sin 3 -1 0.25 1\n"
+        "    cos 1 0 0.7 2\n"
+        "    sin 1 -1 0.3 2\n"
+    ),
 }
 
 # the action of euclidean_sd.cfg with one entry off by 1e-11: a homomorphism residual of 1e-11
@@ -301,6 +323,11 @@ CLI_INVOCATIONS = [
     ["validate", "--algebra", "torus-vol", "--tol", "0"],
     ["validate", "--semidirect", "mhd", "--tol", "0"],
     ["validate", "--algebra-file", "so3_asymmetric.cfg"],
+    # a refused spec judged at --tol: its Gram asymmetry of 1e-11 fails at 1e-12
+    ["validate", "--algebra-file", "so3_jacobi_1e-9_asymmetric.cfg", "--tol", "1e-12"],
+    # a support cap between the widths of the two components
+    ["geodesic", "--algebra", "torus-full", "--state-file", "torus_unequal_state.cfg",
+     "--dt", "0.01", "--steps", "2", "--support-cap", "2", "--format", "jsonl"],
 ]
 
 #: Scripts under ``scripts/`` with their arguments.
