@@ -53,25 +53,13 @@ def stack(elements):
 class SemidirectBackendBase:
     """Product-algebra operations assembled from g, h, b, b^T and h_map.
 
-    Subclasses set ``self.g`` and ``self.h`` (plain backends) and implement
-    ``b``, ``b_transpose`` and ``h_map``.
+    Subclasses set ``self.g`` and ``self.h`` (plain backends) and ``isometric``
+    (whether b^T = -b), and implement ``b``, ``b_transpose`` and ``h_map``.
     """
 
     g: Any
     h: Any
-
-    def b(self, x, y):
-        raise NotImplementedError
-
-    def b_transpose(self, x, y):
-        raise NotImplementedError
-
-    def h_map(self, y1, y2):
-        raise NotImplementedError
-
-    @property
-    def isometric(self) -> bool:
-        raise NotImplementedError
+    isometric: bool
 
     # -- plain backend interface over Pair elements --
 

@@ -181,7 +181,7 @@ def _run_validate(args) -> int:
     try:
         backend = _resolve_backend(args)
     except ValidationFailure as exc:
-        print(exc.report)
+        print(exc.report.at(args.tol))
         return 1
     if not finite_dimensional(backend):
         reports = [_torus_spot_report(backend)]

@@ -133,7 +133,7 @@ class SemidirectAlgebra(SemidirectBackendBase):
         v = np.swapaxes(B, 1, 2) @ gram_h  # v[i] = B_i^T G_h
         flat = g.gram_solve(v.reshape(g.dim, -1)).reshape(g.dim, h.dim, h.dim)
         self._h_tensor = np.ascontiguousarray(flat.transpose(1, 0, 2))
-        self._isometric = skew_adjoint(B, gram_h)
+        self.isometric = skew_adjoint(B, gram_h)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -163,10 +163,6 @@ class SemidirectAlgebra(SemidirectBackendBase):
 
     def h_map(self, y1, y2):
         return bilinear(self._h_tensor, self.h._coerce(y1), self.h._coerce(y2))
-
-    @property
-    def isometric(self) -> bool:
-        return self._isometric
 
     def sample_basis(self, band: int = 2, part: str | None = None) -> Pair:
         """Product basis as the rows of a Pair of arrays; ``part`` restricts to one factor."""

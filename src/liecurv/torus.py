@@ -10,7 +10,8 @@ c_0.  Products are exact direct convolutions of the grids, formed as BLAS
 matrix products over the grids' nonzero rows and columns (no transform, so no
 transform roundoff), derivatives multiply by i k, and the L^2 metric on
 [0, 2pi)^2 is 4 pi^2 Re <c_f, c_g>, diagonal on canonical modes
-(|1|^2 = 4 pi^2, |cos k|^2 = |sin k|^2 = 2 pi^2).
+(|1|^2 = 4 pi^2, |cos k|^2 = |sin k|^2 = 2 pi^2).  A vector field stacks
+the grids of its two components as one (2, n, n) array on a common grid.
 Wavevectors given from outside are bounded by ``MAX_WAVENUMBER``.
 
 Three semidirect backends are provided on top of this calculus:
@@ -44,19 +45,73 @@ _FOUR_PI_SQ = 4.0 * math.pi**2
 
 
 def _embed(c: np.ndarray, r: int) -> np.ndarray:
-    """The grid c, widened with zeros to half-width r (c itself when already that wide)."""
-    s = c.shape[0] // 2
+    """The grids on the last two axes of c, widened with zeros to half-width r
+    (c itself when already that wide)."""
+    s = c.shape[-1] // 2
     if s == r:
         return c
-    out = np.zeros((2 * r + 1, 2 * r + 1), complex)
-    out[r - s:r + s + 1, r - s:r + s + 1] = c
+    out = np.zeros(c.shape[:-2] + (2 * r + 1, 2 * r + 1), complex)
+    out[..., r - s:r + s + 1, r - s:r + s + 1] = c
     return out
 
 
-class TrigFunction:
-    """Finitely supported trigonometric polynomial on its coefficient grid; immutable."""
+class _Grid:
+    """Hermitian coefficient grids on the last two axes of ``c``; immutable.
+
+    The arithmetic shared by functions (one grid) and fields (a stack of two).
+    """
 
     __slots__ = ("c",)
+
+    @classmethod
+    def _of(cls, c: np.ndarray):
+        """Wrap coefficient grids as they are, without copying them."""
+        result = cls.__new__(cls)
+        result.c = c
+        return result
+
+    def __add__(self, other):
+        r = max(self.c.shape[-1], other.c.shape[-1]) // 2
+        return self._of(_embed(self.c, r) + _embed(other.c, r))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._of(-self.c)
+
+    def __mul__(self, scalar):
+        scalar = float(scalar)
+        if scalar == 0.0:
+            return self._of(np.zeros(self.c.shape[:-2] + (1, 1), complex))
+        return self._of(scalar * self.c)
+
+    __rmul__ = __mul__
+
+    def max_wavenumber(self) -> int:
+        n = self.c.shape[-1]
+        k1, k2 = np.nonzero((self.c != 0).reshape(-1, n, n).any(axis=0))
+        return int(np.max(np.abs(np.concatenate([k1, k2]) - n // 2), initial=0))
+
+    def truncated(self, cap: int):
+        r = self.c.shape[-1] // 2
+        if cap >= r:
+            return self
+        return self._of(self.c[..., r - cap:r + cap + 1, r - cap:r + cap + 1].copy())
+
+    def coefficient_scale(self) -> float:
+        """Largest |coefficient| of a canonical mode (nan if any is nan)."""
+        flat = self.c.reshape(-1, self.c.shape[-1] ** 2)
+        mid = flat.shape[1] // 2
+        with np.errstate(over="ignore"):
+            rest = 2.0 * np.abs(flat[:, mid + 1:].view(float)).max(initial=0.0)
+        return float(np.maximum(np.abs(flat[:, mid].real).max(), rest))
+
+
+class TrigFunction(_Grid):
+    """Finitely supported trigonometric polynomial on its coefficient grid; immutable."""
+
+    __slots__ = ()
 
     def __init__(self, modes=None):
         terms, r = [], 0
@@ -74,13 +129,6 @@ class TrigFunction:
         for k1, k2, half in terms:  # at k = 0 the two halves make the constant
             self.c[r + k1, r + k2] += half
             self.c[r - k1, r - k2] += half.conjugate()
-
-    @classmethod
-    def _of(cls, c: np.ndarray) -> "TrigFunction":
-        """Wrap a Hermitian coefficient grid as it is, without copying it."""
-        result = cls.__new__(cls)
-        result.c = c
-        return result
 
     @classmethod
     def zero(cls) -> "TrigFunction":
@@ -110,48 +158,11 @@ class TrigFunction:
         keys = zip((k1 - r).tolist(), (k2 - r).tolist(), np.array([COS, SIN])[keep % 2].tolist())
         return dict(zip(keys, vals.ravel()[keep].tolist()))
 
-    def __add__(self, other):
-        r = max(self.c.shape[0], other.c.shape[0]) // 2
-        return TrigFunction._of(_embed(self.c, r) + _embed(other.c, r))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TrigFunction._of(-self.c)
-
-    def __mul__(self, scalar):
-        scalar = float(scalar)
-        if scalar == 0.0:
-            return TrigFunction()
-        return TrigFunction._of(scalar * self.c)
-
-    __rmul__ = __mul__
-
     def partial(self, axis: int) -> "TrigFunction":
         """Exact partial derivative along coordinate axis 0 or 1: c_k times i k_axis."""
         r = self.c.shape[0] // 2
         ik = 1j * np.arange(-r, r + 1)
         return TrigFunction._of(self.c * (ik[:, None] if axis == 0 else ik[None, :]))
-
-    def max_wavenumber(self) -> int:
-        r = self.c.shape[0] // 2
-        k1, k2 = np.divmod(np.flatnonzero(self.c), 2 * r + 1)
-        return int(np.max(np.abs(np.concatenate([k1, k2]) - r), initial=0))
-
-    def truncated(self, cap: int) -> "TrigFunction":
-        r = self.c.shape[0] // 2
-        if cap >= r:
-            return self
-        return TrigFunction._of(self.c[r - cap:r + cap + 1, r - cap:r + cap + 1].copy())
-
-    def coefficient_scale(self) -> float:
-        """Largest |coefficient| of a canonical mode (nan if any is nan)."""
-        flat = self.c.ravel()
-        c0 = abs(flat[flat.size // 2].real)
-        with np.errstate(over="ignore"):
-            rest = 2.0 * np.abs(flat[flat.size // 2 + 1:].view(float)).max(initial=0.0)
-        return float(np.maximum(c0, rest))
 
     def sample(self, x1, x2):
         """Pointwise values at numpy coordinate arrays (exact summation)."""
@@ -247,48 +258,34 @@ def function_inner(f: TrigFunction, g: TrigFunction) -> float:
     return _FOUR_PI_SQ * float(np.vdot(a, b[s - r:s + r + 1, s - r:s + r + 1]).real)
 
 
-class TrigVectorField:
-    """Vector field on the flat torus with trigonometric components."""
+class TrigVectorField(_Grid):
+    """Vector field on the flat torus: the grids of its two trigonometric
+    components, ``c[0]`` and ``c[1]``, on a common grid; immutable."""
 
-    __slots__ = ("comp1", "comp2")
+    __slots__ = ()
 
     def __init__(self, comp1: TrigFunction, comp2: TrigFunction):
-        self.comp1 = comp1
-        self.comp2 = comp2
+        r = max(comp1.c.shape[0], comp2.c.shape[0]) // 2
+        self.c = np.array([_embed(comp1.c, r), _embed(comp2.c, r)])
 
     @classmethod
     def zero(cls) -> "TrigVectorField":
-        return cls(TrigFunction.zero(), TrigFunction.zero())
+        return cls._of(np.zeros((2, 1, 1), complex))
 
-    def __add__(self, other):
-        return TrigVectorField(self.comp1 + other.comp1, self.comp2 + other.comp2)
+    @property
+    def comp1(self) -> TrigFunction:
+        return TrigFunction._of(self.c[0])
 
-    def __sub__(self, other):
-        return TrigVectorField(self.comp1 - other.comp1, self.comp2 - other.comp2)
-
-    def __neg__(self):
-        return TrigVectorField(-self.comp1, -self.comp2)
-
-    def __mul__(self, scalar):
-        return TrigVectorField(self.comp1 * scalar, self.comp2 * scalar)
-
-    __rmul__ = __mul__
+    @property
+    def comp2(self) -> TrigFunction:
+        return TrigFunction._of(self.c[1])
 
     def divergence(self) -> TrigFunction:
         return self.comp1.partial(0) + self.comp2.partial(1)
 
-    def coefficient_scale(self) -> float:
-        return max(self.comp1.coefficient_scale(), self.comp2.coefficient_scale())
-
     def is_divergence_free(self, tol: float = 1e-10) -> bool:
         scale = max(1.0, self.coefficient_scale() * (1.0 + self.max_wavenumber()))
         return self.divergence().coefficient_scale() <= tol * scale
-
-    def max_wavenumber(self) -> int:
-        return max(self.comp1.max_wavenumber(), self.comp2.max_wavenumber())
-
-    def truncated(self, cap: int) -> "TrigVectorField":
-        return TrigVectorField(self.comp1.truncated(cap), self.comp2.truncated(cap))
 
     def sample(self, x1, x2):
         return self.comp1.sample(x1, x2), self.comp2.sample(x1, x2)
@@ -335,17 +332,15 @@ def jacobi_lie_bracket(x: TrigVectorField, y: TrigVectorField) -> TrigVectorFiel
 
 def leray_project(x: TrigVectorField) -> TrigVectorField:
     """Remove the gradient part mode by mode; the constant mode is kept whole."""
-    r = max(x.comp1.c.shape[0], x.comp2.c.shape[0]) // 2
-    v1, v2 = _embed(x.comp1.c, r), _embed(x.comp2.c, r)
-    k = np.arange(-r, r + 1, dtype=float)
-    k1, k2 = k[:, None], k[None, :]
-    ksq = k1 * k1 + k2 * k2
+    r = x.c.shape[-1] // 2
+    kk = np.indices(x.c.shape[1:], dtype=float) - r  # kk[0] = k1, kk[1] = k2
+    ksq = kk[0] * kk[0] + kk[1] * kk[1]
     ksq[r, r] = 1.0  # k = 0: the coefficient below is 0, so the constant stays
-    coeff = v1 * k1 + v2 * k2
+    coeff = x.c[0] * kk[0] + x.c[1] * kk[1]
     # real and imaginary parts divided apart: complex division rounds differently
     coeff.real /= ksq
     coeff.imag /= ksq
-    return TrigVectorField(TrigFunction._of(v1 - coeff * k1), TrigFunction._of(v2 - coeff * k2))
+    return TrigVectorField._of(x.c - coeff * kk)
 
 
 def q_project(x: TrigVectorField) -> TrigVectorField:

@@ -533,6 +533,21 @@ class TestValidateTolerance:
         out = capsys.readouterr().out.splitlines()
         assert "  FAIL antisymmetry at (0, 1, 2): residual nan (non-finite structure constant)" in out
 
+    def test_refused_spec_judged_at_tol(self, tmp_path, capsys):
+        # refused while resolving at the default tolerance; its Gram asymmetry of 1e-11
+        # passes there and fails at 1e-12
+        path = tmp_path / "so3.cfg"
+        path.write_text("[algebra]\ndim = 3\ngram = rows: 1 1e-11 0; 0 1 0; 0 0 1\n"
+                        "structure =\n    1 2 3 1\n    2 3 1 1\n    3 1 2 1\n    1 2 1 1e-9\n")
+        assert run(["validate", "--algebra-file", str(path), "--tol", "1e-12"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "validation of algebra: FAIL",
+            "  ok   antisymmetry",
+            "  ok   gram_positive_definite",
+            "  FAIL jacobi at (0, 1, 2): residual 1.000e-09",
+            "  FAIL gram_symmetric: residual 1.000e-11",
+        ]
+
 
 class TestCurvatureCommand:
     def test_generic_plane_csv(self, tmp_path, capsys):

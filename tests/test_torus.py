@@ -743,3 +743,64 @@ class TestTruncation:
         f.partial(0)
         _ = f + f
         assert f.modes == before
+
+
+# fields whose components have unequal widths, one of them possibly empty
+FIELD_GRID_CASES = {
+    "wide-first": ({(0, 1, SIN): -1.0, (3, -1, SIN): 0.25}, {(1, 0, COS): 0.7}),
+    "wide-second": ({(0, 0, COS): 0.2, (1, 0, COS): 0.7}, {(1, -1, SIN): 0.3, (2, 3, COS): 0.5}),
+    "empty-first": ({}, {(0, 0, COS): -0.5, (2, 1, SIN): 1.5}),
+    "empty-second": ({(1, -3, COS): 2.0}, {}),
+}
+
+
+class TestFieldGrid:
+    @pytest.mark.parametrize("modes1, modes2", FIELD_GRID_CASES.values(), ids=FIELD_GRID_CASES)
+    def test_components_on_the_wider_grid(self, modes1, modes2):
+        f1, f2 = TrigFunction(modes1), TrigFunction(modes2)
+        x = TrigVectorField(f1, f2)
+        w1, w2 = f1.max_wavenumber(), f2.max_wavenumber()
+        wide = max(w1, w2)
+        assert x.c.shape == (2, 2 * wide + 1, 2 * wide + 1)
+        assert x.comp1.modes == modes1
+        assert x.comp2.modes == modes2
+        assert np.shares_memory(x.comp1.c, x.c[0]) and np.shares_memory(x.comp2.c, x.c[1])
+        assert x.max_wavenumber() == wide
+        for cap in range(wide + 1):  # below both widths, between them and at the wider
+            out = x.truncated(cap)
+            assert out.c.shape == (2, 2 * cap + 1, 2 * cap + 1)
+            for got, modes in ((out.comp1, modes1), (out.comp2, modes2)):
+                assert got.modes == {k: v for k, v in modes.items() if max(map(abs, k[:2])) <= cap}
+        zero = 0.0 * x
+        assert zero.c.shape == (2, 1, 1) and not zero.c.any()
+        for y in (x + zero, zero + x, TrigVectorField.zero() + x, x - TrigVectorField.zero(),
+                  -(-x), 0.5 * (x * 2.0)):
+            assert (y.comp1.modes, y.comp2.modes) == (modes1, modes2)
+        assert (x - x).coefficient_scale() == 0.0
+        assert (TrigVectorField.zero() - x).comp2.modes == {k: -v for k, v in modes2.items()}
+
+    @pytest.mark.parametrize("modes1, modes2", FIELD_GRID_CASES.values(), ids=FIELD_GRID_CASES)
+    def test_operations_do_not_change_input_grids(self, modes1, modes2):
+        f1, f2 = TrigFunction(modes1), TrigFunction(modes2)
+        x = TrigVectorField(f1, f2)
+        y = jacobi_lie_bracket(x, SHEAR)
+        inputs = (f1, f2, x, y, SHEAR)
+        before = [e.c.copy() for e in inputs]
+        for z in (x, y):
+            _ = [
+                z + x, z - x, -z, 2.0 * z, z * 0.0, z.truncated(0), z.truncated(1),
+                z.max_wavenumber(), z.coefficient_scale(), z.divergence(), z.is_divergence_free(),
+                leray_project(z), q_project(z), field_inner(z, x), grad(z.comp1), z.sample(X1, X2),
+                directional_derivative(z, x), jacobian_transpose_apply(x, z), jacobi_lie_bracket(z, x),
+                torus.scale_field(z.comp2, x), scalar_derivative(z, f1), ad_transpose_full(z, x),
+                multiply(z.comp1, z.comp2), function_inner(z.comp1, f2), z.comp2.partial(0),
+                truncate_state(Pair(z, f1), 1), torus.compressible_rhs_direct(z, f2),
+            ]
+        for e, c in zip(inputs, before):
+            assert np.array_equal(e.c, c)
+
+    @pytest.mark.parametrize("component", [0, 1])
+    def test_coefficient_scale_propagates_nan(self, component):
+        comps = [TrigFunction.mode(COS, (1, 0)), TrigFunction.mode(SIN, (0, 2))]
+        comps[component] = comps[component] + TrigFunction.constant(math.nan)
+        assert math.isnan(TrigVectorField(*comps).coefficient_scale())
