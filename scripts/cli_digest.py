@@ -333,6 +333,7 @@ CLI_INVOCATIONS = [
 #: Scripts under ``scripts/`` with their arguments.
 SCRIPT_INVOCATIONS = [
     ["scripts/stability_scan.py", "--count", "5", "--band", "1"],
+    ["scripts/kirchhoff_demo.py", "--steps", "200"],
 ]
 
 
