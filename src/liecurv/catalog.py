@@ -181,11 +181,3 @@ def so3_matrix(u) -> np.ndarray:
         [u[2], 0.0, -u[0]],
         [-u[1], u[0], 0.0],
     ])
-
-
-def euclidean_matrix(state) -> np.ndarray:
-    """4x4 homogeneous representation of an element (X, Y) of se(3)."""
-    m = np.zeros((4, 4))
-    m[:3, :3] = so3_matrix(state.x)
-    m[:3, 3] = np.asarray(state.y, dtype=float)
-    return m

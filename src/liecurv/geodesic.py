@@ -208,33 +208,17 @@ def integrate(rhs, state0, config: IntegratorConfig, backend) -> Trajectory:
 def exact_conjugation_solution(g_backend, u0, v0, t: float):
     """Closed-form geodesic of the conjugation product for Ad-invariant metrics.
 
-    u(t) = u0 and v(t) = exp(t ad(u0)) v0, via the matrix exponential of the
-    finite-dimensional operator ad(u0).
+    u(t) = u0 and v(t) = exp(t ad(u0)) v0.  With G = L L^T, ad(u0) is
+    skew-adjoint for G, so S = L^T ad(u0) L^-T is a real skew matrix and
+    exp(t ad(u0)) = L^-T exp(tS) L^T.  The eigendecomposition
+    i S = V diag(lam) V^H of the Hermitian matrix i S gives
+    exp(tS) = V diag(exp(-i lam t)) V^H.
     """
-    from scipy.linalg import expm  # kept off the import path of liecurv
-
     if not g_backend.is_ad_invariant():
         raise NotAdInvariant("closed form requires a bi-invariant (Ad-invariant) metric")
-    u0 = np.asarray(u0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    flow = expm(t * g_backend.ad(u0))
-    return u0.copy(), flow @ v0
-
-
-def reconstruct_matrix_trajectory(traj: Trajectory, rep):
-    """Group trajectory g(t) for matrix-representable algebras.
-
-    ``rep`` maps a state to its matrix-algebra representative; the right
-    logarithmic derivative convention gives the step
-    g_{n+1} = exp(dt * rep(u_mid)) g_n with the midpoint velocity average.
-    """
-    from scipy.linalg import expm  # kept off the import path of liecurv
-
-    g = np.eye(rep(traj.states[0]).shape[0])
-    mats = [g]
-    for n in range(len(traj.times) - 1):
-        dt = traj.times[n + 1] - traj.times[n]
-        mid = 0.5 * (rep(traj.states[n]) + rep(traj.states[n + 1]))
-        g = expm(dt * mid) @ g
-        mats.append(g)
-    return mats
+    u0, v0 = g_backend._coerce(u0), g_backend._coerce(v0)
+    chol = g_backend._chol
+    s = np.linalg.solve(chol, (chol.T @ g_backend.ad(u0)).T).T
+    lam, vecs = np.linalg.eigh(1j * s)
+    w = vecs @ (np.exp(-1j * t * lam) * (vecs.conj().T @ (chol.T @ v0)))
+    return u0.copy(), np.linalg.solve(chol.T, w.real)

@@ -318,12 +318,25 @@ def test_scan_of_a_product_above_the_limit_runs(capsys, monkeypatch):
     assert len(capsys.readouterr().out.splitlines()) == 4
 
 
-def test_import_loads_no_scipy():
-    code = "import sys, liecurv, liecurv.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+def _run_with_src(argv):
     src = str(Path(liecurv.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+    return subprocess.run([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
-    assert proc.stdout == "[]\n"
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, liecurv, liecurv.cli\n"
+            "from liecurv import DenseBackend, catalog, exact_conjugation_solution\n"
+            "exact_conjugation_solution(DenseBackend(catalog.so3()), [1, 0, 0], [0, 1, 0], 1.0)\n"
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    assert _run_with_src(["-c", code]).stdout == "[]\n"
+
+
+def test_kirchhoff_demo_runs():
+    demo = Path(__file__).resolve().parents[1] / "scripts" / "kirchhoff_demo.py"
+    out = _run_with_src([str(demo), "--steps", "200"]).stdout
+    defects = [float(line.split()[-1]) for line in out.splitlines() if "orthogonality defect" in line]
+    assert len(defects) == 1 and defects[0] <= 1e-12
 
 
 @pytest.mark.parametrize("argv", [

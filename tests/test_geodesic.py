@@ -1,20 +1,18 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from helpers import random_pair, reference_integrate, rel_vec_err, semidirect_builtins
 
 from liecurv import catalog, cli, geodesic
-from liecurv.algebra import DenseBackend
+from liecurv.algebra import DenseBackend, MetricAlgebraSpec
 from liecurv.backend import Pair
-from liecurv.errors import MidpointDivergence, NonFiniteState, NotAdInvariant
+from liecurv.errors import DimensionMismatch, MidpointDivergence, NonFiniteState, NotAdInvariant
 from liecurv.geodesic import (
     IntegratorConfig,
     QuadraticRHS,
     exact_conjugation_solution,
     geodesic_rhs,
     integrate,
-    reconstruct_matrix_trajectory,
     rhs_generic,
     rhs_magnetic,
     rhs_semidirect,
@@ -32,6 +30,15 @@ def so3_unit():
 @pytest.fixture(scope="module")
 def so3_diag():
     return DenseBackend(catalog.so3(gram=[1.0, 2.0, 3.0]))
+
+
+@pytest.fixture(scope="module")
+def so3_skewed():
+    """so(3) in the basis of the columns of a fixed invertible P, with the Gram
+    matrix 2.5 P^T P of the bi-invariant metric 2.5 I: Ad-invariant, not orthonormal."""
+    p = np.array([[1.0, 0.3, -0.2], [0.1, 1.2, 0.4], [0.0, -0.5, 0.9]])
+    c = np.einsum("ia,jb,ijk,ck->abc", p, p, catalog.so3().structure, np.linalg.inv(p))
+    return DenseBackend(MetricAlgebraSpec(structure=c, gram=2.5 * p.T @ p, name="so3-skewed"))
 
 
 class TestRightHandSides:
@@ -135,16 +142,24 @@ class TestExactConjugationSolution:
         u, v = exact_conjugation_solution(so3_unit, E[0], E[0], 1.7)
         np.testing.assert_allclose(v, E[0], atol=1e-14)
 
-    def test_solves_the_ode(self, so3_unit):
-        # central finite differences of the flow against [u0, v]
+    def test_solves_the_ode(self, so3_unit, so3_skewed):
+        # central finite differences of the flow against [u0, v], and |v(t)| = |v0|
         u0, v0 = np.array([0.3, 0.4, -1.0]), np.array([1.0, -2.0, 0.5])
         dt = 1e-6
-        for t in (0.0, 0.4, 1.3):
-            _, vp = exact_conjugation_solution(so3_unit, u0, v0, t + dt)
-            _, vm = exact_conjugation_solution(so3_unit, u0, v0, t - dt)
-            _, vt = exact_conjugation_solution(so3_unit, u0, v0, t)
-            deriv = (vp - vm) / (2 * dt)
-            np.testing.assert_allclose(deriv, so3_unit.bracket(u0, vt), atol=1e-8)
+        for g in (so3_unit, so3_skewed):
+            assert g.is_ad_invariant()
+            for t in (0.0, 0.4, 1.3):
+                _, vp = exact_conjugation_solution(g, u0, v0, t + dt)
+                _, vm = exact_conjugation_solution(g, u0, v0, t - dt)
+                _, vt = exact_conjugation_solution(g, u0, v0, t)
+                deriv = (vp - vm) / (2 * dt)
+                np.testing.assert_allclose(deriv, g.bracket(u0, vt), atol=1e-8)
+                assert g.norm(vt) == pytest.approx(g.norm(v0), rel=1e-14)
+
+    @pytest.mark.parametrize("u0,v0", [(E[0], E[1, :2]), (E[0, :2], E[1])], ids=["v0", "u0"])
+    def test_rejects_wrong_length(self, so3_unit, u0, v0):
+        with pytest.raises(DimensionMismatch):
+            exact_conjugation_solution(so3_unit, u0, v0, 1.0)
 
     def test_rejects_anisotropic_gram(self, so3_diag):
         with pytest.raises(NotAdInvariant):
@@ -243,35 +258,6 @@ class TestIntegrate:
             IntegratorConfig(dt=0.1, steps=0)
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.1, steps=1, scheme="verlet")
-
-
-class TestReconstruction:
-    def test_constant_velocity_matches_exponential(self, so3_unit):
-        u0 = np.array([0.4, -0.2, 0.9])
-        traj = integrate(
-            lambda u: rhs_generic(so3_unit, u), u0,
-            IntegratorConfig(dt=0.01, steps=100), so3_unit,
-        )
-        mats = reconstruct_matrix_trajectory(traj, catalog.so3_matrix)
-        expected = expm(1.0 * catalog.so3_matrix(u0))
-        np.testing.assert_allclose(mats[-1], expected, atol=1e-10)
-
-    def test_rotations_stay_orthogonal(self, so3_diag):
-        traj = integrate(
-            lambda u: rhs_generic(so3_diag, u), np.ones(3),
-            IntegratorConfig(dt=0.01, steps=50), so3_diag,
-        )
-        mats = reconstruct_matrix_trajectory(traj, catalog.so3_matrix)
-        for m in mats[:: len(mats) // 5]:
-            np.testing.assert_allclose(m @ m.T, np.eye(3), atol=1e-8)
-
-    def test_euclidean_embedding(self):
-        sd = catalog.euclidean()
-        state0 = Pair(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-        traj = integrate(geodesic_rhs(sd), state0, IntegratorConfig(dt=0.01, steps=10), sd)
-        mats = reconstruct_matrix_trajectory(traj, catalog.euclidean_matrix)
-        assert mats[-1].shape == (4, 4)
-        np.testing.assert_allclose(mats[-1][3], [0, 0, 0, 1], atol=1e-15)
 
 
 #: Every builtin dense and dense-semidirect selector head, with parameters.
