@@ -328,6 +328,13 @@ CLI_INVOCATIONS = [
     # a support cap between the widths of the two components
     ["geodesic", "--algebra", "torus-full", "--state-file", "torus_unequal_state.cfg",
      "--dt", "0.01", "--steps", "2", "--support-cap", "2", "--format", "jsonl"],
+    # an empty scan: the header and a summary with nan extremes
+    *(["scan", "--algebra", "so3", "--seed", "1", "--count", "0", "--format", fmt]
+      for fmt in ("csv", "jsonl")),
+    ["curvature", "--algebra", "torus-vol", "--plane-file", "torus_k32_plane.cfg",
+     "--format", "jsonl"],
+    # a negative seed
+    ["scan", "--algebra", "so3", "--seed", "-1", "--count", "1"],
 ]
 
 #: Scripts under ``scripts/`` with their arguments.
