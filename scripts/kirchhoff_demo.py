@@ -10,11 +10,15 @@ Usage:
 """
 
 import argparse
+import math
+import sys
 
 import numpy as np
 
 from liecurv import catalog
 from liecurv.backend import Pair
+from liecurv.cli import checked
+from liecurv.errors import ValidationFailure
 from liecurv.geodesic import IntegratorConfig, geodesic_rhs, integrate
 
 
@@ -42,12 +46,17 @@ def final_attitude(traj):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--dt", type=float, default=1e-3)
-    parser.add_argument("--steps", type=int, default=2000)
+    parser.add_argument("--dt", type=checked(float, lambda v: math.isfinite(v) and v > 0,
+                                             "finite and positive"), default=1e-3)
+    parser.add_argument("--steps", type=checked(int, lambda v: v >= 1, "at least 1"), default=2000)
     parser.add_argument("--inertia", type=float, nargs=3, default=[1.0, 2.0, 3.0])
     args = parser.parse_args()
 
-    sd = catalog.magnetic(catalog.so3(gram=args.inertia))
+    try:
+        sd = catalog.magnetic(catalog.so3(gram=args.inertia))
+    except ValidationFailure as exc:  # an inertia tensor that is no inner product
+        print(exc.report)
+        return 1
     state0 = Pair(np.array([1.0, 0.5, -0.3]), np.array([0.2, -1.0, 0.4]))
     rhs = geodesic_rhs(sd)
 
@@ -61,7 +70,8 @@ def main():
             g = final_attitude(traj)
             orth = np.max(np.abs(g @ g.T - np.eye(3)))
             print(f"{'':<18} body attitude orthogonality defect {orth:.3e}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

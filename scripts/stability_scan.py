@@ -21,6 +21,7 @@ Usage:
 import argparse
 
 from liecurv import torus
+from liecurv.cli import NON_NEGATIVE_INT, WAVENUMBER
 from liecurv.configio import sign_summary
 from liecurv.curvature import curvature_numerator_generic, curvature_numerator_semidirect
 from liecurv.sampling import sample_planes
@@ -29,18 +30,14 @@ ZERO_TOL = 1e-12
 
 
 def sign_counts(numerator, backend, planes):
-    ks = []
-    for plane in planes:
-        br = numerator(backend, plane.x, plane.y)
-        ks.append(br.numerator / br.denominator)
-    return sign_summary(ks, ZERO_TOL)
+    return sign_summary([numerator(backend, p.x, p.y).sectional for p in planes], ZERO_TOL)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--count", type=int, default=200)
-    parser.add_argument("--band", type=int, default=2)
+    parser.add_argument("--seed", type=NON_NEGATIVE_INT, default=7)
+    parser.add_argument("--count", type=NON_NEGATIVE_INT, default=200)
+    parser.add_argument("--band", type=WAVENUMBER, default=2)
     args = parser.parse_args()
 
     vol = torus.VolumeFieldBackend()

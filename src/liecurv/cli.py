@@ -39,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _checked(convert, accept, requirement: str):
+def checked(convert, accept, requirement: str):
     """Argument type: ``convert`` the text, then reject values failing ``accept``."""
     def parse(text):
         value = convert(text)
@@ -51,13 +51,14 @@ def _checked(convert, accept, requirement: str):
     return parse
 
 
-_COUNT = _checked(int, lambda v: v >= 0, "non-negative")
-_WAVENUMBER = _checked(int, lambda v: 0 <= v <= torus.MAX_WAVENUMBER,
-                       f"between 0 and the limit of {torus.MAX_WAVENUMBER}")
-_FINITE = _checked(float, math.isfinite, "finite")
-_TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and non-negative")
+# the scripts under scripts/ parse their seeds, counts and bands with these too
+NON_NEGATIVE_INT = checked(int, lambda v: v >= 0, "non-negative")
+WAVENUMBER = checked(int, lambda v: 0 <= v <= torus.MAX_WAVENUMBER,
+                     f"between 0 and the limit of {torus.MAX_WAVENUMBER}")
+_FINITE = checked(float, math.isfinite, "finite")
+_TOLERANCE = checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and non-negative")
 # resolving a backend refuses it when a check fails at JACOBI_TOL, so --tol can only tighten
-_VALIDATE_TOL = _checked(float, lambda v: 0 <= v <= JACOBI_TOL, f"between 0 and {JACOBI_TOL}")
+_VALIDATE_TOL = checked(float, lambda v: 0 <= v <= JACOBI_TOL, f"between 0 and {JACOBI_TOL}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,10 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scan", help="sectional-curvature sign statistics over random planes")
     backend_flags(sp)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--count", type=_COUNT, required=True)
+    sp.add_argument("--seed", type=NON_NEGATIVE_INT, required=True)
+    sp.add_argument("--count", type=NON_NEGATIVE_INT, required=True)
     sp.add_argument("--family", choices=FAMILIES, default="full")
-    sp.add_argument("--band", type=_WAVENUMBER, default=2, help="torus sampling band |k|_inf")
+    sp.add_argument("--band", type=WAVENUMBER, default=2, help="torus sampling band |k|_inf")
     sp.add_argument("--zero-tol", type=_TOLERANCE, default=1e-12)
     output_flags(sp)
 
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dt", type=_FINITE, required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--scheme", choices=("rk4", "implicit_midpoint"), default="rk4")
-    sp.add_argument("--support-cap", type=_WAVENUMBER, default=16,
+    sp.add_argument("--support-cap", type=WAVENUMBER, default=16,
                     help="torus runs: drop modes with |k|_inf above this (experimental)")
     output_flags(sp)
     return parser
@@ -214,9 +215,8 @@ def _run_curvature(args) -> int:
     backend = _resolve_backend(args)
     plane = configio.load_plane_file(args.plane_file, backend)
     plane_denominator(backend, plane.x, plane.y)  # raises DegeneratePlane before any evaluation
-    records = [(0, _breakdown_for(backend, plane))]
     write = configio.breakdown_csv_lines if args.format == "csv" else configio.breakdown_jsonl_lines
-    _emit(write(records, args.zero_tol), args)
+    _emit(write(_breakdown_for(backend, plane), args.zero_tol), args)
     return 0
 
 
@@ -227,24 +227,12 @@ def _run_scan(args) -> int:
     if planes and finite_dimensional(backend):
         # one evaluation over the stacked planes
         br = _breakdown_for(backend, Plane(stack([p.x for p in planes]), stack([p.y for p in planes])))
-        values = zip(br.numerator.tolist(), br.denominator.tolist())
+        values = zip(br.numerator.tolist(), br.denominator.tolist(), br.sectional.tolist())
     else:
-        values = [(br.numerator, br.denominator) for br in (_breakdown_for(backend, p) for p in planes)]
-    records = []
-    for plane_id, (numerator, denominator) in enumerate(values):
-        k = numerator / denominator
-        records.append(
-            {
-                "plane_id": plane_id,
-                "numerator": numerator,
-                "denominator": denominator,
-                "sectional": k,
-                "sign": configio.sign_of(k, args.zero_tol),
-            }
-        )
-    summary = configio.sign_summary([r["sectional"] for r in records], args.zero_tol)
+        values = [(br.numerator, br.denominator, br.sectional)
+                  for br in (_breakdown_for(backend, p) for p in planes)]
     write = configio.scan_csv_lines if args.format == "csv" else configio.scan_jsonl_lines
-    _emit(write(records, summary), args)
+    _emit(write(values, args.zero_tol), args)
     return 0
 
 
@@ -254,7 +242,7 @@ def _run_geodesic(args) -> int:
     rhs = geodesic_rhs(backend)
     if not finite_dimensional(backend):
         if args.format == "csv":  # refused before the run, not after it
-            raise ConfigError(configio.CSV_NEEDS_FINITE)
+            raise ConfigError("CSV trajectories need finite coordinates; use jsonl for torus runs")
         rhs = torus.capped_rhs(rhs, args.support_cap)
         print(
             f"note: torus run truncated at |k|_inf <= {args.support_cap}; "

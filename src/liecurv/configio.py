@@ -284,54 +284,46 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=True)
 
 
-def breakdown_csv_lines(records, zero_tol: float):
-    """CSV for curvature breakdowns: one record is (plane_id, breakdown)."""
-    lines = []
-    for plane_id, br in records:
-        if not lines:
-            labels = ",".join(label for label, _ in br.terms)
-            lines.append(f"plane_id,numerator,denominator,sectional,sign,{labels}")
-        cells = [
-            str(plane_id),
-            fmt(br.numerator),
-            fmt(br.denominator),
-            fmt(br.sectional),
-            sign_of(br.sectional, zero_tol),
-        ]
-        cells.extend(fmt(v) for _, v in br.terms)
-        lines.append(",".join(cells))
-    return lines
+_PLANE_KEYS = ("plane_id", "numerator", "denominator", "sectional", "sign")
 
 
-def breakdown_jsonl_lines(records, zero_tol: float):
-    lines = []
-    for plane_id, br in records:
-        obj = {
-            "plane_id": plane_id,
-            "numerator": br.numerator,
-            "denominator": br.denominator,
-            "sectional": br.sectional,
-            "sign": sign_of(br.sectional, zero_tol),
-            "terms": {label: value for label, value in br.terms},
-        }
-        lines.append(dumps_json(obj))
-    return lines
+def _plane_record(plane_id: int, values, zero_tol: float) -> dict:
+    """One plane's row: its id, its (numerator, denominator, sectional) triple
+    and the sign of K, keyed as the CSV header names the cells."""
+    numerator, denominator, k = values
+    return dict(zip(_PLANE_KEYS, (plane_id, numerator, denominator, k, sign_of(k, zero_tol))))
 
 
-def scan_csv_lines(records, summary):
-    lines = ["plane_id,numerator,denominator,sectional,sign"]
-    for rec in records:
-        lines.append(
-            ",".join(
-                [
-                    str(rec["plane_id"]),
-                    fmt(rec["numerator"]),
-                    fmt(rec["denominator"]),
-                    fmt(rec["sectional"]),
-                    rec["sign"],
-                ]
-            )
-        )
+def _plane_cells(record: dict) -> list[str]:
+    plane_id, numerator, denominator, k, sign = record.values()
+    return [str(plane_id), fmt(numerator), fmt(denominator), fmt(k), sign]
+
+
+def _breakdown_record(br, zero_tol: float) -> dict:
+    return _plane_record(0, (br.numerator, br.denominator, br.sectional), zero_tol)
+
+
+def breakdown_csv_lines(br, zero_tol: float):
+    """CSV for one plane's curvature breakdown: the plane cells, then each term."""
+    labels, values = zip(*br.terms)
+    cells = _plane_cells(_breakdown_record(br, zero_tol)) + [fmt(v) for v in values]
+    return [",".join(_PLANE_KEYS + labels), ",".join(cells)]
+
+
+def breakdown_jsonl_lines(br, zero_tol: float):
+    return [dumps_json({**_breakdown_record(br, zero_tol), "terms": dict(br.terms)})]
+
+
+def _scan(values, zero_tol: float):
+    """The plane rows of a scan, one per (numerator, denominator, sectional)
+    triple, and their sign summary."""
+    records = [_plane_record(plane_id, v, zero_tol) for plane_id, v in enumerate(values)]
+    return records, sign_summary([r["sectional"] for r in records], zero_tol)
+
+
+def scan_csv_lines(values, zero_tol: float):
+    records, summary = _scan(values, zero_tol)
+    lines = [",".join(_PLANE_KEYS)] + [",".join(_plane_cells(r)) for r in records]
     lines.append(
         "# summary: count={count} negative={negative} zero={zero} positive={positive} "
         "min_k={min_k} max_k={max_k}".format(
@@ -341,10 +333,9 @@ def scan_csv_lines(records, summary):
     return lines
 
 
-def scan_jsonl_lines(records, summary):
-    lines = [dumps_json(rec) for rec in records]
-    lines.append(dumps_json({"summary": summary}))
-    return lines
+def scan_jsonl_lines(values, zero_tol: float):
+    records, summary = _scan(values, zero_tol)
+    return [dumps_json(r) for r in records] + [dumps_json({"summary": summary})]
 
 
 def _state_parts(state) -> dict:
@@ -354,20 +345,15 @@ def _state_parts(state) -> dict:
     return {"u": state}
 
 
-#: Why a trajectory is refused as CSV: only finite-dimensional states have coordinates.
-CSV_NEEDS_FINITE = "CSV trajectories need finite coordinates; use jsonl for torus runs"
-
-
 def trajectory_csv_lines(traj):
-    """CSV for finite-dimensional trajectories: t, coordinates, energy."""
+    """CSV for finite-dimensional trajectories: t, coordinates, energy.  Torus
+    states have no coordinates; the CLI refuses them as CSV before the run."""
     first = _state_parts(traj.states[0])
-    if not all(isinstance(part, np.ndarray) for part in first.values()):
-        raise ConfigError(CSV_NEEDS_FINITE)
     header = ["t"] + [f"{key}{i+1}" for key, part in first.items() for i in range(len(part))]
     lines = [",".join(header + ["energy"])]
     for t, state, energy in zip(traj.times, traj.states, traj.energy):
-        coords = [c for part in _state_parts(state).values() for c in part]
-        lines.append(",".join([fmt(t)] + [fmt(c) for c in coords] + [fmt(energy)]))
+        coords = [c for part in _state_parts(state).values() for c in np.asarray(part, float).tolist()]
+        lines.append(",".join(map(repr, [float(t), *coords, float(energy)])))
     return lines
 
 

@@ -198,6 +198,7 @@ BAD_SOLVABLE = [["validate", "--algebra", f"random-solvable:{dim}:{seed}"]
     ["curvature", "--semidirect", "euclidean", "--plane-file", "inf_sd_plane.cfg"],
     ["curvature", "--semidirect", "passive-scalar", "--plane-file", "torus_plane.cfg"],
     SCAN + ["--count", "-3"],
+    ["scan", "--algebra", "so3", "--seed", "-1", "--count", "1"],
     ["scan", "--semidirect", "mhd", "--seed", "1", "--count", "1", "--band", "-1"],
     SCAN + ["--count", "2", "--zero-tol", "-1"],
     SCAN + ["--count", "2", "--zero-tol", "nan"],
@@ -318,10 +319,13 @@ def test_scan_of_a_product_above_the_limit_runs(capsys, monkeypatch):
     assert len(capsys.readouterr().out.splitlines()) == 4
 
 
-def _run_with_src(argv):
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run_with_src(argv, check=True):
     src = str(Path(liecurv.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=check)
 
 
 def test_import_loads_no_scipy():
@@ -333,10 +337,26 @@ def test_import_loads_no_scipy():
 
 
 def test_kirchhoff_demo_runs():
-    demo = Path(__file__).resolve().parents[1] / "scripts" / "kirchhoff_demo.py"
-    out = _run_with_src([str(demo), "--steps", "200"]).stdout
+    out = _run_with_src([str(SCRIPTS / "kirchhoff_demo.py"), "--steps", "200"]).stdout
     defects = [float(line.split()[-1]) for line in out.splitlines() if "orthogonality defect" in line]
     assert len(defects) == 1 and defects[0] <= 1e-12
+
+
+@pytest.mark.parametrize("script,args,named", [
+    ("kirchhoff_demo.py", ["--steps", "0"], "argument --steps"),
+    ("kirchhoff_demo.py", ["--steps", "-5"], "argument --steps"),
+    ("kirchhoff_demo.py", ["--dt", "nan"], "argument --dt"),
+    ("kirchhoff_demo.py", ["--inertia", "1", "2", "-3"], "FAIL gram_positive_definite"),
+    ("stability_scan.py", ["--band", "40"], "argument --band"),
+    ("stability_scan.py", ["--seed", "-1"], "argument --seed"),
+    ("stability_scan.py", ["--band", "-1"], "argument --band"),
+    ("stability_scan.py", ["--count", "-3"], "argument --count"),
+])
+def test_script_refuses_bad_arguments(script, args, named):
+    proc = _run_with_src([str(SCRIPTS / script), *args], check=False)
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert named in proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -596,6 +616,12 @@ class TestCurvatureCommand:
         assert run(["curvature", "--algebra", "so3", "--plane-file", "/nonexistent.cfg"]) == 3
 
 
+def _element_lines(element):
+    """The plane-file lines of an element: its coordinates, or its torus mode lines."""
+    lines = configio.element_to_jsonable(element)
+    return [lines] if isinstance(element, np.ndarray) else lines
+
+
 class TestScanCommand:
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -664,19 +690,27 @@ class TestScanCommand:
         assert len(seen) == calls
         assert len(capsys.readouterr().out.splitlines()) == 4
 
-    def test_curvature_prints_the_scanned_numerator(self, tmp_path, capsys):
-        selector = "magnetic:random-solvable:8:1"
-        assert run(["scan", "--semidirect", selector, "--seed", "4", "--count", "6"]) == 0
+    @pytest.mark.parametrize("selector,band", [("magnetic:random-solvable:8:1", 2),
+                                               ("passive-scalar", 1)])
+    def test_curvature_prints_the_scanned_numerator(self, selector, band, tmp_path, capsys):
+        argv = ["scan", "--semidirect", selector, "--seed", "4", "--count", "6", "--band", str(band)]
+        assert run(argv) == 0
         rows = capsys.readouterr().out.splitlines()[1:-1]
-        planes = sample_planes(catalog.resolve_semidirect(selector), seed=4, count=6)
+        planes = sample_planes(catalog.resolve_semidirect(selector), seed=4, count=6, band=band)
+        assert len(rows) == len(planes) == 6
         for plane, row in zip(planes, rows):
             path = tmp_path / "plane.cfg"
             parts = {"x_g": plane.x.x, "x_h": plane.x.y, "y_g": plane.y.x, "y_h": plane.y.y}
             path.write_text("[plane]\n" + "".join(
-                f"{key} = {' '.join(repr(float(v)) for v in value)}\n" for key, value in parts.items()))
+                f"{key} =\n" + "".join(f"    {' '.join(map(str, line))}\n"
+                                       for line in _element_lines(value))
+                for key, value in parts.items()))
             assert run(["curvature", "--semidirect", selector, "--plane-file", str(path)]) == 0
             printed = capsys.readouterr().out.splitlines()[1].split(",")
-            assert relerr(float(printed[1]), float(row.split(",")[1])) <= 1e-13
+            scanned = row.split(",")
+            for cell in (1, 2, 3):  # numerator, denominator, sectional
+                assert relerr(float(printed[cell]), float(scanned[cell])) <= 1e-13
+            assert printed[4] == scanned[4]
 
     def test_count_zero_is_valid(self, capsys):
         assert run(["scan", "--semidirect", "euclidean", "--seed", "1", "--count", "0"]) == 0
