@@ -335,12 +335,20 @@ CLI_INVOCATIONS = [
      "--format", "jsonl"],
     # a negative seed
     ["scan", "--algebra", "so3", "--seed", "-1", "--count", "1"],
+    # torus scans of many planes, one family with legs in different factors, and
+    # contains-h, whose legs have unequal widths
+    ["scan", "--semidirect", "mhd", "--band", "2", "--seed", "1", "--count", "30"],
+    ["scan", "--semidirect", "mhd", "--family", "gh", "--seed", "2", "--count", "4"],
+    ["scan", "--semidirect", "compressible", "--family", "contains-h", "--band", "1",
+     "--seed", "2", "--count", "3"],
 ]
 
 #: Scripts under ``scripts/`` with their arguments.
 SCRIPT_INVOCATIONS = [
     ["scripts/stability_scan.py", "--count", "5", "--band", "1"],
     ["scripts/kirchhoff_demo.py", "--steps", "200"],
+    # a step so large that the integration blows up
+    ["scripts/kirchhoff_demo.py", "--dt", "50", "--steps", "2"],
 ]
 
 
