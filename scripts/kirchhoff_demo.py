@@ -18,7 +18,7 @@ import numpy as np
 from liecurv import catalog
 from liecurv.backend import Pair
 from liecurv.cli import checked
-from liecurv.errors import ValidationFailure
+from liecurv.errors import MidpointDivergence, NonFiniteState, ValidationFailure
 from liecurv.geodesic import IntegratorConfig, geodesic_rhs, integrate
 
 
@@ -62,7 +62,12 @@ def main():
 
     print(f"inertia={args.inertia} dt={args.dt} steps={args.steps}")
     for scheme in ("rk4", "implicit_midpoint"):
-        traj = integrate(rhs, state0, IntegratorConfig(dt=args.dt, steps=args.steps, scheme=scheme), sd)
+        config = IntegratorConfig(dt=args.dt, steps=args.steps, scheme=scheme)
+        try:
+            traj = integrate(rhs, state0, config, sd)
+        except (MidpointDivergence, NonFiniteState) as exc:  # a step too large for the flow
+            print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
         drift = max(abs(e - traj.energy[0]) for e in traj.energy) / traj.energy[0]
         u_final = traj.states[-1].x
         print(f"{scheme:<18} energy drift {drift:.3e}   u(T) = {np.array2string(u_final, precision=6)}")

@@ -21,6 +21,7 @@ Usage:
 import argparse
 
 from liecurv import torus
+from liecurv.backend import stack
 from liecurv.cli import NON_NEGATIVE_INT, WAVENUMBER
 from liecurv.configio import sign_summary
 from liecurv.curvature import curvature_numerator_generic, curvature_numerator_semidirect
@@ -30,7 +31,12 @@ ZERO_TOL = 1e-12
 
 
 def sign_counts(numerator, backend, planes):
-    return sign_summary([numerator(backend, p.x, p.y).sectional for p in planes], ZERO_TOL)
+    """Sign summary of the planes' sectional curvatures, evaluated in one stacked call."""
+    sectionals = []
+    if planes:
+        br = numerator(backend, stack([p.x for p in planes]), stack([p.y for p in planes]))
+        sectionals = br.sectional.tolist()
+    return sign_summary(sectionals, ZERO_TOL)
 
 
 def main():

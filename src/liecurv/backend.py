@@ -44,10 +44,14 @@ class Pair:
 
 
 def stack(elements):
-    """Coordinate vectors, or Pairs of them, stacked along a new leading axis."""
-    if isinstance(elements[0], Pair):
-        return Pair(np.stack([e.x for e in elements]), np.stack([e.y for e in elements]))
-    return np.stack(elements)
+    """Elements, or Pairs of them, stacked along a new leading axis: coordinate
+    vectors as one array, torus elements on their widest grid."""
+    first = elements[0]
+    if isinstance(first, Pair):
+        return Pair(stack([e.x for e in elements]), stack([e.y for e in elements]))
+    if isinstance(first, np.ndarray):
+        return np.stack(elements)
+    return type(first).stack(elements)
 
 
 class SemidirectBackendBase:
@@ -85,12 +89,12 @@ class SemidirectBackendBase:
             self.h.ad_transpose(p.y, q.y) + self.b_transpose(p.x, q.y),
         )
 
-    def sample_basis(self, band: int = 2, part: str | None = None):
-        """Product basis as a list of embedded pairs; ``part`` restricts to one factor."""
-        gz, hz = self.g.zero(), self.h.zero()
-        basis = []
-        if part in (None, "g"):
-            basis.extend(Pair(e, hz) for e in self.g.sample_basis(band))
-        if part in (None, "h"):
-            basis.extend(Pair(gz, e) for e in self.h.sample_basis(band))
-        return basis
+    def sample_basis(self, band: int = 2, part: str | None = None) -> Pair:
+        """Product basis as a Pair of factor bases over one list of elements: the
+        g basis as (e, 0), then the h basis as (0, e); ``part`` keeps one factor's."""
+        g, h = self.g.sample_basis(band), self.h.sample_basis(band)
+        if part == "g":
+            return Pair(g, h.zeros(len(g)))
+        if part == "h":
+            return Pair(g.zeros(len(h)), h)
+        return Pair(g + g.zeros(len(h)), h.zeros(len(g)) + h)

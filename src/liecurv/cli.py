@@ -142,7 +142,7 @@ def _relative_residual(lhs: float, rhs: float) -> float:
 
 def _adjointness_residual(backend) -> float:
     """Worst residual of <[x, z], y> = <z, ad(x)^T y> over the band-1 modes."""
-    modes = backend.sample_basis(1)
+    modes = list(backend.sample_basis(1))
     worst = 0.0
     for x in modes:
         for z in modes:
@@ -156,8 +156,8 @@ def _adjointness_residual(backend) -> float:
 def _torus_spot_report(backend) -> ValidationReport:
     """Adjointness and h-relation spot checks over the band-1 mode family."""
     if isinstance(backend, SemidirectBackendBase):
-        gmodes = backend.g.sample_basis(1)
-        hmodes = backend.h.sample_basis(1)
+        gmodes = list(backend.g.sample_basis(1))
+        hmodes = list(backend.h.sample_basis(1))
         worst_h = 0.0
         worst_b = 0.0
         for x in gmodes:
@@ -224,13 +224,10 @@ def _run_scan(args) -> int:
     backend = _resolve_backend(args)
     _as_config_error(check_family, backend, args.family)
     planes = sample_planes(backend, args.seed, args.count, family=args.family, band=args.band)
-    if planes and finite_dimensional(backend):
-        # one evaluation over the stacked planes
+    values = []
+    if planes:  # one evaluation over the stacked planes
         br = _breakdown_for(backend, Plane(stack([p.x for p in planes]), stack([p.y for p in planes])))
         values = zip(br.numerator.tolist(), br.denominator.tolist(), br.sectional.tolist())
-    else:
-        values = [(br.numerator, br.denominator, br.sectional)
-                  for br in (_breakdown_for(backend, p) for p in planes)]
     write = configio.scan_csv_lines if args.format == "csv" else configio.scan_jsonl_lines
     _emit(write(values, args.zero_tol), args)
     return 0

@@ -112,8 +112,8 @@ def _finish(backend, x, y, terms) -> CurvatureBreakdown:
     denominator, spans = _plane_gram(backend, x, y)
     with np.errstate(divide="ignore", invalid="ignore"):
         sec = np.where(spans, np.divide(numerator, denominator), np.nan)
-    if np.ndim(numerator):
-        return CurvatureBreakdown(numerator, denominator, sec, terms)
+    if sec.ndim:  # a stack; an abelian factor's numerator is the scalar 0.0
+        return CurvatureBreakdown(np.broadcast_to(numerator, sec.shape), denominator, sec, terms)
     return CurvatureBreakdown(float(numerator), float(denominator), float(sec),
                               [(label, float(v)) for label, v in terms])
 

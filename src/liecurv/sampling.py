@@ -23,29 +23,22 @@ def rng_for_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def linear_combination(basis, coeffs):
-    total = None
-    for element, c in zip(basis, coeffs):
-        piece = float(c) * element
-        total = piece if total is None else total + piece
-    if total is None:
-        raise ValueError("empty sampling basis")
-    return total
-
-
-def _combine_rows(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """``linear_combination`` of the rows of an array: the running sum adds the
-    scaled rows in the same order, so the result is the same bit for bit,
-    signed zeros included."""
-    return np.cumsum(coeffs[:, None] * rows, axis=0)[-1]
+def _combine(basis, coeffs: np.ndarray):
+    """sum_j coeffs[j] * element j of the basis, the same bit for bit, signed
+    zeros included, as the running sum of ``float(c) * element`` in basis
+    order: the rows of an array by a cumulative sum, a ``torus.ModeBasis`` on
+    its grid."""
+    if isinstance(basis, np.ndarray):
+        return np.cumsum(coeffs[:, None] * basis, axis=0)[-1]
+    return basis.combine(coeffs)
 
 
 def random_element(backend, rng, band: int = 2, part: str | None = None):
     """Standard-normal combination of the sampling basis (optionally one factor).
 
-    Finite-dimensional backends give their basis as the rows of an array (a
-    Pair of arrays on a product), combined in one product; other backends
-    give a list of elements.
+    Dense backends give their basis as the rows of an array, torus backends as
+    a ``torus.ModeBasis``, and semidirect products a Pair of such bases over
+    one list of elements; one normal is drawn per element, in basis order.
     """
     if part is None:
         basis = backend.sample_basis(band)
@@ -53,11 +46,8 @@ def random_element(backend, rng, band: int = 2, part: str | None = None):
         basis = backend.sample_basis(band, part=part)
     if isinstance(basis, Pair):
         coeffs = rng.standard_normal(len(basis.x))
-        return Pair(_combine_rows(basis.x, coeffs), _combine_rows(basis.y, coeffs))
-    coeffs = rng.standard_normal(len(basis))
-    if isinstance(basis, np.ndarray):
-        return _combine_rows(basis, coeffs)
-    return linear_combination(basis, coeffs)
+        return Pair(_combine(basis.x, coeffs), _combine(basis.y, coeffs))
+    return _combine(basis, rng.standard_normal(len(basis)))
 
 
 def _normalize(backend, v):

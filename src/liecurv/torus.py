@@ -14,6 +14,12 @@ transform roundoff), derivatives multiply by i k, and the L^2 metric on
 the grids of its two components as one (2, n, n) array on a common grid.
 Wavevectors given from outside are bounded by ``MAX_WAVENUMBER``.
 
+Elements stack along leading axes: the grids of a stack of functions are
+one (..., n, n) array, those of a stack of fields one (..., 2, n, n) array.
+Every operation acts element by element on the last axes, and inner
+products and scales return one value per element, so a stack of curvature
+planes is evaluated in one pass.
+
 Three semidirect backends are provided on top of this calculus:
 
 * volume-preserving fields acting on functions (passive scalar transport),
@@ -43,6 +49,13 @@ MAX_WAVENUMBER = 32
 
 _FOUR_PI_SQ = 4.0 * math.pi**2
 
+#: Bytes of gathered operands that one stacked product forms at a time; a
+#: longer stack is split.  On a 2-core Xeon with 2 MB of L2 per core, stacks
+#: of 30 full-band products ran fastest per element within about this budget
+#: (all 30 at band 2, about 8 at band 4, one or two from band 6 on) and up to
+#: 3x slower per element at four times the budget.
+STACK_BYTES = 1 << 18
+
 
 def _embed(c: np.ndarray, r: int) -> np.ndarray:
     """The grids on the last two axes of c, widened with zeros to half-width r
@@ -55,6 +68,19 @@ def _embed(c: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
+def _broadcast(a: np.ndarray, b: np.ndarray):
+    """Grids a and b with their stack axes broadcast against each other."""
+    if a.shape[:-2] == b.shape[:-2]:
+        return a, b
+    stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    return np.broadcast_to(a, stack + a.shape[-2:]), np.broadcast_to(b, stack + b.shape[-2:])
+
+
+def _per_element(values: np.ndarray):
+    """A Python number for one element, the array for a stack."""
+    return values.item() if values.ndim == 0 else values
+
+
 class _Grid:
     """Hermitian coefficient grids on the last two axes of ``c``; immutable.
 
@@ -63,12 +89,26 @@ class _Grid:
 
     __slots__ = ("c",)
 
+    #: trailing axes of ``c`` that hold one element; any axes before them stack elements
+    _axes = 2
+
     @classmethod
     def _of(cls, c: np.ndarray):
         """Wrap coefficient grids as they are, without copying them."""
         result = cls.__new__(cls)
         result.c = c
         return result
+
+    @classmethod
+    def stack(cls, elements):
+        """The elements, widened to their widest grid, along a new leading axis."""
+        r = max(e.c.shape[-1] for e in elements) // 2
+        return cls._of(np.stack([_embed(e.c, r) for e in elements]))
+
+    @property
+    def _stack(self) -> tuple:
+        """Shape of the stack axes of ``c``: () for one element."""
+        return self.c.shape[:self.c.ndim - self._axes]
 
     def __add__(self, other):
         r = max(self.c.shape[-1], other.c.shape[-1]) // 2
@@ -88,10 +128,13 @@ class _Grid:
 
     __rmul__ = __mul__
 
-    def max_wavenumber(self) -> int:
+    def max_wavenumber(self):
+        """Largest |k|_inf of a nonzero coefficient (0 when there is none)."""
         n = self.c.shape[-1]
-        k1, k2 = np.nonzero((self.c != 0).reshape(-1, n, n).any(axis=0))
-        return int(np.max(np.abs(np.concatenate([k1, k2]) - n // 2), initial=0))
+        k = np.abs(np.arange(n) - n // 2)
+        nonzero = (self.c != 0).reshape(self._stack + (-1, n, n)).any(axis=-3)
+        reach = np.where(nonzero, np.maximum(k[:, None], k[None, :]), 0)
+        return _per_element(reach.max(axis=(-2, -1)))
 
     def truncated(self, cap: int):
         r = self.c.shape[-1] // 2
@@ -99,13 +142,14 @@ class _Grid:
             return self
         return self._of(self.c[..., r - cap:r + cap + 1, r - cap:r + cap + 1].copy())
 
-    def coefficient_scale(self) -> float:
+    def coefficient_scale(self):
         """Largest |coefficient| of a canonical mode (nan if any is nan)."""
-        flat = self.c.reshape(-1, self.c.shape[-1] ** 2)
-        mid = flat.shape[1] // 2
+        n2 = self.c.shape[-1] ** 2
+        flat = self.c.reshape(self._stack + (-1, n2))
+        mid = n2 // 2
         with np.errstate(over="ignore"):
-            rest = 2.0 * np.abs(flat[:, mid + 1:].view(float)).max(initial=0.0)
-        return float(np.maximum(np.abs(flat[:, mid].real).max(), rest))
+            rest = 2.0 * np.abs(flat[..., mid + 1:].view(float)).max(axis=(-2, -1), initial=0.0)
+        return _per_element(np.maximum(np.abs(flat[..., mid].real).max(axis=-1), rest))
 
 
 class TrigFunction(_Grid):
@@ -145,22 +189,26 @@ class TrigFunction(_Grid):
     @property
     def modes(self) -> dict:
         """Nonzero canonical modes {(k1, k2, parity): coeff}, in (k1, k2) order with
-        cos first, as Python ints, strs and floats."""
-        r, mid = self.c.shape[0] // 2, self.c.size // 2
-        # the canonical half of the grid in row-major order: k = 0, then every
+        cos first, as Python ints, strs and floats.  On a stack: the modes nonzero
+        in any element, each with the list of the elements' coefficients."""
+        n = self.c.shape[-1]
+        r, mid = n // 2, n * n // 2
+        # the canonical half of each grid in row-major order: k = 0, then every
         # lexicographically positive k in (k1, k2) order
-        half = self.c.ravel()[mid:]
+        half = self.c.reshape(-1, n * n)[:, mid:]
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.stack([2.0 * half.real, -2.0 * half.imag], axis=1)
-        vals[0] = half[0].real, 0.0
-        keep = np.flatnonzero(vals)
-        k1, k2 = np.divmod(keep // 2 + mid, 2 * r + 1)
+            vals = np.stack([2.0 * half.real, -2.0 * half.imag], axis=-1)
+        vals[:, 0, 0], vals[:, 0, 1] = half[:, 0].real, 0.0
+        vals = vals.reshape(len(half), -1)
+        keep = np.flatnonzero(vals.any(axis=0))
+        k1, k2 = np.divmod(keep // 2 + mid, n)
         keys = zip((k1 - r).tolist(), (k2 - r).tolist(), np.array([COS, SIN])[keep % 2].tolist())
-        return dict(zip(keys, vals.ravel()[keep].tolist()))
+        coeffs = vals[0, keep] if self.c.ndim == 2 else vals[:, keep].T
+        return dict(zip(keys, coeffs.tolist()))
 
     def partial(self, axis: int) -> "TrigFunction":
         """Exact partial derivative along coordinate axis 0 or 1: c_k times i k_axis."""
-        r = self.c.shape[0] // 2
+        r = self.c.shape[-1] // 2
         ik = 1j * np.arange(-r, r + 1)
         return TrigFunction._of(self.c * (ik[:, None] if axis == 0 else ik[None, :]))
 
@@ -175,6 +223,8 @@ class TrigFunction(_Grid):
         return total
 
     def __repr__(self):
+        if self._stack:
+            return f"TrigFunction(stack of {self._stack})"
         if not self.modes:
             return "TrigFunction(0)"
         bits = [f"{v:+g}*{p}({k1},{k2})" for (k1, k2, p), v in self.modes.items()]
@@ -182,33 +232,42 @@ class TrigFunction(_Grid):
 
 
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Convolution of the grids a and b as one stack of complex matrix products.
+    """Convolutions of the stacked grids a[s] and b[s] as stacks of complex
+    matrix products.
 
-    Only the rows R of a and the columns C of b that hold a nonzero cell take
-    part.  With n = na + nb - 1, A[i1, j2, q] = a[i1, q - j2] and
-    B[i1, j2, p1] = b[p1 - i1, j2] (i1 in R, j2 in C) are gathered from
-    zero-padded copies of a[R] and b[:, C], and out[p1, q] is the sum over i1
-    of (B[i1]^T A[i1])[p1, q], added in row order.  Each matrix product sums
-    over C alone, at most 2 * MAX_WAVENUMBER + 1 terms on grids within the
-    wavenumber bound: OpenBLAS adds a sum that short in one block, where it
-    splits a longer one at bounds that move with its thread count.  Rows
-    below the centre of out are left unset: the caller mirrors them from the
-    canonical half.
+    Only the rows R of a and the columns C of b that hold a nonzero cell in
+    some element take part.  The rows and columns that one element lacks add
+    exact zeros to its sums, but in a matrix product they can move the last
+    bits of a rounded sum: elements that share their nonzero rows and columns,
+    as a scan's sampled planes do, get their products bit for bit as alone.
+    With n = na + nb - 1, A[s, i1, j2, q] = a[s, i1, q - j2] and
+    B[s, i1, p1, j2] = b[s, p1 - i1, j2] (i1 in R, j2 in C) are windows of
+    zero-padded copies of a[:, R] and b[:, :, C], and out[s, p1, q] is the
+    sum over i1 of (B[s, i1] A[s, i1])[p1, q], added in row order.  Each
+    matrix product sums over C alone, at most 2 * MAX_WAVENUMBER + 1 terms on
+    grids within the wavenumber bound: OpenBLAS adds a sum that short in one
+    block, where it splits a longer one at bounds that move with its thread
+    count.  A and B are formed for as many elements at a time as
+    ``STACK_BYTES`` holds.  Rows below the centre of out are left unset: the
+    caller mirrors them from the canonical half.
     """
-    na, nb = a.shape[0], b.shape[0]
+    stack, na, nb = a.shape[0], a.shape[-1], b.shape[-1]
     n = na + nb - 1
     centre = n // 2
-    rows, cols = np.flatnonzero(a.any(axis=1)), np.flatnonzero(b.any(axis=0))
-    a_pad = np.zeros((rows.size, n + nb - 1), complex)  # a_pad[i, t + nb - 1] = a[R_i, t]
-    a_pad[:, nb - 1:n] = a[rows]
-    b_pad = np.zeros((n + na - 1, cols.size), complex)  # b_pad[t + na - 1, j] = b[t, C_j]
-    b_pad[na - 1:n] = b[:, cols]
+    rows, cols = a.any(axis=(0, 2)).nonzero()[0], b.any(axis=(0, 1)).nonzero()[0]
+    a_pad = np.zeros((stack, rows.size, n + nb - 1), complex)  # a_pad[s, i, t + nb - 1] = a[s, R_i, t]
+    a_pad[:, :, nb - 1:n] = a[:, rows]
+    b_pad = np.zeros((stack, n + na - 1, cols.size), complex)  # b_pad[s, t + na - 1, j] = b[s, t, C_j]
+    b_pad[:, na - 1:n] = b[:, :, cols]
     q = np.arange(n)
-    # flat indices into a_pad of A[i, j, q], and into b_pad of B[i, j, p1] for p1 >= centre
-    a_cells = (nb - 1 + q) - cols[:, None] + (a_pad.shape[1] * np.arange(rows.size))[:, None, None]
-    b_cells = ((na - 1 + q[centre:]) - rows[:, None, None]) * cols.size + np.arange(cols.size)[:, None]
-    out = np.empty((n, n), complex)
-    out[centre:] = np.matmul(b_pad.take(b_cells).transpose(0, 2, 1), a_pad.take(a_cells)).sum(axis=0)
+    a_window = (nb - 1 - cols)[:, None] + q  # A[s, i] = a_pad[s, i, a_window]
+    b_window = (na - 1 + centre - rows)[:, None] + q[:n - centre]  # B[s, i] = b_pad[s, b_window[i]]
+    out = np.empty((stack, n, n), complex)
+    step = max(1, STACK_BYTES // max(1, 16 * rows.size * cols.size * (2 * n - centre)))
+    for s in range(0, stack, step):
+        products = np.matmul(b_pad[s:s + step].take(b_window, axis=1),
+                             a_pad[s:s + step].take(a_window, axis=2))
+        out[s:s + step, centre:] = products.sum(axis=1)
     return out
 
 
@@ -226,6 +285,10 @@ def _shifted_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _finite(*grids: np.ndarray) -> bool:
+    return all(np.isfinite(g).all() for g in grids)
+
+
 def multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
     """Exact product: the direct convolution of the coefficient grids; support adds.
 
@@ -238,35 +301,54 @@ def multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
     depend on the BLAS thread count (see ``_contract``).  A grid with a
     non-finite cell is convolved by shifted copies instead: in a matrix
     product its inf would meet zero cells of the other grid, and the nan of
-    inf * 0 would replace coefficients that the copies leave at +-inf.
-    The canonical half is then mirrored, so c_{-k} = conj(c_k) holds exactly.
+    inf * 0 would replace coefficients that the copies leave at +-inf.  On
+    stacks (which broadcast) the product is taken element by element, and a
+    stack with a non-finite cell picks the method for each element as the
+    element alone would.  The canonical half is then mirrored, so
+    c_{-k} = conj(c_k) holds exactly.
     """
-    a, b = f.c, g.c
+    a, b = _broadcast(f.c, g.c)
+    stack = a.shape[:-2]
+    a, b = a.reshape((-1,) + a.shape[-2:]), b.reshape((-1,) + b.shape[-2:])
     # inf and nan propagate without warnings, as in Python float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _contract(a, b) if np.isfinite(a).all() and np.isfinite(b).all() else _shifted_sum(a, b)
-        flat, mid = out.ravel(), out.size // 2
-        flat[:mid] = np.conj(flat[:mid:-1])
-    flat[mid] = flat[mid].real
-    return TrigFunction._of(out)
+        if _finite(a, b):
+            out = _contract(a, b)
+        else:
+            out = np.array([_contract(x[None], y[None])[0] if _finite(x, y) else _shifted_sum(x, y)
+                            for x, y in zip(a, b)])
+        flat, mid = out.reshape(len(out), -1), out[0].size // 2
+        flat[:, :mid] = np.conj(flat[:, :mid:-1])
+    flat[:, mid] = flat[:, mid].real
+    return TrigFunction._of(out.reshape(stack + out.shape[-2:]))
 
 
-def function_inner(f: TrigFunction, g: TrigFunction) -> float:
-    """L^2 inner product over [0, 2pi)^2 with the bare volume form."""
-    a, b = sorted((f.c, g.c), key=len)
-    r, s = a.shape[0] // 2, b.shape[0] // 2
-    return _FOUR_PI_SQ * float(np.vdot(a, b[s - r:s + r + 1, s - r:s + r + 1]).real)
+def function_inner(f: TrigFunction, g: TrigFunction):
+    """L^2 inner product over [0, 2pi)^2 with the bare volume form; one value per
+    element of a stack (stacks broadcast)."""
+    a, b = sorted((f.c, g.c), key=lambda c: c.shape[-1])
+    r, s = a.shape[-1] // 2, b.shape[-1] // 2
+    b = b[..., s - r:s + r + 1, s - r:s + r + 1]
+    if a.ndim == b.ndim == 2:
+        return _FOUR_PI_SQ * float(np.vdot(a, b).real)
+    # np.vdot element by element: the sum of a lone element, in the same order
+    a, b = _broadcast(a, b)
+    cells = a.shape[-2:]
+    pairs = zip(a.reshape((-1,) + cells), b.reshape((-1,) + cells))
+    return _FOUR_PI_SQ * np.array([np.vdot(x, y).real for x, y in pairs]).reshape(a.shape[:-2])
 
 
 class TrigVectorField(_Grid):
     """Vector field on the flat torus: the grids of its two trigonometric
-    components, ``c[0]`` and ``c[1]``, on a common grid; immutable."""
+    components, ``c[..., 0, :, :]`` and ``c[..., 1, :, :]``, on a common grid;
+    immutable."""
 
     __slots__ = ()
+    _axes = 3
 
     def __init__(self, comp1: TrigFunction, comp2: TrigFunction):
-        r = max(comp1.c.shape[0], comp2.c.shape[0]) // 2
-        self.c = np.array([_embed(comp1.c, r), _embed(comp2.c, r)])
+        r = max(comp1.c.shape[-1], comp2.c.shape[-1]) // 2
+        self.c = np.stack(_broadcast(_embed(comp1.c, r), _embed(comp2.c, r)), axis=-3)
 
     @classmethod
     def zero(cls) -> "TrigVectorField":
@@ -274,18 +356,20 @@ class TrigVectorField(_Grid):
 
     @property
     def comp1(self) -> TrigFunction:
-        return TrigFunction._of(self.c[0])
+        return TrigFunction._of(self.c[..., 0, :, :])
 
     @property
     def comp2(self) -> TrigFunction:
-        return TrigFunction._of(self.c[1])
+        return TrigFunction._of(self.c[..., 1, :, :])
 
     def divergence(self) -> TrigFunction:
         return self.comp1.partial(0) + self.comp2.partial(1)
 
-    def is_divergence_free(self, tol: float = 1e-10) -> bool:
-        scale = max(1.0, self.coefficient_scale() * (1.0 + self.max_wavenumber()))
-        return self.divergence().coefficient_scale() <= tol * scale
+    def is_divergence_free(self, tol: float = 1e-10):
+        """Whether the divergence is within ``tol`` of the field's own scale; one
+        answer per element of a stack."""
+        scale = np.fmax(1.0, self.coefficient_scale() * (1.0 + self.max_wavenumber()))
+        return _per_element(np.asarray(self.divergence().coefficient_scale() <= tol * scale))
 
     def sample(self, x1, x2):
         return self.comp1.sample(x1, x2), self.comp2.sample(x1, x2)
@@ -294,7 +378,7 @@ class TrigVectorField(_Grid):
         return f"TrigVectorField({self.comp1!r}, {self.comp2!r})"
 
 
-def field_inner(x: TrigVectorField, y: TrigVectorField) -> float:
+def field_inner(x: TrigVectorField, y: TrigVectorField):
     return function_inner(x.comp1, y.comp1) + function_inner(x.comp2, y.comp2)
 
 
@@ -333,14 +417,14 @@ def jacobi_lie_bracket(x: TrigVectorField, y: TrigVectorField) -> TrigVectorFiel
 def leray_project(x: TrigVectorField) -> TrigVectorField:
     """Remove the gradient part mode by mode; the constant mode is kept whole."""
     r = x.c.shape[-1] // 2
-    kk = np.indices(x.c.shape[1:], dtype=float) - r  # kk[0] = k1, kk[1] = k2
+    kk = np.indices(x.c.shape[-2:], dtype=float) - r  # kk[0] = k1, kk[1] = k2
     ksq = kk[0] * kk[0] + kk[1] * kk[1]
     ksq[r, r] = 1.0  # k = 0: the coefficient below is 0, so the constant stays
-    coeff = x.c[0] * kk[0] + x.c[1] * kk[1]
+    coeff = x.c[..., 0, :, :] * kk[0] + x.c[..., 1, :, :] * kk[1]
     # real and imaginary parts divided apart: complex division rounds differently
     coeff.real /= ksq
     coeff.imag /= ksq
-    return TrigVectorField._of(x.c - coeff * kk)
+    return TrigVectorField._of(x.c - coeff[..., None, :, :] * kk)
 
 
 def q_project(x: TrigVectorField) -> TrigVectorField:
@@ -349,13 +433,14 @@ def q_project(x: TrigVectorField) -> TrigVectorField:
 
 
 def _require_divergence_free(*fields: TrigVectorField):
+    """Raise on the first field, and on a stack its first element, that fails the check."""
     for f in fields:
-        if not f.is_divergence_free():
-            if not math.isfinite(field_inner(f, f)):
+        failed = ~np.ravel(f.is_divergence_free())
+        if failed.any():
+            if not math.isfinite(np.ravel(field_inner(f, f))[failed][0]):
                 raise NonFiniteState("field with non-finite L2 norm")
-            raise NotDivergenceFree(
-                f"field with divergence scale {f.divergence().coefficient_scale():.3e} rejected"
-            )
+            scale = np.ravel(f.divergence().coefficient_scale())[failed][0]
+            raise NotDivergenceFree(f"field with divergence scale {scale:.3e} rejected")
 
 
 def ad_transpose_vol(x: TrigVectorField, y: TrigVectorField) -> TrigVectorField:
@@ -638,41 +723,120 @@ def canonical_wavevectors(band: int):
     return [(k1, k2) for k1 in range(band + 1) for k2 in range(-band, band + 1) if k1 > 0 or k2 > 0]
 
 
-def function_modes(band: int):
+class ModeBasis:
+    """Sampling basis of trigonometric modes, held as the grid cells that its
+    elements touch rather than as a list of elements.
+
+    Element j is the function (``kind`` TrigFunction) or field
+    (TrigVectorField) whose component ``comp[e]`` holds ``value[e]`` at
+    wavevector ``k[e]`` for each entry e with ``owner[e] == j``, and zero
+    elsewhere on a grid reaching the largest of those wavevectors.  Entries
+    run in basis order, and each element lists the centre of every component,
+    which every element's grid covers.  Indexing builds elements one at a
+    time; ``combine`` writes a combination straight onto one grid.
+    """
+
+    def __init__(self, kind, size: int, owner, comp, k, value):
+        self.kind, self.size = kind, size
+        self.owner, self.comp, self.k, self.value = owner, comp, k, value
+
+    @classmethod
+    def of_modes(cls, kind, ks, sin, amp) -> "ModeBasis":
+        """Element j is amp[j, m] cos(k_j . x) in component m, or sin where sin[j].
+        Its cells at +k, -k and the centre hold what ``TrigFunction`` adds there
+        (a constant adds its two halves at the centre), with +0 for zero parts."""
+        count, ncomp = amp.shape
+        half = 0.5 * amp
+        value = np.zeros((count, ncomp, 3), complex)
+        value.real[..., 0] = value.real[..., 1] = np.where(sin[:, None], 0.0, half)
+        value.imag[..., 0] = np.where(sin[:, None], 0.0 - half, 0.0)
+        value.imag[..., 1] = np.where(sin[:, None], half, 0.0)
+        k = np.broadcast_to(np.stack([ks, -ks, 0 * ks], axis=1)[:, None], (count, ncomp, 3, 2))
+        return cls(kind, count, np.repeat(np.arange(count), 3 * ncomp),
+                   np.tile(np.repeat(np.arange(ncomp), 3), count), k.reshape(-1, 2), value.ravel())
+
+    @property
+    def ncomp(self) -> int:
+        return 1 if self.kind is TrigFunction else 2
+
+    def zeros(self, count: int) -> "ModeBasis":
+        """``count`` zero elements of this kind, the grids of ``kind.zero()``."""
+        owner = np.repeat(np.arange(count), self.ncomp)
+        return ModeBasis(self.kind, count, owner, np.tile(np.arange(self.ncomp), count),
+                         np.zeros((owner.size, 2), int), np.zeros(owner.size, complex))
+
+    def __add__(self, other: "ModeBasis") -> "ModeBasis":
+        """The elements of this basis, then those of ``other``."""
+        return ModeBasis(self.kind, self.size + other.size,
+                         np.concatenate([self.owner, other.owner + self.size]),
+                         np.concatenate([self.comp, other.comp]),
+                         np.concatenate([self.k, other.k]),
+                         np.concatenate([self.value, other.value]))
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[i] for i in range(*j.indices(self.size))]
+        if not -self.size <= j < self.size:
+            raise IndexError(j)
+        lo, hi = np.searchsorted(self.owner, [j % self.size, j % self.size + 1])
+        one = ModeBasis(self.kind, 1, self.owner[lo:hi] * 0, self.comp[lo:hi], self.k[lo:hi],
+                        self.value[lo:hi])
+        return one.combine(np.ones(1))  # 1.0 times a value is that value
+
+    def __iter__(self):
+        return (self[j] for j in range(self.size))
+
+    def combine(self, coeffs: np.ndarray):
+        """sum_j coeffs[j] * element j on the grid of the widest element.
+
+        Bit for bit the running sum of ``float(c) * element`` over the
+        elements in order: the same products are added to each entry's cell in
+        the same order.  The terms that the entries leave out are signed zeros
+        on cells away from the centre, where the running sum starts at +0 (the
+        padding of a narrower grid) and so stays +0 or at its one nonzero term.
+        At the centre the running sum starts at the first element, whose grid
+        is the centre alone; starting there at -0, which x + -0 leaves as x,
+        gives the same sum.
+        """
+        r = int(np.abs(self.k).max(initial=0))
+        n = 2 * r + 1
+        grid = np.zeros((self.ncomp, n, n), complex)
+        grid[:, r, r] = complex(-0.0, -0.0)
+        cells = (self.comp * n + self.k[:, 0] + r) * n + self.k[:, 1] + r
+        np.add.at(grid.reshape(-1), cells, coeffs[self.owner] * self.value)
+        return self.kind._of(grid[0] if self.kind is TrigFunction else grid)
+
+
+def _function_mode_list(band: int):
+    """Wavevectors and sine flags of the function basis: the constant, then
+    cos and sin of each canonical wavevector."""
+    ks = np.array([(0, 0)] + [k for k in canonical_wavevectors(band) for _ in (COS, SIN)])
+    index = np.arange(len(ks))
+    return ks, (index % 2 == 0) & (index > 0)
+
+
+def function_modes(band: int) -> ModeBasis:
     """Orthogonal basis of functions supported in the band."""
-    basis = [TrigFunction.constant(1.0)]
-    for k in canonical_wavevectors(band):
-        basis.append(TrigFunction.mode(COS, k))
-        basis.append(TrigFunction.mode(SIN, k))
-    return basis
+    ks, sin = _function_mode_list(band)
+    return ModeBasis.of_modes(TrigFunction, ks, sin, np.ones((len(ks), 1)))
 
 
-def divergence_free_modes(band: int):
+def divergence_free_modes(band: int) -> ModeBasis:
     """Basis of divergence-free fields: constants plus k-perp modes."""
-    basis = [
-        TrigVectorField(TrigFunction.constant(1.0), TrigFunction.zero()),
-        TrigVectorField(TrigFunction.zero(), TrigFunction.constant(1.0)),
-    ]
-    for k in canonical_wavevectors(band):
-        perp = (-k[1], k[0])
-        for parity in (COS, SIN):
-            basis.append(
-                TrigVectorField(
-                    TrigFunction.mode(parity, k, float(perp[0])),
-                    TrigFunction.mode(parity, k, float(perp[1])),
-                )
-            )
-    return basis
+    ks, sin = _function_mode_list(band)
+    perp = np.stack([-ks[1:, 1], ks[1:, 0]], axis=1)
+    return ModeBasis.of_modes(TrigVectorField, np.concatenate([ks[:1], ks]),
+                              np.concatenate([sin[:1], sin]), np.concatenate([np.eye(2), perp]))
 
 
-def full_field_modes(band: int):
+def full_field_modes(band: int) -> ModeBasis:
     """Basis of unconstrained fields: every function mode in each component."""
-    basis = []
-    for f in function_modes(band):
-        basis.append(TrigVectorField(f, TrigFunction.zero()))
-    for f in function_modes(band):
-        basis.append(TrigVectorField(TrigFunction.zero(), f))
-    return basis
+    ks, sin = _function_mode_list(band)
+    return ModeBasis.of_modes(TrigVectorField, np.concatenate([ks, ks]), np.concatenate([sin, sin]),
+                              np.repeat(np.eye(2), len(ks), axis=0))
 
 
 def truncate_state(state, cap: int):

@@ -8,7 +8,15 @@ from liecurv.backend import Pair, SemidirectBackendBase
 from liecurv.errors import MidpointDivergence
 from liecurv.geodesic import MIDPOINT_MAX_ITER, MIDPOINT_TOL, rhs_generic, rhs_semidirect
 from liecurv.semidirect import SemidirectAlgebra
-from liecurv.torus import COS, SIN, TrigFunction, TrigVectorField
+from liecurv.torus import (
+    COS,
+    SIN,
+    FullFieldBackend,
+    FunctionSpaceBackend,
+    TrigFunction,
+    TrigVectorField,
+    canonical_wavevectors,
+)
 
 #: Seeds of the five random 4-dimensional solvable algebras used throughout.
 SOLVABLE_SEEDS = (101, 102, 103, 104, 105)
@@ -59,18 +67,45 @@ def random_pair(rng, sd) -> Pair:
     return Pair(rng.standard_normal(sd.g.dim), rng.standard_normal(sd.h.dim))
 
 
+def reference_modes(backend, band: int):
+    """The sampling basis of a torus factor backend as a list of elements, built
+    mode by mode with ``TrigFunction``: the oracle for ``torus.ModeBasis``."""
+    functions = [TrigFunction.constant(1.0)]
+    for k in canonical_wavevectors(band):
+        functions += [TrigFunction.mode(COS, k), TrigFunction.mode(SIN, k)]
+    if isinstance(backend, FunctionSpaceBackend):
+        return functions
+    if isinstance(backend, FullFieldBackend):
+        zero = TrigFunction.zero()
+        return [TrigVectorField(f, zero) for f in functions] + [TrigVectorField(zero, f) for f in functions]
+    fields = [TrigVectorField(TrigFunction.constant(1.0), TrigFunction.zero()),
+              TrigVectorField(TrigFunction.zero(), TrigFunction.constant(1.0))]
+    for k in canonical_wavevectors(band):
+        for parity in (COS, SIN):
+            fields.append(TrigVectorField(TrigFunction.mode(parity, k, float(-k[1])),
+                                          TrigFunction.mode(parity, k, float(k[0]))))
+    return fields
+
+
 def reference_random_element(backend, rng, band: int = 2, part: str | None = None):
     """One element or Pair per basis vector, summed in a loop: the oracle for
-    ``sampling.random_element`` on finite-dimensional backends."""
+    ``sampling.random_element``."""
     if isinstance(backend, SemidirectAlgebra):
         gz, hz = np.zeros(backend.g.dim), np.zeros(backend.h.dim)
+        gbasis, hbasis = np.eye(backend.g.dim), np.eye(backend.h.dim)
+    elif isinstance(backend, SemidirectBackendBase):
+        gz, hz = backend.g.zero(), backend.h.zero()
+        gbasis, hbasis = reference_modes(backend.g, band), reference_modes(backend.h, band)
+    if isinstance(backend, SemidirectBackendBase):
         basis = []
         if part in (None, "g"):
-            basis.extend(Pair(e, hz) for e in np.eye(backend.g.dim))
+            basis.extend(Pair(e, hz) for e in gbasis)
         if part in (None, "h"):
-            basis.extend(Pair(gz, e) for e in np.eye(backend.h.dim))
-    else:
+            basis.extend(Pair(gz, e) for e in hbasis)
+    elif isinstance(backend, DenseBackend):
         basis = list(np.eye(backend.dim))
+    else:
+        basis = reference_modes(backend, band)
     total = None
     for element, c in zip(basis, rng.standard_normal(len(basis))):
         piece = float(c) * element

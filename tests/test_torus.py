@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_leray, reference_multiply, relerr
+from helpers import reference_leray, reference_modes, reference_multiply, relerr
 
-from liecurv.backend import Pair
+from liecurv.backend import Pair, SemidirectBackendBase, stack
 from liecurv.curvature import curvature_numerator_generic, curvature_numerator_semidirect
 from liecurv.errors import NotDivergenceFree
 from liecurv.geodesic import geodesic_rhs, rhs_magnetic, rhs_semidirect
-from liecurv.sampling import rng_for_seed, sample_planes
+from liecurv.sampling import FAMILIES, rng_for_seed, sample_planes
 from liecurv import torus
 from liecurv.torus import (
     COS,
@@ -804,3 +804,102 @@ class TestFieldGrid:
         comps = [TrigFunction.mode(COS, (1, 0)), TrigFunction.mode(SIN, (0, 2))]
         comps[component] = comps[component] + TrigFunction.constant(math.nan)
         assert math.isnan(TrigVectorField(*comps).coefficient_scale())
+
+
+def _hex(grid) -> list:
+    return [v.hex() for v in grid.view(float).ravel().tolist()]
+
+
+class TestStackedEvaluation:
+    """A stack of planes evaluated in one call against each plane alone."""
+
+    BACKENDS = {
+        "passive-scalar": torus.PassiveScalarBackend,
+        "compressible": torus.CompressibleScalarBackend,
+        "mhd": torus.MhdBackend,
+        "torus-vol": torus.VolumeFieldBackend,
+        "torus-full": torus.FullFieldBackend,
+    }
+
+    @pytest.mark.parametrize("selector,family", [
+        *((name, family) for name in ("passive-scalar", "compressible", "mhd") for family in FAMILIES),
+        ("torus-vol", "full"),
+        ("torus-full", "full"),
+    ])
+    def test_matches_per_plane_evaluation(self, selector, family):
+        backend = self.BACKENDS[selector]()
+        semidirect = isinstance(backend, SemidirectBackendBase)
+        numerator = curvature_numerator_semidirect if semidirect else curvature_numerator_generic
+        # planes of two bands in one stack, so that stacked grids are widened
+        planes = [p for band in (1, 2) for p in sample_planes(backend, 31, 2, family=family, band=band)]
+        br = numerator(backend, stack([p.x for p in planes]), stack([p.y for p in planes]))
+        assert br.numerator.shape == br.denominator.shape == br.sectional.shape == (4,)
+        if semidirect:  # the abelian factor's numerator is 0.0, still one value per plane
+            h = curvature_numerator_generic(backend.h, stack([p.x.y for p in planes]),
+                                            stack([p.y.y for p in planes]))
+            assert h.numerator.tolist() == [0.0] * 4
+        for i, plane in enumerate(planes):
+            alone = numerator(backend, plane.x, plane.y)
+            for stacked, single in ((br.numerator[i], alone.numerator),
+                                    (br.denominator[i], alone.denominator),
+                                    (br.sectional[i], alone.sectional)):
+                assert relerr(stacked, single) <= 1e-13
+
+    def test_products_of_equal_grids_match_single_products_bit_for_bit(self, monkeypatch):
+        # grids of one width, as a scan's planes are; the zero rows and columns
+        # that a wider element brings can move the last bits of BLAS sums
+        rng = rng_for_seed(43)
+        finite = [random_function(rng, 2) for _ in range(3)]
+        with_inf = [finite[0], TrigFunction({(1, 2, COS): math.inf, (2, 0, SIN): 2.0}), finite[2]]
+        gs = [random_function(rng, 3, scale=0.5) for _ in range(3)]
+        cases = [(fs, multiply(stack(fs), stack(gs)).c) for fs in (finite, with_inf)]
+        monkeypatch.setattr(torus, "STACK_BYTES", 1)  # one element per matrix product
+        cases.append((finite, multiply(stack(finite), stack(gs)).c))
+        for fs, stacked in cases:
+            for i, (f, g) in enumerate(zip(fs, gs)):
+                assert _hex(stacked[i]) == _hex(multiply(f, g).c)
+
+    def test_one_divergent_field_rejects_the_stack(self):
+        good = random_divfree_field(rng_for_seed(41), band=2)
+        bad = good + TrigVectorField(TrigFunction.mode(COS, (1, 0), 0.5), TrigFunction.zero())
+        x, y = stack([good, bad]), stack([good, good])
+        with pytest.raises(NotDivergenceFree):
+            curvature_numerator_generic(torus.VolumeFieldBackend(), x, y)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_each_field_is_judged_at_its_own_scale(self, order):
+        # the same divergence of 1e-5 is roundoff beside a 1e6 field and an error beside a unit one
+        slip = TrigVectorField(TrigFunction.mode(COS, (1, 0), 1e-5), TrigFunction.zero())
+        unit = TrigVectorField(TrigFunction.mode(SIN, (0, 1)), TrigFunction.zero())
+        fields = [1e6 * unit + slip, unit + slip]
+        fields = [fields[i] for i in order]
+        stacked = stack(fields)
+        alone = [f.is_divergence_free() for f in fields]
+        assert sorted(alone) == [False, True]
+        assert stacked.is_divergence_free().tolist() == alone
+        assert stacked.coefficient_scale().tolist() == [f.coefficient_scale() for f in fields]
+        assert stacked.max_wavenumber().tolist() == [f.max_wavenumber() for f in fields]
+        with pytest.raises(NotDivergenceFree) as raised:
+            torus._require_divergence_free(stacked)
+        with pytest.raises(NotDivergenceFree) as single:
+            torus._require_divergence_free(fields[alone.index(False)])
+        assert str(raised.value) == str(single.value)
+
+    def test_stack_modes_list_each_elements_coefficient(self):
+        f, g = TrigFunction({(1, 0, COS): 2.0}), TrigFunction({(0, 1, SIN): -1.5, (0, 0, COS): 0.25})
+        assert stack([f, g]).modes == {(0, 0, COS): [0.0, 0.25], (0, 1, SIN): [0.0, -1.5],
+                                       (1, 0, COS): [2.0, 0.0]}
+
+
+@pytest.mark.parametrize("modes", ["function_modes", "divergence_free_modes", "full_field_modes"])
+@pytest.mark.parametrize("band", [0, 1, 3])
+def test_mode_basis_elements_match_mode_by_mode_construction(modes, band):
+    backend = {"function_modes": torus.FunctionSpaceBackend,
+               "divergence_free_modes": torus.VolumeFieldBackend,
+               "full_field_modes": torus.FullFieldBackend}[modes]()
+    built, expected = getattr(torus, modes)(band), reference_modes(backend, band)
+    assert len(built) == len(expected)
+    for element, reference in zip(built, expected):
+        assert type(element) is type(reference) and element.c.shape == reference.c.shape
+        assert [v.hex() for v in element.c.view(float).ravel().tolist()] == \
+            [v.hex() for v in reference.c.view(float).ravel().tolist()]
