@@ -786,9 +786,6 @@ class ModeBasis:
                         self.value[lo:hi])
         return one.combine(np.ones(1))  # 1.0 times a value is that value
 
-    def __iter__(self):
-        return (self[j] for j in range(self.size))
-
     def combine(self, coeffs: np.ndarray):
         """sum_j coeffs[j] * element j on the grid of the widest element.
 
