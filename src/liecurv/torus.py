@@ -779,9 +779,9 @@ class ModeBasis:
     def __getitem__(self, j):
         if isinstance(j, slice):
             return [self[i] for i in range(*j.indices(self.size))]
-        if not -self.size <= j < self.size:
+        if not 0 <= j < self.size:
             raise IndexError(j)
-        lo, hi = np.searchsorted(self.owner, [j % self.size, j % self.size + 1])
+        lo, hi = np.searchsorted(self.owner, [j, j + 1])
         one = ModeBasis(self.kind, 1, self.owner[lo:hi] * 0, self.comp[lo:hi], self.k[lo:hi],
                         self.value[lo:hi])
         return one.combine(np.ones(1))  # 1.0 times a value is that value
