@@ -329,13 +329,12 @@ def function_inner(f: TrigFunction, g: TrigFunction):
     a, b = sorted((f.c, g.c), key=lambda c: c.shape[-1])
     r, s = a.shape[-1] // 2, b.shape[-1] // 2
     b = b[..., s - r:s + r + 1, s - r:s + r + 1]
-    if a.ndim == b.ndim == 2:
-        return _FOUR_PI_SQ * float(np.vdot(a, b).real)
     # np.vdot element by element: the sum of a lone element, in the same order
     a, b = _broadcast(a, b)
     cells = a.shape[-2:]
     pairs = zip(a.reshape((-1,) + cells), b.reshape((-1,) + cells))
-    return _FOUR_PI_SQ * np.array([np.vdot(x, y).real for x, y in pairs]).reshape(a.shape[:-2])
+    values = np.array([np.vdot(x, y).real for x, y in pairs]).reshape(a.shape[:-2])
+    return _per_element(_FOUR_PI_SQ * values)
 
 
 class TrigVectorField(_Grid):
