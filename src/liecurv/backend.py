@@ -42,16 +42,28 @@ class Pair:
 
     __rmul__ = __mul__
 
+    def __getitem__(self, i):
+        """Element (or slice) i of a stack of Pairs, along the leading axis."""
+        return Pair(self.x[i], self.y[i])
+
 
 def stack(elements):
     """Elements, or Pairs of them, stacked along a new leading axis: coordinate
-    vectors as one array, torus elements on their widest grid."""
+    vectors as one array, torus elements on their widest grid.  Indexing the
+    stack, or a result computed from it, gives the elements back."""
     first = elements[0]
     if isinstance(first, Pair):
         return Pair(stack([e.x for e in elements]), stack([e.y for e in elements]))
     if isinstance(first, np.ndarray):
         return np.stack(elements)
     return type(first).stack(elements)
+
+
+def root(sq):
+    """The norm from a squared norm, clipped at zero: a Python float for one
+    element, an array over a stack."""
+    sq = np.maximum(sq, 0.0)
+    return np.sqrt(sq) if np.ndim(sq) else float(sq) ** 0.5
 
 
 class SemidirectBackendBase:
@@ -80,8 +92,7 @@ class SemidirectBackendBase:
         return self.g.inner(p.x, q.x) + self.h.inner(p.y, q.y)
 
     def norm(self, p):
-        sq = np.maximum(self.inner(p, p), 0.0)
-        return np.sqrt(sq) if np.ndim(sq) else float(sq) ** 0.5
+        return root(self.inner(p, p))
 
     def ad_transpose(self, p, q) -> Pair:
         return Pair(

@@ -1,8 +1,8 @@
 """Curvature evaluators for right-invariant metrics.
 
 Three routes to the curvature numerator <R(X,Y)Y,X> are implemented and
-cross-checked against each other.  The first two take single planes or, on
-finite-dimensional backends, stacks of planes (one call for all of them):
+cross-checked against each other.  Each takes single planes or stacks of
+planes (one call for all of them), on every backend:
 
 * the generic five-term expression in the right trivialization, valid on any
   metric-algebra backend;
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .backend import stack
 from .errors import DegeneratePlane, NotIsometric
 
 #: Sign of the field bracket relative to the algebra bracket inside the
@@ -112,10 +113,36 @@ def _finish(backend, x, y, terms) -> CurvatureBreakdown:
     denominator, spans = _plane_gram(backend, x, y)
     with np.errstate(divide="ignore", invalid="ignore"):
         sec = np.where(spans, np.divide(numerator, denominator), np.nan)
-    if sec.ndim:  # a stack; an abelian factor's numerator is the scalar 0.0
-        return CurvatureBreakdown(np.broadcast_to(numerator, sec.shape), denominator, sec, terms)
+    if sec.ndim:  # a stack; an abelian factor's terms are the scalar 0.0
+        return CurvatureBreakdown(np.broadcast_to(numerator, sec.shape), denominator, sec,
+                                  [(label, np.broadcast_to(v, sec.shape)) for label, v in terms])
     return CurvatureBreakdown(float(numerator), float(denominator), float(sec),
                               [(label, float(v)) for label, v in terms])
+
+
+def _five_terms(inner, atxy, atyx, adxy, adyx, atxx, atyy) -> list:
+    """The five summands of the generic numerator from ad(X)^T Y, ad(Y)^T X,
+    ad(X) Y, ad(Y) X, ad(X)^T X and ad(Y)^T Y, in display order."""
+    sym = atxy + atyx
+    return [
+        0.25 * inner(sym, sym),
+        -0.75 * inner(adxy, adxy),
+        -inner(atxx, atyy),
+        -0.5 * inner(atxy, adxy),
+        -0.5 * inner(atyx, adyx),
+    ]
+
+
+def _pair_stacks(a, b):
+    """Operands for the pairs (a, b), (b, a), (a, a), (b, b), stacked along a new
+    leading axis; the first two elements of each give (a, b) and (b, a) alone."""
+    return stack([a, b, a, b]), stack([b, a, a, b])
+
+
+def _split(out, count: int) -> list:
+    """The elements along the leading axis of a stacked result; an unstacked
+    result (an abelian factor's zero) is each of them."""
+    return [out[i] for i in range(count)]
 
 
 def curvature_numerator_generic(backend, x, y) -> CurvatureBreakdown:
@@ -125,19 +152,11 @@ def curvature_numerator_generic(backend, x, y) -> CurvatureBreakdown:
                   - <ad(X)^T X, ad(Y)^T Y>
                   - 1/2 <ad(X)^T Y, ad(X) Y> - 1/2 <ad(Y)^T X, ad(Y) X>.
     """
-    atxy = backend.ad_transpose(x, y)
-    atyx = backend.ad_transpose(y, x)
-    adxy = backend.bracket(x, y)
-    adyx = backend.bracket(y, x)
-    sym = atxy + atyx
-    terms = [
-        (GENERIC_TERM_LABELS[0], 0.25 * backend.inner(sym, sym)),
-        (GENERIC_TERM_LABELS[1], -0.75 * backend.inner(adxy, adxy)),
-        (GENERIC_TERM_LABELS[2], -backend.inner(backend.ad_transpose(x, x), backend.ad_transpose(y, y))),
-        (GENERIC_TERM_LABELS[3], -0.5 * backend.inner(atxy, adxy)),
-        (GENERIC_TERM_LABELS[4], -0.5 * backend.inner(atyx, adyx)),
-    ]
-    return _finish(backend, x, y, terms)
+    xs, xr = _pair_stacks(x, y)
+    atxy, atyx, atxx, atyy = _split(backend.ad_transpose(xs, xr), 4)
+    adxy, adyx = _split(backend.bracket(xs[:2], xr[:2]), 2)
+    values = _five_terms(backend.inner, atxy, atyx, adxy, adyx, atxx, atyy)
+    return _finish(backend, x, y, list(zip(GENERIC_TERM_LABELS, values)))
 
 
 def sectional(backend, plane: Plane) -> float:
@@ -157,25 +176,26 @@ def curvature_numerator_semidirect(sd, p1, p2) -> CurvatureBreakdown:
     g, h = sd.g, sd.h
     gi, hi = g.inner, h.inner
 
-    h12, h21 = sd.h_map(y1, y2), sd.h_map(y2, y1)
-    h11, h22 = sd.h_map(y1, y1), sd.h_map(y2, y2)
-    at11, at22 = g.ad_transpose(x1, x1), g.ad_transpose(x2, x2)
-    at12, at21 = g.ad_transpose(x1, x2), g.ad_transpose(x2, x1)
-    b1y2, b2y1 = sd.b(x1, y2), sd.b(x2, y1)
-    b1y1, b2y2 = sd.b(x1, y1), sd.b(x2, y2)
-    b1t2, b2t1 = sd.b_transpose(x1, y2), sd.b_transpose(x2, y1)
-    b1t1, b2t2 = sd.b_transpose(x1, y1), sd.b_transpose(x2, y2)
-    hat11, hat22 = h.ad_transpose(y1, y1), h.ad_transpose(y2, y2)
-    hat12, hat21 = h.ad_transpose(y1, y2), h.ad_transpose(y2, y1)
-    hbr12 = h.bracket(y1, y2)
+    # one call per operator on stacked operands, the same stacks as the factors'
+    # five-term numerators take; MHD's h_map checks the y legs first, as the
+    # term-by-term order did
+    xs, xr = _pair_stacks(x1, x2)
+    ys, yr = _pair_stacks(y1, y2)
+    h12, h21, h11, h22 = _split(sd.h_map(ys, yr), 4)
+    at12, at21, at11, at22 = _split(g.ad_transpose(xs, xr), 4)
+    b1y2, b2y1, b1y1, b2y2 = _split(sd.b(xs, yr), 4)
+    b1t2, b2t1, b1t1, b2t2 = _split(sd.b_transpose(xs, yr), 4)
+    hat12, hat21, hat11, hat22 = _split(h.ad_transpose(ys, yr), 4)
+    gbr12, gbr21 = _split(g.bracket(xs[:2], xr[:2]), 2)
+    hbr12, hbr21 = _split(h.bracket(ys[:2], yr[:2]), 2)
 
     hsym = h12 + h21
     btsym = b1t2 + b2t1
     bskew = b1y2 - b2y1
 
     values = (
-        curvature_numerator_generic(g, x1, x2).numerator,
-        curvature_numerator_generic(h, y1, y2).numerator,
+        sum(_five_terms(gi, at12, at21, gbr12, gbr21, at11, at22)),
+        sum(_five_terms(hi, hat12, hat21, hbr12, hbr21, hat11, hat22)),
         0.25 * gi(hsym, hsym),
         -gi(h11, h22),
         -0.5 * gi(hsym, at12 + at21),
@@ -246,15 +266,16 @@ def covariant_derivative(backend, x, y):
     return 0.5 * (backend.ad_transpose(x, y) + backend.ad_transpose(y, x) - backend.bracket(x, y))
 
 
-def oracle_curvature(backend, x, y) -> float:
+def oracle_curvature(backend, x, y):
     """Brute-force curvature numerator by composing the connection.
 
     Independent of the five-term formula: only ``covariant_derivative`` and
-    the bracket enter.  Finite-dimensional backends only.
+    the bracket enter.  Any backend; one value per element of a stack of
+    planes (a Python float for one plane).
     """
     def gamma(a, b):
         return covariant_derivative(backend, a, b)
 
     field_bracket = ORACLE_BRACKET_SIGN * backend.bracket(x, y)
     r_xyy = gamma(x, gamma(y, y)) - gamma(y, gamma(x, y)) - gamma(field_bracket, y)
-    return float(backend.inner(r_xyy, x))
+    return backend.inner(r_xyy, x)

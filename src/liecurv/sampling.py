@@ -33,17 +33,21 @@ def _combine(basis, coeffs: np.ndarray):
     return basis.combine(coeffs)
 
 
-def random_element(backend, rng, band: int = 2, part: str | None = None):
+def _sample_basis(backend, band: int, part: str | None):
+    return backend.sample_basis(band) if part is None else backend.sample_basis(band, part=part)
+
+
+def random_element(backend, rng, band: int = 2, part: str | None = None, *, basis=None):
     """Standard-normal combination of the sampling basis (optionally one factor).
 
     Dense backends give their basis as the rows of an array, torus backends as
     a ``torus.ModeBasis``, and semidirect products a Pair of such bases over
     one list of elements; one normal is drawn per element, in basis order.
+    ``basis`` is ``backend.sample_basis(band[, part])`` when given (a scan
+    builds it once), and is built here otherwise.
     """
-    if part is None:
-        basis = backend.sample_basis(band)
-    else:
-        basis = backend.sample_basis(band, part=part)
+    if basis is None:
+        basis = _sample_basis(backend, band, part)
     if isinstance(basis, Pair):
         coeffs = rng.standard_normal(len(basis.x))
         return Pair(_combine(basis.x, coeffs), _combine(basis.y, coeffs))
@@ -95,6 +99,7 @@ def sample_planes(backend, seed: int, count: int, family: str = "full", band: in
     with nearly collinear legs are rejected.
     """
     part1, part2 = check_family(backend, family)
+    basis1, basis2 = (_sample_basis(backend, band, part) for part in (part1, part2))
     rng = rng_for_seed(seed)
     planes: list[Plane] = []
     budget = 100 * max(count, 1)
@@ -102,8 +107,8 @@ def sample_planes(backend, seed: int, count: int, family: str = "full", band: in
         if budget <= 0:
             raise SamplingExhausted(f"no non-degenerate draw after 100x{count} retries")
         budget -= 1
-        x = random_element(backend, rng, band=band, part=part1)
-        y = random_element(backend, rng, band=band, part=part2)
+        x = random_element(backend, rng, band=band, part=part1, basis=basis1)
+        y = random_element(backend, rng, band=band, part=part2, basis=basis2)
         if family == "contains-h":
             x = _normalize(backend, x)
             y = _normalize(backend, y)

@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .backend import Pair, SemidirectBackendBase
+from .backend import Pair, SemidirectBackendBase, root
 from .errors import NonFiniteState, NotDivergenceFree
 
 COS, SIN = "cos", "sin"
@@ -109,6 +109,12 @@ class _Grid:
     def _stack(self) -> tuple:
         """Shape of the stack axes of ``c``: () for one element."""
         return self.c.shape[:self.c.ndim - self._axes]
+
+    def __getitem__(self, i):
+        """Element (or slice) i along the leading stack axis.  One element, such
+        as an abelian factor's zero, broadcasts over any stack: it is every
+        element of it."""
+        return self._of(self.c[i]) if self._stack else self
 
     def __add__(self, other):
         r = max(self.c.shape[-1], other.c.shape[-1]) // 2
@@ -385,27 +391,38 @@ def grad(f: TrigFunction) -> TrigVectorField:
     return TrigVectorField(f.partial(0), f.partial(1))
 
 
+def _summed_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Grids of a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1], the pairs stacked
+    on axis -3 (which broadcasts): one ``multiply`` for every product."""
+    p = multiply(TrigFunction._of(a), TrigFunction._of(b)).c
+    return p[..., 0, :, :] + p[..., 1, :, :]
+
+
+def _partials(f: _Grid) -> np.ndarray:
+    """Grids of the partial derivatives of f's grids, d_j on a new axis -3."""
+    grids = TrigFunction._of(f.c)
+    return np.stack([grids.partial(0).c, grids.partial(1).c], axis=-3)
+
+
 def scalar_derivative(x: TrigVectorField, f: TrigFunction) -> TrigFunction:
-    """Derivative X(f) of a function along a vector field."""
-    return multiply(x.comp1, f.partial(0)) + multiply(x.comp2, f.partial(1))
+    """Derivative X(f) = sum_j X_j d_j f of a function along a vector field."""
+    return TrigFunction._of(_summed_products(x.c, _partials(f)))
 
 
 def directional_derivative(x: TrigVectorField, y: TrigVectorField) -> TrigVectorField:
-    """Flat covariant derivative nabla_X Y, componentwise X . grad."""
-    return TrigVectorField(scalar_derivative(x, y.comp1), scalar_derivative(x, y.comp2))
+    """Flat covariant derivative nabla_X Y: component i is sum_j X_j d_j Y_i."""
+    return TrigVectorField._of(_summed_products(x.c[..., None, :, :, :], _partials(y)))
 
 
 def jacobian_transpose_apply(x: TrigVectorField, y: TrigVectorField) -> TrigVectorField:
     """(grad X)^T Y: component i is sum_j (d_i X_j) Y_j."""
-    return TrigVectorField(
-        multiply(x.comp1.partial(0), y.comp1) + multiply(x.comp2.partial(0), y.comp2),
-        multiply(x.comp1.partial(1), y.comp1) + multiply(x.comp2.partial(1), y.comp2),
-    )
+    return TrigVectorField._of(_summed_products(np.swapaxes(_partials(x), -3, -4),
+                                                y.c[..., None, :, :, :]))
 
 
 def scale_field(f: TrigFunction, x: TrigVectorField) -> TrigVectorField:
-    """Pointwise product f X."""
-    return TrigVectorField(multiply(f, x.comp1), multiply(f, x.comp2))
+    """Pointwise product f X, both components in one ``multiply``."""
+    return TrigVectorField._of(multiply(TrigFunction._of(f.c[..., None, :, :]), TrigFunction._of(x.c)).c)
 
 
 def jacobi_lie_bracket(x: TrigVectorField, y: TrigVectorField) -> TrigVectorField:
@@ -471,8 +488,8 @@ class _FieldBackend:
     def inner(self, x, y) -> float:
         return field_inner(x, y)
 
-    def norm(self, x) -> float:
-        return max(field_inner(x, x), 0.0) ** 0.5
+    def norm(self, x):
+        return root(field_inner(x, x))
 
     def bracket(self, x, y) -> TrigVectorField:
         # algebra bracket = minus the Jacobi-Lie bracket (right-invariant convention)
@@ -514,8 +531,8 @@ class FunctionSpaceBackend:
     def inner(self, f, g) -> float:
         return function_inner(f, g)
 
-    def norm(self, f) -> float:
-        return max(function_inner(f, f), 0.0) ** 0.5
+    def norm(self, f):
+        return root(function_inner(f, f))
 
     def bracket(self, f, g) -> TrigFunction:
         return TrigFunction.zero()
@@ -538,8 +555,8 @@ class FieldRepSpaceBackend:
     def inner(self, x, y) -> float:
         return field_inner(x, y)
 
-    def norm(self, x) -> float:
-        return max(field_inner(x, x), 0.0) ** 0.5
+    def norm(self, x):
+        return root(field_inner(x, x))
 
     def bracket(self, x, y) -> TrigVectorField:
         return TrigVectorField.zero()

@@ -87,9 +87,10 @@ def reference_modes(backend, band: int):
     return fields
 
 
-def reference_random_element(backend, rng, band: int = 2, part: str | None = None):
+def reference_random_element(backend, rng, band: int = 2, part: str | None = None, basis=None):
     """One element or Pair per basis vector, summed in a loop: the oracle for
-    ``sampling.random_element``."""
+    ``sampling.random_element``.  It builds its own list of basis elements and
+    ignores ``basis``."""
     if isinstance(backend, SemidirectAlgebra):
         gz, hz = np.zeros(backend.g.dim), np.zeros(backend.h.dim)
         gbasis, hbasis = np.eye(backend.g.dim), np.eye(backend.h.dim)

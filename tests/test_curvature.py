@@ -7,7 +7,7 @@ from helpers import finite_algebras, random_pair, rel_vec_err, relerr, semidirec
 
 from liecurv import catalog
 from liecurv.algebra import DenseBackend
-from liecurv.backend import Pair
+from liecurv.backend import Pair, stack
 from liecurv.curvature import (
     Plane,
     SEMIDIRECT_TERM_LABELS,
@@ -20,6 +20,7 @@ from liecurv.curvature import (
     special_plane,
 )
 from liecurv.errors import DegeneratePlane, NotIsometric
+from liecurv.sampling import sample_planes
 
 E = np.eye(3)
 Z = np.zeros(3)
@@ -160,6 +161,24 @@ class TestSemidirectExpansion:
             p, q = random_pair(rng, sd), random_pair(rng, sd)
             br = curvature_numerator_semidirect(sd, p, q)
             assert relerr(br.numerator, sum(v for _, v in br.terms)) < 1e-12
+
+
+@pytest.mark.parametrize("selector", ["magnetic:so3:1,2,3", "magnetic:random-solvable:8:1",
+                                      "passive-scalar", "compressible", "mhd"])
+def test_factor_terms_are_the_factor_numerators_bit_for_bit(selector):
+    # the expansion computes curv_g and curv_h from its own stacked operator
+    # values; they must be the five-term numerators of the factors exactly
+    sd = catalog.resolve_semidirect(selector)
+    planes = sample_planes(sd, 17, 3, band=2)
+    cases = [(p.x, p.y) for p in planes]
+    cases.append((stack([p.x for p in planes]), stack([p.y for p in planes])))
+    for p, q in cases:
+        terms = dict(curvature_numerator_semidirect(sd, p, q).terms)
+        for label, factor, a, b in (("curv_g", sd.g, p.x, q.x), ("curv_h", sd.h, p.y, q.y)):
+            expected = curvature_numerator_generic(factor, a, b).numerator
+            assert np.shape(terms[label]) == np.shape(expected)
+            assert [v.hex() for v in np.ravel(terms[label]).tolist()] == \
+                [v.hex() for v in np.ravel(expected).tolist()], label
 
 
 def _stacked_cases():

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from helpers import reference_leray, reference_modes, reference_multiply, relerr
 
 from liecurv.backend import Pair, SemidirectBackendBase, stack
-from liecurv.curvature import curvature_numerator_generic, curvature_numerator_semidirect
+from liecurv.curvature import curvature_numerator_generic, curvature_numerator_semidirect, oracle_curvature
 from liecurv.errors import NotDivergenceFree
 from liecurv.geodesic import geodesic_rhs, rhs_magnetic, rhs_semidirect
-from liecurv.sampling import FAMILIES, rng_for_seed, sample_planes
+from liecurv.sampling import FAMILIES, random_element, rng_for_seed, sample_planes
 from liecurv import torus
 from liecurv.torus import (
     COS,
@@ -889,6 +889,57 @@ class TestStackedEvaluation:
         f, g = TrigFunction({(1, 0, COS): 2.0}), TrigFunction({(0, 1, SIN): -1.5, (0, 0, COS): 0.25})
         assert stack([f, g]).modes == {(0, 0, COS): [0.0, 0.25], (0, 1, SIN): [0.0, -1.5],
                                        (1, 0, COS): [2.0, 0.0]}
+
+
+@pytest.mark.parametrize("selector,products", [("mhd", 10), ("passive-scalar", 7), ("compressible", 9)])
+def test_band2_numerator_makes_one_product_per_torus_operator(monkeypatch, selector, products):
+    backend = TestStackedEvaluation.BACKENDS[selector]()
+    planes = sample_planes(backend, 3, 3, band=2)
+    calls = []
+    original = torus.multiply
+
+    def counted(f, g):
+        calls.append(1)
+        return original(f, g)
+
+    monkeypatch.setattr(torus, "multiply", counted)
+    for x, y in ((planes[0].x, planes[0].y), (stack([p.x for p in planes]), stack([p.y for p in planes]))):
+        calls.clear()
+        curvature_numerator_semidirect(backend, x, y)
+        assert len(calls) == products
+
+
+@pytest.mark.parametrize("selector", list(TestStackedEvaluation.BACKENDS))
+def test_connection_oracle_matches_both_numerators(selector):
+    backend = TestStackedEvaluation.BACKENDS[selector]()
+    for band in (1, 2):
+        planes = sample_planes(backend, 23, 3, band=band)
+        x, y = stack([p.x for p in planes]), stack([p.y for p in planes])
+        routes = [curvature_numerator_generic(backend, x, y).numerator]
+        if isinstance(backend, SemidirectBackendBase):
+            routes.append(curvature_numerator_semidirect(backend, x, y).numerator)
+        stacked = oracle_curvature(backend, x, y)
+        assert stacked.shape == (3,)
+        for i, plane in enumerate(planes):
+            alone = oracle_curvature(backend, plane.x, plane.y)
+            assert type(alone) is float
+            for value in (alone, stacked[i]):
+                for route in routes:
+                    assert relerr(value, route[i]) <= 1e-13, (band, i)
+
+
+@pytest.mark.parametrize("backend", [torus.VolumeFieldBackend(), torus.FullFieldBackend(),
+                                     torus.FunctionSpaceBackend(), torus.FieldRepSpaceBackend()],
+                         ids=lambda b: b.name)
+def test_norm_of_one_element_and_of_a_stack(backend):
+    rng = rng_for_seed(19)
+    elements = [random_element(backend, rng, band=band) for band in (1, 2, 2)]
+    alone = [backend.norm(e) for e in elements]
+    assert all(type(v) is float and v > 0.0 for v in alone)
+    stacked = backend.norm(stack(elements))
+    assert stacked.shape == (3,)
+    np.testing.assert_allclose(stacked, alone, rtol=1e-15)
+    assert backend.norm(backend.zero()) == 0.0
 
 
 @pytest.mark.parametrize("modes", ["function_modes", "divergence_free_modes", "full_field_modes"])
