@@ -331,16 +331,19 @@ def multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
 
 def function_inner(f: TrigFunction, g: TrigFunction):
     """L^2 inner product over [0, 2pi)^2 with the bare volume form; one value per
-    element of a stack (stacks broadcast)."""
+    element of a stack (stacks broadcast).
+
+    Each element adds re * re + im * im of its cells one at a time, in
+    row-major order over the narrower grid, so the cells that zero padding
+    adds contribute exact zeros: an element gets the same bits alone, on a
+    wider grid and in a stack.  (``np.add.reduce`` would sum a lone
+    element's cells pairwise instead.)
+    """
     a, b = sorted((f.c, g.c), key=lambda c: c.shape[-1])
     r, s = a.shape[-1] // 2, b.shape[-1] // 2
-    b = b[..., s - r:s + r + 1, s - r:s + r + 1]
-    # np.vdot element by element: the sum of a lone element, in the same order
-    a, b = _broadcast(a, b)
-    cells = a.shape[-2:]
-    pairs = zip(a.reshape((-1,) + cells), b.reshape((-1,) + cells))
-    values = np.array([np.vdot(x, y).real for x, y in pairs]).reshape(a.shape[:-2])
-    return _per_element(_FOUR_PI_SQ * values)
+    a, b = _broadcast(a, b[..., s - r:s + r + 1, s - r:s + r + 1])
+    terms = (a.real * b.real + a.imag * b.imag).reshape(a.shape[:-2] + (-1,))
+    return _per_element(_FOUR_PI_SQ * np.add.accumulate(terms, axis=-1)[..., -1])
 
 
 class TrigVectorField(_Grid):

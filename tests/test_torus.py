@@ -397,6 +397,17 @@ class TestMetric:
         quad = np.sum(f.sample(X1, X2) * g.sample(X1, X2)) * (2 * np.pi / 32) ** 2
         assert relerr(function_inner(f, g), float(quad)) < 1e-12
 
+    def test_zero_padding_and_stacking_leave_the_bits_alone(self):
+        rng = rng_for_seed(47)
+        for _ in range(300):
+            f, g = (random_function(rng, int(band)) for band in rng.integers(0, 6, size=2))
+            alone = function_inner(f, g)
+            wider = [random_function(rng, 6)]  # a stack's wider element widens f and g
+            values = [function_inner(TrigFunction._of(torus._embed(f.c, f.c.shape[-1] // 2 + pad)), g)
+                      for pad in (1, 3)]
+            values.append(function_inner(stack([f] + wider), stack([g] + wider))[0])
+            assert [v.hex() for v in values] == [alone.hex()] * 3
+
 
 class TestAdTransposeVol:
     def test_shear_self_ad_transpose_vanishes(self):
