@@ -49,8 +49,9 @@ class Pair:
 
 def stack(elements):
     """Elements, or Pairs of them, stacked along a new leading axis: coordinate
-    vectors as one array, torus elements on their widest grid.  Indexing the
-    stack, or a result computed from it, gives the elements back."""
+    vectors as one array, torus elements on their widest grid.  Elements that
+    are themselves stacks share their stack shape.  Indexing the stack, or a
+    result computed from it, gives the elements back."""
     first = elements[0]
     if isinstance(first, Pair):
         return Pair(stack([e.x for e in elements]), stack([e.y for e in elements]))
@@ -59,7 +60,17 @@ def stack(elements):
     return type(first).stack(elements)
 
 
-def root(sq):
+def broadcast_to(element, shape: tuple):
+    """An element, a stack of them or a Pair of either, broadcast to the stack
+    shape ``shape`` (a view)."""
+    if isinstance(element, Pair):
+        return Pair(broadcast_to(element.x, shape), broadcast_to(element.y, shape))
+    if isinstance(element, np.ndarray):
+        return np.broadcast_to(element, shape + element.shape[-1:])
+    return element.broadcast_to(shape)
+
+
+def norm_from_square(sq):
     """The norm from a squared norm, clipped at zero: a Python float for one
     element, an array over a stack."""
     sq = np.maximum(sq, 0.0)
@@ -92,7 +103,7 @@ class SemidirectBackendBase:
         return self.g.inner(p.x, q.x) + self.h.inner(p.y, q.y)
 
     def norm(self, p):
-        return root(self.inner(p, p))
+        return norm_from_square(self.inner(p, p))
 
     def ad_transpose(self, p, q) -> Pair:
         return Pair(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import stack
+from .backend import broadcast_to, stack
 from .errors import DegeneratePlane, NotIsometric
 
 #: Sign of the field bracket relative to the algebra bracket inside the
@@ -108,9 +108,17 @@ def plane_denominator(backend, x, y) -> float:
     return denom
 
 
-def _finish(backend, x, y, terms) -> CurvatureBreakdown:
+def _plane_stack(backend, x, y):
+    """The legs broadcast to the planes' stack shape (the parts of a leg may be
+    stacks of different shapes, or one element), and the plane Gram."""
+    gram = _plane_gram(backend, x, y)
+    shape = np.shape(gram[0])
+    return broadcast_to(x, shape), broadcast_to(y, shape), gram
+
+
+def _finish(gram, terms) -> CurvatureBreakdown:
     numerator = sum(v for _, v in terms)
-    denominator, spans = _plane_gram(backend, x, y)
+    denominator, spans = gram
     with np.errstate(divide="ignore", invalid="ignore"):
         sec = np.where(spans, np.divide(numerator, denominator), np.nan)
     if sec.ndim:  # a stack; an abelian factor's terms are the scalar 0.0
@@ -152,11 +160,12 @@ def curvature_numerator_generic(backend, x, y) -> CurvatureBreakdown:
                   - <ad(X)^T X, ad(Y)^T Y>
                   - 1/2 <ad(X)^T Y, ad(X) Y> - 1/2 <ad(Y)^T X, ad(Y) X>.
     """
+    x, y, gram = _plane_stack(backend, x, y)
     xs, xr = _pair_stacks(x, y)
     atxy, atyx, atxx, atyy = _split(backend.ad_transpose(xs, xr), 4)
     adxy, adyx = _split(backend.bracket(xs[:2], xr[:2]), 2)
     values = _five_terms(backend.inner, atxy, atyx, adxy, adyx, atxx, atyy)
-    return _finish(backend, x, y, list(zip(GENERIC_TERM_LABELS, values)))
+    return _finish(gram, list(zip(GENERIC_TERM_LABELS, values)))
 
 
 def sectional(backend, plane: Plane) -> float:
@@ -172,13 +181,15 @@ def curvature_numerator_semidirect(sd, p1, p2) -> CurvatureBreakdown:
     display order); the total equals the generic formula applied to the
     assembled product algebra.
     """
+    p1, p2, gram = _plane_stack(sd, p1, p2)
     x1, y1, x2, y2 = p1.x, p1.y, p2.x, p2.y
     g, h = sd.g, sd.h
     gi, hi = g.inner, h.inner
 
-    # one call per operator on stacked operands, the same stacks as the factors'
-    # five-term numerators take; MHD's h_map checks the y legs first, as the
-    # term-by-term order did
+    # one call per operator on stacked operands, the stacks that the factors'
+    # five-term numerators take, so curv_g and curv_h get their bits.  h_map
+    # comes first: on MHD it checks the y legs for divergence before
+    # g.ad_transpose checks the x legs, which fixes the field an error names.
     xs, xr = _pair_stacks(x1, x2)
     ys, yr = _pair_stacks(y1, y2)
     h12, h21, h11, h22 = _split(sd.h_map(ys, yr), 4)
@@ -213,7 +224,7 @@ def curvature_numerator_semidirect(sd, p1, p2) -> CurvatureBreakdown:
         0.5 * hi(hat21, btsym - b2y1 + b1y2),
         -0.5 * hi(hbr12, b1t2 - b2t1 + 3.0 * b1y2 - 3.0 * b2y1),
     )
-    return _finish(sd, p1, p2, list(zip(SEMIDIRECT_TERM_LABELS, values)))
+    return _finish(gram, list(zip(SEMIDIRECT_TERM_LABELS, values)))
 
 
 def special_plane(sd, case: str, first, second) -> float:

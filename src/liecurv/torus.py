@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .backend import Pair, SemidirectBackendBase, root
+from .backend import Pair, SemidirectBackendBase, norm_from_square
 from .errors import NonFiniteState, NotDivergenceFree
 
 COS, SIN = "cos", "sin"
@@ -109,6 +109,10 @@ class _Grid:
     def _stack(self) -> tuple:
         """Shape of the stack axes of ``c``: () for one element."""
         return self.c.shape[:self.c.ndim - self._axes]
+
+    def broadcast_to(self, shape: tuple):
+        """This element or stack broadcast to the stack shape ``shape`` (a view)."""
+        return self._of(np.broadcast_to(self.c, shape + self.c.shape[self.c.ndim - self._axes:]))
 
     def __getitem__(self, i):
         """Element (or slice) i along the leading stack axis.  One element, such
@@ -425,7 +429,8 @@ def jacobian_transpose_apply(x: TrigVectorField, y: TrigVectorField) -> TrigVect
 
 def scale_field(f: TrigFunction, x: TrigVectorField) -> TrigVectorField:
     """Pointwise product f X, both components in one ``multiply``."""
-    return TrigVectorField._of(multiply(TrigFunction._of(f.c[..., None, :, :]), TrigFunction._of(x.c)).c)
+    product = multiply(TrigFunction._of(f.c[..., None, :, :]), TrigFunction._of(x.c))
+    return TrigVectorField._of(product.c)
 
 
 def jacobi_lie_bracket(x: TrigVectorField, y: TrigVectorField) -> TrigVectorField:
@@ -492,7 +497,7 @@ class _FieldBackend:
         return field_inner(x, y)
 
     def norm(self, x):
-        return root(field_inner(x, x))
+        return norm_from_square(field_inner(x, x))
 
     def bracket(self, x, y) -> TrigVectorField:
         # algebra bracket = minus the Jacobi-Lie bracket (right-invariant convention)
@@ -535,7 +540,7 @@ class FunctionSpaceBackend:
         return function_inner(f, g)
 
     def norm(self, f):
-        return root(function_inner(f, f))
+        return norm_from_square(function_inner(f, f))
 
     def bracket(self, f, g) -> TrigFunction:
         return TrigFunction.zero()
@@ -559,7 +564,7 @@ class FieldRepSpaceBackend:
         return field_inner(x, y)
 
     def norm(self, x):
-        return root(field_inner(x, x))
+        return norm_from_square(field_inner(x, x))
 
     def bracket(self, x, y) -> TrigVectorField:
         return TrigVectorField.zero()

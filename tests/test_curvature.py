@@ -181,6 +181,22 @@ def test_factor_terms_are_the_factor_numerators_bit_for_bit(selector):
                 [v.hex() for v in np.ravel(expected).tolist()], label
 
 
+@pytest.mark.parametrize("selector", ["magnetic:so3:1,2,3", "mhd"])
+def test_an_unstacked_part_broadcasts_over_the_stack(selector):
+    # gg planes with the h parts given once, as the factor's zero
+    sd = catalog.resolve_semidirect(selector)
+    planes = sample_planes(sd, 29, 3, family="gg", band=1)
+    zero = sd.h.zero()
+    x, y = (Pair(stack([getattr(p, leg).x for p in planes]), zero) for leg in ("x", "y"))
+    stacked = curvature_numerator_semidirect(sd, x, y).numerator
+    one_y = curvature_numerator_generic(sd.g, x.x, planes[0].y.x).numerator  # a stack against one
+    for i, p in enumerate(planes):
+        alone = curvature_numerator_semidirect(sd, Pair(p.x.x, zero), Pair(p.y.x, zero)).numerator
+        assert relerr(stacked[i], alone) <= 1e-13
+        alone = curvature_numerator_generic(sd.g, p.x.x, planes[0].y.x).numerator
+        assert relerr(one_y[i], alone) <= 1e-13
+
+
 def _stacked_cases():
     """(name, backend, numerator) for a dense algebra and semidirect products."""
     return [
