@@ -110,10 +110,10 @@ def plane_denominator(backend, x, y) -> float:
 
 def _plane_stack(backend, x, y):
     """The legs broadcast to the planes' stack shape (the parts of a leg may be
-    stacks of different shapes, or one element), and the plane Gram."""
+    stacks of different shapes, or one element), the plane Gram and that shape."""
     gram = _plane_gram(backend, x, y)
     shape = np.shape(gram[0])
-    return broadcast_to(x, shape), broadcast_to(y, shape), gram
+    return broadcast_to(x, shape), broadcast_to(y, shape), gram, shape
 
 
 def _finish(gram, terms) -> CurvatureBreakdown:
@@ -147,9 +147,11 @@ def _pair_stacks(a, b):
     return stack([a, b, a, b]), stack([b, a, a, b])
 
 
-def _split(out, count: int) -> list:
-    """The elements along the leading axis of a stacked result; an unstacked
-    result (an abelian factor's zero) is each of them."""
+def _split(out, count: int, shape: tuple) -> list:
+    """The ``count`` results along the leading axis of a result over stacked
+    operands, each over the planes' stack shape ``shape``.  An unstacked result
+    (an abelian factor's zero) is broadcast to that stack first."""
+    out = broadcast_to(out, (count,) + shape)
     return [out[i] for i in range(count)]
 
 
@@ -160,10 +162,10 @@ def curvature_numerator_generic(backend, x, y) -> CurvatureBreakdown:
                   - <ad(X)^T X, ad(Y)^T Y>
                   - 1/2 <ad(X)^T Y, ad(X) Y> - 1/2 <ad(Y)^T X, ad(Y) X>.
     """
-    x, y, gram = _plane_stack(backend, x, y)
+    x, y, gram, shape = _plane_stack(backend, x, y)
     xs, xr = _pair_stacks(x, y)
-    atxy, atyx, atxx, atyy = _split(backend.ad_transpose(xs, xr), 4)
-    adxy, adyx = _split(backend.bracket(xs[:2], xr[:2]), 2)
+    atxy, atyx, atxx, atyy = _split(backend.ad_transpose(xs, xr), 4, shape)
+    adxy, adyx = _split(backend.bracket(xs[:2], xr[:2]), 2, shape)
     values = _five_terms(backend.inner, atxy, atyx, adxy, adyx, atxx, atyy)
     return _finish(gram, list(zip(GENERIC_TERM_LABELS, values)))
 
@@ -181,7 +183,7 @@ def curvature_numerator_semidirect(sd, p1, p2) -> CurvatureBreakdown:
     display order); the total equals the generic formula applied to the
     assembled product algebra.
     """
-    p1, p2, gram = _plane_stack(sd, p1, p2)
+    p1, p2, gram, shape = _plane_stack(sd, p1, p2)
     x1, y1, x2, y2 = p1.x, p1.y, p2.x, p2.y
     g, h = sd.g, sd.h
     gi, hi = g.inner, h.inner
@@ -192,13 +194,13 @@ def curvature_numerator_semidirect(sd, p1, p2) -> CurvatureBreakdown:
     # g.ad_transpose checks the x legs, which fixes the field an error names.
     xs, xr = _pair_stacks(x1, x2)
     ys, yr = _pair_stacks(y1, y2)
-    h12, h21, h11, h22 = _split(sd.h_map(ys, yr), 4)
-    at12, at21, at11, at22 = _split(g.ad_transpose(xs, xr), 4)
-    b1y2, b2y1, b1y1, b2y2 = _split(sd.b(xs, yr), 4)
-    b1t2, b2t1, b1t1, b2t2 = _split(sd.b_transpose(xs, yr), 4)
-    hat12, hat21, hat11, hat22 = _split(h.ad_transpose(ys, yr), 4)
-    gbr12, gbr21 = _split(g.bracket(xs[:2], xr[:2]), 2)
-    hbr12, hbr21 = _split(h.bracket(ys[:2], yr[:2]), 2)
+    h12, h21, h11, h22 = _split(sd.h_map(ys, yr), 4, shape)
+    at12, at21, at11, at22 = _split(g.ad_transpose(xs, xr), 4, shape)
+    b1y2, b2y1, b1y1, b2y2 = _split(sd.b(xs, yr), 4, shape)
+    b1t2, b2t1, b1t1, b2t2 = _split(sd.b_transpose(xs, yr), 4, shape)
+    hat12, hat21, hat11, hat22 = _split(h.ad_transpose(ys, yr), 4, shape)
+    gbr12, gbr21 = _split(g.bracket(xs[:2], xr[:2]), 2, shape)
+    hbr12, hbr21 = _split(h.bracket(ys[:2], yr[:2]), 2, shape)
 
     hsym = h12 + h21
     btsym = b1t2 + b2t1

@@ -37,17 +37,14 @@ def _sample_basis(backend, band: int, part: str | None):
     return backend.sample_basis(band) if part is None else backend.sample_basis(band, part=part)
 
 
-def random_element(backend, rng, band: int = 2, part: str | None = None, *, basis=None):
+def random_element(backend, rng, band: int = 2, part: str | None = None, *, basis):
     """Standard-normal combination of the sampling basis (optionally one factor).
 
+    ``basis`` is ``backend.sample_basis(band[, part])``, built once per scan.
     Dense backends give their basis as the rows of an array, torus backends as
     a ``torus.ModeBasis``, and semidirect products a Pair of such bases over
     one list of elements; one normal is drawn per element, in basis order.
-    ``basis`` is ``backend.sample_basis(band[, part])`` when given (a scan
-    builds it once), and is built here otherwise.
     """
-    if basis is None:
-        basis = _sample_basis(backend, band, part)
     if isinstance(basis, Pair):
         coeffs = rng.standard_normal(len(basis.x))
         return Pair(_combine(basis.x, coeffs), _combine(basis.y, coeffs))

@@ -115,10 +115,10 @@ class _Grid:
         return self._of(np.broadcast_to(self.c, shape + self.c.shape[self.c.ndim - self._axes:]))
 
     def __getitem__(self, i):
-        """Element (or slice) i along the leading stack axis.  One element, such
-        as an abelian factor's zero, broadcasts over any stack: it is every
-        element of it."""
-        return self._of(self.c[i]) if self._stack else self
+        """Element (or slice) i along the leading stack axis."""
+        if not self._stack:
+            raise TypeError(f"one {type(self).__name__} is not a stack")
+        return self._of(self.c[i])
 
     def __add__(self, other):
         r = max(self.c.shape[-1], other.c.shape[-1]) // 2
@@ -333,6 +333,16 @@ def multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
     return TrigFunction._of(out.reshape(stack + out.shape[-2:]))
 
 
+def _grid_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The L^2 inner products of the grids on the last two axes of a and b, one
+    per grid (stack axes broadcast); call under ``np.errstate``."""
+    a, b = sorted((a, b), key=lambda c: c.shape[-1])
+    r, s = a.shape[-1] // 2, b.shape[-1] // 2
+    a, b = _broadcast(a, b[..., s - r:s + r + 1, s - r:s + r + 1])
+    terms = (a.real * b.real + a.imag * b.imag).reshape(a.shape[:-2] + (-1,))
+    return _FOUR_PI_SQ * np.add.accumulate(terms, axis=-1)[..., -1]
+
+
 def function_inner(f: TrigFunction, g: TrigFunction):
     """L^2 inner product over [0, 2pi)^2 with the bare volume form; one value per
     element of a stack (stacks broadcast).
@@ -341,13 +351,11 @@ def function_inner(f: TrigFunction, g: TrigFunction):
     row-major order over the narrower grid, so the cells that zero padding
     adds contribute exact zeros: an element gets the same bits alone, on a
     wider grid and in a stack.  (``np.add.reduce`` would sum a lone
-    element's cells pairwise instead.)
+    element's cells pairwise instead.)  inf and nan propagate without
+    warnings, as in Python float arithmetic.
     """
-    a, b = sorted((f.c, g.c), key=lambda c: c.shape[-1])
-    r, s = a.shape[-1] // 2, b.shape[-1] // 2
-    a, b = _broadcast(a, b[..., s - r:s + r + 1, s - r:s + r + 1])
-    terms = (a.real * b.real + a.imag * b.imag).reshape(a.shape[:-2] + (-1,))
-    return _per_element(_FOUR_PI_SQ * np.add.accumulate(terms, axis=-1)[..., -1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _per_element(_grid_inner(f.c, g.c))
 
 
 class TrigVectorField(_Grid):
@@ -391,7 +399,10 @@ class TrigVectorField(_Grid):
 
 
 def field_inner(x: TrigVectorField, y: TrigVectorField):
-    return function_inner(x.comp1, y.comp1) + function_inner(x.comp2, y.comp2)
+    """Sum of the components' ``function_inner``s, both taken in one call."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        both = _grid_inner(x.c, y.c)
+        return _per_element(both[..., 0] + both[..., 1])
 
 
 def grad(f: TrigFunction) -> TrigVectorField:

@@ -408,6 +408,18 @@ class TestMetric:
             values.append(function_inner(stack([f] + wider), stack([g] + wider))[0])
             assert [v.hex() for v in values] == [alone.hex()] * 3
 
+    def test_overflow_gives_inf_without_warnings(self):
+        big = TrigFunction.mode(COS, (1, 1), 1e200)
+        field = TrigVectorField(big, -1.0 * big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert function_inner(big, big) == math.inf
+            assert field_inner(field, field) == math.inf
+            assert np.isnan(field_inner(field, TrigVectorField(big, big)))
+            pair = stack([field, field])
+            assert field_inner(pair, pair).tolist() == [math.inf] * 2
+            assert np.isnan(field_inner(pair, stack([TrigVectorField(big, big)] * 2))).all()
+
 
 class TestAdTransposeVol:
     def test_shear_self_ad_transpose_vanishes(self):
@@ -944,13 +956,22 @@ def test_connection_oracle_matches_both_numerators(selector):
                          ids=lambda b: b.name)
 def test_norm_of_one_element_and_of_a_stack(backend):
     rng = rng_for_seed(19)
-    elements = [random_element(backend, rng, band=band) for band in (1, 2, 2)]
+    elements = [random_element(backend, rng, band=band, basis=backend.sample_basis(band))
+                for band in (1, 2, 2)]
     alone = [backend.norm(e) for e in elements]
     assert all(type(v) is float and v > 0.0 for v in alone)
     stacked = backend.norm(stack(elements))
     assert stacked.shape == (3,)
     np.testing.assert_allclose(stacked, alone, rtol=1e-15)
     assert backend.norm(backend.zero()) == 0.0
+
+
+def test_one_element_is_not_a_stack():
+    f = TrigFunction.mode(COS, (1, 1))
+    for element in (f, grad(f), Pair(f, grad(f))):
+        with pytest.raises(TypeError):
+            list(element)
+    assert [e.c.tolist() for e in stack([f, f])] == [f.c.tolist()] * 2
 
 
 @pytest.mark.parametrize("modes", ["function_modes", "divergence_free_modes", "full_field_modes"])
