@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .backend import norm_from_square
 from .errors import DimensionMismatch, ValidationFailure
 
 #: Relative tolerance at which a validation report judges its checks.
@@ -252,7 +253,7 @@ class DenseBackend:
         return _scalar(((a @ self.spec.gram)[..., None, :] @ b[..., :, None])[..., 0, 0])
 
     def norm(self, a):
-        return _scalar(np.sqrt(np.maximum(self.inner(a, a), 0.0)))
+        return norm_from_square(self.inner(a, a))
 
     def ad(self, x) -> np.ndarray:
         """Matrix of ad(x) = [x, .] in the declared basis, of shape (..., dim, dim)."""

@@ -15,6 +15,7 @@ so any semidirect backend is itself a plain metric-algebra backend over
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -72,9 +73,10 @@ def broadcast_to(element, shape: tuple):
 
 def norm_from_square(sq):
     """The norm from a squared norm, clipped at zero: a Python float for one
-    element, an array over a stack."""
+    element, an array over a stack; both correctly rounded, so an element's
+    norm alone and in a stack agree to the bit."""
     sq = np.maximum(sq, 0.0)
-    return np.sqrt(sq) if np.ndim(sq) else float(sq) ** 0.5
+    return np.sqrt(sq) if np.ndim(sq) else math.sqrt(sq)
 
 
 class SemidirectBackendBase:

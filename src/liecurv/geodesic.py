@@ -138,7 +138,7 @@ class _GramMetric:
         return float(a.dot(self.gram).dot(b))
 
     def norm(self, a) -> float:
-        return max(self.inner(a, a), 0.0) ** 0.5  # max keeps a nan first argument
+        return math.sqrt(max(self.inner(a, a), 0.0))  # max keeps a nan first argument
 
 
 def _rk4_step(rhs, state, dt):

@@ -432,9 +432,25 @@ class TestValidateCommand:
         assert run(["validate", "--semidirect", "euclidean"]) == 0
         assert "validation of euclidean (product): pass\n" in capsys.readouterr().out
 
-    def test_torus_backend_spot_checks(self, capsys):
-        assert run(["validate", "--semidirect", "passive-scalar"]) == 0
-        assert run(["validate", "--algebra", "torus-vol"]) == 0
+    @pytest.mark.parametrize("tol", [[], ["--tol", "0"]], ids=["default-tol", "tol-0"])
+    @pytest.mark.parametrize("flag, selector, products", [
+        ("--algebra", "torus-vol", 4), ("--algebra", "torus-full", 5), ("--semidirect", "mhd", 10),
+        ("--semidirect", "passive-scalar", 7), ("--semidirect", "compressible", 9),
+    ])
+    def test_torus_backend_spot_checks(self, flag, selector, products, tol, monkeypatch, capsys):
+        # one product per torus operator, over every band-1 triple at once
+        calls = []
+        original = torus.multiply
+
+        def counted(f, g):
+            calls.append(1)
+            return original(f, g)
+
+        monkeypatch.setattr(torus, "multiply", counted)
+        # band-1 residuals are exactly zero, so even --tol 0 passes
+        assert run(["validate", flag, selector, *tol]) == 0
+        assert capsys.readouterr().out.startswith(f"validation of {selector}: pass\n")
+        assert len(calls) == products
 
     def test_failing_spec_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.cfg"
@@ -567,6 +583,18 @@ class TestValidateTolerance:
             "validation of torus-vol: FAIL",
             "  FAIL adjointness: residual 1.000e-11",
         ]
+
+    def test_torus_nan_residual_fails(self, monkeypatch, capsys):
+        ad_transpose = torus.VolumeFieldBackend.ad_transpose
+        monkeypatch.setattr(torus.VolumeFieldBackend, "ad_transpose",
+                            lambda self, x, y: ad_transpose(self, x, y) * np.nan)
+        assert run(["validate", "--algebra", "torus-vol"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "validation of torus-vol: FAIL",
+            "  FAIL adjointness: residual nan",
+        ]
+        # one nan among finite residuals is the worst one too
+        assert np.isnan(cli._worst_residual(np.array([0.0, np.nan, 2.0]), np.zeros(3)))
 
     @pytest.mark.parametrize("tol", ["1e-10", "0"])
     def test_nan_residual_fails(self, tol, monkeypatch, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import reference_leray, reference_modes, reference_multiply, relerr
 
-from liecurv.backend import Pair, SemidirectBackendBase, stack
+from liecurv.backend import Pair, SemidirectBackendBase, norm_from_square, stack
 from liecurv.curvature import curvature_numerator_generic, curvature_numerator_semidirect, oracle_curvature
 from liecurv.errors import NotDivergenceFree
 from liecurv.geodesic import geodesic_rhs, rhs_magnetic, rhs_semidirect
@@ -958,12 +958,24 @@ def test_norm_of_one_element_and_of_a_stack(backend):
     rng = rng_for_seed(19)
     elements = [random_element(backend, rng, band=band, basis=backend.sample_basis(band))
                 for band in (1, 2, 2)]
+    # and a multiple of the first whose squared norm is one of the rare doubles
+    # (about 1 in 1200) whose x ** 0.5 is an ulp off its correctly rounded sqrt
+    multiples = (elements[0] * (1.0 + i * 2.0 ** -40) for i in range(1, 100_000))
+    squares = ((e, backend.inner(e, e)) for e in multiples)
+    elements.append(next(e for e, sq in squares if sq ** 0.5 != math.sqrt(sq)))
     alone = [backend.norm(e) for e in elements]
     assert all(type(v) is float and v > 0.0 for v in alone)
     stacked = backend.norm(stack(elements))
-    assert stacked.shape == (3,)
-    np.testing.assert_allclose(stacked, alone, rtol=1e-15)
+    assert stacked.shape == (4,)
+    assert [v.hex() for v in stacked.tolist()] == [v.hex() for v in alone]
     assert backend.norm(backend.zero()) == 0.0
+
+
+def test_norm_from_square_rounds_one_value_as_a_stack():
+    # float ** 0.5 rounds this square's root down by one ulp; sqrt rounds it correctly
+    sq = 0.37623850142809423
+    assert norm_from_square(sq) == 0.6133828343115695
+    assert norm_from_square(np.array([sq])).tolist() == [0.6133828343115695]
 
 
 def test_one_element_is_not_a_stack():
