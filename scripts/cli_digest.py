@@ -240,6 +240,9 @@ FILES = {
 # the action of euclidean_sd.cfg with one entry off by 1e-11: a homomorphism residual of 1e-11
 FILES["euclidean_sd_1e-11.cfg"] = FILES["euclidean_sd.cfg"].replace(
     "    1 3 2 1\n", "    1 3 2 1.00000000001\n")
+# the same entry at 1e200: finite, but the homomorphism check's scale overflows
+FILES["euclidean_sd_1e200.cfg"] = FILES["euclidean_sd.cfg"].replace(
+    "    1 3 2 1\n", "    1 3 2 1e200\n")
 
 _SCANS = [
     ["--semidirect", "mhd", "--seed", "1", "--band", "2", "--count", "3"],
@@ -341,6 +344,9 @@ CLI_INVOCATIONS = [
     ["scan", "--semidirect", "mhd", "--family", "gh", "--seed", "2", "--count", "4"],
     ["scan", "--semidirect", "compressible", "--family", "contains-h", "--band", "1",
      "--seed", "2", "--count", "3"],
+    # a finite action entry of 1e200, and every residual of a product with an abelian h
+    ["validate", "--semidirect-file", "euclidean_sd_1e200.cfg"],
+    ["validate", "--semidirect-file", "euclidean_sd.cfg", "--tol", "0"],
 ]
 
 #: Scripts under ``scripts/`` with their arguments.
