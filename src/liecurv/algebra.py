@@ -65,7 +65,10 @@ class Check:
 
     @property
     def residual(self) -> float:
-        return self.worst / math.prod(self.scale)
+        """``worst`` relative to the scale; nan when the scale overflowed to inf,
+        which no tolerance can judge."""
+        scale = math.prod(self.scale)
+        return self.worst / scale if scale < math.inf else math.nan
 
 
 @dataclass
@@ -87,8 +90,9 @@ class ValidationReport:
         return replace(self, tol=tol)
 
     def fails(self, check: Check) -> bool:
-        """worst > tol * scale (tol times each factor in turn); nan and outright always fail."""
-        return (check.outright or math.isnan(check.worst)
+        """worst > tol * scale (tol times each factor in turn); a nan residual and
+        outright always fail."""
+        return (check.outright or math.isnan(check.residual)
                 or check.worst > math.prod(check.scale, start=self.tol))
 
     @property
@@ -166,7 +170,10 @@ def validate(spec: MetricAlgebraSpec) -> ValidationReport:
     else:
         cmax = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
         report.record("antisymmetry", *worst_entry(enumerate(c + c.transpose(1, 0, 2))), (cmax,))
-        report.record("jacobi", *_jacobi_worst(c), (cmax, cmax))
+        # every term of the Jacobi residual is a product of two structure constants, so
+        # zeros give zeros: record the entry np.argmax finds on them without the O(n^5) sum
+        worst = _jacobi_worst(c) if c.any() else ((0, 0, 0), 0.0)
+        report.record("jacobi", *worst, (cmax, cmax))
 
     bad = _first_non_finite(g)
     if bad is not None:
@@ -225,6 +232,7 @@ class DenseBackend:
         self.spec = spec
         self.dim = spec.dim
         self._chol = np.linalg.cholesky(spec.gram)  # G = L L^T
+        self._chol_inv = np.linalg.inv(self._chol)
         c = spec.structure
         # _ad[i] = ad(e_i): [e_i, e_j] = sum_k c[i, j, k] e_k
         self._ad = np.ascontiguousarray(c.transpose(0, 2, 1))
@@ -280,9 +288,11 @@ class DenseBackend:
         return self._solve(v)
 
     def _solve(self, rhs) -> np.ndarray:
-        """G^-1 rhs through the Cholesky factor, for a vector or a matrix of columns;
-        non-finite values pass through, so the integrator reports a blow-up itself."""
-        return np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, rhs))
+        """G^-1 rhs = L^-T (L^-1 rhs) through the inverse Cholesky factor, for a vector
+        or a matrix of columns.  Non-finite values pass through, so the integrator
+        reports a blow-up itself; an inf in rhs may come out as nan in other
+        coordinates (0 * inf), which is still non-finite."""
+        return self._chol_inv.T @ (self._chol_inv @ rhs)
 
     def sample_basis(self, band: int = 0):
         """Basis elements for random sampling, as the rows of an array (band is a

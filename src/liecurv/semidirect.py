@@ -18,6 +18,7 @@ from .algebra import (
     DenseBackend,
     MetricAlgebraSpec,
     ValidationReport,
+    _first_non_finite,
     bilinear,
     skew_adjoint,
     worst_entry,
@@ -47,7 +48,11 @@ class ActionSpec:
 
 
 def validate_action(g: MetricAlgebraSpec, h: MetricAlgebraSpec, action: ActionSpec) -> ValidationReport:
-    """Check shapes, the derivation property and the homomorphism property."""
+    """Check shapes, the derivation property and the homomorphism property.
+
+    A nan or infinite action entry fails both properties with a nan residual,
+    as ``algebra.validate`` fails a non-finite structure constant.
+    """
     report = ValidationReport(subject="action")
     if action.dim_g != g.dim or action.dim_h != h.dim:
         report.record("shape", (action.dim_g, action.dim_h), float("nan"),
@@ -56,9 +61,16 @@ def validate_action(g: MetricAlgebraSpec, h: MetricAlgebraSpec, action: ActionSp
     report.record("shape")
 
     B = action.matrices
+    bad = _first_non_finite(B)
+    if bad is not None:
+        for invariant in ("derivation", "homomorphism"):
+            report.record(invariant, bad, float("nan"), message="non-finite action entry")
+        return report
+
     ch = h.structure
     ng, nh = g.dim, h.dim
-    scale = max(1.0, float(np.max(np.abs(B)))) * max(1.0, float(np.max(np.abs(ch))))
+    bmax = max(1.0, float(np.max(np.abs(B))))
+    scale = bmax * max(1.0, float(np.max(np.abs(ch))))
 
     # derivation: b(e_i)[f_p, f_q] = [b(e_i) f_p, f_q] + [f_p, b(e_i) f_q], residuals
     # [i, p, q, r] built one i at a time so that no temporary holds more than nh^3 entries
@@ -67,17 +79,20 @@ def validate_action(g: MetricAlgebraSpec, h: MetricAlgebraSpec, action: ActionSp
         rhs = (B[i].T @ ch.reshape(nh, nh * nh)).reshape(nh, nh, nh) + B[i].T @ ch
         return lhs - rhs
 
-    report.record("derivation", *worst_entry((i, derivation(i)) for i in range(ng)), (scale,))
+    # every term has a structure constant of h as a factor, so an abelian h (the dual
+    # of a magnetic extension) gives zeros: record the entry np.argmax finds on them
+    worst = worst_entry((i, derivation(i)) for i in range(ng)) if ch.any() else ((0, 0, 0, 0), 0.0)
+    report.record("derivation", *worst, (scale,))
 
     # homomorphism: b([e_i, e_j]) = b(e_i) b(e_j) - b(e_j) b(e_i), residuals [i, j, r, s]
     cg = g.structure
-    scale2 = max(1.0, float(np.max(np.abs(B)))) ** 2 * max(1.0, float(np.max(np.abs(cg))))
+    scale2 = (bmax, bmax, max(1.0, float(np.max(np.abs(cg)))))
 
     def homomorphism(i):
         lhs = (cg[i] @ B.reshape(ng, nh * nh)).reshape(ng, nh, nh)
         return lhs - (B[i] @ B - B @ B[i])
 
-    report.record("homomorphism", *worst_entry((i, homomorphism(i)) for i in range(ng)), (scale2,))
+    report.record("homomorphism", *worst_entry((i, homomorphism(i)) for i in range(ng)), scale2)
     return report
 
 

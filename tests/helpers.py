@@ -157,6 +157,19 @@ def reference_skew_adjoint(mats, gram, tol: float = 1e-10) -> bool:
     return True
 
 
+def reference_derivation(h_spec, action):
+    """Location and size of the largest residual of the derivation property
+    b(e_i)[f_p, f_q] - [b(e_i) f_p, f_q] - [f_p, b(e_i) f_q] over every (i, p, q, r),
+    from the full contraction: the oracle for the derivation check of
+    ``semidirect.validate_action``."""
+    B, ch = action.matrices, h_spec.structure
+    resid = (np.einsum("pqs,irs->ipqr", ch, B) - np.einsum("isp,sqr->ipqr", B, ch)
+             - np.einsum("isq,psr->ipqr", B, ch))
+    size = np.abs(resid)
+    where = np.unravel_index(np.argmax(size), size.shape)
+    return tuple(int(i) for i in where), float(size[where])
+
+
 def _canonical(k1: int, k2: int, parity: str, coeff: float):
     """Fold a raw mode onto its canonical representative (or None if it vanishes)."""
     if k1 == 0 and k2 == 0:

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -8,7 +9,14 @@ from hypothesis import strategies as st
 from helpers import finite_algebras, reference_skew_adjoint, rel_vec_err, relerr
 
 from liecurv import catalog
-from liecurv.algebra import DenseBackend, MetricAlgebraSpec, validate
+from liecurv.algebra import (
+    Check,
+    DenseBackend,
+    MetricAlgebraSpec,
+    ValidationReport,
+    _jacobi_worst,
+    validate,
+)
 from liecurv.errors import DimensionMismatch
 
 E = np.eye(3)
@@ -135,6 +143,13 @@ class TestStacks:
             got = skewed.gram_solve(v)
             assert got.shape == v.shape
             assert rel_vec_err(gram @ got, v) < 1e-14
+
+    def test_gram_solve_on_identity_gram_returns_rhs(self):
+        backend = DenseBackend(catalog.random_solvable(5, 9))
+        rng = np.random.default_rng(8)
+        for v in (rng.standard_normal(5), rng.standard_normal((5, 7))):
+            got = backend.gram_solve(v)
+            assert [x.hex() for x in got.ravel()] == [x.hex() for x in v.ravel()]
 
     def test_adjointness_on_stacks(self, skewed):
         rng = np.random.default_rng(5)
@@ -299,6 +314,28 @@ class TestValidate:
         assert tight.checks is report.checks and report.tol == 1e-10
         [issue] = tight.issues
         assert (issue.invariant, issue.location, issue.residual) == ("jacobi", (0, 1, 2), 1e-11)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 32])
+    def test_zero_structure_records_the_jacobi_sum_of_zeros(self, n):
+        # the Jacobi sum is skipped on zeros; the report is the one the sum gives
+        location, worst = _jacobi_worst(np.zeros((n, n, n)))
+        report = validate(catalog.abelian(n))
+        assert [(c.invariant, c.location, c.worst, c.scale) for c in report.checks] == [
+            ("antisymmetry", (0, 0, 0), 0.0, (1.0,)),
+            ("jacobi", location, worst, (1.0, 1.0)),
+            ("gram_symmetric", (), 0.0, (1.0,)),
+            ("gram_positive_definite", (), 0.0, ()),
+        ]
+        assert all(type(i) is int for i in report.checks[1].location)
+
+    @pytest.mark.parametrize("tol", [1e-10, 0.0, 1e300])
+    def test_overflowing_scale_fails_at_every_tolerance(self, tol):
+        # a scale of 1e200 * 1e200 overflows to inf: the check cannot be judged
+        check = Check("homomorphism", (0, 1, 0, 1), 1e200, (1e200, 1e200, 1.0))
+        report = ValidationReport("action", [check], tol)
+        assert math.isnan(check.residual)
+        assert report.issues == [check]
+        assert str(report).splitlines()[-1] == "  FAIL homomorphism at (0, 1, 0, 1): residual nan"
 
     def test_worst_offender_location(self):
         c = np.zeros((3, 3, 3))

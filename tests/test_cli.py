@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -603,6 +604,21 @@ class TestValidateTolerance:
         assert run(["validate", "--algebra-file", "spec.cfg", "--tol", tol]) == 1
         out = capsys.readouterr().out.splitlines()
         assert "  FAIL antisymmetry at (0, 1, 2): residual nan (non-finite structure constant)" in out
+
+    @pytest.mark.parametrize("tol", ["1e-10", "0"])
+    def test_overflowing_action_scale_fails(self, tol, tmp_path, capsys):
+        # a finite action entry of 1e200, whose homomorphism scale 1e200^2 overflows:
+        # no tolerance can judge the check, so it fails as a nan residual does
+        path = tmp_path / "sd.cfg"
+        path.write_text(EUCLIDEAN_FILE.replace("    1 3 2 1.0\n", "    1 3 2 1e200\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["validate", "--semidirect-file", str(path), "--tol", tol]) == 1
+        assert capsys.readouterr() == (
+            "validation of action: FAIL\n"
+            "  ok   shape\n"
+            "  ok   derivation\n"
+            "  FAIL homomorphism at (0, 1, 0, 1): residual nan\n", "")
 
     def test_refused_spec_judged_at_tol(self, tmp_path, capsys):
         # refused while resolving at the default tolerance; its Gram asymmetry of 1e-11

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from helpers import (
     SOLVABLE_SEEDS,
     random_pair,
+    reference_derivation,
     reference_skew_adjoint,
     rel_vec_err,
     relerr,
@@ -96,6 +98,46 @@ class TestBuild:
         mats[0] = np.array([[0.0, -1.0], [1.0, 0.0]])
         report = validate_action(catalog.so3(), catalog.abelian(2), ActionSpec(mats))
         assert any(i.invariant == "homomorphism" for i in report.issues)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("selector", ["euclidean", "conjugation:so3"])
+    def test_non_finite_action_entry_fails(self, bad, selector):
+        # euclidean acts on an abelian h, whose derivation check needs no arithmetic
+        sd = catalog.resolve_semidirect(selector)
+        mats = sd.action.matrices.copy()
+        mats[1, 2, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_action(sd.g.spec, sd.h.spec, ActionSpec(mats))
+        for tol in (1e-10, 0.0):
+            assert str(report.at(tol)).splitlines() == [
+                "validation of action: FAIL",
+                "  ok   shape",
+                "  FAIL derivation at (1, 2, 0): residual nan (non-finite action entry)",
+                "  FAIL homomorphism at (1, 2, 0): residual nan (non-finite action entry)",
+            ]
+
+
+def _derivation_check(report):
+    return next(c for c in report.checks if c.invariant == "derivation")
+
+
+@pytest.mark.parametrize("selector", ["magnetic:so3:1,2,3", "magnetic:random-solvable:8:1",
+                                      "euclidean", "conjugation:so3:1,2,3"])
+def test_derivation_check_matches_the_full_contraction(selector):
+    # the first three act on an abelian h, where the check runs no contraction
+    sd = catalog.resolve_semidirect(selector)
+    check = _derivation_check(sd.report)
+    assert (check.location, check.worst) == reference_derivation(sd.h.spec, sd.action)
+
+
+def test_failing_derivation_check_matches_the_full_contraction():
+    mats = np.zeros((3, 3, 3))
+    mats[0] = np.diag([1.0, 0.0, 0.5])  # not a derivation of so(3)
+    action = ActionSpec(mats)
+    check = _derivation_check(validate_action(catalog.so3(), catalog.so3(), action))
+    assert check.worst > 0
+    assert (check.location, check.worst) == reference_derivation(catalog.so3(), action)
 
 
 class TestHMap:
@@ -270,6 +312,15 @@ class TestSetUp:
             seen.clear()
             sd = catalog.resolve_semidirect(selector)
             assert len(seen) == 2 and {id(s) for s in seen} == {id(sd.g.spec), id(sd.h.spec)}
+
+    def test_jacobi_sum_skipped_on_the_abelian_dual(self, monkeypatch):
+        from liecurv import algebra
+
+        calls = []
+        original = algebra._jacobi_worst
+        monkeypatch.setattr(algebra, "_jacobi_worst", lambda c: calls.append(c) or original(c))
+        sd = catalog.resolve_semidirect("magnetic:random-solvable:8:1")
+        assert len(calls) == 1 and calls[0] is sd.g.spec.structure
 
     def test_indefinite_gram_fails_validation_before_factorisation(self):
         with pytest.raises(ValidationFailure) as info:
