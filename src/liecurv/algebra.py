@@ -145,7 +145,7 @@ def _jacobi_worst(c: np.ndarray):
     return idx[:3], worst
 
 
-def _first_non_finite(a: np.ndarray):
+def first_non_finite(a: np.ndarray):
     """Index of the first nan or infinite entry of a, or None."""
     bad = np.argwhere(~np.isfinite(a))
     return tuple(int(i) for i in bad[0]) if len(bad) else None
@@ -163,7 +163,7 @@ def validate(spec: MetricAlgebraSpec) -> ValidationReport:
     report = ValidationReport(subject=spec.name or "algebra")
     c = spec.structure
     g = spec.gram
-    bad = _first_non_finite(c)
+    bad = first_non_finite(c)
     if bad is not None:
         for invariant in ("antisymmetry", "jacobi"):
             report.record(invariant, bad, float("nan"), message="non-finite structure constant")
@@ -175,7 +175,7 @@ def validate(spec: MetricAlgebraSpec) -> ValidationReport:
         worst = _jacobi_worst(c) if c.any() else ((0, 0, 0), 0.0)
         report.record("jacobi", *worst, (cmax, cmax))
 
-    bad = _first_non_finite(g)
+    bad = first_non_finite(g)
     if bad is not None:
         for invariant in ("gram_symmetric", "gram_positive_definite"):
             report.record(invariant, bad, float("nan"), message="non-finite Gram entry")

@@ -18,8 +18,8 @@ from .algebra import (
     DenseBackend,
     MetricAlgebraSpec,
     ValidationReport,
-    _first_non_finite,
     bilinear,
+    first_non_finite,
     skew_adjoint,
     worst_entry,
 )
@@ -61,7 +61,7 @@ def validate_action(g: MetricAlgebraSpec, h: MetricAlgebraSpec, action: ActionSp
     report.record("shape")
 
     B = action.matrices
-    bad = _first_non_finite(B)
+    bad = first_non_finite(B)
     if bad is not None:
         for invariant in ("derivation", "homomorphism"):
             report.record(invariant, bad, float("nan"), message="non-finite action entry")

@@ -337,6 +337,14 @@ class TestValidate:
         assert report.issues == [check]
         assert str(report).splitlines()[-1] == "  FAIL homomorphism at (0, 1, 0, 1): residual nan"
 
+    def test_structure_constant_whose_jacobi_scale_overflows_fails(self):
+        # [e1, e2] = 1e200 e3 keeps the Jacobi identity, but max|c|^2 overflows to inf
+        c = catalog.so3().structure.copy()
+        c[0, 1, 2], c[1, 0, 2] = 1e200, -1e200
+        report = validate(MetricAlgebraSpec(structure=c, gram=np.eye(3)))
+        [issue] = report.issues
+        assert issue.invariant == "jacobi" and math.isnan(issue.residual)
+
     def test_worst_offender_location(self):
         c = np.zeros((3, 3, 3))
         c[0, 1, 2] = 1.0
