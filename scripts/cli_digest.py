@@ -237,6 +237,15 @@ FILES = {
     ),
 }
 
+# so(3) with [e1, e2] = 1e200 e3: it satisfies the Jacobi identity, but the check's scale overflows
+FILES["so3_1e200.cfg"] = (
+    "[algebra]\n"
+    "dim = 3\n"
+    "structure =\n"
+    "    1 2 3 1e200\n"
+    "    2 3 1 1\n"
+    "    3 1 2 1\n"
+)
 # the action of euclidean_sd.cfg with one entry off by 1e-11: a homomorphism residual of 1e-11
 FILES["euclidean_sd_1e-11.cfg"] = FILES["euclidean_sd.cfg"].replace(
     "    1 3 2 1\n", "    1 3 2 1.00000000001\n")
@@ -347,6 +356,11 @@ CLI_INVOCATIONS = [
     # a finite action entry of 1e200, and every residual of a product with an abelian h
     ["validate", "--semidirect-file", "euclidean_sd_1e200.cfg"],
     ["validate", "--semidirect-file", "euclidean_sd.cfg", "--tol", "0"],
+    # a structure constant of 1e200, a compiled right-hand side where g is h, and a torus
+    # scan whose legs share one sampling basis
+    ["validate", "--algebra-file", "so3_1e200.cfg"],
+    _DENSE_GEODESIC + ["--semidirect", "conjugation:so3:1,2,3", "--scheme", "rk4", "--format", "csv"],
+    ["scan", "--semidirect", "mhd", "--family", "hh", "--band", "1", "--seed", "2", "--count", "3"],
 ]
 
 #: Scripts under ``scripts/`` with their arguments.
