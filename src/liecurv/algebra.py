@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .backend import norm_from_square
+from .backend import norm_from_square, per_element
 from .errors import DimensionMismatch, ValidationFailure
 
 #: Relative tolerance at which a validation report judges its checks.
@@ -109,7 +109,8 @@ class ValidationReport:
         lines.extend(f"  ok   {c.invariant}" for c in self.checks if c not in issues)
         for c in issues:
             loc = f" at {c.location}" if c.location else ""
-            msg = f" ({c.message})" if c.message else ""
+            why = c.message or ("scale overflows" if math.isinf(math.prod(c.scale)) else "")
+            msg = f" ({why})" if why else ""
             lines.append(f"  FAIL {c.invariant}{loc}: residual {c.residual:.3e}{msg}")
         return "\n".join(lines)
 
@@ -209,11 +210,6 @@ def skew_adjoint(mats: np.ndarray, gram: np.ndarray) -> bool:
     return bool(np.max(np.abs(resid)) <= ADJOINT_TOL * scale)
 
 
-def _scalar(value):
-    """A Python float for a single value, the array itself for a stack."""
-    return float(value) if np.ndim(value) == 0 else value
-
-
 class DenseBackend:
     """Metric-algebra operations over a validated finite-dimensional spec.
 
@@ -258,7 +254,7 @@ class DenseBackend:
     def inner(self, a, b):
         a, b = self._coerce(a), self._coerce(b)
         # a row times a column, so that one pair takes the dot product of a @ G @ b
-        return _scalar(((a @ self.spec.gram)[..., None, :] @ b[..., :, None])[..., 0, 0])
+        return per_element(((a @ self.spec.gram)[..., None, :] @ b[..., :, None])[..., 0, 0])
 
     def norm(self, a):
         return norm_from_square(self.inner(a, a))

@@ -71,6 +71,11 @@ def broadcast_to(element, shape: tuple):
     return element.broadcast_to(shape)
 
 
+def per_element(values):
+    """A Python number for one element, the array itself for a stack."""
+    return values.item() if np.ndim(values) == 0 else values
+
+
 def norm_from_square(sq):
     """The norm from a squared norm, clipped at zero: a Python float for one
     element, an array over a stack; both correctly rounded, so an element's

@@ -46,13 +46,8 @@ def abelian(dim: int, gram=None, name: str = "abelian") -> MetricAlgebraSpec:
 
 def conjugation(g_spec: MetricAlgebraSpec) -> SemidirectAlgebra:
     """G acting on itself by conjugation: action b(X) = ad(X), h = g."""
-    g = DenseBackend(g_spec)
-    mats = g.ad(np.eye(g.dim))
-    h_spec = MetricAlgebraSpec(
-        structure=g_spec.structure.copy(), gram=g_spec.gram.copy(),
-        name=g_spec.name or "h",
-    )
-    return build_semidirect(g, h_spec, ActionSpec(mats),
+    g = DenseBackend(g_spec)  # validated once, as both factors
+    return build_semidirect(g, g, ActionSpec(g.ad(np.eye(g.dim))),
                             name=f"conjugation:{g_spec.name or 'g'}")
 
 
@@ -97,9 +92,8 @@ def random_solvable(dim: int, seed: int) -> MetricAlgebraSpec:
     rng = np.random.default_rng(np.random.PCG64(seed))
     d = np.triu(rng.uniform(-1.0, 1.0, size=(dim - 1, dim - 1)))
     c = np.zeros((dim, dim, dim))
-    for j in range(1, dim):
-        c[0, j, 1:] = d[:, j - 1]
-        c[j, 0, 1:] = -d[:, j - 1]
+    c[0, 1:, 1:] = d.T
+    c[1:, 0, 1:] = -d.T
     return MetricAlgebraSpec(structure=c, gram=np.eye(dim), name=f"solvable{dim}(seed={seed})")
 
 

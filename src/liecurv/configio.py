@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .algebra import MAX_DIM, DenseBackend, MetricAlgebraSpec
+from .algebra import MAX_DIM, MetricAlgebraSpec
 from .backend import Pair, SemidirectBackendBase
 from .curvature import Plane
 from .errors import ConfigError
@@ -176,33 +176,28 @@ def _mode_lines(text: str, what: str, fields: str):
         yield key, value, comp
 
 
-def parse_trig_function(text: str) -> torus.TrigFunction:
-    modes = {}
-    for key, coeff, _ in _mode_lines(text, "function", "parity k1 k2 coeff"):
-        modes[key] = modes.get(key, 0.0) + coeff
-    return torus.TrigFunction(modes)
-
-
-def parse_trig_field(text: str) -> torus.TrigVectorField:
+def _parse_trig(text: str, field: bool):
+    """A torus function from its mode lines, or a field from lines that name a component."""
     comps = ({}, {})
-    for key, coeff, (comp,) in _mode_lines(text, "field", "parity k1 k2 coeff component"):
-        target = comps[int(comp) - 1]
+    fields = "parity k1 k2 coeff component" if field else "parity k1 k2 coeff"
+    for key, coeff, comp in _mode_lines(text, "field" if field else "function", fields):
+        target = comps[int(comp[0]) - 1 if field else 0]
         target[key] = target.get(key, 0.0) + coeff
-    return torus.TrigVectorField(torus.TrigFunction(comps[0]), torus.TrigFunction(comps[1]))
+    if field:
+        return torus.TrigVectorField(torus.TrigFunction(comps[0]), torus.TrigFunction(comps[1]))
+    return torus.TrigFunction(comps[0])
 
 
 def parse_element(backend_part, text: str):
-    """Parse one element in the syntax matching the backend factor."""
-    if isinstance(backend_part, DenseBackend):
-        coords = _parse_floats(text, "element coordinates")
-        if len(coords) != backend_part.dim:
-            raise ConfigError(f"expected {backend_part.dim} coordinates, got {len(coords)}")
-        return np.asarray(coords)
+    """Parse one element in the syntax matching the backend factor's zero."""
     zero = backend_part.zero()
-    if isinstance(zero, torus.TrigFunction):
-        return parse_trig_function(text)
-    if isinstance(zero, torus.TrigVectorField):
-        return parse_trig_field(text)
+    if isinstance(zero, np.ndarray):
+        coords = _parse_floats(text, "element coordinates")
+        if len(coords) != len(zero):
+            raise ConfigError(f"expected {len(zero)} coordinates, got {len(coords)}")
+        return np.asarray(coords)
+    if isinstance(zero, (torus.TrigFunction, torus.TrigVectorField)):
+        return _parse_trig(text, isinstance(zero, torus.TrigVectorField))
     raise ConfigError(f"no element syntax for backend {type(backend_part).__name__}")
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import broadcast_to, stack
+from .backend import broadcast_to, per_element, stack
 from .errors import DegeneratePlane, NotIsometric
 
 #: Sign of the field bracket relative to the algebra bracket inside the
@@ -121,11 +121,12 @@ def _finish(gram, terms) -> CurvatureBreakdown:
     denominator, spans = gram
     with np.errstate(divide="ignore", invalid="ignore"):
         sec = np.where(spans, np.divide(numerator, denominator), np.nan)
-    if sec.ndim:  # a stack; an abelian factor's terms are the scalar 0.0
-        return CurvatureBreakdown(np.broadcast_to(numerator, sec.shape), denominator, sec,
-                                  [(label, np.broadcast_to(v, sec.shape)) for label, v in terms])
-    return CurvatureBreakdown(float(numerator), float(denominator), float(sec),
-                              [(label, float(v)) for label, v in terms])
+
+    def out(v):  # on a stack, an abelian factor's terms are the scalar 0.0
+        return per_element(np.broadcast_to(v, sec.shape))
+
+    return CurvatureBreakdown(out(numerator), out(denominator), out(sec),
+                              [(label, out(v)) for label, v in terms])
 
 
 def _five_terms(inner, atxy, atyx, adxy, adyx, atxx, atyy) -> list:

@@ -104,12 +104,7 @@ class QuadraticRHS:
     def __init__(self, backend):
         _, self._to_flat, self._to_state = _flat_coordinates(backend)
         rows = backend.sample_basis()
-        if isinstance(rows, Pair):
-            gamma = backend.ad_transpose(Pair(rows.x[:, None], rows.y[:, None]),
-                                         Pair(rows.x[None], rows.y[None]))
-            gamma = np.concatenate([gamma.x, gamma.y], axis=-1)
-        else:
-            gamma = backend.ad_transpose(rows[:, None], rows[None])
+        gamma = self._to_flat(backend.ad_transpose(rows[:, None], rows[None]))
         self.dim = m = gamma.shape[0]
         self._gamma = np.ascontiguousarray(-gamma.reshape(m, m * m))
 

@@ -96,7 +96,7 @@ def sample_planes(backend, seed: int, count: int, family: str = "full", band: in
     with nearly collinear legs are rejected.
     """
     part1, part2 = check_family(backend, family)
-    basis1, basis2 = (_sample_basis(backend, band, part) for part in (part1, part2))
+    bases = {part: _sample_basis(backend, band, part) for part in dict.fromkeys((part1, part2))}
     rng = rng_for_seed(seed)
     planes: list[Plane] = []
     budget = 100 * max(count, 1)
@@ -104,8 +104,8 @@ def sample_planes(backend, seed: int, count: int, family: str = "full", band: in
         if budget <= 0:
             raise SamplingExhausted(f"no non-degenerate draw after 100x{count} retries")
         budget -= 1
-        x = random_element(backend, rng, band=band, part=part1, basis=basis1)
-        y = random_element(backend, rng, band=band, part=part2, basis=basis2)
+        x = random_element(backend, rng, band=band, part=part1, basis=bases[part1])
+        y = random_element(backend, rng, band=band, part=part2, basis=bases[part2])
         if family == "contains-h":
             x = _normalize(backend, x)
             y = _normalize(backend, y)

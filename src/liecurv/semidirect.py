@@ -8,6 +8,7 @@ product spec with block diagonal Gram is built when first read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -113,10 +114,9 @@ def _assemble_product_spec(g: MetricAlgebraSpec, h: MetricAlgebraSpec, B: np.nda
     c = np.zeros((n, n, n))
     c[:ng, :ng, :ng] = g.structure
     c[ng:, ng:, ng:] = h.structure
-    for i in range(ng):
-        # [(e_i, 0), (0, f_q)] = (0, b(e_i) f_q)
-        c[i, ng:, ng:] = B[i].T
-        c[ng:, i, ng:] = -B[i].T
+    # [(e_i, 0), (0, f_q)] = (0, b(e_i) f_q)
+    c[:ng, ng:, ng:] = B.transpose(0, 2, 1)
+    c[ng:, :ng, ng:] = -B.transpose(2, 0, 1)
     return MetricAlgebraSpec(structure=c, gram=gram, name=name)
 
 
@@ -189,7 +189,7 @@ class SemidirectAlgebra(SemidirectBackendBase):
     # -- conversion to assembled product coordinates --
 
     def join(self, p) -> np.ndarray:
-        return np.concatenate([self.g._coerce(p.x), self.h._coerce(p.y)])
+        return np.concatenate([self.g._coerce(p.x), self.h._coerce(p.y)], axis=-1)
 
 
 def finite_dimensional(backend) -> bool:
@@ -209,20 +209,14 @@ def build_semidirect(g, h, action, name: str = "") -> SemidirectAlgebra:
     return SemidirectAlgebra(g, h, action, name=name)
 
 
-def _scale(*norms: float) -> float:
-    s = 1.0
-    for n in norms:
-        s *= 1.0 + n
-    return s
-
-
 def check_h_identity(sd: SemidirectAlgebra, y1, y2, x1, x2) -> float:
     """Relative residual of <h(Y1,Y2), [X1,X2]> = <b(X1)^T Y2, b(X2) Y1> - <b(X2)^T Y2, b(X1) Y1>."""
     lhs = sd.g.inner(sd.h_map(y1, y2), sd.g.bracket(x1, x2))
     rhs = sd.h.inner(sd.b_transpose(x1, y2), sd.b(x2, y1)) - sd.h.inner(
         sd.b_transpose(x2, y2), sd.b(x1, y1)
     )
-    return abs(lhs - rhs) / _scale(sd.h.norm(y1), sd.h.norm(y2), sd.g.norm(x1), sd.g.norm(x2))
+    norms = (sd.h.norm(y1), sd.h.norm(y2), sd.g.norm(x1), sd.g.norm(x2))
+    return abs(lhs - rhs) / math.prod(1.0 + n for n in norms)
 
 
 def check_derivation_identity(sd: SemidirectAlgebra, x, y1, y2, y3) -> float:
@@ -231,4 +225,5 @@ def check_derivation_identity(sd: SemidirectAlgebra, x, y1, y2, y3) -> float:
     rhs = sd.h.inner(sd.b(x, y2), sd.h.ad_transpose(y1, y3)) - sd.h.inner(
         sd.b(x, y1), sd.h.ad_transpose(y2, y3)
     )
-    return abs(lhs - rhs) / _scale(sd.g.norm(x), sd.h.norm(y1), sd.h.norm(y2), sd.h.norm(y3))
+    norms = (sd.g.norm(x), sd.h.norm(y1), sd.h.norm(y2), sd.h.norm(y3))
+    return abs(lhs - rhs) / math.prod(1.0 + n for n in norms)

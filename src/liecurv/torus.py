@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .backend import Pair, SemidirectBackendBase, norm_from_square
+from .backend import Pair, SemidirectBackendBase, norm_from_square, per_element
 from .errors import NonFiniteState, NotDivergenceFree
 
 COS, SIN = "cos", "sin"
@@ -74,11 +74,6 @@ def _broadcast(a: np.ndarray, b: np.ndarray):
         return a, b
     stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     return np.broadcast_to(a, stack + a.shape[-2:]), np.broadcast_to(b, stack + b.shape[-2:])
-
-
-def _per_element(values: np.ndarray):
-    """A Python number for one element, the array for a stack."""
-    return values.item() if values.ndim == 0 else values
 
 
 class _Grid:
@@ -144,7 +139,7 @@ class _Grid:
         k = np.abs(np.arange(n) - n // 2)
         nonzero = (self.c != 0).reshape(self._stack + (-1, n, n)).any(axis=-3)
         reach = np.where(nonzero, np.maximum(k[:, None], k[None, :]), 0)
-        return _per_element(reach.max(axis=(-2, -1)))
+        return per_element(reach.max(axis=(-2, -1)))
 
     def truncated(self, cap: int):
         r = self.c.shape[-1] // 2
@@ -159,7 +154,7 @@ class _Grid:
         mid = n2 // 2
         with np.errstate(over="ignore"):
             rest = 2.0 * np.abs(flat[..., mid + 1:].view(float)).max(axis=(-2, -1), initial=0.0)
-        return _per_element(np.maximum(np.abs(flat[..., mid].real).max(axis=-1), rest))
+        return per_element(np.maximum(np.abs(flat[..., mid].real).max(axis=-1), rest))
 
 
 class TrigFunction(_Grid):
@@ -355,7 +350,7 @@ def function_inner(f: TrigFunction, g: TrigFunction):
     warnings, as in Python float arithmetic.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _per_element(_grid_inner(f.c, g.c))
+        return per_element(_grid_inner(f.c, g.c))
 
 
 class TrigVectorField(_Grid):
@@ -389,7 +384,7 @@ class TrigVectorField(_Grid):
         """Whether the divergence is within ``tol`` of the field's own scale; one
         answer per element of a stack."""
         scale = np.fmax(1.0, self.coefficient_scale() * (1.0 + self.max_wavenumber()))
-        return _per_element(np.asarray(self.divergence().coefficient_scale() <= tol * scale))
+        return per_element(np.asarray(self.divergence().coefficient_scale() <= tol * scale))
 
     def sample(self, x1, x2):
         return self.comp1.sample(x1, x2), self.comp2.sample(x1, x2)
@@ -402,7 +397,7 @@ def field_inner(x: TrigVectorField, y: TrigVectorField):
     """Sum of the components' ``function_inner``s, both taken in one call."""
     with np.errstate(over="ignore", invalid="ignore"):
         both = _grid_inner(x.c, y.c)
-        return _per_element(both[..., 0] + both[..., 1])
+        return per_element(both[..., 0] + both[..., 1])
 
 
 def grad(f: TrigFunction) -> TrigVectorField:
@@ -468,8 +463,8 @@ def q_project(x: TrigVectorField) -> TrigVectorField:
 
 
 def _require_divergence_free(*fields: TrigVectorField):
-    """Raise on the first field, and on a stack its first element, that fails the check."""
-    for f in fields:
+    """Raise on the first distinct field, and on a stack its first element, that fails the check."""
+    for f in dict.fromkeys(fields):
         failed = ~np.ravel(f.is_divergence_free())
         if failed.any():
             if not math.isfinite(np.ravel(field_inner(f, f))[failed][0]):

@@ -170,6 +170,45 @@ def reference_derivation(h_spec, action):
     return tuple(int(i) for i in where), float(size[where])
 
 
+def reference_rhs_tensor(backend) -> np.ndarray:
+    """The compiled right-hand side's tensor -ad(e_i)^T e_j, built with one branch
+    for Pair bases and one for arrays: the oracle for ``QuadraticRHS``."""
+    rows = backend.sample_basis()
+    if isinstance(rows, Pair):
+        gamma = backend.ad_transpose(Pair(rows.x[:, None], rows.y[:, None]),
+                                     Pair(rows.x[None], rows.y[None]))
+        gamma = np.concatenate([gamma.x, gamma.y], axis=-1)
+    else:
+        gamma = backend.ad_transpose(rows[:, None], rows[None])
+    m = gamma.shape[0]
+    return np.ascontiguousarray(-gamma.reshape(m, m * m))
+
+
+def reference_product_structure(sd: SemidirectAlgebra) -> np.ndarray:
+    """Structure constants of the assembled product, the action blocks filled one
+    g-basis vector at a time: the oracle for ``SemidirectAlgebra.product_spec``."""
+    ng, nh = sd.g.dim, sd.h.dim
+    c = np.zeros((ng + nh,) * 3)
+    c[:ng, :ng, :ng] = sd.g.spec.structure
+    c[ng:, ng:, ng:] = sd.h.spec.structure
+    for i in range(ng):
+        c[i, ng:, ng:] = sd.action.matrices[i].T
+        c[ng:, i, ng:] = -sd.action.matrices[i].T
+    return c
+
+
+def reference_random_solvable(dim: int, seed: int) -> np.ndarray:
+    """Structure constants of ``catalog.random_solvable``, filled one column of the
+    derivation at a time: its oracle."""
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    d = np.triu(rng.uniform(-1.0, 1.0, size=(dim - 1, dim - 1)))
+    c = np.zeros((dim, dim, dim))
+    for j in range(1, dim):
+        c[0, j, 1:] = d[:, j - 1]
+        c[j, 0, 1:] = -d[:, j - 1]
+    return c
+
+
 def _canonical(k1: int, k2: int, parity: str, coeff: float):
     """Fold a raw mode onto its canonical representative (or None if it vanishes)."""
     if k1 == 0 and k2 == 0:

@@ -335,7 +335,17 @@ class TestValidate:
         report = ValidationReport("action", [check], tol)
         assert math.isnan(check.residual)
         assert report.issues == [check]
-        assert str(report).splitlines()[-1] == "  FAIL homomorphism at (0, 1, 0, 1): residual nan"
+        assert str(report).splitlines()[-1] == (
+            "  FAIL homomorphism at (0, 1, 0, 1): residual nan (scale overflows)")
+
+    def test_own_message_wins_over_the_overflow_reason(self):
+        # a check that carries a message prints it, whatever its scale
+        checks = [Check("jacobi", (0, 1, 2), math.nan, (math.inf,), "non-finite structure constant"),
+                  Check("derivation", (1, 0, 0, 2), math.nan)]
+        assert str(ValidationReport("action", checks)).splitlines()[1:] == [
+            "  FAIL jacobi at (0, 1, 2): residual nan (non-finite structure constant)",
+            "  FAIL derivation at (1, 0, 0, 2): residual nan",
+        ]
 
     def test_structure_constant_whose_jacobi_scale_overflows_fails(self):
         # [e1, e2] = 1e200 e3 keeps the Jacobi identity, but max|c|^2 overflows to inf
@@ -344,6 +354,7 @@ class TestValidate:
         report = validate(MetricAlgebraSpec(structure=c, gram=np.eye(3)))
         [issue] = report.issues
         assert issue.invariant == "jacobi" and math.isnan(issue.residual)
+        assert str(report).splitlines()[-1] == "  FAIL jacobi at (0, 0, 0): residual nan (scale overflows)"
 
     def test_worst_offender_location(self):
         c = np.zeros((3, 3, 3))

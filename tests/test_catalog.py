@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import SOLVABLE_SEEDS, rel_vec_err
+from helpers import SOLVABLE_SEEDS, reference_product_structure, reference_random_solvable, rel_vec_err
 
 from liecurv import catalog
 from liecurv.algebra import DenseBackend, validate
@@ -137,6 +137,18 @@ class TestRandomSolvable:
     def test_conjugation_over_random_solvable_builds(self):
         sd = catalog.conjugation(catalog.random_solvable(4, 104))
         assert sd.g.dim == 4
+
+    @pytest.mark.parametrize("dim,seed", [(2, 0), (5, 42), (32, 1)])
+    def test_structure_equals_the_column_loop(self, dim, seed):
+        got = catalog.random_solvable(dim, seed).structure
+        assert got.tobytes() == reference_random_solvable(dim, seed).tobytes()
+
+    @pytest.mark.parametrize("selector", [
+        "euclidean", "conjugation:so3:1,2,3", "magnetic:so3:1,2,3", "magnetic:random-solvable:8:1",
+    ])
+    def test_product_structure_equals_the_block_loop(self, selector):
+        sd = catalog.resolve_semidirect(selector)
+        assert sd.product_spec.structure.tobytes() == reference_product_structure(sd).tobytes()
 
     def test_minimum_dimension(self):
         with pytest.raises(ValueError):

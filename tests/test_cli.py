@@ -618,7 +618,22 @@ class TestValidateTolerance:
             "validation of action: FAIL\n"
             "  ok   shape\n"
             "  ok   derivation\n"
-            "  FAIL homomorphism at (0, 1, 0, 1): residual nan\n", "")
+            "  FAIL homomorphism at (0, 1, 0, 1): residual nan (scale overflows)\n", "")
+
+    @pytest.mark.parametrize("tol", ["1e-10", "0"])
+    def test_overflowing_jacobi_scale_fails(self, tol, tmp_path, capsys):
+        # [e1, e2] = 1e200 e3 keeps the Jacobi identity, but the scale max|c|^2 overflows
+        path = tmp_path / "so3.cfg"
+        path.write_text("[algebra]\ndim = 3\nstructure =\n    1 2 3 1e200\n    2 3 1 1\n    3 1 2 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["validate", "--algebra-file", str(path), "--tol", tol]) == 1
+        assert capsys.readouterr() == (
+            "validation of algebra: FAIL\n"
+            "  ok   antisymmetry\n"
+            "  ok   gram_symmetric\n"
+            "  ok   gram_positive_definite\n"
+            "  FAIL jacobi at (0, 0, 0): residual nan (scale overflows)\n", "")
 
     def test_refused_spec_judged_at_tol(self, tmp_path, capsys):
         # refused while resolving at the default tolerance; its Gram asymmetry of 1e-11

@@ -247,6 +247,47 @@ class TestStackedPlanes:
         assert np.isnan(br.sectional[1])
 
 
+def _breakdowns(selector, semidirect, planes):
+    """The breakdowns of one plane and of a stack of ``planes`` on ``selector``,
+    from every numerator that takes the backend."""
+    backend = (catalog.resolve_semidirect if semidirect else catalog.resolve_algebra)(selector)
+    drawn = sample_planes(backend, 3, planes, band=1)
+    x, y = stack([p.x for p in drawn]), stack([p.y for p in drawn])
+    numerators = [curvature_numerator_generic] + [curvature_numerator_semidirect] * semidirect
+    for numerator in numerators:
+        yield numerator(backend, drawn[0].x, drawn[0].y), numerator(backend, x, y)
+
+
+class TestBreakdownValues:
+    """One plane gives Python floats, a stack arrays of the stack's shape."""
+
+    @pytest.mark.parametrize("selector,semidirect", [
+        ("so3:1,2,3", False), ("magnetic:so3:1,2,3", True), ("torus-vol", False), ("mhd", True),
+    ])
+    def test_float_for_one_plane_array_for_a_stack(self, selector, semidirect):
+        for one, many in _breakdowns(selector, semidirect, 3):
+            values = [one.numerator, one.denominator, one.sectional] + [v for _, v in one.terms]
+            assert all(type(v) is float for v in values)
+            values = [many.numerator, many.denominator, many.sectional] + [v for _, v in many.terms]
+            assert all(isinstance(v, np.ndarray) and v.shape == (3,) for v in values)
+            assert many.numerator[0] == pytest.approx(one.numerator, rel=1e-12, abs=1e-12)
+
+
+class TestSampleBasis:
+    @pytest.mark.parametrize("family,calls", [
+        ("full", 1), ("gg", 1), ("hh", 1), ("gh", 2), ("contains-h", 2),
+    ])
+    @pytest.mark.parametrize("selector", ["magnetic:so3:1,2,3", "mhd"])
+    def test_one_basis_per_distinct_part(self, selector, family, calls, monkeypatch):
+        backend = catalog.resolve_semidirect(selector)
+        parts = []
+        original = backend.sample_basis
+        monkeypatch.setattr(backend, "sample_basis",
+                            lambda band, part=None: parts.append(part) or original(band, part=part))
+        assert len(sample_planes(backend, 1, 3, family=family, band=1)) == 3
+        assert len(parts) == calls and len(set(parts)) == calls
+
+
 class TestSpecialPlanes:
     def test_gg_is_factor_curvature(self):
         sd = catalog.conjugation(catalog.so3())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_pair, reference_integrate, rel_vec_err, semidirect_builtins
+from helpers import random_pair, reference_integrate, reference_rhs_tensor, rel_vec_err, semidirect_builtins
 
 from liecurv import catalog, cli, geodesic
 from liecurv.algebra import DenseBackend, MetricAlgebraSpec
@@ -299,6 +299,15 @@ class TestCompiledRHS:
             got = rhs(state)  # a Pair in, a Pair out
             assert rel_vec_err(got.x, want.x) <= 1e-13
             assert rel_vec_err(got.y, want.y) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "selector", ["so3:1,2,3", "magnetic:so3:1,2,3", "conjugation:so3:1,2,3", "euclidean"]
+    )
+    def test_tensor_equals_the_two_branch_assembly(self, selector):
+        backend = _resolve(selector)
+        got, want = QuadraticRHS(backend)._gamma, reference_rhs_tensor(backend)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert list(map(float.hex, got.ravel().tolist())) == list(map(float.hex, want.ravel().tolist()))
 
     @pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint"])
     @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from helpers import (
 
 from liecurv import catalog
 from liecurv.algebra import validate
-from liecurv.backend import Pair
+from liecurv.backend import Pair, per_element
 from liecurv.errors import ValidationFailure
 from liecurv.semidirect import (
     ActionSpec,
@@ -301,6 +301,26 @@ class TestStacks:
         np.testing.assert_array_equal(conj_unit.norm(conj_unit.zero()), [0.0, 2.0])
 
 
+    def test_join_flattens_a_stack(self, conj_diag):
+        rng = np.random.default_rng(13)
+        p = Pair(rng.standard_normal((2, 4, 3)), rng.standard_normal((2, 4, 3)))
+        joined = conj_diag.join(p)
+        assert joined.shape == (2, 4, 6)
+        for i in range(2):
+            for j in range(4):
+                assert joined[i, j].tolist() == conj_diag.join(Pair(p.x[i, j], p.y[i, j])).tolist()
+
+    def test_per_element(self):
+        # one element gives a Python number of the array's kind, a stack its own array
+        assert type(per_element(np.array(2.5))) is float and per_element(np.array(2.5)) == 2.5
+        assert type(per_element(np.float64(-0.0))) is float
+        assert per_element(np.array(True)) is True and per_element(np.array(False)) is False
+        values = np.array([1.0, 2.0])
+        assert per_element(values) is values
+        flags = np.array([[True], [False]])
+        assert per_element(flags) is flags
+
+
 class TestSetUp:
     def test_each_spec_validated_once(self, monkeypatch):
         from liecurv import algebra
@@ -308,10 +328,16 @@ class TestSetUp:
         seen = []
         original = algebra.validate
         monkeypatch.setattr(algebra, "validate", lambda spec, **kw: seen.append(spec) or original(spec, **kw))
-        for selector in ("magnetic:so3:1,2,3", "conjugation:so3", "euclidean"):
+        # conjugation acts on g itself: one spec, validated once
+        for selector, calls in (("magnetic:so3:1,2,3", 2), ("conjugation:so3", 1), ("euclidean", 2)):
             seen.clear()
             sd = catalog.resolve_semidirect(selector)
-            assert len(seen) == 2 and {id(s) for s in seen} == {id(sd.g.spec), id(sd.h.spec)}
+            assert len(seen) == calls and {id(s) for s in seen} == {id(sd.g.spec), id(sd.h.spec)}
+
+    def test_conjugation_shares_its_factor(self):
+        sd = catalog.resolve_semidirect("conjugation:so3:1,2,3")
+        assert sd.g is sd.h and sd.g.report.passed
+        assert sd.name == "conjugation:so3" and sd.g.spec.name == "so3"
 
     def test_jacobi_sum_skipped_on_the_abelian_dual(self, monkeypatch):
         from liecurv import algebra

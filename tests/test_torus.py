@@ -434,6 +434,23 @@ class TestAdTransposeVol:
         with pytest.raises(NotDivergenceFree):
             ad_transpose_vol(bad, SHEAR)
 
+    def test_a_field_passed_twice_is_checked_once(self, monkeypatch):
+        calls = []
+        original = TrigVectorField.is_divergence_free
+        monkeypatch.setattr(TrigVectorField, "is_divergence_free",
+                            lambda self, *a: calls.append(self) or original(self, *a))
+        ad_transpose_vol(SHEAR, SHEAR)
+        assert calls == [SHEAR]
+        calls.clear()
+        ad_transpose_vol(SHEAR, 2.0 * SHEAR)
+        assert len(calls) == 2
+
+    def test_divergent_second_field_is_named(self):
+        bad = SHEAR + TrigVectorField(TrigFunction.mode(COS, (1, 0), 0.5), TrigFunction.zero())
+        scale = bad.divergence().coefficient_scale()
+        with pytest.raises(NotDivergenceFree, match=rf"^field with divergence scale {scale:.3e} rejected$"):
+            ad_transpose_vol(SHEAR, bad)
+
     def test_adjointness_on_band1_family(self):
         backend = torus.VolumeFieldBackend()
         modes = divergence_free_modes(1)
