@@ -361,6 +361,10 @@ CLI_INVOCATIONS = [
     ["validate", "--algebra-file", "so3_1e200.cfg"],
     _DENSE_GEODESIC + ["--semidirect", "conjugation:so3:1,2,3", "--scheme", "rk4", "--format", "csv"],
     ["scan", "--semidirect", "mhd", "--family", "hh", "--band", "1", "--seed", "2", "--count", "3"],
+    # the benchmark's dense scan, and a dense contains-h scan that rejects a draw
+    ["scan", "--semidirect", "magnetic:random-solvable:32:1", "--seed", "1", "--count", "100"],
+    ["scan", "--semidirect", "magnetic:random-solvable:2:1", "--family", "contains-h", "--seed", "1",
+     "--count", "100"],
 ]
 
 #: Scripts under ``scripts/`` with their arguments.
