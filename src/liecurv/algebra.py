@@ -253,8 +253,9 @@ class DenseBackend:
 
     def inner(self, a, b):
         a, b = self._coerce(a), self._coerce(b)
-        # a row times a column, so that one pair takes the dot product of a @ G @ b
-        return per_element(((a @ self.spec.gram)[..., None, :] @ b[..., :, None])[..., 0, 0])
+        # a row times G times a column, so that every element of a stack takes the
+        # matrix-vector path of an element alone and gets its bits
+        return per_element(((a[..., None, :] @ self.spec.gram) @ b[..., :, None])[..., 0, 0])
 
     def norm(self, a):
         return norm_from_square(self.inner(a, a))

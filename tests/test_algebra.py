@@ -177,6 +177,19 @@ class TestStacks:
             assert relerr(inner[i], skewed.inner(x[i], y[i])) < 1e-14
             assert relerr(norm[i], skewed.norm(x[i])) < 1e-14
 
+    def test_inner_of_a_stack_has_the_bits_of_each_element_alone(self):
+        # a Gram wide enough that a stacked a @ G and a lone one round differently
+        rng = np.random.default_rng(40)
+        a = rng.standard_normal((40, 40))
+        backend = DenseBackend(MetricAlgebraSpec(structure=np.zeros((40, 40, 40)),
+                                                 gram=a @ a.T + 40.0 * np.eye(40)))
+        x, y = rng.standard_normal((50, 40)), rng.standard_normal((50, 40))
+        for op, args in ((backend.inner, (x, y)), (backend.norm, (x,))):
+            stacked = op(*args)
+            assert stacked.shape == (50,)
+            alone = [op(*(v[i] for v in args)) for i in range(50)]
+            assert [v.hex() for v in stacked.tolist()] == [v.hex() for v in alone]
+
     def test_single_vector_broadcasts_against_stack(self, skewed):
         rng = np.random.default_rng(8)
         x, y = rng.standard_normal(5), rng.standard_normal((4, 5))
