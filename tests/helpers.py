@@ -5,8 +5,10 @@ import numpy as np
 from liecurv import catalog
 from liecurv.algebra import DenseBackend
 from liecurv.backend import Pair, SemidirectBackendBase
-from liecurv.errors import MidpointDivergence
+from liecurv.curvature import Plane
+from liecurv.errors import MidpointDivergence, SamplingExhausted
 from liecurv.geodesic import MIDPOINT_MAX_ITER, MIDPOINT_TOL, rhs_generic, rhs_semidirect
+from liecurv.sampling import check_family, rng_for_seed
 from liecurv.semidirect import SemidirectAlgebra
 from liecurv.torus import (
     COS,
@@ -89,8 +91,8 @@ def reference_modes(backend, band: int):
 
 def reference_random_element(backend, rng, band: int = 2, part: str | None = None, basis=None):
     """One element or Pair per basis vector, summed in a loop: the oracle for
-    ``sampling.random_element``.  It builds its own list of basis elements and
-    ignores ``basis``."""
+    the elements that ``sampling`` draws.  It builds its own list of basis
+    elements and ignores ``basis``."""
     if isinstance(backend, SemidirectAlgebra):
         gz, hz = np.zeros(backend.g.dim), np.zeros(backend.h.dim)
         gbasis, hbasis = np.eye(backend.g.dim), np.eye(backend.h.dim)
@@ -112,6 +114,44 @@ def reference_random_element(backend, rng, band: int = 2, part: str | None = Non
         piece = float(c) * element
         total = piece if total is None else total + piece
     return total
+
+
+def _reference_normalize(backend, v):
+    n = backend.norm(v)
+    if n <= 1e-12:
+        return None
+    return (1.0 / n) * v
+
+
+def reference_sample_planes(backend, seed: int, count: int, family: str = "full", band: int = 2):
+    """One plane at a time, each leg by ``reference_random_element`` and then
+    normalized and orthogonalized on its own: the oracle for
+    ``sampling.sample_planes``, with the same rejections, budget and error."""
+    part1, part2 = check_family(backend, family)
+    rng = rng_for_seed(seed)
+    planes = []
+    budget = 100 * max(count, 1)
+    while len(planes) < count:
+        if budget <= 0:
+            raise SamplingExhausted(f"no non-degenerate draw after 100x{count} retries")
+        budget -= 1
+        x = reference_random_element(backend, rng, band=band, part=part1)
+        y = reference_random_element(backend, rng, band=band, part=part2)
+        x = _reference_normalize(backend, x)
+        if x is None:
+            continue
+        if family == "contains-h":
+            y = _reference_normalize(backend, y)
+            if y is None or 1.0 - backend.inner(x, y) ** 2 < 0.05:
+                continue
+        else:
+            for _ in range(2):  # two Gram-Schmidt passes
+                y = y - backend.inner(y, x) * x
+            y = _reference_normalize(backend, y)
+            if y is None:
+                continue
+        planes.append(Plane(x, y))
+    return planes
 
 
 def reference_integrate(backend, state0, config):

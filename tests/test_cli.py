@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import liecurv
-from helpers import reference_random_element, relerr
+from helpers import reference_random_element, reference_sample_planes, relerr
 
 from liecurv import algebra, catalog, cli, configio, errors, sampling, semidirect, torus
 from liecurv.algebra import MAX_DIM, DenseBackend, MetricAlgebraSpec
@@ -815,14 +815,24 @@ class TestSamplePlanes:
         *((name, band, 3) for name in ("passive-scalar", "compressible", "mhd", "torus-vol", "torus-full")
           for band in (0, 1, 2, 4)),
         ("torus-vol", 32, 1),
+        # contains-h rejects draws in the first block and in the second
+        ("magnetic:random-solvable:2:1", 2, 214), ("passive-scalar", 0, 31),
+        # a wide non-identity Gram
+        ("gram40", 2, 50),
     ])
-    def test_planes_match_reference_combination(self, selector, band, count, monkeypatch):
-        try:
-            backend = catalog.resolve_semidirect(selector)
-            families = sampling.FAMILIES
-        except ConfigError:
-            backend = catalog.resolve_algebra(selector)
+    def test_planes_match_the_plane_by_plane_loop(self, selector, band, count):
+        if selector == "gram40":
+            a = np.random.default_rng(40).standard_normal((40, 40))
+            backend = DenseBackend(MetricAlgebraSpec(structure=np.zeros((40, 40, 40)),
+                                                     gram=a @ a.T + 40.0 * np.eye(40)))
             families = ("full",)
+        else:
+            try:
+                backend = catalog.resolve_semidirect(selector)
+                families = sampling.FAMILIES
+            except ConfigError:
+                backend = catalog.resolve_algebra(selector)
+                families = ("full",)
 
         def hexes(planes):
             def flat(e):
@@ -834,18 +844,32 @@ class TestSamplePlanes:
             return [[v.hex() if isinstance(v, float) else v for v in flat(leg)]
                     for plane in planes for leg in (plane.x, plane.y)]
 
-        def draw(family):
+        def draw(sampler, family):
             try:
-                return hexes(sample_planes(backend, seed=13, count=count, family=family, band=band))
-            except SamplingExhausted:  # hh planes of scalar backends at band 0: one h mode
-                return "exhausted"
+                return hexes(sampler(backend, seed=13, count=count, family=family, band=band))
+            except SamplingExhausted as exc:  # hh planes of scalar backends at band 0: one h mode
+                return str(exc)
 
         for family in families:
-            planes = draw(family)
-            with monkeypatch.context() as m:
-                m.setattr(sampling, "random_element", reference_random_element)
-                expected = draw(family)
-            assert planes == expected  # float.hex tells -0.0 from 0.0
+            planes = draw(sample_planes, family)
+            assert planes == draw(reference_sample_planes, family)  # float.hex tells -0.0 from 0.0
+            assert planes != [] and (isinstance(planes, str) or len(planes) == 2 * count)
+
+    @pytest.mark.parametrize("selector,band,count", [("magnetic:random-solvable:2:1", 2, 214),
+                                                    ("passive-scalar", 0, 31)])
+    def test_contains_h_rejections_span_blocks(self, selector, band, count):
+        """The draws that the sampler's first block of ``count`` attempts rejects,
+        and a rejection in the block that replaces them."""
+        backend = catalog.resolve_semidirect(selector)
+        rng = sampling.rng_for_seed(13)
+        rejected = []
+        for attempt in range(2 * count):
+            x, y = (reference_random_element(backend, rng, band=band, part=part) for part in (None, "h"))
+            cos = backend.inner(x, y) / (backend.norm(x) * backend.norm(y))
+            if 1.0 - cos * cos < 0.05:
+                rejected.append(attempt)
+        first = [i for i in rejected if i < count]
+        assert first and any(count <= i < count + len(first) for i in rejected)
 
     def test_family_needs_semidirect(self):
         with pytest.raises(ValueError):
