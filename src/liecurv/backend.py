@@ -71,6 +71,16 @@ def broadcast_to(element, shape: tuple):
     return element.broadcast_to(shape)
 
 
+def scale(s, element):
+    """Element i of a stack (or of a Pair of stacks) times s[i], with the bits of
+    ``float(s[i]) * element[i]``; ``s`` has the stack's shape."""
+    if isinstance(element, Pair):
+        return Pair(scale(s, element.x), scale(s, element.y))
+    if isinstance(element, np.ndarray):
+        return s[..., None] * element
+    return element.scaled(s)
+
+
 def per_element(values):
     """A Python number for one element, the array itself for a stack."""
     return values.item() if np.ndim(values) == 0 else values

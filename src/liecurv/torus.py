@@ -126,12 +126,22 @@ class _Grid:
         return self._of(-self.c)
 
     def __mul__(self, scalar):
-        scalar = float(scalar)
-        if scalar == 0.0:
-            return self._of(np.zeros(self.c.shape[:-2] + (1, 1), complex))
-        return self._of(scalar * self.c)
+        return self.scaled(np.float64(scalar))
 
     __rmul__ = __mul__
+
+    def scaled(self, s):
+        """Element i of this stack times s[i] (``s`` has the stack's shape, or is
+        one scalar for every element), with the bits of ``float(s[i]) * self[i]``.
+        A zero scale gives a zero element, whose cells are all +0; when every
+        scale is zero the result is on the one-cell grid, as a zero scalar
+        gives."""
+        zero = s == 0.0
+        if zero.all():
+            return self._of(np.zeros(self.c.shape[:-2] + (1, 1), complex))
+        c = np.reshape(s, np.shape(s) + (1,) * self._axes) * self.c
+        c[zero] = 0.0
+        return self._of(c)
 
     def max_wavenumber(self):
         """Largest |k|_inf of a nonzero coefficient (0 when there is none)."""
@@ -817,7 +827,8 @@ class ModeBasis:
         return one.combine(np.ones(1))  # 1.0 times a value is that value
 
     def combine(self, coeffs: np.ndarray):
-        """sum_j coeffs[j] * element j on the grid of the widest element.
+        """sum_j coeffs[..., j] * element j on the grid of the widest element: one
+        element, or a stack of them over the leading axes of ``coeffs``.
 
         Bit for bit the running sum of ``float(c) * element`` over the
         elements in order: the same products are added to each entry's cell in
@@ -830,11 +841,15 @@ class ModeBasis:
         """
         r = int(np.abs(self.k).max(initial=0))
         n = 2 * r + 1
-        grid = np.zeros((self.ncomp, n, n), complex)
-        grid[:, r, r] = complex(-0.0, -0.0)
+        stack = coeffs.shape[:-1]
+        grid = np.zeros(stack + (self.ncomp, n, n), complex)
+        grid[..., r, r] = complex(-0.0, -0.0)
         cells = (self.comp * n + self.k[:, 0] + r) * n + self.k[:, 1] + r
-        np.add.at(grid.reshape(-1), cells, coeffs[self.owner] * self.value)
-        return self.kind._of(grid[0] if self.kind is TrigFunction else grid)
+        rows = coeffs.reshape(-1, coeffs.shape[-1])
+        # one element at a time, so the products formed at once are one element's
+        for row, out in zip(rows, grid.reshape(len(rows), -1)):
+            np.add.at(out, cells, row[self.owner] * self.value)
+        return self.kind._of(grid[..., 0, :, :] if self.kind is TrigFunction else grid)
 
 
 def _function_mode_list(band: int):

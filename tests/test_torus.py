@@ -1015,3 +1015,18 @@ def test_mode_basis_elements_match_mode_by_mode_construction(modes, band):
         assert type(element) is type(reference) and element.c.shape == reference.c.shape
         assert [v.hex() for v in element.c.view(float).ravel().tolist()] == \
             [v.hex() for v in reference.c.view(float).ravel().tolist()]
+
+
+@pytest.mark.parametrize("kind", [TrigFunction, TrigVectorField])
+def test_scaling_a_stack_has_the_bits_of_each_element_alone(kind):
+    rng = rng_for_seed(47)
+    basis = (function_modes if kind is TrigFunction else divergence_free_modes)(2)
+    elements = basis.combine(rng.standard_normal((4, len(basis))))
+    elements = stack([elements[0], -elements[1], elements[2], 0.0 * elements[3]])
+    for s in ([0.5, -3.0, 1e-300, 2.0], [0.0, -1.5, -0.0, 7.0], [0.0, -0.0, 0.0, 0.0]):
+        scaled = elements.scaled(np.array(s))
+        for i, si in enumerate(s):
+            alone = float(si) * elements[i]
+            # a zero element alone is on the one-cell grid, in a stack +0 cells that embed it
+            assert _hex(torus._embed(alone.c, scaled.c.shape[-1] // 2)) == _hex(scaled[i].c)
+        assert (scaled.c.shape[-1] == 1) == all(si == 0.0 for si in s)
