@@ -368,7 +368,9 @@ class TrigVectorField(_Grid):
     components, ``c[..., 0, :, :]`` and ``c[..., 1, :, :]``, on a common grid;
     immutable."""
 
-    __slots__ = ()
+    #: on a stack made by ``stack``: its elements that the divergence check has
+    #: not passed yet, judged one by one
+    __slots__ = ("_unchecked",)
     _axes = 3
 
     def __init__(self, comp1: TrigFunction, comp2: TrigFunction):
@@ -378,6 +380,12 @@ class TrigVectorField(_Grid):
     @classmethod
     def zero(cls) -> "TrigVectorField":
         return cls._of(np.zeros((2, 1, 1), complex))
+
+    @classmethod
+    def stack(cls, elements):
+        out = super().stack(elements)
+        out._unchecked = tuple(elements)
+        return out
 
     @property
     def comp1(self) -> TrigFunction:
@@ -473,14 +481,22 @@ def q_project(x: TrigVectorField) -> TrigVectorField:
 
 
 def _require_divergence_free(*fields: TrigVectorField):
-    """Raise on the first distinct field, and on a stack its first element, that fails the check."""
-    for f in dict.fromkeys(fields):
+    """Raise on the first distinct field, and on a stack its first element, that fails the check.
+
+    A stack made by ``TrigVectorField.stack`` is checked through its distinct
+    elements, and not again once it has passed: the stacks of a curvature
+    numerator, which repeat each leg, check each leg once.
+    """
+    for f in dict.fromkeys(e for f in fields for e in getattr(f, "_unchecked", (f,))):
         failed = ~np.ravel(f.is_divergence_free())
         if failed.any():
             if not math.isfinite(np.ravel(field_inner(f, f))[failed][0]):
                 raise NonFiniteState("field with non-finite L2 norm")
             scale = np.ravel(f.divergence().coefficient_scale())[failed][0]
             raise NotDivergenceFree(f"field with divergence scale {scale:.3e} rejected")
+    for f in fields:
+        if hasattr(f, "_unchecked"):
+            f._unchecked = ()
 
 
 def ad_transpose_vol(x: TrigVectorField, y: TrigVectorField) -> TrigVectorField:

@@ -1017,6 +1017,34 @@ def test_mode_basis_elements_match_mode_by_mode_construction(modes, band):
             [v.hex() for v in reference.c.view(float).ravel().tolist()]
 
 
+@pytest.mark.parametrize("selector,legs", [("mhd", 4), ("passive-scalar", 2)])
+def test_numerator_checks_each_divergence_free_leg_once(monkeypatch, selector, legs):
+    backend = TestStackedEvaluation.BACKENDS[selector]()
+    planes = sample_planes(backend, 3, 3, band=2)
+    checked = []
+    original = TrigVectorField.is_divergence_free
+    monkeypatch.setattr(TrigVectorField, "is_divergence_free",
+                        lambda self, *a: checked.append(self) or original(self, *a))
+    for count, x, y in ((1, planes[0].x, planes[0].y),
+                        (3, stack([p.x for p in planes]), stack([p.y for p in planes]))):
+        checked.clear()
+        curvature_numerator_semidirect(backend, x, y)
+        assert len(checked) == len(set(map(id, checked))) == legs
+        assert sum(math.prod(f.c.shape[:-3]) for f in checked) == legs * count  # fields checked
+
+
+def test_numerator_names_the_divergent_leg():
+    backend = torus.MhdBackend()
+    good = random_divfree_field(rng_for_seed(43), band=2)
+    bad = good + TrigVectorField(TrigFunction.mode(COS, (1, 0), 0.5), TrigFunction.zero())
+    with pytest.raises(NotDivergenceFree) as alone:
+        torus._require_divergence_free(bad)
+    for p1, p2 in ((Pair(bad, good), Pair(good, good)), (Pair(good, good), Pair(good, bad))):
+        with pytest.raises(NotDivergenceFree) as raised:
+            curvature_numerator_semidirect(backend, p1, p2)
+        assert str(raised.value) == str(alone.value)
+
+
 @pytest.mark.parametrize("kind", [TrigFunction, TrigVectorField])
 def test_scaling_a_stack_has_the_bits_of_each_element_alone(kind):
     rng = rng_for_seed(47)
