@@ -130,10 +130,13 @@ class SemidirectBackendBase:
 
     def sample_basis(self, band: int = 2, part: str | None = None) -> Pair:
         """Product basis as a Pair of factor bases over one list of elements: the
-        g basis as (e, 0), then the h basis as (0, e); ``part`` keeps one factor's."""
-        g, h = self.g.sample_basis(band), self.h.sample_basis(band)
+        g basis as (e, 0), then the h basis as (0, e); ``part`` keeps one factor's
+        and builds no basis of the other, only its zeros."""
         if part == "g":
-            return Pair(g, h.zeros(len(g)))
+            g = self.g.sample_basis(band)
+            return Pair(g, g.zeros(len(g), type(self.h.zero())))
         if part == "h":
-            return Pair(g.zeros(len(h)), h)
+            h = self.h.sample_basis(band)
+            return Pair(h.zeros(len(h), type(self.g.zero())), h)
+        g, h = self.g.sample_basis(band), self.h.sample_basis(band)
         return Pair(g + g.zeros(len(h)), h.zeros(len(g)) + h)

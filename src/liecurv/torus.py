@@ -815,10 +815,13 @@ class ModeBasis:
     def ncomp(self) -> int:
         return 1 if self.kind is TrigFunction else 2
 
-    def zeros(self, count: int) -> "ModeBasis":
-        """``count`` zero elements of this kind, the grids of ``kind.zero()``."""
-        owner = np.repeat(np.arange(count), self.ncomp)
-        return ModeBasis(self.kind, count, owner, np.tile(np.arange(self.ncomp), count),
+    def zeros(self, count: int, kind=None) -> "ModeBasis":
+        """``count`` zero elements of this basis's kind, or of ``kind``: the grids
+        of ``kind.zero()``."""
+        kind = kind or self.kind
+        ncomp = 1 if kind is TrigFunction else 2
+        owner = np.repeat(np.arange(count), ncomp)
+        return ModeBasis(kind, count, owner, np.tile(np.arange(ncomp), count),
                          np.zeros((owner.size, 2), int), np.zeros(owner.size, complex))
 
     def __add__(self, other: "ModeBasis") -> "ModeBasis":
