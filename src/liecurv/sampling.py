@@ -69,7 +69,7 @@ def _select(keep, *stacks):
 
 def _unit_legs(backend, x, y, family: str):
     """The planes that the stacked legs x and y span and the sampler keeps, in
-    order, as stacks of unit legs.  A leg of norm at most 1e-12 drops its plane.
+    order, with unit legs.  A leg of norm at most 1e-12 drops its plane.
     Except for ``contains-h``, y is first made orthogonal to x; ``contains-h``
     drops planes whose unit legs are nearly collinear instead."""
     nx = backend.norm(x)

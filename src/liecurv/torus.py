@@ -126,20 +126,22 @@ class _Grid:
         return self._of(-self.c)
 
     def __mul__(self, scalar):
-        return self.scaled(np.float64(scalar))
+        scalar = float(scalar)
+        if scalar == 0.0:
+            return self._of(np.zeros(self.c.shape[:-2] + (1, 1), complex))
+        return self._of(scalar * self.c)
 
     __rmul__ = __mul__
 
     def scaled(self, s):
-        """Element i of this stack times s[i] (``s`` has the stack's shape, or is
-        one scalar for every element), with the bits of ``float(s[i]) * self[i]``.
-        A zero scale gives a zero element, whose cells are all +0; when every
-        scale is zero the result is on the one-cell grid, as a zero scalar
-        gives."""
+        """Element i of this stack times s[i] (``s`` has the stack's shape), with
+        the bits of ``float(s[i]) * self[i]``: where s[i] is zero the element's
+        cells are +0, which embed the one-cell grid of a zero scalar, and where
+        every s[i] is zero the stack is on that grid."""
         zero = s == 0.0
         if zero.all():
-            return self._of(np.zeros(self.c.shape[:-2] + (1, 1), complex))
-        c = np.reshape(s, np.shape(s) + (1,) * self._axes) * self.c
+            return 0.0 * self
+        c = s.reshape(s.shape + (1,) * self._axes) * self.c
         c[zero] = 0.0
         return self._of(c)
 
