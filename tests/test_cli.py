@@ -820,7 +820,7 @@ class TestSamplePlanes:
         # a wide non-identity Gram
         ("gram40", 2, 50),
     ])
-    def test_planes_match_the_plane_by_plane_loop(self, selector, band, count):
+    def test_planes_match_reference_combination(self, selector, band, count):
         if selector == "gram40":
             a = np.random.default_rng(40).standard_normal((40, 40))
             backend = DenseBackend(MetricAlgebraSpec(structure=np.zeros((40, 40, 40)),
