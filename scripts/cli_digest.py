@@ -246,6 +246,17 @@ FILES["so3_1e200.cfg"] = (
     "    2 3 1 1\n"
     "    3 1 2 1\n"
 )
+# an exactly antisymmetric algebra that fails the Jacobi identity, with its worst residual
+# first found at (i, j, k) = (1, 0, 2), where j < i
+FILES["jacobi_fails_j_below_i.cfg"] = (
+    "[algebra]\n"
+    "dim = 3\n"
+    "structure =\n"
+    "    1 2 2 0.6\n"
+    "    1 2 3 0.3\n"
+    "    1 3 3 0.7\n"
+    "    2 3 2 -0.1\n"
+)
 # the action of euclidean_sd.cfg with one entry off by 1e-11: a homomorphism residual of 1e-11
 FILES["euclidean_sd_1e-11.cfg"] = FILES["euclidean_sd.cfg"].replace(
     "    1 3 2 1\n", "    1 3 2 1.00000000001\n")
@@ -365,6 +376,9 @@ CLI_INVOCATIONS = [
     ["scan", "--semidirect", "magnetic:random-solvable:32:1", "--seed", "1", "--count", "100"],
     ["scan", "--semidirect", "magnetic:random-solvable:2:1", "--family", "contains-h", "--seed", "1",
      "--count", "100"],
+    # the Jacobi check of a 64-dimensional assembled product, and a Jacobi failure at j < i
+    ["validate", "--semidirect", "magnetic:random-solvable:32:1"],
+    ["validate", "--algebra-file", "jacobi_fails_j_below_i.cfg"],
 ]
 
 #: Scripts under ``scripts/`` with their arguments.
