@@ -116,33 +116,55 @@ class ValidationReport:
 
 
 def worst_entry(blocks):
-    """Location and size of the largest |entry| of an array given as its
-    ``(i, array[i])`` slices, the entry ``np.argmax`` finds on the whole array:
-    the first largest one, or the first nan."""
-    where, worst = (), 0.0
-    for i, block in blocks:
-        size = np.abs(block)
+    """Location and size of the largest |entry| of an array given as blocks
+    ``(origin, block)``, each the sub-array of the same rank that starts at the index
+    ``origin``: the entry ``np.argmax`` finds on the whole array, the first largest one
+    in C order, or the first nan.  The blocks may come in any order, and may leave out
+    an entry whose size repeats, bit for bit, that of an entry before it.  Each block is
+    a temporary, overwritten with its sizes."""
+    found = []
+    for origin, block in blocks:
+        size = np.abs(block, out=block)
         j = np.unravel_index(np.argmax(size), size.shape)
-        if not where or size[j] > worst or (size[j] != size[j] and worst == worst):
-            where, worst = (i, *j), float(size[j])
-    return where, worst
+        found.append((tuple(int(o + k) for o, k in zip(origin, j)), float(size[j])))
+    nan = [entry for entry in found if entry[1] != entry[1]]
+    if nan:
+        return min(nan)
+    worst = max(size for _, size in found)
+    return min(entry for entry in found if entry[1] == worst)
 
 
 def _jacobi_worst(c: np.ndarray):
     # cyclic sum of [[e_i,e_j],e_k] in coordinates, d[i,j,k,l] = sum_m c[i,j,m] c[m,k,l]:
     # resid[i,j,k,l] = d[i,j,k,l] + d[j,k,i,l] + d[k,i,j,l], built one i at a time
-    # so that no temporary holds more than n^3 entries
+    # so that no temporary holds more than n^3 entries.
+    # Exactly antisymmetric constants make each d antisymmetric in its first two indices,
+    # bit for bit.  Then only j, k >= i are formed: with a, b, c' the three terms at
+    # (i, j, k), resid[i,j,k] = (a + b) + c' and resid[j,i,k] = -((a + c') + b), and every
+    # other entry repeats the size of one of these at a later position in C order.
     n = c.shape[0]
-    rows = c.reshape(n, n * n)  # rows[m, (k, l)] = c[m, k, l]
-    pairs = c.reshape(n * n, n)  # pairs[(j, k), m] = c[j, k, m]
+    half = not (c + c.transpose(1, 0, 2)).any()
 
-    def resid(i):
-        d_ijk = (c[i] @ rows).reshape(n, n, n)
-        d_jki = (pairs @ c[:, i, :]).reshape(n, n, n)
-        d_kij = (c[:, i, :] @ rows).reshape(n, n, n).transpose(1, 0, 2)
-        return d_ijk + d_jki + d_kij
+    def blocks(i):
+        s = i if half else 0
+        rows = c[:, s:].reshape(n, -1)  # rows[m, (k, l)] = c[m, k, l] for k >= s
+        shape = (n - s, n - s, n)
+        d_ijk = (c[i, s:] @ rows).reshape(shape)
+        d_jki = (np.ascontiguousarray(c[s:, s:]).reshape(-1, n) @ c[:, i]).reshape(shape)
+        if not half:
+            d_kij = (c[:, i] @ rows).reshape(shape).transpose(1, 0, 2)
+            yield (i, 0, 0, 0), (d_ijk + d_jki + d_kij)[None]
+            return
+        d_ikj = d_ijk.transpose(1, 0, 2)  # d[k, i, j] = -d[i, k, j], as c[k, i] = -c[i, k]
+        resid = d_ijk + d_jki
+        resid -= d_ikj
+        yield (i, i, i, 0), resid[None]
+        if i + 1 < n:
+            resid = d_ijk[1:] - d_ikj[1:]  # -resid[j, i, k] for j > i
+            resid += d_jki[1:]
+            yield (i + 1, i, i, 0), resid[:, None]
 
-    idx, worst = worst_entry((i, resid(i)) for i in range(n))
+    idx, worst = worst_entry(block for i in range(n) for block in blocks(i))
     return idx[:3], worst
 
 
@@ -170,10 +192,12 @@ def validate(spec: MetricAlgebraSpec) -> ValidationReport:
             report.record(invariant, bad, float("nan"), message="non-finite structure constant")
     else:
         cmax = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
-        report.record("antisymmetry", *worst_entry(enumerate(c + c.transpose(1, 0, 2))), (cmax,))
-        # every term of the Jacobi residual is a product of two structure constants, so
-        # zeros give zeros: record the entry np.argmax finds on them without the O(n^5) sum
-        worst = _jacobi_worst(c) if c.any() else ((0, 0, 0), 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails with a nan
+            report.record("antisymmetry", *worst_entry([((0, 0, 0), c + c.transpose(1, 0, 2))]),
+                          (cmax,))
+            # every term of the Jacobi residual is a product of two structure constants, so
+            # zeros give zeros: record the entry np.argmax finds on them without the O(n^5) sum
+            worst = _jacobi_worst(c) if c.any() else ((0, 0, 0), 0.0)
         report.record("jacobi", *worst, (cmax, cmax))
 
     bad = first_non_finite(g)
@@ -230,10 +254,14 @@ class DenseBackend:
         self._chol = np.linalg.cholesky(spec.gram)  # G = L L^T
         self._chol_inv = np.linalg.inv(self._chol)
         c = spec.structure
+        # an abelian algebra (the dual factor of a magnetic product) brackets to zeros, and
+        # so does ad^T: ``bracket`` and ``ad_transpose`` skip their contractions
+        self._abelian = not c.any()
         # _ad[i] = ad(e_i): [e_i, e_j] = sum_k c[i, j, k] e_k
         self._ad = np.ascontiguousarray(c.transpose(0, 2, 1))
-        # _adt[i] = ad(e_i)^T, the metric adjoint, so that ad(x)^T y = sum_i x_i _adt[i] y
-        self._adt = self.adjoints(self._ad)
+        # _adt[i] = ad(e_i)^T, the metric adjoint, so that ad(x)^T y = sum_i x_i _adt[i] y;
+        # zero, and never read, when the algebra is abelian
+        self._adt = self._ad if self._abelian else self.adjoints(self._ad)
 
     @property
     def name(self) -> str:
@@ -249,7 +277,10 @@ class DenseBackend:
         return np.zeros(self.dim)
 
     def bracket(self, a, b) -> np.ndarray:
-        return bilinear(self._ad, self._coerce(a), self._coerce(b))
+        a, b = self._coerce(a), self._coerce(b)
+        if self._abelian:
+            return np.zeros(np.broadcast_shapes(a.shape, b.shape))
+        return bilinear(self._ad, a, b)
 
     def inner(self, a, b):
         a, b = self._coerce(a), self._coerce(b)
@@ -268,7 +299,10 @@ class DenseBackend:
 
     def ad_transpose(self, x, y) -> np.ndarray:
         """Adjoint of ad(x) for the Gram inner product, applied to y."""
-        return bilinear(self._adt, self._coerce(x), self._coerce(y))
+        x, y = self._coerce(x), self._coerce(y)
+        if self._abelian:
+            return np.zeros(np.broadcast_shapes(x.shape, y.shape))
+        return bilinear(self._adt, x, y)
 
     def adjoints(self, mats) -> np.ndarray:
         """Metric adjoints G^-1 M_i^T G of a stack of operators M_i on this algebra."""

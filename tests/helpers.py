@@ -210,6 +210,50 @@ def reference_derivation(h_spec, action):
     return tuple(int(i) for i in where), float(size[where])
 
 
+def _first_worst(blocks):
+    """The entry np.argmax finds on an array given as its slices ``(i, array[i])`` in
+    order: the first largest |entry|, or the first nan."""
+    where, worst = (), 0.0
+    for i, block in blocks:
+        size = np.abs(block)
+        j = np.unravel_index(np.argmax(size), size.shape)
+        if not where or size[j] > worst or (size[j] != size[j] and worst == worst):
+            where, worst = (i, *(int(k) for k in j)), float(size[j])
+    return where, worst
+
+
+def reference_jacobi(c):
+    """Location (i, j, k) and size of the worst Jacobi residual, from the sum over every
+    (i, j, k) in the products that ``algebra.validate`` formed before it used the
+    antisymmetry of the residual: its oracle, bit for bit."""
+    n = c.shape[0]
+    rows = c.reshape(n, n * n)
+    pairs = c.reshape(n * n, n)
+
+    def resid(i):
+        d_ijk = (c[i] @ rows).reshape(n, n, n)
+        d_jki = (pairs @ c[:, i, :]).reshape(n, n, n)
+        d_kij = (c[:, i, :] @ rows).reshape(n, n, n).transpose(1, 0, 2)
+        return d_ijk + d_jki + d_kij
+
+    where, worst = _first_worst((i, resid(i)) for i in range(n))
+    return where[:3], worst
+
+
+def reference_homomorphism(g_spec, action):
+    """Location and size of the worst residual of b([e_i, e_j]) = [b(e_i), b(e_j)] over
+    every (i, j), in the products that ``semidirect.validate_action`` formed before it
+    used their antisymmetry: its oracle, bit for bit."""
+    B, cg = action.matrices, g_spec.structure
+    ng, nh = B.shape[0], B.shape[1]
+
+    def resid(i):
+        lhs = (cg[i] @ B.reshape(ng, nh * nh)).reshape(ng, nh, nh)
+        return lhs - (B[i] @ B - B @ B[i])
+
+    return _first_worst((i, resid(i)) for i in range(ng))
+
+
 def reference_rhs_tensor(backend) -> np.ndarray:
     """The compiled right-hand side's tensor -ad(e_i)^T e_j, built with one branch
     for Pair bases and one for arrays: the oracle for ``QuadraticRHS``."""

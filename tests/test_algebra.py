@@ -15,6 +15,7 @@ from liecurv.algebra import (
     MetricAlgebraSpec,
     ValidationReport,
     _jacobi_worst,
+    bilinear,
     validate,
 )
 from liecurv.errors import DimensionMismatch
@@ -220,6 +221,21 @@ class TestStacks:
             skewed.inner(np.zeros((4, 3)), np.zeros((4, 3)))
         with pytest.raises(DimensionMismatch):
             skewed.ad_transpose(np.zeros((5, 2)), np.zeros(5))
+
+    @pytest.mark.parametrize("shapes", [((4,), (4,)), ((6, 4), (4,)), ((4,), (2, 3, 4)),
+                                        ((2, 1, 4), (3, 4))])
+    def test_abelian_algebra_skips_the_contractions_with_their_bits(self, shapes):
+        # the dual factor of a magnetic product: its bracket and ad^T are zeros of the
+        # contractions' shape, with the sign bits the contractions give
+        m = np.random.default_rng(5).standard_normal((4, 4))
+        backend = DenseBackend(catalog.abelian(4, gram=m @ m.T + 4.0 * np.eye(4)))
+        zeros = np.zeros((4, 4, 4))
+        rng = np.random.default_rng(6)
+        a, b = rng.standard_normal(shapes[0]), rng.standard_normal(shapes[1])
+        for op, tensor in ((backend.bracket, zeros), (backend.ad_transpose, backend.adjoints(zeros))):
+            expected = bilinear(tensor, a, b)
+            assert op(a, b).shape == expected.shape
+            assert np.array_equal(op(a, b).view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("selector", ["so3", "so3:1,2,3", "random-solvable:6:2"])
