@@ -399,9 +399,8 @@ def _tensor_subjects(c, scale=1.0):
     return [spec, (spec, catalog.abelian(4), action)]
 
 
-def _selector_subjects(selector):
-    if not selector.startswith(("magnetic", "conjugation", "euclidean", "linear")):
-        return [catalog.resolve_algebra(selector).spec]
+def _semidirect_subjects(selector):
+    """Both factors, the assembled product and the action of a semidirect selector."""
     sd = catalog.resolve_semidirect(selector)
     return [sd.g.spec, sd.h.spec, sd.product_spec, (sd.g.spec, sd.h.spec, sd.action)]
 
@@ -421,14 +420,17 @@ def _digest_j_below_i():
 
 
 HALF_SUM_CASES = {
-    **{selector: (lambda s=selector: _selector_subjects(s)) for selector in (
-        "so3", "so3:1,2,3", "magnetic:so3:1,2,3", "euclidean", "linear_so3_on_r3",
-        "conjugation:so3:1,2,3", "magnetic:random-solvable:2:1", "magnetic:random-solvable:3:1",
+    **{selector: (lambda s=selector: [catalog.resolve_algebra(s).spec])
+       for selector in ("so3", "so3:1,2,3")},
+    **{selector: (lambda s=selector: _semidirect_subjects(s)) for selector in (
+        "magnetic:so3:1,2,3", "euclidean", "linear_so3_on_r3", "conjugation:so3:1,2,3",
+        "magnetic:random-solvable:2:1", "magnetic:random-solvable:3:1",
         "magnetic:random-solvable:6:2", "magnetic:random-solvable:8:1",
         "magnetic:random-solvable:32:1")},  # its product has dimension 64
     **{f"{kind}:{n}:{seed}": (lambda a=(n, seed, kind): _tensor_subjects(_antisymmetric(*a)))
        for kind in ("gaussian", "integer", "power-of-two") for n, seed in ((3, 0), (5, 1), (16, 2))},
-    "gaussian:16:34": lambda: _tensor_subjects(_antisymmetric(16, 34, "gaussian")),  # (7, 4, 8)
+    # its first worst Jacobi entry is (7, 4, 8), where j < i
+    "gaussian:16:34": lambda: _tensor_subjects(_antisymmetric(16, 34, "gaussian")),
     "overflow": lambda: _tensor_subjects(_antisymmetric(5, 0, "gaussian", 1e200), 1e200),
     "zeros": lambda: _tensor_subjects(np.zeros((4, 4, 4)), 0.0),
     "one-ulp-off": _one_ulp_off,
@@ -444,14 +446,14 @@ def test_checks_report_what_the_full_sums_report(case):
         return (check.invariant, check.location, float.hex(check.worst), check.scale, check.message)
 
     for subject in HALF_SUM_CASES[case]():
+        algebra = isinstance(subject, MetricAlgebraSpec)
+        invariant = "jacobi" if algebra else "homomorphism"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an overflow is a nan residual, not a warning
-            if isinstance(subject, MetricAlgebraSpec):
-                [check] = [c for c in validate(subject).checks if c.invariant == "jacobi"]
-            else:
-                [check] = [c for c in validate_action(*subject).checks if c.invariant == "homomorphism"]
+            report = validate(subject) if algebra else validate_action(*subject)
+        [check] = [c for c in report.checks if c.invariant == invariant]
         with np.errstate(over="ignore", invalid="ignore"):
-            if isinstance(subject, MetricAlgebraSpec):
+            if algebra:
                 where, worst = reference_jacobi(subject.structure)
                 cmax = max(1.0, float(np.max(np.abs(subject.structure))))
                 scale = (cmax, cmax)
@@ -460,15 +462,15 @@ def test_checks_report_what_the_full_sums_report(case):
                 where, worst = reference_homomorphism(g_spec, action)
                 bmax = max(1.0, float(np.max(np.abs(action.matrices))))
                 scale = (bmax, bmax, max(1.0, float(np.max(np.abs(g_spec.structure)))))
-        assert fields(check) == (check.invariant, where, float.hex(worst), scale, "")
+        assert fields(check) == (invariant, where, float.hex(worst), scale, "")
 
 
 @pytest.mark.parametrize("n,seed", [(16, 0), (20, 10), (20, 28), (31, 41)])
 def test_half_jacobi_sum_rounds_like_the_full_sum(n, seed):
     # BLAS may round a dot product differently by where it sits in a product, so on dense
     # Gaussian constants the half sum can report a worst a few ulps from the full sum's,
-    # at another order of the same (i, j, k).  With OpenBLAS 0.3.31 (Haswell build, AVX-512
-    # Xeon) 8 of 900 tensors of dimension 6 to 31 did so: (20, 10), (20, 28) and (31, 41)
+    # at another order of the same (i, j, k).  With OpenBLAS 0.3.31 on an AVX-512 Xeon,
+    # 8 of 900 tensors of dimension 6 to 31 did so: (20, 10), (20, 28) and (31, 41)
     c = _antisymmetric(n, seed, "gaussian")
     where, worst = _jacobi_worst(c)
     full_where, full_worst = reference_jacobi(c)
