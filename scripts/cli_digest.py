@@ -293,6 +293,11 @@ CLI_INVOCATIONS = [
       for scheme in ("rk4", "implicit_midpoint")),
     ["geodesic", "--state-file", "dense_u_state.cfg", "--dt", "0.01", "--steps", "200",
      "--algebra", "so3:1,2,3", "--scheme", "rk4", "--format", "jsonl"],
+    ["geodesic", "--state-file", "dense_u_state.cfg", "--dt", "0.01", "--steps", "200",
+     "--algebra", "so3:1,2,3", "--scheme", "implicit_midpoint", "--format", "csv"],
+    # a large step: every midpoint step takes 9 to 14 fixed-point passes, and converges
+    ["geodesic", "--semidirect", "magnetic:so3:1,2,3", "--state-file", "dense_state.cfg",
+     "--dt", "0.3", "--steps", "100", "--scheme", "implicit_midpoint", "--format", "csv"],
     ["validate", "--algebra-file", "so3_spd.cfg"],
     ["validate", "--algebra-file", "so3_indefinite.cfg"],
     ["geodesic", "--state-file", "dense_u_state.cfg", "--dt", "0.01", "--steps", "200",
