@@ -74,7 +74,7 @@ def magnetic(g_spec: MetricAlgebraSpec) -> SemidirectAlgebra:
     derived identities b(X)^T Y = -ad(X) Y and h_map(Y1, Y2) = ad(Y2)^T Y1.
     """
     g = DenseBackend(g_spec)
-    mats = -g.adjoints(g.ad(np.eye(g.dim)))
+    mats = -g._adt  # the stack of ad(e_i)^T, which the backend has formed already
     h_spec = abelian(g.dim, gram=g_spec.gram.copy(), name=f"{g_spec.name or 'g'}*_reg")
     return build_semidirect(g, h_spec, ActionSpec(mats), name=f"magnetic:{g_spec.name or 'g'}")
 

@@ -341,14 +341,15 @@ def _state_parts(state) -> dict:
 
 
 def trajectory_csv_lines(traj):
-    """CSV for finite-dimensional trajectories: t, coordinates, energy.  Torus
-    states have no coordinates; the CLI refuses them as CSV before the run."""
-    first = _state_parts(traj.states[0])
+    """CSV for finite-dimensional trajectories: t, coordinates, energy, each row
+    from the trajectory's flat coordinates; the header names the parts of the
+    first state.  Torus states have no coordinates; the CLI refuses them as CSV
+    before the run."""
+    first = _state_parts(traj.to_state(traj.rows[0]))
     header = ["t"] + [f"{key}{i+1}" for key, part in first.items() for i in range(len(part))]
     lines = [",".join(header + ["energy"])]
-    for t, state, energy in zip(traj.times, traj.states, traj.energy):
-        coords = [c for part in _state_parts(state).values() for c in np.asarray(part, float).tolist()]
-        lines.append(",".join(map(repr, [float(t), *coords, float(energy)])))
+    for t, row, energy in zip(traj.times, traj.rows, traj.energy):
+        lines.append(",".join(map(repr, [float(t), *row.tolist(), float(energy)])))
     return lines
 
 

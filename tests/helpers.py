@@ -1,12 +1,15 @@
 """Shared fixtures-in-spirit: canonical builtin sets and numeric helpers."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 
-from liecurv import catalog
+from liecurv import catalog, geodesic
 from liecurv.algebra import DenseBackend
 from liecurv.backend import Pair, SemidirectBackendBase
 from liecurv.curvature import Plane
-from liecurv.errors import MidpointDivergence, SamplingExhausted
+from liecurv.errors import MidpointDivergence, NonFiniteState, SamplingExhausted
 from liecurv.geodesic import MIDPOINT_MAX_ITER, MIDPOINT_TOL, rhs_generic, rhs_semidirect
 from liecurv.sampling import check_family, rng_for_seed
 from liecurv.semidirect import SemidirectAlgebra
@@ -154,7 +157,7 @@ def reference_sample_planes(backend, seed: int, count: int, family: str = "full"
     return planes
 
 
-def reference_integrate(backend, state0, config):
+def reference_pair_integrate(backend, state0, config):
     """Pair loop with one primitive call per right-hand-side term and the
     backend's own inner product and norm: the oracle for ``integrate`` with the
     compiled right-hand side on finite-dimensional backends.  Returns the
@@ -186,6 +189,100 @@ def reference_integrate(backend, state0, config):
     for _ in range(config.steps):
         states.append(step(states[-1]))
     return states, [backend.inner(s, s) for s in states]
+
+
+class _GramMetric:
+    """Inner product and norm of flat coordinate vectors under a Gram matrix."""
+
+    def __init__(self, gram):
+        self.gram = gram
+
+    def inner(self, a, b) -> float:
+        return float(a.dot(self.gram).dot(b))
+
+    def norm(self, a) -> float:
+        return math.sqrt(max(self.inner(a, a), 0.0))
+
+
+def reference_flat_rhs(backend):
+    """The compiled right-hand side on flat coordinates, in two ``@`` products."""
+    gamma = reference_rhs_tensor(backend)
+    m = gamma.shape[0]
+    return lambda s: s @ (s @ gamma).reshape(m, m)
+
+
+def reference_integrate(rhs, state0, config, backend):
+    """The fixed-step loop over flat coordinates of a finite-dimensional backend,
+    with a Gram metric object, every norm formed from its state, and every state
+    converted back to a backend element as the run ends: the oracle for
+    ``integrate``, bit for bit.  ``rhs`` maps flat vectors to flat vectors, as
+    ``reference_flat_rhs`` does.  Returns an object with ``times``, ``states``
+    and ``energy``."""
+    if isinstance(backend, SemidirectAlgebra):
+        ng = backend.g.dim
+        metric, state = _GramMetric(backend.gram), backend.join(state0)
+
+        def to_state(v):
+            return Pair(v[:ng], v[ng:])
+    else:
+        metric, state = _GramMetric(backend.spec.gram), backend._coerce(state0)
+
+        def to_state(v):
+            return v
+    dt = config.dt
+
+    def step(state):
+        if config.scheme == "rk4":
+            k1 = rhs(state)
+            k2 = rhs(state + (0.5 * dt) * k1)
+            k3 = rhs(state + (0.5 * dt) * k2)
+            k4 = rhs(state + dt * k3)
+            return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        mid = state + (0.5 * dt) * rhs(state)
+        bound = MIDPOINT_TOL * (1.0 + metric.norm(state))
+        for _ in range(geodesic.MIDPOINT_MAX_ITER):
+            size = metric.norm(mid)
+            if not math.isfinite(size) or size > 1e50:
+                raise MidpointDivergence(f"fixed-point iterate diverged (dt={dt})")
+            nxt = state + (0.5 * dt) * rhs(mid)
+            if metric.norm(nxt - mid) <= bound:
+                return 2.0 * nxt - state
+            mid = nxt
+        raise MidpointDivergence(
+            f"fixed point not reached in {geodesic.MIDPOINT_MAX_ITER} iterations (dt={dt})"
+        )
+
+    traj = SimpleNamespace(times=[], states=[], energy=[])
+
+    def record(n, state):
+        energy = float(metric.inner(state, state))
+        if not math.isfinite(energy):
+            raise NonFiniteState(f"energy {energy} after {n} steps (dt={dt})")
+        traj.times.append(n * dt)
+        traj.states.append(state)
+        traj.energy.append(energy)
+
+    record(0, state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, config.steps + 1):
+            state = step(state)
+            record(n, state)
+    traj.states = [to_state(v) for v in traj.states]
+    return traj
+
+
+def reference_trajectory_csv_lines(traj):
+    """CSV of a trajectory formatted from its backend elements, part by part:
+    the oracle for ``configio.trajectory_csv_lines``."""
+    parts = (lambda s: {"u": s.x, "alpha": s.y}) if isinstance(traj.states[0], Pair) else (
+        lambda s: {"u": s})
+    header = ["t"] + [f"{key}{i+1}" for key, part in parts(traj.states[0]).items()
+                      for i in range(len(part))]
+    lines = [",".join(header + ["energy"])]
+    for t, state, energy in zip(traj.times, traj.states, traj.energy):
+        coords = [c for part in parts(state).values() for c in np.asarray(part, float).tolist()]
+        lines.append(",".join(map(repr, [float(t), *coords, float(energy)])))
+    return lines
 
 
 def reference_skew_adjoint(mats, gram, tol: float = 1e-10) -> bool:

@@ -113,6 +113,15 @@ class TestMagnetic:
     def test_derived_tensors_random_solvable(self, seed):
         self._check_derived_tensors(catalog.random_solvable(4, seed))
 
+    @pytest.mark.parametrize("selector", ["so3", "so3:1,2,3", "random-solvable:6:1",
+                                          "random-solvable:8:1", "random-solvable:32:1"])
+    def test_action_equals_the_adjoints_of_ad_bit_for_bit(self, selector):
+        g = catalog.resolve_algebra(selector)
+        want = -g.adjoints(g.ad(np.eye(g.dim)))  # -ad(e_i)^T, solved from the ad matrices
+        got = catalog.resolve_semidirect(f"magnetic:{selector}").action.matrices
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_isometric_only_for_ad_invariant_gram(self):
         assert catalog.magnetic(catalog.so3()).isometric
         assert not catalog.magnetic(catalog.so3(gram=[1.0, 2.0, 3.0])).isometric

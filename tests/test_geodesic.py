@@ -1,9 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import random_pair, reference_integrate, reference_rhs_tensor, rel_vec_err, semidirect_builtins
+from helpers import (
+    random_pair,
+    reference_flat_rhs,
+    reference_integrate,
+    reference_pair_integrate,
+    reference_rhs_tensor,
+    reference_trajectory_csv_lines,
+    rel_vec_err,
+    semidirect_builtins,
+)
 
-from liecurv import catalog, cli, geodesic
+from liecurv import catalog, cli, configio, geodesic
 from liecurv.algebra import DenseBackend, MetricAlgebraSpec
 from liecurv.backend import Pair
 from liecurv.errors import DimensionMismatch, MidpointDivergence, NonFiniteState, NotAdInvariant
@@ -322,7 +333,7 @@ class TestCompiledRHS:
             state0 = random_pair(rng, backend)
         config = IntegratorConfig(dt=0.01, steps=300, scheme=scheme)
         traj = integrate(geodesic_rhs(backend), state0, config, backend)
-        states, energy = reference_integrate(backend, state0, config)
+        states, energy = reference_pair_integrate(backend, state0, config)
         assert len(traj.states) == len(states) == 301
         for got, want in zip(traj.states, states):
             if isinstance(want, Pair):
@@ -400,3 +411,95 @@ class TestCompiledRHS:
 
         assert not isinstance(geodesic_rhs(torus.VolumeFieldBackend()), QuadraticRHS)
         assert not isinstance(geodesic_rhs(torus.MhdBackend()), QuadraticRHS)
+
+
+def _counted(rhs, calls):
+    def inner(state):
+        calls.append(1)
+        return rhs(state)
+    return inner
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _flat_bits(states):
+    if isinstance(states[0], Pair):
+        return _bits([np.concatenate([s.x, s.y]) for s in states])
+    return _bits(states)
+
+
+class TestFlatLoop:
+    """``integrate`` against the loop with ``@`` products, a Gram metric object,
+    every norm formed from its state and eagerly built states, bit for bit."""
+
+    @pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint"])
+    @pytest.mark.parametrize("selector,dt,steps", [
+        ("so3:1,2,3", 0.01, 200),
+        ("magnetic:so3:1,2,3", 0.01, 200),
+        ("euclidean", 0.01, 200),
+        ("conjugation:so3:1,2,3", 0.01, 200),
+        ("magnetic:random-solvable:32:1", 0.01, 40),
+        ("magnetic:so3:1,2,3", 0.3, 100),  # the midpoint solver takes 9 to 14 passes a step
+    ])
+    def test_trajectory_and_csv_equal_the_reference_loop(self, selector, dt, steps, scheme):
+        backend = catalog.resolve_algebra(selector) if selector.startswith("so3") else (
+            catalog.resolve_semidirect(selector))
+        rng = np.random.default_rng(810)
+        state0 = (rng.standard_normal(backend.dim) if isinstance(backend, DenseBackend)
+                  else random_pair(rng, backend))
+        config = IntegratorConfig(dt=dt, steps=steps, scheme=scheme)
+        got_calls, want_calls = [], []
+        traj = integrate(_counted(geodesic_rhs(backend), got_calls), state0, config, backend)
+        ref = reference_integrate(_counted(reference_flat_rhs(backend), want_calls), state0,
+                                  config, backend)
+        assert len(got_calls) == len(want_calls)
+        if dt == 0.3 and scheme == "implicit_midpoint":
+            assert len(got_calls) >= 10 * steps
+        assert np.array_equal(_bits(traj.times), _bits(ref.times))
+        assert np.array_equal(_bits(traj.energy), _bits(ref.energy))
+        assert traj.states is traj.states  # built once, on first read
+        assert [type(s) for s in traj.states] == [type(s) for s in ref.states]
+        assert np.array_equal(_flat_bits(traj.states), _flat_bits(ref.states))
+        assert configio.trajectory_csv_lines(traj) == reference_trajectory_csv_lines(ref)
+
+    @pytest.mark.parametrize("scheme,dt,steps,max_iter,state0", [
+        ("rk4", 10.0, 20, 50, Pair(np.array([1.0, 0.5, -0.3]), np.array([0.2, -1.0, 0.4]))),
+        ("implicit_midpoint", 50.0, 1, 50, Pair(np.array([1.0, 0.5, -0.3]), np.array([0.2, -1.0, 0.4]))),
+        ("implicit_midpoint", 50.0, 1, 5, Pair(np.array([1.0, 0.5, -0.3]), np.array([0.2, -1.0, 0.4]))),
+        ("implicit_midpoint", 0.1, 1, 50, Pair(np.array([1.0, np.nan, 0.0]), np.zeros(3))),
+    ])
+    def test_failures_equal_the_reference_loop(self, scheme, dt, steps, max_iter, state0,
+                                               monkeypatch):
+        monkeypatch.setattr(geodesic, "MIDPOINT_MAX_ITER", max_iter)
+        sd = catalog.magnetic(catalog.so3(gram=[1.0, 2.0, 3.0]))
+        config = IntegratorConfig(dt=dt, steps=steps, scheme=scheme)
+        got_calls, want_calls = [], []
+        with pytest.raises((MidpointDivergence, NonFiniteState)) as got:
+            integrate(_counted(geodesic_rhs(sd), got_calls), state0, config, sd)
+        with pytest.raises((MidpointDivergence, NonFiniteState)) as want:
+            reference_integrate(_counted(reference_flat_rhs(sd), want_calls), state0, config, sd)
+        assert (got.type, str(got.value)) == (want.type, str(want.value))
+        assert len(got_calls) == len(want_calls)
+
+    def test_memory_of_a_long_run_with_its_csv(self):
+        sd = catalog.resolve_semidirect("magnetic:so3:1,2,3")
+        # energy 0.16: two fixed-point passes a step, as in the benchmark's dense geodesic
+        state0 = 0.25 * Pair(np.array([0.3, -0.7, 0.45]), np.array([0.2, 0.5, -0.35]))
+        config = IntegratorConfig(dt=1e-3, steps=10_000, scheme="implicit_midpoint")
+        rhs, ref_rhs = geodesic_rhs(sd), reference_flat_rhs(sd)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                lines = run()
+                return tracemalloc.get_traced_memory()[1], lines
+            finally:
+                tracemalloc.stop()
+
+        got, got_lines = peak(lambda: configio.trajectory_csv_lines(integrate(rhs, state0, config, sd)))
+        want, want_lines = peak(
+            lambda: reference_trajectory_csv_lines(reference_integrate(ref_rhs, state0, config, sd)))
+        assert got_lines == want_lines
+        assert got <= 0.65 * want, (got, want)
