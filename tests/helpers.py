@@ -271,16 +271,18 @@ def reference_integrate(rhs, state0, config, backend):
     return traj
 
 
+def _state_parts(state) -> dict:
+    return {"u": state.x, "alpha": state.y} if isinstance(state, Pair) else {"u": state}
+
+
 def reference_trajectory_csv_lines(traj):
     """CSV of a trajectory formatted from its backend elements, part by part:
     the oracle for ``configio.trajectory_csv_lines``."""
-    parts = (lambda s: {"u": s.x, "alpha": s.y}) if isinstance(traj.states[0], Pair) else (
-        lambda s: {"u": s})
-    header = ["t"] + [f"{key}{i+1}" for key, part in parts(traj.states[0]).items()
-                      for i in range(len(part))]
+    first = _state_parts(traj.states[0])
+    header = ["t"] + [f"{key}{i+1}" for key, part in first.items() for i in range(len(part))]
     lines = [",".join(header + ["energy"])]
     for t, state, energy in zip(traj.times, traj.states, traj.energy):
-        coords = [c for part in parts(state).values() for c in np.asarray(part, float).tolist()]
+        coords = [c for part in _state_parts(state).values() for c in np.asarray(part, float).tolist()]
         lines.append(",".join(map(repr, [float(t), *coords, float(energy)])))
     return lines
 

@@ -444,8 +444,7 @@ class TestFlatLoop:
         ("magnetic:so3:1,2,3", 0.3, 100),  # the midpoint solver takes 9 to 14 passes a step
     ])
     def test_trajectory_and_csv_equal_the_reference_loop(self, selector, dt, steps, scheme):
-        backend = catalog.resolve_algebra(selector) if selector.startswith("so3") else (
-            catalog.resolve_semidirect(selector))
+        backend = _resolve(selector)
         rng = np.random.default_rng(810)
         state0 = (rng.standard_normal(backend.dim) if isinstance(backend, DenseBackend)
                   else random_pair(rng, backend))
@@ -464,16 +463,17 @@ class TestFlatLoop:
         assert np.array_equal(_flat_bits(traj.states), _flat_bits(ref.states))
         assert configio.trajectory_csv_lines(traj) == reference_trajectory_csv_lines(ref)
 
-    @pytest.mark.parametrize("scheme,dt,steps,max_iter,state0", [
-        ("rk4", 10.0, 20, 50, Pair(np.array([1.0, 0.5, -0.3]), np.array([0.2, -1.0, 0.4]))),
-        ("implicit_midpoint", 50.0, 1, 50, Pair(np.array([1.0, 0.5, -0.3]), np.array([0.2, -1.0, 0.4]))),
-        ("implicit_midpoint", 50.0, 1, 5, Pair(np.array([1.0, 0.5, -0.3]), np.array([0.2, -1.0, 0.4]))),
-        ("implicit_midpoint", 0.1, 1, 50, Pair(np.array([1.0, np.nan, 0.0]), np.zeros(3))),
+    @pytest.mark.parametrize("scheme,dt,steps,max_iter,nan_state", [
+        ("rk4", 10.0, 20, 50, False),  # energy inf after 2 steps
+        ("implicit_midpoint", 50.0, 1, 50, False),  # the iterate diverges
+        ("implicit_midpoint", 50.0, 1, 5, False),  # no fixed point in 5 passes
+        ("implicit_midpoint", 0.1, 1, 50, True),  # energy nan after 0 steps
     ])
-    def test_failures_equal_the_reference_loop(self, scheme, dt, steps, max_iter, state0,
+    def test_failures_equal_the_reference_loop(self, scheme, dt, steps, max_iter, nan_state,
                                                monkeypatch):
         monkeypatch.setattr(geodesic, "MIDPOINT_MAX_ITER", max_iter)
         sd = catalog.magnetic(catalog.so3(gram=[1.0, 2.0, 3.0]))
+        state0 = Pair(np.array([1.0, np.nan if nan_state else 0.5, -0.3]), np.array([0.2, -1.0, 0.4]))
         config = IntegratorConfig(dt=dt, steps=steps, scheme=scheme)
         got_calls, want_calls = [], []
         with pytest.raises((MidpointDivergence, NonFiniteState)) as got:
