@@ -263,6 +263,15 @@ FILES["euclidean_sd_1e-11.cfg"] = FILES["euclidean_sd.cfg"].replace(
 # the same entry at 1e200: finite, but the homomorphism check's scale overflows
 FILES["euclidean_sd_1e200.cfg"] = FILES["euclidean_sd.cfg"].replace(
     "    1 3 2 1\n", "    1 3 2 1e200\n")
+# configuration errors: a Gram matrix of the wrong size, given as a diagonal and as rows,
+# a diagonal structure entry, an action entry past dim g, and a plain state without u
+for name, line in (("so3_short_diag.cfg", "gram = diag: 1, 2\n"),
+                   ("so3_short_rows.cfg", "gram = rows: 1 0; 0 1\n"),
+                   ("so3_diagonal_entry.cfg", "structure =\n    1 1 2 1.0\n")):
+    FILES[name] = "[algebra]\ndim = 3\n" + line
+FILES["euclidean_sd_g4.cfg"] = FILES["euclidean_sd.cfg"].replace(
+    "    3 1 2 -1\n", "    4 1 2 -1\n")
+FILES["empty_state.cfg"] = "[state]\n"
 
 _SCANS = [
     ["--semidirect", "mhd", "--seed", "1", "--band", "2", "--count", "3"],
@@ -384,6 +393,14 @@ CLI_INVOCATIONS = [
     # the Jacobi check of a 64-dimensional assembled product, and a Jacobi failure at j < i
     ["validate", "--semidirect", "magnetic:random-solvable:32:1"],
     ["validate", "--algebra-file", "jacobi_fails_j_below_i.cfg"],
+    # exit 3, each naming its cause
+    *(["validate", "--algebra-file", name]
+      for name in ("so3_short_diag.cfg", "so3_short_rows.cfg", "so3_diagonal_entry.cfg")),
+    ["validate", "--semidirect-file", "euclidean_sd_g4.cfg"],
+    ["geodesic", "--algebra", "so3", "--state-file", "empty_state.cfg", "--dt", "0.1",
+     "--steps", "1"],
+    ["validate", "--algebra", "so3:1,x,3"],
+    *(["validate", "--semidirect", name] for name in ("euclidean:1", "linear-so3-on-r3:2")),
 ]
 
 #: Scripts under ``scripts/`` with their arguments.
