@@ -95,13 +95,13 @@ def rhs_magnetic(g_backend, u, v):
 
 
 def _flat_coordinates(backend):
-    """(Gram matrix, state -> flat vector, flat vector -> state) of a
+    """(Gram matrix, state -> flat vector, flat vectors -> state) of a
     finite-dimensional backend, in ``SemidirectAlgebra.join`` order; None for
-    any other backend."""
+    any other backend.  The inverse map takes a stack of flat vectors too."""
     if isinstance(backend, SemidirectAlgebra):
         ng = backend.g.dim
         check_product_dim(ng, backend.h.dim)
-        return backend.gram, backend.join, lambda v: Pair(v[:ng], v[ng:])
+        return backend.gram, backend.join, lambda v: Pair(v[..., :ng], v[..., ng:])
     if isinstance(backend, DenseBackend):
         return backend.spec.gram, backend._coerce, _identity
     return None
@@ -114,14 +114,14 @@ class QuadraticRHS:
     a fixed quadratic form in the flat coordinates s of the state:
     rhs(s)_k = sum_ij s_i s_j gamma[i, j, k] with gamma[i, j] = -ad(e_i)^T e_j.
     The tensor is built once, from the stacked primitives on the broadcast
-    basis, so one evaluation is two small matrix products.  Called on a flat
+    flat identity basis, so one evaluation is two small matrix products.  Called on a flat
     coordinate vector it returns one; called on a state (a Pair on a
     semidirect product), a state.
     """
 
     def __init__(self, backend):
-        _, self._to_flat, self._to_state = _flat_coordinates(backend)
-        rows = backend.sample_basis()
+        gram, self._to_flat, self._to_state = _flat_coordinates(backend)
+        rows = self._to_state(np.eye(len(gram)))
         gamma = self._to_flat(backend.ad_transpose(rows[:, None], rows[None]))
         self.dim = m = gamma.shape[0]
         self._gamma = np.ascontiguousarray(-gamma.reshape(m, m * m))

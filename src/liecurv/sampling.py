@@ -49,8 +49,8 @@ def _sample_basis(backend, band: int, part: str | None):
     return backend.sample_basis(band) if part is None else backend.sample_basis(band, part=part)
 
 
-def random_element(backend, rng, band: int = 2, part: str | None = None, *, basis):
-    """Standard-normal combination of the sampling basis (optionally one factor).
+def random_element(rng, basis):
+    """Standard-normal combination of a sampling basis.
 
     ``basis`` is ``backend.sample_basis(band[, part])``, built once per scan.
     Dense backends give their basis as the rows of an array, torus backends as

@@ -790,8 +790,8 @@ class ModeBasis:
     wavevector ``k[e]`` for each entry e with ``owner[e] == j``, and zero
     elsewhere on a grid reaching the largest of those wavevectors.  Entries
     run in basis order, and each element lists the centre of every component,
-    which every element's grid covers.  Indexing builds elements one at a
-    time; ``combine`` writes a combination straight onto one grid.
+    which every element's grid covers.  Elements come only from ``combine``,
+    which writes a combination straight onto one grid.
     """
 
     def __init__(self, kind, size: int, owner, comp, k, value):
@@ -836,16 +836,6 @@ class ModeBasis:
 
     def __len__(self) -> int:
         return self.size
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return [self[i] for i in range(*j.indices(self.size))]
-        if not 0 <= j < self.size:
-            raise IndexError(j)
-        lo, hi = np.searchsorted(self.owner, [j, j + 1])
-        one = ModeBasis(self.kind, 1, self.owner[lo:hi] * 0, self.comp[lo:hi], self.k[lo:hi],
-                        self.value[lo:hi])
-        return one.combine(np.ones(1))  # 1.0 times a value is that value
 
     def combine(self, coeffs: np.ndarray):
         """sum_j coeffs[..., j] * element j on the grid of the widest element: one

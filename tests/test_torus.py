@@ -59,7 +59,7 @@ def random_function(rng, band=2, scale=1.0) -> TrigFunction:
 
 
 def random_divfree_field(rng, band=2, scale=1.0) -> TrigVectorField:
-    basis = divergence_free_modes(band)
+    basis = reference_modes(torus.VolumeFieldBackend(), band)
     coeffs = scale * rng.standard_normal(len(basis))
     total = basis[0] * float(coeffs[0])
     for b, c in zip(basis[1:], coeffs[1:]):
@@ -274,6 +274,10 @@ class TestMultiplyKernel:
             with pytest.raises(ValueError, match=f"limit .*{MAX}"):
                 TrigFunction({(0, 1, COS): 1.0, (k[0], k[1], parity): 0.5})
 
+    def test_unknown_parity_is_rejected(self):
+        with pytest.raises(ValueError, match="parity must be 'cos' or 'sin', got 'tan'"):
+            TrigFunction({(1, 0, "tan"): 1.0})
+
     def test_wavevector_at_the_bound_is_accepted(self):
         f = TrigFunction({(MAX, -MAX, SIN): 0.5, (0, -MAX, COS): -1.0, (1, 0, COS): 0.25})
         g = TrigFunction({(-MAX, 3, COS): 0.75, (2, MAX, SIN): 1.5})
@@ -453,7 +457,7 @@ class TestAdTransposeVol:
 
     def test_adjointness_on_band1_family(self):
         backend = torus.VolumeFieldBackend()
-        modes = divergence_free_modes(1)
+        modes = reference_modes(backend, 1)
         for x in modes:
             for z in modes:
                 for y in modes:
@@ -483,7 +487,7 @@ class TestAdTransposeFull:
 
     def test_adjointness_on_band1_family(self):
         backend = torus.FullFieldBackend()
-        modes = torus.full_field_modes(1)[:12]
+        modes = reference_modes(backend, 1)[:12]
         for x in modes:
             for z in modes:
                 for y in modes:
@@ -497,8 +501,8 @@ class TestPassiveScalarBackend:
         self.backend = torus.PassiveScalarBackend()
 
     def test_h_defining_relation_band1(self):
-        gmodes = divergence_free_modes(1)
-        hmodes = function_modes(1)
+        gmodes = reference_modes(torus.VolumeFieldBackend(), 1)
+        hmodes = reference_modes(torus.FunctionSpaceBackend(), 1)
         for x in gmodes:
             for f1 in hmodes:
                 for f2 in hmodes:
@@ -566,8 +570,8 @@ class TestCompressibleBackend:
         assert df.coefficient_scale() == 0.0
 
     def test_b_transpose_adjointness_band1(self):
-        modes_g = torus.full_field_modes(1)[:8]
-        modes_h = function_modes(1)
+        modes_g = reference_modes(torus.FullFieldBackend(), 1)[:8]
+        modes_h = reference_modes(torus.FunctionSpaceBackend(), 1)
         for x in modes_g:
             for f1 in modes_h:
                 for f2 in modes_h:
@@ -617,7 +621,7 @@ class TestMhdBackend:
         assert (db + jacobi_lie_bracket(u, b)).coefficient_scale() < 1e-15
 
     def test_h_defining_relation_band1(self):
-        modes = divergence_free_modes(1)
+        modes = reference_modes(self.vol, 1)
         for x in modes[:6]:
             for y1 in modes[:6]:
                 for y2 in modes[:6]:
@@ -973,8 +977,7 @@ def test_connection_oracle_matches_both_numerators(selector):
                          ids=lambda b: b.name)
 def test_norm_of_one_element_and_of_a_stack(backend):
     rng = rng_for_seed(19)
-    elements = [random_element(backend, rng, band=band, basis=backend.sample_basis(band))
-                for band in (1, 2, 2)]
+    elements = [random_element(rng, backend.sample_basis(band)) for band in (1, 2, 2)]
     # and a multiple of the first whose squared norm is one of the rare doubles
     # (about 1 in 1200) whose x ** 0.5 is an ulp off its correctly rounded sqrt
     multiples = (elements[0] * (1.0 + i * 2.0 ** -40) for i in range(1, 100_000))
@@ -1009,12 +1012,12 @@ def test_mode_basis_elements_match_mode_by_mode_construction(modes, band):
     backend = {"function_modes": torus.FunctionSpaceBackend,
                "divergence_free_modes": torus.VolumeFieldBackend,
                "full_field_modes": torus.FullFieldBackend}[modes]()
-    built, expected = getattr(torus, modes)(band), reference_modes(backend, band)
-    assert len(built) == len(expected)
-    for element, reference in zip(built, expected):
-        assert type(element) is type(reference) and element.c.shape == reference.c.shape
-        assert [v.hex() for v in element.c.view(float).ravel().tolist()] == \
-            [v.hex() for v in reference.c.view(float).ravel().tolist()]
+    basis, expected = getattr(torus, modes)(band), reference_modes(backend, band)
+    assert len(basis) == len(expected)
+    built, reference = basis.combine(np.eye(len(basis))), stack(expected)
+    assert type(built) is type(reference) and built.c.shape == reference.c.shape
+    assert [v.hex() for v in built.c.view(float).ravel().tolist()] == \
+        [v.hex() for v in reference.c.view(float).ravel().tolist()]
 
 
 @pytest.mark.parametrize("selector,legs", [("mhd", 4), ("passive-scalar", 2)])
