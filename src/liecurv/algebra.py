@@ -263,10 +263,6 @@ class DenseBackend:
         # zero, and never read, when the algebra is abelian
         self._adt = self._ad if self._abelian else self.adjoints(self._ad)
 
-    @property
-    def name(self) -> str:
-        return self.spec.name or f"algebra(dim={self.dim})"
-
     def _coerce(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=float)
         if a.shape[-1:] != (self.dim,):
