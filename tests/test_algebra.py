@@ -51,6 +51,14 @@ class TestBracket:
         with pytest.raises(DimensionMismatch):
             so3_unit.bracket(np.ones(4), E[0])
 
+    @pytest.mark.parametrize("structure,gram,message", [
+        (np.zeros((2, 2, 2)), np.zeros((2, 3)), "gram must be square"),
+        (np.zeros((3, 3, 2)), np.eye(3), r"structure shape \(3, 3, 2\) incompatible with gram \(3, 3\)"),
+    ])
+    def test_spec_of_wrong_shapes_is_rejected(self, structure, gram, message):
+        with pytest.raises(ValueError, match=message):
+            MetricAlgebraSpec(structure=structure, gram=gram)
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-10, 10), min_size=6, max_size=6))
     def test_bilinearity_random(self, coeffs):
@@ -151,6 +159,11 @@ class TestStacks:
         for v in (rng.standard_normal(5), rng.standard_normal((5, 7))):
             got = backend.gram_solve(v)
             assert [x.hex() for x in got.ravel()] == [x.hex() for x in v.ravel()]
+
+    def test_gram_solve_checks_the_leading_dimension(self, skewed):
+        for v in (np.ones(4), np.ones((4, 5))):
+            with pytest.raises(DimensionMismatch, match="expected leading dimension 5"):
+                skewed.gram_solve(v)
 
     def test_adjointness_on_stacks(self, skewed):
         rng = np.random.default_rng(5)

@@ -162,6 +162,13 @@ BAD_INPUT_FILES = {
     # one wavenumber past torus.MAX_WAVENUMBER = 32
     "k33_plane.cfg": "[plane]\nx =\n    cos 33 0 1.0 2\ny =\n    sin 0 1 1.0 1\n",
     "k33_state.cfg": "[state]\nu =\n    sin 0 1 1.0 1\n    cos -5 33 0.5 1\n    cos -5 33 0.5 2\n",
+    # a Gram matrix of the wrong size, a diagonal structure entry, an action entry past
+    # dim g, and a plain state without u
+    "short_diag_algebra.cfg": "[algebra]\ndim = 3\ngram = diag: 1, 2\n",
+    "short_rows_algebra.cfg": "[algebra]\ndim = 3\ngram = rows: 1 0; 0 1\n",
+    "diagonal_entry_algebra.cfg": "[algebra]\ndim = 3\nstructure =\n    1 1 2 1.0\n",
+    "g4_action.cfg": "[g]\ndim = 3\n[h]\ndim = 3\n[action]\nentries =\n    4 1 2 1.0\n",
+    "empty_state.cfg": "[state]\n",
     # misspelled keys: alpha and x_g
     "typo_state.cfg": "[state]\nu = 1 1 1\nalpah = 0 1 0\n",
     "typo_sd_plane.cfg": "[plane]\nx = 1 0 0\ny_h = 0 1 0\n",
@@ -186,6 +193,19 @@ MISSPELLED_KEYS = [
 #: random-solvable selectors with integer values that random_solvable cannot take
 BAD_SOLVABLE = [["validate", "--algebra", f"random-solvable:{dim}:{seed}"]
                 for dim, seed in ((1, 3), (0, 1), (3, -1))]
+#: malformed files and selectors, with the cause each error names
+NAMED_CAUSES = [
+    (["validate", "--algebra-file", "short_diag_algebra.cfg"], "gram diagonal needs 3 entries, got 2\n"),
+    (["validate", "--algebra-file", "short_rows_algebra.cfg"], "gram must be a 3x3 matrix\n"),
+    (["validate", "--semidirect-file", "g4_action.cfg"], "action index out of range in: '4 1 2 1.0'\n"),
+    (["validate", "--algebra-file", "diagonal_entry_algebra.cfg"],
+     "diagonal structure entry forbidden: '1 1 2 1.0'\n"),
+    (["geodesic", "--algebra", "so3", "--state-file", "empty_state.cfg", "--dt", "0.1", "--steps", "1"],
+     "missing key 'u' in [state]\n"),
+    (["validate", "--algebra", "so3:1,x,3"], "cannot parse Gram diagonal '1,x,3' for so3\n"),
+    (["validate", "--semidirect", "euclidean:1"], "euclidean takes no parameters\n"),
+    (["validate", "--semidirect", "linear-so3-on-r3:2"], "linear-so3-on-r3 takes no parameters\n"),
+]
 
 
 @pytest.mark.parametrize("argv", [
@@ -221,6 +241,7 @@ BAD_SOLVABLE = [["validate", "--algebra", f"random-solvable:{dim}:{seed}"]
     *ABOVE_WAVENUMBER_LIMIT,
     *MISSPELLED_KEYS,
     *BAD_SOLVABLE,
+    *(argv for argv, _ in NAMED_CAUSES),
 ])
 def test_bad_input_is_config_error(argv, tmp_path, capsys):
     assert _run_with_bad_input(argv, tmp_path, capsys).startswith("configuration error: ")
@@ -244,6 +265,7 @@ def _run_with_bad_input(argv, tmp_path, capsys) -> str:
     *zip(BAD_SOLVABLE, ["random-solvable dimension 1 is below 2\n",
                         "random-solvable dimension 0 is below 2\n",
                         "random-solvable seed -1 is negative\n"]),
+    *NAMED_CAUSES,
 ])
 def test_config_error_names_the_cause(argv, named, tmp_path, capsys):
     assert named in _run_with_bad_input(argv, tmp_path, capsys)

@@ -20,7 +20,7 @@ from liecurv.curvature import (
     special_plane,
 )
 from liecurv.errors import DegeneratePlane, NotIsometric
-from liecurv.sampling import sample_planes
+from liecurv.sampling import check_family, sample_planes
 
 E = np.eye(3)
 Z = np.zeros(3)
@@ -286,6 +286,10 @@ class TestSampleBasis:
                             lambda band, part=None: parts.append(part) or original(band, part=part))
         assert len(sample_planes(backend, 1, 3, family=family, band=1)) == 3
         assert len(parts) == calls and len(set(parts)) == calls
+
+    def test_unknown_family_is_rejected(self, so3_unit):
+        with pytest.raises(ValueError, match="unknown plane family 'bogus'"):
+            check_family(so3_unit, "bogus")
 
 
 class TestSpecialPlanes:

@@ -81,6 +81,11 @@ class TestBuild:
         with pytest.raises(ValidationFailure):
             build_semidirect(catalog.so3(), catalog.so3(), bad)
 
+    @pytest.mark.parametrize("shape", [(3, 2, 3), (3, 3), (2, 3, 3, 3)])
+    def test_action_of_non_square_matrices_is_rejected(self, shape):
+        with pytest.raises(ValueError, match="action must be a stack of square matrices"):
+            ActionSpec(np.zeros(shape))
+
     def test_action_shape_mismatch_reported(self):
         report = validate_action(catalog.so3(), catalog.abelian(2), ActionSpec(np.zeros((3, 3, 3))))
         assert not report.passed
