@@ -114,9 +114,9 @@ class QuadraticRHS:
     a fixed quadratic form in the flat coordinates s of the state:
     rhs(s)_k = sum_ij s_i s_j gamma[i, j, k] with gamma[i, j] = -ad(e_i)^T e_j.
     The tensor is built once, from the stacked primitives on the broadcast
-    flat identity basis, so one evaluation is two small matrix products.  Called on a flat
-    coordinate vector it returns one; called on a state (a Pair on a
-    semidirect product), a state.
+    flat identity basis, so one evaluation is two small matrix products.
+    Called on a flat coordinate vector it returns one; called on a state (a
+    Pair on a semidirect product), a state.
     """
 
     def __init__(self, backend):

@@ -92,10 +92,10 @@ def reference_modes(backend, band: int):
     return fields
 
 
-def reference_random_element(backend, rng, band: int = 2, part: str | None = None, basis=None):
+def reference_random_element(backend, rng, band: int = 2, part: str | None = None):
     """One element or Pair per basis vector, summed in a loop: the oracle for
     the elements that ``sampling`` draws.  It builds its own list of basis
-    elements and ignores ``basis``."""
+    elements."""
     if isinstance(backend, SemidirectAlgebra):
         gz, hz = np.zeros(backend.g.dim), np.zeros(backend.h.dim)
         gbasis, hbasis = np.eye(backend.g.dim), np.eye(backend.h.dim)
