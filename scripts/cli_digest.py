@@ -401,6 +401,10 @@ CLI_INVOCATIONS = [
      "--steps", "1"],
     ["validate", "--algebra", "so3:1,x,3"],
     *(["validate", "--semidirect", name] for name in ("euclidean:1", "linear-so3-on-r3:2")),
+    # gg scans, whose legs leave out the h factor: dense and torus
+    ["scan", "--semidirect", "magnetic:so3:1,2,3", "--family", "gg", "--seed", "2", "--count", "5"],
+    ["scan", "--semidirect", "passive-scalar", "--family", "gg", "--band", "1", "--seed", "2",
+     "--count", "3"],
 ]
 
 #: Scripts under ``scripts/`` with their arguments.
