@@ -10,7 +10,8 @@ closed-form product ad-transpose
                              ad(Y1)^T Y2 + b(X1)^T Y2),
 
 so any semidirect backend is itself a plain metric-algebra backend over
-``Pair`` elements.
+``Pair`` elements, except that it has no sampling basis: ``sampling`` draws
+the g part and the h part of an element from the factors' own bases.
 """
 
 from __future__ import annotations
@@ -99,6 +100,8 @@ class SemidirectBackendBase:
 
     Subclasses set ``self.g`` and ``self.h`` (plain backends) and ``isometric``
     (whether b^T = -b), and implement ``b``, ``b_transpose`` and ``h_map``.
+    There is no product sampling basis; random elements combine the bases of
+    ``g`` and ``h``.
     """
 
     g: Any
@@ -127,16 +130,3 @@ class SemidirectBackendBase:
             self.g.ad_transpose(p.x, q.x) - self.h_map(p.y, q.y),
             self.h.ad_transpose(p.y, q.y) + self.b_transpose(p.x, q.y),
         )
-
-    def sample_basis(self, band: int = 2, part: str | None = None) -> Pair:
-        """Product basis as a Pair of factor bases over one list of elements: the
-        g basis as (e, 0), then the h basis as (0, e); ``part`` keeps one factor's
-        and builds no basis of the other, only its zeros."""
-        if part == "g":
-            g = self.g.sample_basis(band)
-            return Pair(g, g.zeros(len(g), type(self.h.zero())))
-        if part == "h":
-            h = self.h.sample_basis(band)
-            return Pair(h.zeros(len(h), type(self.g.zero())), h)
-        g, h = self.g.sample_basis(band), self.h.sample_basis(band)
-        return Pair(g + g.zeros(len(h)), h.zeros(len(g)) + h)

@@ -2,17 +2,17 @@
 
 All randomness flows through a PCG64 generator seeded directly with the
 user-supplied 64-bit seed; there is no global RNG state.  Elements are
-standard-normal combinations of the backend's sampling basis, and planes are
-orthonormalized by Gram-Schmidt in the backend inner product (two passes).
-Planes are drawn and orthonormalized as stacks, with the bits of one plane at
-a time.
+standard-normal combinations of the backend's sampling basis, or over a
+semidirect product of its factors' bases, and planes are orthonormalized by
+Gram-Schmidt in the backend inner product (two passes).  Planes are drawn and
+orthonormalized as stacks, with the bits of one plane at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .backend import Pair, SemidirectBackendBase, scale
+from .backend import Pair, SemidirectBackendBase, broadcast_to, scale
 from .curvature import Plane
 from .errors import SamplingExhausted
 
@@ -29,10 +29,7 @@ def _combine(basis, coeffs: np.ndarray):
     """sum_j coeffs[:, j] * element j of the basis, one element per row of
     ``coeffs``, stacked: the same bits, signed zeros included, as the running
     sum of ``float(c) * element`` in basis order.  The rows of an array are
-    added one by one, a ``torus.ModeBasis`` writes onto its grid, and a Pair
-    combines both parts."""
-    if isinstance(basis, Pair):
-        return Pair(_combine(basis.x, coeffs), _combine(basis.y, coeffs))
+    added one by one, and a ``torus.ModeBasis`` writes onto its grid."""
     if isinstance(basis, np.ndarray):
         total = coeffs[:, :1] * basis[0]
         for j in range(1, len(basis)):
@@ -41,24 +38,17 @@ def _combine(basis, coeffs: np.ndarray):
     return basis.combine(coeffs)
 
 
-def _size(basis) -> int:
-    return len(basis.x) if isinstance(basis, Pair) else len(basis)
-
-
-def _sample_basis(backend, band: int, part: str | None):
-    return backend.sample_basis(band) if part is None else backend.sample_basis(band, part=part)
-
-
 def random_element(rng, basis):
     """Standard-normal combination of a sampling basis.
 
-    ``basis`` is ``backend.sample_basis(band[, part])``, built once per scan.
-    Dense backends give their basis as the rows of an array, torus backends as
-    a ``torus.ModeBasis``, and semidirect products a Pair of such bases over
-    one list of elements; one normal is drawn per element, in basis order.
-    This is the one-row case of the draws that ``sample_planes`` makes.
+    ``basis`` is ``backend.sample_basis(band)``, built once per scan: the rows
+    of an array for a dense backend, a ``torus.ModeBasis`` for a torus backend.
+    A semidirect product has no sampling basis of its own; ``sample_planes``
+    draws the g part and the h part of its elements from the factors' bases.
+    One normal is drawn per element, in basis order.  This is the one-row case
+    of the draws that ``sample_planes`` makes.
     """
-    return _combine(basis, rng.standard_normal((1, _size(basis))))[0]
+    return _combine(basis, rng.standard_normal((1, len(basis))))[0]
 
 
 def _select(keep, *stacks):
@@ -103,18 +93,47 @@ def check_family(backend, family: str):
     return parts
 
 
+def _factors(backend, part) -> tuple:
+    """The bases that a leg drawn from ``part`` combines, in order: the factors
+    of a semidirect backend (None: both), or None for a plain backend's own."""
+    if not isinstance(backend, SemidirectBackendBase):
+        return (None,)
+    return ("g", "h") if part is None else (part,)
+
+
+def _draw(backend, bases, part, coeffs):
+    """One element per row of ``coeffs``, combined over ``bases`` as
+    ``_factors(backend, part)`` names them."""
+    if not isinstance(backend, SemidirectBackendBase):
+        return _combine(bases[None], coeffs)
+    ng = 0 if part == "h" else len(bases["g"])
+
+    def factor(name, c):
+        if part in (None, name):
+            return _combine(bases[name], c)
+        # drawn one element at a time, the factor a leg leaves out is the running sum of
+        # float(c) * 0 over the row: -0 exactly where every c is negative, which
+        # max(c) * 0 gives on dense and torus zeros alike
+        zero = getattr(backend, name).zero()
+        return scale(coeffs.max(axis=1), broadcast_to(zero, (len(coeffs),)))
+
+    return Pair(factor("g", coeffs[:, :ng]), factor("h", coeffs[:, ng:]))
+
+
 def sample_planes(backend, seed: int, count: int, family: str = "full", band: int = 2):
     """Draw ``count`` non-degenerate planes, deterministically in the seed.
 
     For every family except ``contains-h`` the two legs are orthonormalized,
     so the plane Gram determinant is one.  ``contains-h`` planes keep their
     second leg exactly in the h factor: both legs are normalized and draws
-    with nearly collinear legs are rejected.
+    with nearly collinear legs are rejected.  Each basis, the backend's own or
+    a factor's, is built once.
     """
     part1, part2 = check_family(backend, family)
-    bases = {part: _sample_basis(backend, band, part) for part in dict.fromkeys((part1, part2))}
-    basis1, basis2 = bases[part1], bases[part2]
-    size1 = _size(basis1)
+    legs = _factors(backend, part1), _factors(backend, part2)
+    bases = {name: (backend if name is None else getattr(backend, name)).sample_basis(band)
+             for name in dict.fromkeys(legs[0] + legs[1])}
+    size1, size2 = (sum(len(bases[name]) for name in leg) for leg in legs)
     rng = rng_for_seed(seed)
     planes: list[Plane] = []
     budget = 100 * max(count, 1)
@@ -124,7 +143,8 @@ def sample_planes(backend, seed: int, count: int, family: str = "full", band: in
         # one attempt per missing plane, drawn as the loop of single attempts would
         attempts = min(count - len(planes), budget)
         budget -= attempts
-        coeffs = rng.standard_normal((attempts, size1 + _size(basis2)))
-        x, y = _combine(basis1, coeffs[:, :size1]), _combine(basis2, coeffs[:, size1:])
+        coeffs = rng.standard_normal((attempts, size1 + size2))
+        x = _draw(backend, bases, part1, coeffs[:, :size1])
+        y = _draw(backend, bases, part2, coeffs[:, size1:])
         planes += _unit_legs(backend, x, y, family)
     return planes

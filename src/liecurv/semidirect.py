@@ -24,7 +24,7 @@ from .algebra import (
     skew_adjoint,
     worst_entry,
 )
-from .backend import Pair, SemidirectBackendBase
+from .backend import SemidirectBackendBase
 from .errors import ConfigError, ValidationFailure
 
 
@@ -187,13 +187,6 @@ class SemidirectAlgebra(SemidirectBackendBase):
 
     def h_map(self, y1, y2):
         return bilinear(self._h_tensor, self.h._coerce(y1), self.h._coerce(y2))
-
-    def sample_basis(self, band: int = 2, part: str | None = None) -> Pair:
-        """Product basis as the rows of a Pair of arrays; ``part`` restricts to one factor."""
-        ng = self.g.dim
-        rows = np.eye(ng + self.h.dim)
-        rows = {None: rows, "g": rows[:ng], "h": rows[ng:]}[part]
-        return Pair(rows[:, :ng], rows[:, ng:])
 
     # -- conversion to assembled product coordinates --
 

@@ -817,23 +817,6 @@ class ModeBasis:
     def ncomp(self) -> int:
         return 1 if self.kind is TrigFunction else 2
 
-    def zeros(self, count: int, kind=None) -> "ModeBasis":
-        """``count`` zero elements of this basis's kind, or of ``kind``: the grids
-        of ``kind.zero()``."""
-        kind = kind or self.kind
-        ncomp = 1 if kind is TrigFunction else 2
-        owner = np.repeat(np.arange(count), ncomp)
-        return ModeBasis(kind, count, owner, np.tile(np.arange(ncomp), count),
-                         np.zeros((owner.size, 2), int), np.zeros(owner.size, complex))
-
-    def __add__(self, other: "ModeBasis") -> "ModeBasis":
-        """The elements of this basis, then those of ``other``."""
-        return ModeBasis(self.kind, self.size + other.size,
-                         np.concatenate([self.owner, other.owner + self.size]),
-                         np.concatenate([self.comp, other.comp]),
-                         np.concatenate([self.k, other.k]),
-                         np.concatenate([self.value, other.value]))
-
     def __len__(self) -> int:
         return self.size
 

@@ -354,14 +354,17 @@ def reference_homomorphism(g_spec, action):
 
 
 def reference_rhs_tensor(backend) -> np.ndarray:
-    """The compiled right-hand side's tensor -ad(e_i)^T e_j, built with one branch
-    for Pair bases and one for arrays: the oracle for ``QuadraticRHS``."""
-    rows = backend.sample_basis()
-    if isinstance(rows, Pair):
-        gamma = backend.ad_transpose(Pair(rows.x[:, None], rows.y[:, None]),
-                                     Pair(rows.x[None], rows.y[None]))
+    """The compiled right-hand side's tensor -ad(e_i)^T e_j, built on identity rows
+    with one branch for Pair elements and one for arrays: the oracle for
+    ``QuadraticRHS``."""
+    if isinstance(backend, SemidirectAlgebra):
+        ng = backend.g.dim
+        rows = np.eye(ng + backend.h.dim)
+        gamma = backend.ad_transpose(Pair(rows[:, None, :ng], rows[:, None, ng:]),
+                                     Pair(rows[None, :, :ng], rows[None, :, ng:]))
         gamma = np.concatenate([gamma.x, gamma.y], axis=-1)
     else:
+        rows = np.eye(backend.dim)
         gamma = backend.ad_transpose(rows[:, None], rows[None])
     m = gamma.shape[0]
     return np.ascontiguousarray(-gamma.reshape(m, m * m))

@@ -274,18 +274,20 @@ class TestBreakdownValues:
 
 
 class TestSampleBasis:
-    @pytest.mark.parametrize("family,calls", [
-        ("full", 1), ("gg", 1), ("hh", 1), ("gh", 2), ("contains-h", 2),
+    @pytest.mark.parametrize("family,built", [
+        ("full", ["g", "h"]), ("gg", ["g"]), ("hh", ["h"]), ("gh", ["g", "h"]),
+        ("contains-h", ["g", "h"]),
     ])
     @pytest.mark.parametrize("selector", ["magnetic:so3:1,2,3", "mhd"])
-    def test_one_basis_per_distinct_part(self, selector, family, calls, monkeypatch):
+    def test_each_factor_basis_is_built_at_most_once(self, selector, family, built, monkeypatch):
         backend = catalog.resolve_semidirect(selector)
-        parts = []
-        original = backend.sample_basis
-        monkeypatch.setattr(backend, "sample_basis",
-                            lambda band, part=None: parts.append(part) or original(band, part=part))
+        bases = []
+        for name in ("g", "h"):
+            factor = getattr(backend, name)
+            monkeypatch.setattr(factor, "sample_basis",
+                                lambda band, n=name, o=factor.sample_basis: bases.append(n) or o(band))
         assert len(sample_planes(backend, 1, 3, family=family, band=1)) == 3
-        assert len(parts) == calls and len(set(parts)) == calls
+        assert bases == built
 
     def test_unknown_family_is_rejected(self, so3_unit):
         with pytest.raises(ValueError, match="unknown plane family 'bogus'"):

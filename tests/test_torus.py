@@ -1048,19 +1048,6 @@ def test_numerator_names_the_divergent_leg():
         assert str(raised.value) == str(alone.value)
 
 
-def test_a_gg_scan_builds_no_basis_of_h(monkeypatch):
-    backend = torus.MhdBackend()
-    built = []
-    for factor in ("g", "h"):
-        original = getattr(backend, factor).sample_basis
-        monkeypatch.setattr(getattr(backend, factor), "sample_basis",
-                            lambda band, f=factor, o=original: built.append(f) or o(band))
-    for family, parts in (("gg", ["g"]), ("hh", ["h"]), ("gh", ["g", "h"]), ("full", ["g", "h"])):
-        built.clear()
-        sample_planes(backend, 5, 2, family=family, band=1)
-        assert built == parts
-
-
 @pytest.mark.parametrize("kind", [TrigFunction, TrigVectorField])
 def test_scaling_a_stack_has_the_bits_of_each_element_alone(kind):
     rng = rng_for_seed(47)
