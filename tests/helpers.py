@@ -37,6 +37,13 @@ def rel_vec_err(a, b) -> float:
     return float(np.max(np.abs(a - b))) / scale
 
 
+def invariant_rate(gradient, rhs) -> float:
+    """|C'(s) . RHS(s)| / (|C'(s)| |RHS(s)|) for the gradient of a function C of
+    the state and the right-hand side at one state s, both in flat coordinates:
+    zero, up to rounding, when C is an invariant of the flow."""
+    return abs(gradient @ rhs) / (np.linalg.norm(gradient) * np.linalg.norm(rhs))
+
+
 def finite_algebras():
     """Named finite-dimensional backends exercised by the property tests."""
     entries = [
