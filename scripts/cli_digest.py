@@ -271,6 +271,13 @@ for name, line in (("so3_short_diag.cfg", "gram = diag: 1, 2\n"),
     FILES[name] = "[algebra]\ndim = 3\n" + line
 FILES["euclidean_sd_g4.cfg"] = FILES["euclidean_sd.cfg"].replace(
     "    3 1 2 -1\n", "    4 1 2 -1\n")
+# failing actions on sparse constants: euclidean_sd.cfg with a diagonal action entry, which
+# breaks the homomorphism property, and so(3) acting on itself by ad with one, which breaks
+# the derivation property too
+FILES["euclidean_sd_diagonal.cfg"] = FILES["euclidean_sd.cfg"] + "    2 2 2 0.5\n"
+FILES["so3_ad_diagonal.cfg"] = FILES["euclidean_sd.cfg"].replace(
+    "[h]\ndim = 3\n", "[h]\ndim = 3\nstructure =\n    1 2 3 1\n    2 3 1 1\n    3 1 2 1\n"
+) + "    3 3 3 0.25\n"
 FILES["empty_state.cfg"] = "[state]\n"
 
 _SCANS = [
@@ -401,6 +408,11 @@ CLI_INVOCATIONS = [
      "--steps", "1"],
     ["validate", "--algebra", "so3:1,x,3"],
     *(["validate", "--semidirect", name] for name in ("euclidean:1", "linear-so3-on-r3:2")),
+    # derivation and homomorphism failures located on sparse actions, and a derivation check
+    # on a sparse non-abelian h that passes
+    *(["validate", "--semidirect-file", name]
+      for name in ("euclidean_sd_diagonal.cfg", "so3_ad_diagonal.cfg")),
+    ["validate", "--semidirect", "conjugation:random-solvable:8:1"],
     # gg scans, whose legs leave out the h factor: dense and torus
     ["scan", "--semidirect", "magnetic:so3:1,2,3", "--family", "gg", "--seed", "2", "--count", "5"],
     ["scan", "--semidirect", "passive-scalar", "--family", "gg", "--band", "1", "--seed", "2",
