@@ -8,6 +8,7 @@ Elements are plain coordinate vectors (numpy arrays) in the declared basis.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -117,21 +118,62 @@ class ValidationReport:
 
 def worst_entry(blocks):
     """Location and size of the largest |entry| of an array given as blocks
-    ``(origin, block)``, each the sub-array of the same rank that starts at the index
-    ``origin``: the entry ``np.argmax`` finds on the whole array, the first largest one
-    in C order, or the first nan.  The blocks may come in any order, and may leave out
-    an entry whose size repeats, bit for bit, that of an entry before it.  Each block is
-    a temporary, overwritten with its sizes."""
+    ``(origin, block)``: the entry ``np.argmax`` finds on the whole array, the first largest one
+    in C order, or the first nan.  A block is the sub-array of the same rank that starts at
+    the index ``origin``, or a 2-D stack of runs along the last axis: its row r starts at
+    ``origin`` with each integer array in it read at r, and its rows come in C order.  The
+    blocks may come in any order, and may leave out an entry whose size repeats, bit for bit,
+    that of an entry before it, such as the exact zeros of the rows a check does not form.
+    Each block is a temporary, overwritten with its sizes."""
     found = []
     for origin, block in blocks:
         size = np.abs(block, out=block)
         j = np.unravel_index(np.argmax(size), size.shape)
-        found.append((tuple(int(o + k) for o, k in zip(origin, j)), float(size[j])))
+        worst = float(size[j])
+        if block.ndim < len(origin):  # a stack of runs: row j[0] starts at origin read at j[0]
+            origin = [o[j[0]] if isinstance(o, np.ndarray) else o for o in origin]
+            j = (0,) * (len(origin) - 1) + j[1:]
+        found.append((tuple(int(o + k) for o, k in zip(origin, j)), worst))
     nan = [entry for entry in found if entry[1] != entry[1]]
     if nan:
         return min(nan)
     worst = max(size for _, size in found)
     return min(entry for entry in found if entry[1] == worst)
+
+
+def spread_rows(where, values):
+    """One product of a check on the rows a residual slab forms: ``values`` holds its rows
+    where the boolean ``where`` is set, in order, and its other rows are exact zeros, the
+    products of an all-zero row of one operand and a finite other operand."""
+    if len(values) == len(where):
+        return values
+    out = np.zeros((len(where), values.shape[-1]))
+    out[where] = values
+    return out
+
+
+def product_rows(left, right) -> np.ndarray:
+    """``left @ right`` for rows gathered from the left operand of a larger product, with the
+    bits those rows have in that product: numpy hands a one-row product to gemv, which rounds
+    otherwise than gemm, so a lone row is multiplied as two."""
+    if len(left) == 1:
+        return (left[[0, 0]] @ right)[:1]
+    return left @ right
+
+
+def plan_slabs(count, size):
+    """How a check that forms its residual one slab i at a time treats each slab, from the
+    number ``count[i]`` of rows of slab i that can be nonzero, of the ``size[i]`` it forms.
+
+    A slab forms its full products unless at most half its rows can be nonzero: a row formed
+    on gathered operands costs about twice as much.  Returns the flags of the slabs formed in
+    full, the slabs that form any row, in order, and the rows left out, as the blocks to give
+    ``worst_entry``: they are exact zeros, so one zero entry at the origin stands for them.  A
+    zero decides the worst entry only when every entry is zero, and the worst is then the
+    origin."""
+    full = [2 * k > n for k, n in zip(count, size)]
+    zero = [] if all(full) else [((0, 0, 0, 0), np.zeros((1, 1, 1, 1)))]
+    return full, [i for i, k in enumerate(count) if k], zero
 
 
 def _jacobi_worst(c: np.ndarray):
@@ -142,29 +184,69 @@ def _jacobi_worst(c: np.ndarray):
     # bit for bit.  Then only j, k >= i are formed: with a, b, c' the three terms at
     # (i, j, k), resid[i,j,k] = (a + b) + c' and resid[j,i,k] = -((a + c') + b), and every
     # other entry repeats the size of one of these at a later position in C order.
+    # The terms of row (i, j, k) have the factors c[i, j], c[j, k] and c[k, i], and a term
+    # whose factor is all zero is exactly zero, as c is finite.  A slab in which most rows
+    # have three zero factors forms each term on the rows of its nonzero factor only, and
+    # those rows enter as one zero entry; each row formed keeps its dot products and its
+    # order of sums.  Other slabs form the full products.
     n = c.shape[0]
     half = not (c + c.transpose(1, 0, 2)).any()
+    a = c.any(axis=2)  # a[i, j]: c[i, j, :] has a nonzero entry
+    live = a[:, :, None] | a[None]  # live[i, j, k]: row (i, j, k) can be nonzero
+    live |= a.T[:, None]
+    if half:  # slab i forms the rows j, k >= i
+        count = [np.count_nonzero(live[i, i:, i:]) for i in range(n)]
+        dense, busy, zero = plan_slabs(count, [(n - i) ** 2 for i in range(n)])
+    else:
+        dense, busy, zero = plan_slabs(live.reshape(n, -1).sum(axis=1).tolist(), [n * n] * n)
 
     def blocks(i):
         s = i if half else 0
         rows = c[:, s:].reshape(n, -1)  # rows[m, (k, l)] = c[m, k, l] for k >= s
-        shape = (n - s, n - s, n)
-        d_ijk = (c[i, s:] @ rows).reshape(shape)
-        d_jki = (np.ascontiguousarray(c[s:, s:]).reshape(-1, n) @ c[:, i]).reshape(shape)
-        if not half:
-            d_kij = (c[:, i] @ rows).reshape(shape).transpose(1, 0, 2)
-            yield (i, 0, 0, 0), (d_ijk + d_jki + d_kij)[None]
+        if dense[i]:
+            shape = (n - s, n - s, n)
+            d_ijk = (c[i, s:] @ rows).reshape(shape)
+            d_jki = (np.ascontiguousarray(c[s:, s:]).reshape(-1, n) @ c[:, i]).reshape(shape)
+            if not half:
+                d_kij = (c[:, i] @ rows).reshape(shape).transpose(1, 0, 2)
+                yield (i, 0, 0, 0), (d_ijk + d_jki + d_kij)[None]
+                return
+            d_ikj = d_ijk.transpose(1, 0, 2)  # d[k, i, j] = -d[i, k, j], as c[k, i] = -c[i, k]
+            resid = d_ijk + d_jki
+            resid -= d_ikj
+            yield (i, i, i, 0), resid[None]
+            if i + 1 < n:
+                resid = d_ijk[1:] - d_ikj[1:]  # -resid[j, i, k] for j > i
+                resid += d_jki[1:]
+                yield (i + 1, i, i, 0), resid[:, None]
             return
-        d_ikj = d_ijk.transpose(1, 0, 2)  # d[k, i, j] = -d[i, k, j], as c[k, i] = -c[i, k]
+        m = n - s
+        formed = np.flatnonzero(live[i, s:, s:])
+        j, k = np.divmod(formed, m)
+        a_i, a_s = a[i, s:], a[s:, s:]
+        on_j = np.flatnonzero(a_i)
+        d = product_rows(c[i, s + on_j], rows).reshape(len(on_j), m, n)  # d[i, j, k], j in on_j
+        d_ijk = spread_rows(a_i[j], d.reshape(-1, n))
+        pj, pk = np.nonzero(a_s)
+        d_jki = spread_rows(a_s[j, k], product_rows(c[s + pj, s + pk], c[:, i]))
+        if not half:
+            on_k = np.flatnonzero(a[:, i])
+            d = product_rows(c[on_k, i], rows).reshape(len(on_k), n, n)  # d[k, i, j], k in on_k
+            d_kij = spread_rows(a[k, i], d.transpose(1, 0, 2).reshape(-1, n))
+            yield (i, j, k, 0), d_ijk + d_jki + d_kij
+            return
+        d_ikj = spread_rows(a_i[k], d.transpose(1, 0, 2).reshape(-1, n))
         resid = d_ijk + d_jki
         resid -= d_ikj
-        yield (i, i, i, 0), resid[None]
-        if i + 1 < n:
-            resid = d_ijk[1:] - d_ikj[1:]  # -resid[j, i, k] for j > i
-            resid += d_jki[1:]
-            yield (i + 1, i, i, 0), resid[:, None]
+        yield (i, s + j, s + k, 0), resid
+        q = int(np.searchsorted(j, 1))  # the rows with j > i
+        if q < len(formed):
+            resid = d_ijk[q:] - d_ikj[q:]
+            resid += d_jki[q:]
+            yield (s + j[q:], i, s + k[q:], 0), resid
 
-    idx, worst = worst_entry(block for i in range(n) for block in blocks(i))
+    slabs = (block for i in busy for block in blocks(i))
+    idx, worst = worst_entry(itertools.chain(zero, slabs))
     return idx[:3], worst
 
 
@@ -195,10 +277,7 @@ def validate(spec: MetricAlgebraSpec) -> ValidationReport:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails with a nan
             report.record("antisymmetry", *worst_entry([((0, 0, 0), c + c.transpose(1, 0, 2))]),
                           (cmax,))
-            # every term of the Jacobi residual is a product of two structure constants, so
-            # zeros give zeros: record the entry np.argmax finds on them without the O(n^5) sum
-            worst = _jacobi_worst(c) if c.any() else ((0, 0, 0), 0.0)
-        report.record("jacobi", *worst, (cmax, cmax))
+            report.record("jacobi", *_jacobi_worst(c), (cmax, cmax))
 
     bad = first_non_finite(g)
     if bad is not None:

@@ -347,13 +347,20 @@ class TestSetUp:
         assert sd.name == "conjugation:so3" and sd.g.spec.name == "so3"
 
     def test_jacobi_sum_skipped_on_the_abelian_dual(self, monkeypatch):
+        # no row of the dual's Jacobi residual can be nonzero: the check forms no product and
+        # gives worst_entry one zero entry
         from liecurv import algebra
 
-        calls = []
-        original = algebra._jacobi_worst
-        monkeypatch.setattr(algebra, "_jacobi_worst", lambda c: calls.append(c) or original(c))
+        received = []
+        original = algebra.worst_entry
+        monkeypatch.setattr(algebra, "worst_entry",
+                            lambda blocks: original(received.append(list(blocks)) or received[-1]))
         sd = catalog.resolve_semidirect("magnetic:random-solvable:8:1")
-        assert len(calls) == 1 and calls[0] is sd.g.spec.structure
+        received.clear()
+        report = validate(sd.h.spec)
+        _antisymmetry, jacobi = received
+        assert [(origin, block.shape) for origin, block in jacobi] == [((0, 0, 0, 0), (1, 1, 1, 1))]
+        assert (report.checks[1].location, report.checks[1].worst) == ((0, 0, 0), 0.0)
 
     def test_indefinite_gram_fails_validation_before_factorisation(self):
         with pytest.raises(ValidationFailure) as info:
@@ -481,3 +488,153 @@ def test_half_jacobi_sum_rounds_like_the_full_sum(n, seed):
     full_where, full_worst = reference_jacobi(c)
     assert sorted(where) == sorted(full_where)
     assert abs(worst - full_worst) <= 4 * np.spacing(full_worst)
+
+
+def _brackets(n, *brackets):
+    """Exactly antisymmetric constants of dimension n with [e_i, e_j] = e_k for each (i, j, k)."""
+    c = np.zeros((n, n, n))
+    for i, j, k in brackets:
+        c[i, j, k], c[j, i, k] = 1.0, -1.0
+    return c
+
+
+def _zeroed_slabs():
+    c = _antisymmetric(12, 3, "gaussian")
+    for i in (1, 4, 5, 9):
+        c[i] = c[:, i] = 0.0
+    return _tensor_subjects(c)
+
+
+def _digest_actions():
+    # the digest's euclidean_sd.cfg with the action entry 2 2 2 0.5, and so(3) acting on
+    # itself by ad with the entry 3 3 3 0.25
+    so3 = catalog.so3(gram=[1.0, 2.0, 3.0])
+    ad = catalog.conjugation(catalog.so3()).action.matrices
+    subjects = []
+    for h, (i, value) in ((catalog.abelian(3), (1, 0.5)), (catalog.so3(), (2, 0.25))):
+        mats = ad.copy()
+        mats[i, i, i] = value
+        subjects.append((so3, h, ActionSpec(mats)))
+    return subjects
+
+
+def _action_case(ng, h_brackets, entries, g_brackets=()):
+    """g of dimension ng and h of dimension 6 from brackets, and B[i][r, s] = 1 for each
+    (i, r, s) given."""
+    mats = np.zeros((ng, 6, 6))
+    for index in entries:
+        mats[index] = 1.0
+    return (MetricAlgebraSpec(_brackets(ng, *g_brackets), np.eye(ng)),
+            MetricAlgebraSpec(_brackets(6, *h_brackets), np.eye(6)), ActionSpec(mats))
+
+
+def _not_antisymmetric():
+    c = _brackets(8, (0, 1, 2), (2, 3, 4))
+    c[1, 0, 2] = -0.5
+    return [MetricAlgebraSpec(c, np.eye(8))]
+
+
+def _gaussian_sparse(n, seed, density):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((n, n, n)) * (rng.random((n, n)) < density)[:, :, None]
+    return c - c.transpose(1, 0, 2)
+
+
+SPARSE_CASES = {
+    **{selector: (lambda s=selector: _semidirect_subjects(s)) for selector in (
+        "conjugation:random-solvable:6:2", "conjugation:random-solvable:8:1",
+        "magnetic:random-solvable:16:3")},
+    "random-solvable:24:5": lambda: [catalog.random_solvable(24, 5)],
+    "gaussian-zeroed-slabs": _zeroed_slabs,
+    "digest-actions": _digest_actions,
+    # one Jacobi violation, first found in C order at a row (0, 1, k) that only one of the
+    # factors c[0, 1], c[1, k] and c[k, 0] can make nonzero
+    "violation-of-c01": lambda: [MetricAlgebraSpec(_brackets(8, (0, 1, 2), (2, 3, 4)), np.eye(8))],
+    "violation-of-c12": lambda: [MetricAlgebraSpec(_brackets(8, (1, 2, 3), (3, 0, 4)), np.eye(8))],
+    "violation-of-c20": lambda: [MetricAlgebraSpec(_brackets(8, (2, 0, 3), (3, 1, 4)), np.eye(8))],
+    # constants antisymmetric only within tolerance, which keep the full sums of all (j, k)
+    "not-antisymmetric": _not_antisymmetric,
+    # a slab whose first product gathers one row: a lone row goes to gemv, which rounds
+    # otherwise than gemm in the last bit on this tensor with OpenBLAS 0.3.31
+    "gaussian-lone-row": lambda: _tensor_subjects(_gaussian_sparse(6, 124, 0.25)),
+    # a derivation failure first found at a row (0, 0, 1) that only one of the factors
+    # ch[0, 1], column 0 of B[0] and column 1 of B[0] can make nonzero
+    "derivation-of-ch01": lambda: [_action_case(1, [(0, 1, 2)], [(0, 3, 2)])],
+    "derivation-of-b-column-0": lambda: [_action_case(1, [(3, 1, 2)], [(0, 3, 0)])],
+    "derivation-of-b-column-1": lambda: [_action_case(1, [(0, 3, 2)], [(0, 3, 1)])],
+    # a homomorphism failure first found at a row (0, 1, 0) that only one of the factors
+    # cg[0, 1], row 0 of B[0] and row 0 of B[1] can make nonzero
+    "homomorphism-of-cg01": lambda: [_action_case(3, [], [(2, 0, 1)], [(0, 1, 2)])],
+    "homomorphism-of-b0-row-0": lambda: [_action_case(2, [], [(0, 0, 1), (1, 1, 2)])],
+    "homomorphism-of-b1-row-0": lambda: [_action_case(2, [], [(0, 1, 2), (1, 0, 1)])],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPARSE_CASES))
+def test_sparse_checks_report_what_the_full_sums_report(case):
+    # on sparse constants the checks form only the rows that can be nonzero; the location
+    # and the bits of each worst entry are the full sums'
+    for subject in SPARSE_CASES[case]():
+        if isinstance(subject, MetricAlgebraSpec):
+            expected = {"jacobi": reference_jacobi(subject.structure)}
+            report = validate(subject)
+        else:
+            g_spec, h_spec, action = subject
+            expected = {"derivation": reference_derivation(h_spec, action),
+                        "homomorphism": reference_homomorphism(g_spec, action)}
+            report = validate_action(*subject)
+        for check in report.checks:
+            if check.invariant in expected:
+                where, worst = expected[check.invariant]
+                assert (check.location, float.hex(check.worst)) == (where, float.hex(worst))
+
+
+@pytest.mark.parametrize("case,invariant,where", [
+    ("violation-of-c01", "jacobi", (0, 1, 3)), ("violation-of-c12", "jacobi", (0, 1, 2)),
+    ("violation-of-c20", "jacobi", (0, 1, 2)), ("derivation-of-ch01", "derivation", (0, 0, 1, 3)),
+    ("derivation-of-b-column-0", "derivation", (0, 0, 1, 2)),
+    ("derivation-of-b-column-1", "derivation", (0, 0, 1, 2)),
+    ("homomorphism-of-cg01", "homomorphism", (0, 1, 0, 1)),
+    ("homomorphism-of-b0-row-0", "homomorphism", (0, 1, 0, 2)),
+    ("homomorphism-of-b1-row-0", "homomorphism", (0, 1, 0, 2))])
+def test_sparse_failure_is_found(case, invariant, where):
+    # the cases above built to fail once: the worst residual is 1, at the row built for it
+    [subject] = SPARSE_CASES[case]()
+    algebra = isinstance(subject, MetricAlgebraSpec)
+    [check] = (validate(subject) if algebra else validate_action(*subject)).issues
+    assert (check.invariant, check.location, check.worst) == (invariant, where, 1.0)
+
+
+def test_non_finite_h_keeps_the_full_derivation_products():
+    # an inf of h times the zero columns of B[0] is nan in the full products: rows that the
+    # masks would leave out report it, at (0, 0, 0, 2)
+    ch = np.zeros((4, 4, 4))
+    ch[0, 1, 2], ch[1, 0, 2] = np.inf, -np.inf
+    mats = np.zeros((1, 4, 4))
+    mats[0, :, 3] = [1.0, 2.0, 3.0, 4.0]
+    h_spec, action = MetricAlgebraSpec(ch, np.eye(4)), ActionSpec(mats)
+    with np.errstate(over="ignore", invalid="ignore"):
+        check = _derivation_check(validate_action(catalog.abelian(1), h_spec, action))
+        assert reference_derivation(h_spec, action)[0] == (0, 0, 0, 2)
+    assert check.location == (0, 0, 0, 2) and np.isnan(check.worst)
+
+
+def test_checks_pass_worst_entry_only_the_rows_they_form(monkeypatch):
+    # the entries the checks give worst_entry count the rows they form: forming every row,
+    # resolving this 32-dimensional magnetic product gave it 1,321,472 entries, and the
+    # validation of a dense Gaussian tensor 748,032
+    from liecurv import algebra, semidirect
+
+    sizes = []
+    original = algebra.worst_entry
+
+    def counting(blocks):
+        return original((origin, sizes.append(block.size) or block) for origin, block in blocks)
+
+    monkeypatch.setattr(algebra, "worst_entry", counting)
+    monkeypatch.setattr(semidirect, "worst_entry", counting)
+    catalog.resolve_semidirect("magnetic:random-solvable:32:1")
+    assert sum(sizes) <= 0.15 * 1_321_472
+    sizes.clear()
+    validate(MetricAlgebraSpec(_antisymmetric(32, 0, "gaussian"), np.eye(32)))
+    assert abs(sum(sizes) - 748_032) <= 0.01 * 748_032
