@@ -123,8 +123,9 @@ def worst_entry(blocks):
     the index ``origin``, or a 2-D stack of runs along the last axis: its row r starts at
     ``origin`` with each integer array in it read at r, and its rows come in C order.  The
     blocks may come in any order, and may leave out an entry whose size repeats, bit for bit,
-    that of an entry before it, such as the exact zeros of the rows a check does not form.
-    Each block is a temporary, overwritten with its sizes."""
+    that of an entry before it.  A zero entry at the origin may stand for entries left out
+    that are exact zeros: it decides the result only when every entry is zero, and the
+    result is then the origin.  Each block is a temporary, overwritten with its sizes."""
     found = []
     for origin, block in blocks:
         size = np.abs(block, out=block)
@@ -167,38 +168,42 @@ def plan_slabs(count, size):
 
     A slab forms its full products unless at most half its rows can be nonzero: a row formed
     on gathered operands costs about twice as much.  Returns the flags of the slabs formed in
-    full, the slabs that form any row, in order, and the rows left out, as the blocks to give
-    ``worst_entry``: they are exact zeros, so one zero entry at the origin stands for them.  A
-    zero decides the worst entry only when every entry is zero, and the worst is then the
-    origin."""
+    full, the slabs that form any row, in order, and the blocks that stand for the rows left
+    out in ``worst_entry``: one zero entry at the origin, as those rows are exact zeros."""
     full = [2 * k > n for k, n in zip(count, size)]
     zero = [] if all(full) else [((0, 0, 0, 0), np.zeros((1, 1, 1, 1)))]
     return full, [i for i, k in enumerate(count) if k], zero
 
 
 def _jacobi_worst(c: np.ndarray):
-    # cyclic sum of [[e_i,e_j],e_k] in coordinates, d[i,j,k,l] = sum_m c[i,j,m] c[m,k,l]:
-    # resid[i,j,k,l] = d[i,j,k,l] + d[j,k,i,l] + d[k,i,j,l], built one i at a time
-    # so that no temporary holds more than n^3 entries.
-    # Exactly antisymmetric constants make each d antisymmetric in its first two indices,
-    # bit for bit.  Then only j, k >= i are formed: with a, b, c' the three terms at
-    # (i, j, k), resid[i,j,k] = (a + b) + c' and resid[j,i,k] = -((a + c') + b), and every
-    # other entry repeats the size of one of these at a later position in C order.
-    # The terms of row (i, j, k) have the factors c[i, j], c[j, k] and c[k, i], and a term
-    # whose factor is all zero is exactly zero, as c is finite.  A slab in which most rows
-    # have three zero factors forms each term on the rows of its nonzero factor only, and
-    # those rows enter as one zero entry; each row formed keeps its dot products and its
-    # order of sums.  Other slabs form the full products.
+    """Location (i, j, k) and size of the worst Jacobi residual of finite constants c.
+
+    The cyclic sum of [[e_i,e_j],e_k] in coordinates, d[i,j,k,l] = sum_m c[i,j,m] c[m,k,l]:
+    resid[i,j,k,l] = d[i,j,k,l] + d[j,k,i,l] + d[k,i,j,l], built one slab i at a time so
+    that no temporary holds more than n^3 entries.
+
+    Exactly antisymmetric constants make each d antisymmetric in its first two indices, bit
+    for bit.  Then only j, k >= i are formed: with a, b, c' the three terms at (i, j, k),
+    resid[i,j,k] = (a + b) + c' and resid[j,i,k] = -((a + c') + b), and every other entry
+    repeats the size of one of these at a later position in C order.
+
+    The terms of row (i, j, k, :) have the factors c[i, j], c[j, k] and c[k, i], and a term
+    whose factor is all zero is exactly zero.  In a half sum, a slab in which at most half
+    the rows have a nonzero factor forms each term on the rows of its nonzero factor only
+    (``plan_slabs``): every row formed keeps the dot products and the order of sums of the
+    full products, and the rows left out enter as one zero entry.  Other slabs, and the
+    full sums, form the full products.
+    """
     n = c.shape[0]
     half = not (c + c.transpose(1, 0, 2)).any()
-    a = c.any(axis=2)  # a[i, j]: c[i, j, :] has a nonzero entry
-    live = a[:, :, None] | a[None]  # live[i, j, k]: row (i, j, k) can be nonzero
-    live |= a.T[:, None]
     if half:  # slab i forms the rows j, k >= i
+        a = c.any(axis=2)  # a[i, j]: c[i, j, :] has a nonzero entry
+        live = a[:, :, None] | a[None]  # live[i, j, k]: row (i, j, k) can be nonzero
+        live |= a.T[:, None]
         count = [np.count_nonzero(live[i, i:, i:]) for i in range(n)]
         dense, busy, zero = plan_slabs(count, [(n - i) ** 2 for i in range(n)])
-    else:
-        dense, busy, zero = plan_slabs(live.reshape(n, -1).sum(axis=1).tolist(), [n * n] * n)
+    else:  # constants antisymmetric only within tolerance keep the full sums
+        dense, busy, zero = [True] * n, range(n), []
 
     def blocks(i):
         s = i if half else 0
@@ -229,12 +234,6 @@ def _jacobi_worst(c: np.ndarray):
         d_ijk = spread_rows(a_i[j], d.reshape(-1, n))
         pj, pk = np.nonzero(a_s)
         d_jki = spread_rows(a_s[j, k], product_rows(c[s + pj, s + pk], c[:, i]))
-        if not half:
-            on_k = np.flatnonzero(a[:, i])
-            d = product_rows(c[on_k, i], rows).reshape(len(on_k), n, n)  # d[k, i, j], k in on_k
-            d_kij = spread_rows(a[k, i], d.transpose(1, 0, 2).reshape(-1, n))
-            yield (i, j, k, 0), d_ijk + d_jki + d_kij
-            return
         d_ikj = spread_rows(a_i[k], d.transpose(1, 0, 2).reshape(-1, n))
         resid = d_ijk + d_jki
         resid -= d_ikj

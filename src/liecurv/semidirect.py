@@ -56,7 +56,11 @@ def validate_action(g: MetricAlgebraSpec, h: MetricAlgebraSpec, action: ActionSp
     """Check shapes, the derivation property and the homomorphism property.
 
     A nan or infinite action entry fails both properties with a nan residual,
-    as ``algebra.validate`` fails a non-finite structure constant.
+    as ``algebra.validate`` fails a non-finite structure constant.  Each check forms
+    its residual one slab i at a time and, as the Jacobi check does, forms only the
+    rows that one of their factors can make nonzero in a slab where at most half the
+    rows can be; the report keeps the bits of the full products.  Constants of h that
+    are not finite keep every derivation row, as a zero factor times an inf is nan.
     """
     report = ValidationReport(subject="action")
     if action.dim_g != g.dim or action.dim_h != h.dim:

@@ -528,12 +528,6 @@ def _action_case(ng, h_brackets, entries, g_brackets=()):
             MetricAlgebraSpec(_brackets(6, *h_brackets), np.eye(6)), ActionSpec(mats))
 
 
-def _not_antisymmetric():
-    c = _brackets(8, (0, 1, 2), (2, 3, 4))
-    c[1, 0, 2] = -0.5
-    return [MetricAlgebraSpec(c, np.eye(8))]
-
-
 def _gaussian_sparse(n, seed, density):
     rng = np.random.default_rng(seed)
     c = rng.standard_normal((n, n, n)) * (rng.random((n, n)) < density)[:, :, None]
@@ -552,8 +546,6 @@ SPARSE_CASES = {
     "violation-of-c01": lambda: [MetricAlgebraSpec(_brackets(8, (0, 1, 2), (2, 3, 4)), np.eye(8))],
     "violation-of-c12": lambda: [MetricAlgebraSpec(_brackets(8, (1, 2, 3), (3, 0, 4)), np.eye(8))],
     "violation-of-c20": lambda: [MetricAlgebraSpec(_brackets(8, (2, 0, 3), (3, 1, 4)), np.eye(8))],
-    # constants antisymmetric only within tolerance, which keep the full sums of all (j, k)
-    "not-antisymmetric": _not_antisymmetric,
     # a slab whose first product gathers one row: a lone row goes to gemv, which rounds
     # otherwise than gemm in the last bit on this tensor with OpenBLAS 0.3.31
     "gaussian-lone-row": lambda: _tensor_subjects(_gaussian_sparse(6, 124, 0.25)),
