@@ -57,10 +57,10 @@ def validate_action(g: MetricAlgebraSpec, h: MetricAlgebraSpec, action: ActionSp
 
     A nan or infinite action entry fails both properties with a nan residual,
     as ``algebra.validate`` fails a non-finite structure constant.  Each check forms
-    its residual one slab i at a time and, as the Jacobi check does, forms only the
-    rows that one of their factors can make nonzero in a slab where at most half the
-    rows can be; the report keeps the bits of the full products.  Constants of h that
-    are not finite keep every derivation row, as a zero factor times an inf is nan.
+    its residual one slab i at a time.  In a slab where at most half the rows can be
+    nonzero, as the any-masks of their factors show, it forms those rows only, with the
+    dot products of the full products, so the report keeps their bits.  Constants of h
+    that are not finite keep every derivation row, as a zero factor times an inf is nan.
     """
     report = ValidationReport(subject="action")
     if action.dim_g != g.dim or action.dim_h != h.dim:
@@ -128,7 +128,7 @@ def validate_action(g: MetricAlgebraSpec, h: MetricAlgebraSpec, action: ActionSp
         dense_h, busy_h, zero_h = [True] * ng, range(ng), []
     else:
         on_g = cg.any(axis=2)  # on_g[i, j]: cg[i, j, :] has a nonzero entry
-        pairs = row_b & row_b.any(axis=1)[:, None, None]  # pairs[i, j, r]: row r of B[j] B[i]
+        pairs = row_b & row_b.any(axis=1)[:, None, None]  # row r of B[j] B[i] can be nonzero
         live_h = on_g[:, :, None] | row_b[:, None]
         live_h |= pairs
         start = [i if half else 0 for i in range(ng)]  # slab i forms the rows j >= start[i]
