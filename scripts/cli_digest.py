@@ -417,6 +417,9 @@ CLI_INVOCATIONS = [
     ["scan", "--semidirect", "magnetic:so3:1,2,3", "--family", "gg", "--seed", "2", "--count", "5"],
     ["scan", "--semidirect", "passive-scalar", "--family", "gg", "--band", "1", "--seed", "2",
      "--count", "3"],
+    # stacked dense scans: the five-term numerator, and the expansion over a non-abelian h
+    ["scan", "--algebra", "random-solvable:16:2", "--seed", "1", "--count", "20"],
+    ["scan", "--semidirect", "conjugation:random-solvable:8:1", "--seed", "1", "--count", "20"],
 ]
 
 #: Scripts under ``scripts/`` with their arguments.
