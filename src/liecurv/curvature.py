@@ -27,6 +27,7 @@ import numpy as np
 
 from .backend import broadcast_to, per_element, stack
 from .errors import DegeneratePlane, NotIsometric
+from .semidirect import finite_dimensional
 
 #: Sign of the field bracket relative to the algebra bracket inside the
 #: oracle's composition.  -1 reproduces the five-term formula (checked in the
@@ -142,18 +143,28 @@ def _five_terms(inner, atxy, atyx, adxy, adyx, atxx, atyy) -> list:
     ]
 
 
-def _pair_stacks(a, b):
-    """Operands for the pairs (a, b), (b, a), (a, a), (b, b), stacked along a new
-    leading axis; the first two elements of each give (a, b) and (b, a) alone."""
-    return stack([a, b, a, b]), stack([b, a, a, b])
+def _pair_stacks(dense: bool, a, b):
+    """Operands for the leg pairs (a, b), (b, a), (a, a), (b, b): the left and right
+    operands of one call, the leading shape of its result, which holds the four in that
+    order (``_split``), and the operands of the first two pairs alone.
+
+    Dense legs stack as [a, b] against [[b, a], [a, b]]: broadcasting pairs each left leg
+    with both its right legs, so the first product of ``algebra.bilinear`` forms each
+    distinct left leg once.  Torus products are formed per operand pair whatever the
+    layout, so torus legs keep the flat stacks [a, b, a, b] and [b, a, a, b]."""
+    if dense:
+        ab, ba = stack([a, b]), stack([b, a])
+        return ab, stack([ba, ab]), (2, 2), (ab, ba)
+    left, right = stack([a, b, a, b]), stack([b, a, a, b])
+    return left, right, (4,), (left[:2], right[:2])
 
 
-def _split(out, count: int, shape: tuple) -> list:
-    """The ``count`` results along the leading axis of a result over stacked
-    operands, each over the planes' stack shape ``shape``.  An unstacked result
-    (an abelian factor's zero) is broadcast to that stack first."""
-    out = broadcast_to(out, (count,) + shape)
-    return [out[i] for i in range(count)]
+def _split(out, lead: tuple, shape: tuple) -> list:
+    """The results along the leading axes ``lead`` of a result over stacked operands, in
+    C order, each over the planes' stack shape ``shape``.  An unstacked result (an abelian
+    factor's zero) is broadcast to that stack first."""
+    out = broadcast_to(out, lead + shape)
+    return [out[i] for i in np.ndindex(lead)]
 
 
 def curvature_numerator_generic(backend, x, y) -> CurvatureBreakdown:
@@ -164,9 +175,9 @@ def curvature_numerator_generic(backend, x, y) -> CurvatureBreakdown:
                   - 1/2 <ad(X)^T Y, ad(X) Y> - 1/2 <ad(Y)^T X, ad(Y) X>.
     """
     x, y, gram, shape = _plane_stack(backend, x, y)
-    xs, xr = _pair_stacks(x, y)
-    atxy, atyx, atxx, atyy = _split(backend.ad_transpose(xs, xr), 4, shape)
-    adxy, adyx = _split(backend.bracket(xs[:2], xr[:2]), 2, shape)
+    xs, xr, lead, pairs = _pair_stacks(finite_dimensional(backend), x, y)
+    atxy, atyx, atxx, atyy = _split(backend.ad_transpose(xs, xr), lead, shape)
+    adxy, adyx = _split(backend.bracket(*pairs), (2,), shape)
     values = _five_terms(backend.inner, atxy, atyx, adxy, adyx, atxx, atyy)
     return _finish(gram, list(zip(GENERIC_TERM_LABELS, values)))
 
@@ -193,15 +204,16 @@ def curvature_numerator_semidirect(sd, p1, p2) -> CurvatureBreakdown:
     # five-term numerators take, so curv_g and curv_h get their bits.  h_map
     # comes first: on MHD it checks the y legs for divergence before
     # g.ad_transpose checks the x legs, which fixes the field an error names.
-    xs, xr = _pair_stacks(x1, x2)
-    ys, yr = _pair_stacks(y1, y2)
-    h12, h21, h11, h22 = _split(sd.h_map(ys, yr), 4, shape)
-    at12, at21, at11, at22 = _split(g.ad_transpose(xs, xr), 4, shape)
-    b1y2, b2y1, b1y1, b2y2 = _split(sd.b(xs, yr), 4, shape)
-    b1t2, b2t1, b1t1, b2t2 = _split(sd.b_transpose(xs, yr), 4, shape)
-    hat12, hat21, hat11, hat22 = _split(h.ad_transpose(ys, yr), 4, shape)
-    gbr12, gbr21 = _split(g.bracket(xs[:2], xr[:2]), 2, shape)
-    hbr12, hbr21 = _split(h.bracket(ys[:2], yr[:2]), 2, shape)
+    dense = finite_dimensional(sd)
+    xs, xr, lead, xpairs = _pair_stacks(dense, x1, x2)
+    ys, yr, _, ypairs = _pair_stacks(dense, y1, y2)
+    h12, h21, h11, h22 = _split(sd.h_map(ys, yr), lead, shape)
+    at12, at21, at11, at22 = _split(g.ad_transpose(xs, xr), lead, shape)
+    b1y2, b2y1, b1y1, b2y2 = _split(sd.b(xs, yr), lead, shape)
+    b1t2, b2t1, b1t1, b2t2 = _split(sd.b_transpose(xs, yr), lead, shape)
+    hat12, hat21, hat11, hat22 = _split(h.ad_transpose(ys, yr), lead, shape)
+    gbr12, gbr21 = _split(g.bracket(*xpairs), (2,), shape)
+    hbr12, hbr21 = _split(h.bracket(*ypairs), (2,), shape)
 
     hsym = h12 + h21
     btsym = b1t2 + b2t1

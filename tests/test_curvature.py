@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import finite_algebras, random_pair, rel_vec_err, relerr, semidirect_builtins
 
-from liecurv import catalog
+from liecurv import algebra, catalog, semidirect
 from liecurv.algebra import DenseBackend
 from liecurv.backend import Pair, stack
 from liecurv.curvature import (
@@ -195,6 +197,34 @@ def test_an_unstacked_part_broadcasts_over_the_stack(selector):
         assert relerr(stacked[i], alone) <= 1e-13
         alone = curvature_numerator_generic(sd.g, p.x.x, planes[0].y.x).numerator
         assert relerr(one_y[i], alone) <= 1e-13
+
+
+@pytest.mark.parametrize("selector,semidirect_numerator,rows", [
+    ("magnetic:random-solvable:8:1", True, 10),
+    ("conjugation:random-solvable:4:104", True, 14),
+    ("random-solvable:6:3", False, 4),
+])
+@pytest.mark.parametrize("count", [None, 7])
+def test_each_left_leg_is_contracted_once(monkeypatch, selector, semidirect_numerator, rows, count):
+    # the rows of the first product of every bilinear contraction of one numerator: each
+    # operator's left operand holds the two distinct left legs once, and each bracket the
+    # pairs (X1, X2) and (X2, X1)
+    backend = (catalog.resolve_semidirect if semidirect_numerator else catalog.resolve_algebra)(selector)
+    numerator = curvature_numerator_semidirect if semidirect_numerator else curvature_numerator_generic
+    planes = sample_planes(backend, 5, count or 1)
+    x, y = (planes[0].x, planes[0].y) if count is None else \
+        (stack([p.x for p in planes]), stack([p.y for p in planes]))
+    formed = []
+    contract = algebra.bilinear
+
+    def counted(t, a, b):
+        formed.append(math.prod(np.shape(a)[:-1]))
+        return contract(t, a, b)
+
+    monkeypatch.setattr(algebra, "bilinear", counted)
+    monkeypatch.setattr(semidirect, "bilinear", counted)
+    numerator(backend, x, y)
+    assert sum(formed) == rows * (count or 1)
 
 
 def _stacked_cases():
