@@ -251,8 +251,8 @@ def _jacobi_worst(c: np.ndarray):
 
 def first_non_finite(a: np.ndarray):
     """Index of the first nan or infinite entry of a, or None."""
-    bad = np.argwhere(~np.isfinite(a))
-    return tuple(int(i) for i in bad[0]) if len(bad) else None
+    finite = np.isfinite(a)
+    return None if finite.all() else tuple(int(i) for i in np.argwhere(~finite)[0])
 
 
 def validate(spec: MetricAlgebraSpec) -> ValidationReport:
