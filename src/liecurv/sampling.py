@@ -28,13 +28,14 @@ def rng_for_seed(seed: int) -> np.random.Generator:
 def _combine(basis, coeffs: np.ndarray):
     """sum_j coeffs[:, j] * element j of the basis, one element per row of
     ``coeffs``, stacked: the same bits, signed zeros included, as the running
-    sum of ``float(c) * element`` in basis order.  The rows of an array are
-    added one by one, and a ``torus.ModeBasis`` writes onto its grid."""
+    sum of ``float(c) * element`` in basis order.  An array basis is the
+    identity (``DenseBackend.sample_basis``), so the sum is the coefficients,
+    but for an exactly zero one: it is the sum of the row's c * 0, -0 where
+    every c in the row has its sign bit set and +0 elsewhere.  A
+    ``torus.ModeBasis`` writes onto its grid."""
     if isinstance(basis, np.ndarray):
-        total = coeffs[:, :1] * basis[0]
-        for j in range(1, len(basis)):
-            total += coeffs[:, j, None] * basis[j]
-        return total
+        zero = np.where(np.signbit(coeffs).all(axis=1, keepdims=True), -0.0, 0.0)
+        return np.where(coeffs == 0.0, zero, coeffs)
     return basis.combine(coeffs)
 
 

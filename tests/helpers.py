@@ -99,6 +99,15 @@ def reference_modes(backend, band: int):
     return fields
 
 
+def reference_combine(basis, coeffs):
+    """sum_j coeffs[:, j] * basis[j] for the rows of an array basis, added one by
+    one in basis order: the oracle for the elements that ``sampling`` combines."""
+    total = coeffs[:, :1] * basis[0]
+    for j in range(1, len(basis)):
+        total += coeffs[:, j, None] * basis[j]
+    return total
+
+
 def reference_random_element(backend, rng, band: int = 2, part: str | None = None):
     """One element or Pair per basis vector, summed in a loop: the oracle for
     the elements that ``sampling`` draws.  It builds its own list of basis
@@ -457,3 +466,4 @@ def reference_leray(x: TrigVectorField) -> TrigVectorField:
             v2 -= coeff * k2
         out1[key], out2[key] = v1, v2
     return TrigVectorField(TrigFunction(out1), TrigFunction(out2))
+

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import liecurv
-from helpers import reference_random_element, reference_sample_planes, relerr
+from helpers import reference_combine, reference_random_element, reference_sample_planes, relerr
 
 from liecurv import algebra, catalog, cli, configio, errors, sampling, semidirect, torus
 from liecurv.algebra import MAX_DIM, DenseBackend, MetricAlgebraSpec
@@ -896,6 +896,24 @@ class TestSamplePlanes:
     def test_family_needs_semidirect(self):
         with pytest.raises(ValueError):
             sample_planes(catalog.resolve_algebra("so3"), seed=1, count=1, family="gg")
+
+    def test_dense_combination_is_the_running_sum_with_its_signed_zeros(self):
+        coeffs = np.array([
+            [0.0, 1.5, -2.0, 0.5],
+            [-0.0, 1.5, -2.0, 0.5],
+            [0.0, -0.0, -1.0, -3.0],
+            [-0.0, 0.0, -1.0, -3.0],
+            [-1.0, -0.0, -2.0, -0.5],  # every sign bit set: the zero sums to -0
+            [-1.0, 0.0, -2.0, -0.5],
+            [-0.0, -0.0, -0.0, -0.0],
+            [0.0, 0.0, 0.0, 0.0],
+            np.random.default_rng(9).standard_normal(4),
+        ])
+        combined = sampling._combine(np.eye(4), coeffs)
+        expected = reference_combine(np.eye(4), coeffs)
+        assert [v.hex() for v in combined.ravel().tolist()] == \
+            [v.hex() for v in expected.ravel().tolist()]
+        assert np.array_equal(np.signbit(combined), np.signbit(expected))
 
 
 class TestGeodesicCommand:
