@@ -22,10 +22,20 @@ from liecurv.errors import MidpointDivergence, NonFiniteState, ValidationFailure
 from liecurv.geodesic import IntegratorConfig, geodesic_rhs, integrate
 
 
+def so3_matrix(u) -> np.ndarray:
+    """3x3 skew matrix of u in the standard representation of so(3)."""
+    u = np.asarray(u, dtype=float)
+    return np.array([
+        [0.0, -u[2], u[1]],
+        [u[2], 0.0, -u[0]],
+        [-u[1], u[0], 0.0],
+    ])
+
+
 def so3_exp(u):
-    """exp(catalog.so3_matrix(u)) by Rodrigues' formula.  sin(a)/a and
+    """exp(so3_matrix(u)) by Rodrigues' formula.  sin(a)/a and
     (1 - cos a)/a^2 = sinc(a/2)^2 / 2 are written with np.sinc, which holds at a = 0."""
-    k = catalog.so3_matrix(u)
+    k = so3_matrix(u)
     a = np.linalg.norm(u)
     return np.eye(3) + np.sinc(a / np.pi) * k + 0.5 * np.sinc(a / (2 * np.pi)) ** 2 * (k @ k)
 

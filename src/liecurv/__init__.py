@@ -30,13 +30,7 @@ from .geodesic import (
     rhs_semidirect,
 )
 from .sampling import sample_planes
-from .semidirect import (
-    ActionSpec,
-    SemidirectAlgebra,
-    build_semidirect,
-    check_derivation_identity,
-    check_h_identity,
-)
+from .semidirect import ActionSpec, SemidirectAlgebra, build_semidirect
 
 __all__ = [
     "ActionSpec",
@@ -50,8 +44,6 @@ __all__ = [
     "Trajectory",
     "ValidationReport",
     "build_semidirect",
-    "check_derivation_identity",
-    "check_h_identity",
     "covariant_derivative",
     "curvature_numerator_generic",
     "curvature_numerator_semidirect",

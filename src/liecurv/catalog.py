@@ -166,12 +166,3 @@ def resolve_semidirect(selector: str):
         return conjugation(inner) if head == "conjugation" else magnetic(inner)
     raise ConfigError(f"unknown semidirect selector {selector!r}")
 
-
-def so3_matrix(u) -> np.ndarray:
-    """3x3 skew matrix of u in the standard representation of so(3)."""
-    u = np.asarray(u, dtype=float)
-    return np.array([
-        [0.0, -u[2], u[1]],
-        [u[2], 0.0, -u[0]],
-        [-u[1], u[0], 0.0],
-    ])

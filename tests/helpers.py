@@ -467,3 +467,22 @@ def reference_leray(x: TrigVectorField) -> TrigVectorField:
         out1[key], out2[key] = v1, v2
     return TrigVectorField(TrigFunction(out1), TrigFunction(out2))
 
+
+def check_h_identity(sd, y1, y2, x1, x2) -> float:
+    """Relative residual of <h(Y1,Y2), [X1,X2]> = <b(X1)^T Y2, b(X2) Y1> - <b(X2)^T Y2, b(X1) Y1>."""
+    lhs = sd.g.inner(sd.h_map(y1, y2), sd.g.bracket(x1, x2))
+    rhs = sd.h.inner(sd.b_transpose(x1, y2), sd.b(x2, y1)) - sd.h.inner(
+        sd.b_transpose(x2, y2), sd.b(x1, y1)
+    )
+    norms = (sd.h.norm(y1), sd.h.norm(y2), sd.g.norm(x1), sd.g.norm(x2))
+    return abs(lhs - rhs) / math.prod(1.0 + n for n in norms)
+
+
+def check_derivation_identity(sd, x, y1, y2, y3) -> float:
+    """Relative residual of <[Y1,Y2], b(X)^T Y3> = <b(X) Y2, ad(Y1)^T Y3> - <b(X) Y1, ad(Y2)^T Y3>."""
+    lhs = sd.h.inner(sd.h.bracket(y1, y2), sd.b_transpose(x, y3))
+    rhs = sd.h.inner(sd.b(x, y2), sd.h.ad_transpose(y1, y3)) - sd.h.inner(
+        sd.b(x, y1), sd.h.ad_transpose(y2, y3)
+    )
+    norms = (sd.g.norm(x), sd.h.norm(y1), sd.h.norm(y2), sd.h.norm(y3))
+    return abs(lhs - rhs) / math.prod(1.0 + n for n in norms)

@@ -10,7 +10,16 @@ import time
 import numpy as np
 import pytest
 
-from helpers import finite_algebras, random_pair, reference_modes, rel_vec_err, relerr, semidirect_builtins
+from helpers import (
+    check_derivation_identity,
+    check_h_identity,
+    finite_algebras,
+    random_pair,
+    reference_modes,
+    rel_vec_err,
+    relerr,
+    semidirect_builtins,
+)
 
 from liecurv import catalog, torus
 from liecurv.algebra import DenseBackend
@@ -31,7 +40,6 @@ from liecurv.geodesic import (
     rhs_semidirect,
 )
 from liecurv.sampling import rng_for_seed, sample_planes
-from liecurv.semidirect import check_derivation_identity, check_h_identity
 
 E = np.eye(3)
 

@@ -6,6 +6,8 @@ import pytest
 
 from helpers import (
     SOLVABLE_SEEDS,
+    check_derivation_identity,
+    check_h_identity,
     random_pair,
     reference_derivation,
     reference_homomorphism,
@@ -20,13 +22,7 @@ from liecurv import catalog
 from liecurv.algebra import MetricAlgebraSpec, _jacobi_worst, validate
 from liecurv.backend import Pair, per_element
 from liecurv.errors import ValidationFailure
-from liecurv.semidirect import (
-    ActionSpec,
-    build_semidirect,
-    check_derivation_identity,
-    check_h_identity,
-    validate_action,
-)
+from liecurv.semidirect import ActionSpec, build_semidirect, validate_action
 
 E = np.eye(3)
 Z = np.zeros(3)
