@@ -165,4 +165,3 @@ def resolve_semidirect(selector: str):
         inner = _algebra_spec_from_tokens(tokens[1:])
         return conjugation(inner) if head == "conjugation" else magnetic(inner)
     raise ConfigError(f"unknown semidirect selector {selector!r}")
-

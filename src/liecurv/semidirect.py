@@ -265,4 +265,3 @@ def build_semidirect(g, h, action, name: str = "") -> SemidirectAlgebra:
     if not isinstance(action, ActionSpec):
         action = ActionSpec(np.asarray(action, dtype=float))
     return SemidirectAlgebra(g, h, action, name=name)
-
