@@ -413,6 +413,8 @@ CLI_INVOCATIONS = [
     *(["validate", "--semidirect-file", name]
       for name in ("euclidean_sd_diagonal.cfg", "so3_ad_diagonal.cfg")),
     ["validate", "--semidirect", "conjugation:random-solvable:8:1"],
+    # derivation rows formed on a 32-dimensional non-abelian h
+    ["validate", "--semidirect", "conjugation:random-solvable:32:1"],
     # gg scans, whose legs leave out the h factor: dense and torus
     ["scan", "--semidirect", "magnetic:so3:1,2,3", "--family", "gg", "--seed", "2", "--count", "5"],
     ["scan", "--semidirect", "passive-scalar", "--family", "gg", "--band", "1", "--seed", "2",
