@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import iadd, isub
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -129,11 +130,14 @@ def worst_entry(blocks):
     found = []
     for origin, block in blocks:
         size = np.abs(block, out=block)
-        j = np.unravel_index(np.argmax(size), size.shape)
-        worst = float(size[j])
+        flat = int(size.argmax())
+        worst, j = float(size.flat[flat]), []
+        for n in reversed(size.shape):
+            flat, k = divmod(flat, n)
+            j.insert(0, k)
         if block.ndim < len(origin):  # a stack of runs: row j[0] starts at origin read at j[0]
             origin = [o[j[0]] if isinstance(o, np.ndarray) else o for o in origin]
-            j = (0,) * (len(origin) - 1) + j[1:]
+            j = [0] * (len(origin) - 1) + j[1:]
         found.append((tuple(int(o + k) for o, k in zip(origin, j)), worst))
     nan = [entry for entry in found if entry[1] != entry[1]]
     if nan:
@@ -142,110 +146,174 @@ def worst_entry(blocks):
     return min(entry for entry in found if entry[1] == worst)
 
 
-def spread_rows(where, values):
-    """One product of a check on the rows a residual slab forms: ``values`` holds its rows
-    where the boolean ``where`` is set, in order, and its other rows are exact zeros, the
-    products of an all-zero row of one operand and a finite other operand."""
-    if len(values) == len(where):
-        return values
-    out = np.zeros((len(where), values.shape[-1]))
-    out[where] = values
-    return out
-
-
 def product_rows(left, right) -> np.ndarray:
     """``left @ right`` for rows gathered from the left operand of a larger product, with the
     bits those rows have in that product: numpy hands a one-row product to gemv, which rounds
     otherwise than gemm, so a lone row is multiplied as two."""
     if len(left) == 1:
-        return (left[[0, 0]] @ right)[:1]
+        return (left[[0, 0]] @ right)[..., :1, :]
     return left @ right
 
 
-def plan_slabs(count, size):
-    """How a check that forms its residual one slab i at a time treats each slab, from the
-    number ``count[i]`` of rows of slab i that can be nonzero, of the ``size[i]`` it forms.
+def exactly_antisymmetric(c: np.ndarray) -> bool:
+    """True when c[i, j] = -c[j, i] bit for bit."""
+    return not (c + c.transpose(1, 0, 2)).any()
 
-    A slab forms its full products unless at most half its rows can be nonzero: a row formed
-    on gathered operands costs about twice as much.  Returns the flags of the slabs formed in
-    full, the slabs that form any row, in order, and the blocks that stand for the rows left
-    out in ``worst_entry``: one zero entry at the origin, as those rows are exact zeros."""
-    full = [2 * k > n for k, n in zip(count, size)]
-    zero = [] if all(full) else [((0, 0, 0, 0), np.zeros((1, 1, 1, 1)))]
-    return full, [i for i, k in enumerate(count) if k], zero
+
+def _transpose_of(x):
+    """``(a, axes)`` with x = a.transpose(axes) for the array a that x views, or (x, (0, 1, 2))."""
+    a, strides = x.base, x.strides
+    if a is not None and a.ndim == 3 and len(set(a.strides + strides)) == 3 == len(set(strides)):
+        axes = tuple(map(a.strides.index, strides))
+        if a.transpose(axes).shape == x.shape:
+            return a, axes
+    return x, (0, 1, 2)
+
+
+def residual_worst(terms, combine, shape, bounded=(False, False), mirror=None):
+    """Location (i, a, b, l) and size of the worst entry of a check's residual r[i, a, b, :] of
+    the given ``shape``, from ``worst_entry``: ``combine`` adds the arrays of ``terms`` up in
+    the check's order, ``mirror`` (if given) for the entry (a, i, b) of each row with a > i.
+    ``bounded`` flags the checks that form only the rows a >= i, b >= i.
+
+    A term ``(u, v, slot, flip)`` reads p[x1, x2, y] = u[x1, x2] @ v[:, y] for u (X1, X2, M) and
+    v (M, Y, L): i fills slot ``slot`` (x1, x2, y), and a, b the other two, swapped by ``flip``.
+    A row is an exact zero where u[x1, x2] or v[:, y] is all zero and the other operand is
+    finite (0 * inf is nan).  A slab where more than half the rows can be nonzero, and each slab
+    of a residual of at most 81 entries, forms its full products; the others form those rows
+    alone, in chunks within the entries of a full slab, in one gathered product per chunk for i
+    in u and per slab for i in v, each row with its dot products in the full product as far as
+    BLAS rounds one alike wherever it sits (``product_rows``).  Rows left out enter as a zero.
+    """
+    (ni, na, nb), L, seen = shape, terms[0][1].shape[-1], {}
+
+    def once(key, f):  # f(), for each key once
+        if key not in seen:
+            seen[key] = f()
+        return seen[key]
+
+    def whole(x):  # x is finite, x is not all zero: of the array that x transposes
+        a = once(id(x), lambda: _transpose_of(x))[0]
+        return once((id(a),), lambda: (np.isfinite(a).all(), a.any()))
+
+    def rows_on(x):  # x[p, q] is not all zero
+        a, axes = once(id(x), lambda: _transpose_of(x))
+        rows = once((id(a), axes[2]), lambda: a.any(axis=axes[2]))
+        return rows if axes[0] < axes[1] else rows.T
+
+    steps, masks, some = [], [], False
+    for u, v, slot, flip in terms:  # with the right operand of a full slab's product, which
+        u = u.transpose(1, 0, 2) if slot == 1 else u  # forms it in the layout (a, b) if flip
+        right = v if slot == 2 else v.transpose(1, 0, 2) if flip else v.reshape(len(v), -1)
+        steps.append(((id(u), id(v), slot == 2), u, v, slot == 2, flip, right))
+        (u_finite, u_any), (v_finite, v_any) = whole(u), whole(v)
+        some |= (u_any or not v_finite) and (v_any or not u_finite)
+    for _, u, v, *_ in steps if some and ni * na * nb * L > 81 else ():
+        u_on = rows_on(u) if whole(v)[0] else np.ones(u.shape[:2], bool)
+        v_on = rows_on(v).any(axis=0) if whole(u)[0] else np.ones(v.shape[1], bool)
+        if u_on.all() and v_on.all():  # this term makes every row nonzero
+            masks = []
+            break
+        masks.append((u_on, v_on))
+    full, fi, starts, need = np.full(ni, some), (), [ni], {}
+    if masks:
+        live = np.zeros(shape, bool)
+        for (u_on, v_on), (*_, in_v, flip, _) in zip(masks, steps):
+            if in_v:
+                live[v_on] |= u_on.T if flip else u_on
+            else:
+                (live.transpose(0, 2, 1) if flip else live)[u_on] |= v_on
+        i = np.arange(ni)[:, None, None]
+        if bounded[0]:
+            live &= np.arange(na)[:, None] >= i
+        if bounded[1]:
+            live &= np.arange(nb) >= i
+        rows, i = np.flatnonzero(live), i.ravel()
+        fi = rows // (na * nb)
+        full = 2 * np.bincount(fi, minlength=ni) > (na - bounded[0] * i) * (nb - bounded[1] * i)
+        fi, fa = np.divmod(rows[~full[fi]], na * nb)  # the rows formed alone, in C order
+        fa, fb = np.divmod(fa, nb)
+    if len(fi):  # chunks of the slabs formed alone; of each product with i in u, the rows
+        cost = np.bincount(fi, minlength=ni)  # (i, o) its terms read, and if all read y >= i
+        for (key, u, v, in_v, flip, _), (u_on, _) in zip(steps, masks):
+            if not in_v:
+                o_bounded, y_bounded = bounded[::-1] if flip else bounded
+                rows = (np.triu(u_on) if o_bounded else u_on) & (cost > 0)[:, None]
+                old = need.get(key, (False, True))
+                need[key] = rows | old[0], y_bounded and old[1]
+                cost = np.maximum(cost, need[key][0].sum(axis=1) * v.shape[1])
+        starts, total = [], na * nb
+        for s in np.flatnonzero(cost).tolist():
+            total += cost[s]
+            if total > na * nb:
+                starts.append(s)
+                total = cost[s]
+        starts.append(ni)
+
+    def blocks():
+        for i in np.flatnonzero(full).tolist():  # full slabs, their products on views
+            lo, formed, t = (i if bounded[0] else 0, i if bounded[1] else 0), {}, []
+            for key, u, v, in_v, flip, right in steps:
+                lo1, lo2 = lo[::-1] if flip else lo  # the bounds on (x1, x2), or on (o, y)
+                if (key, lo1, lo2) not in formed:  # in the layout (a, b) of its first term
+                    left = u[lo1:, lo2:].reshape(-1, u.shape[2]) if in_v else u[i, lo1:]
+                    p = product_rows(left, right[:, i] if in_v else right[lo2:] if flip
+                                     else right[:, lo2 * L:])
+                    formed[key, lo1, lo2] = flip and not in_v, p.reshape(
+                        len(u) - lo1 if in_v else len(p), -1, L)
+                layout, p = formed[key, lo1, lo2]
+                t.append(p if layout == flip else p.transpose(1, 0, 2))
+            yield (i, *lo, 0), combine(t)[None]
+            if mirror is not None and i + 1 < na:
+                yield (i + 1, i, lo[1], 0), mirror([x[i + 1 - lo[0]:] for x in t])[:, None]
+        for s0, s1 in zip(starts, starts[1:]):  # chunks, their products on gathered rows
+            f = slice(*np.searchsorted(fi, (s0, s1)))
+            i, a, b, products, t = fi[f], fa[f], fb[f], {}, []
+            for (key, u, v, in_v, flip, right), (u_on, v_on) in zip(steps, masks):
+                x, y = (b, a) if flip else (a, b)  # (x1, x2) for i in v, (o, y) for i in u
+                on = np.flatnonzero(u_on[x, y] & v_on[i] if in_v else u_on[i, x] & v_on[y])
+                t.append(np.zeros((len(i), L)))
+                if len(on) and in_v:
+                    left, cuts = u[x[on], y[on]], np.searchsorted(i[on], range(s0, s1 + 1))
+                    t[-1][on] = np.concatenate([product_rows(left[c0:c1], v[:, s]) for s, c0, c1
+                                                in zip(range(s0, s1), cuts, cuts[1:]) if c1 > c0])
+                elif len(on):
+                    if key not in products:  # y >= s0 alone when every term reads y >= i
+                        rows, y_bounded = need[key]
+                        pi, po = np.nonzero(rows[s0:s1])
+                        lo = s0 if y_bounded else 0
+                        p = product_rows(u[pi + s0, po], v.reshape(len(v), -1)[:, lo * L:])
+                        where = rows[s0:s1].cumsum().reshape(s1 - s0, -1) - 1  # gathered rows
+                        products[key] = lo, where, p.reshape(len(pi), -1, L)
+                    lo, where, p = products[key]
+                    t[-1][on] = p[where[i[on] - s0, x[on]], y[on] - lo]
+            yield (i, a, b, 0), combine(t)
+            if mirror is not None:
+                swap = np.flatnonzero(a > i)
+                swap = swap[np.lexsort((b[swap], i[swap], a[swap]))]
+                yield (a[swap], i[swap], b[swap], 0), mirror([x[swap] for x in t])
+
+    zero = [] if full.all() else [((0, 0, 0, 0), np.zeros((1, 1, 1, 1)))]
+    return worst_entry(itertools.chain(zero, blocks()))
 
 
 def _jacobi_worst(c: np.ndarray):
-    """Location (i, j, k) and size of the worst Jacobi residual of finite constants c.
-
-    The cyclic sum of [[e_i,e_j],e_k] in coordinates, d[i,j,k,l] = sum_m c[i,j,m] c[m,k,l]:
-    resid[i,j,k,l] = d[i,j,k,l] + d[j,k,i,l] + d[k,i,j,l], built one slab i at a time so
-    that no temporary holds more than n^3 entries.
+    """Location (i, j, k) and size of the worst Jacobi residual of finite constants c: the
+    cyclic sum resid[i,j,k,l] = d[i,j,k,l] + d[j,k,i,l] + d[k,i,j,l] of the coordinates
+    d[i,j,k,l] = sum_m c[i,j,m] c[m,k,l] of [[e_i,e_j],e_k], from ``residual_worst``.
 
     Exactly antisymmetric constants make each d antisymmetric in its first two indices, bit
     for bit.  Then only j, k >= i are formed: with a, b, c' the three terms at (i, j, k),
     resid[i,j,k] = (a + b) + c' and resid[j,i,k] = -((a + c') + b), and every other entry
-    repeats the size of one of these at a later position in C order.
-
-    The terms of row (i, j, k, :) have the factors c[i, j], c[j, k] and c[k, i], and a term
-    whose factor is all zero is exactly zero.  In a half sum, a slab in which at most half
-    the rows have a nonzero factor forms each term on the rows of its nonzero factor only
-    (``plan_slabs``): every row formed keeps the dot products and the order of sums of the
-    full products, and the rows left out enter as one zero entry.  Other slabs, and the
-    full sums, form the full products.
+    repeats the size of one of these later in C order.  Other constants keep the full sum.
     """
-    n = c.shape[0]
-    half = not (c + c.transpose(1, 0, 2)).any()
-    if half:  # slab i forms the rows j, k >= i
-        a = c.any(axis=2)  # a[i, j]: c[i, j, :] has a nonzero entry
-        live = a[:, :, None] | a[None]  # live[i, j, k]: row (i, j, k) can be nonzero
-        live |= a.T[:, None]
-        count = [np.count_nonzero(live[i, i:, i:]) for i in range(n)]
-        dense, busy, zero = plan_slabs(count, [(n - i) ** 2 for i in range(n)])
-    else:  # constants antisymmetric only within tolerance keep the full sums
-        dense, busy, zero = [True] * n, range(n), []
-
-    def blocks(i):
-        s = i if half else 0
-        rows = c[:, s:].reshape(n, -1)  # rows[m, (k, l)] = c[m, k, l] for k >= s
-        if dense[i]:
-            shape = (n - s, n - s, n)
-            d_ijk = (c[i, s:] @ rows).reshape(shape)
-            d_jki = (np.ascontiguousarray(c[s:, s:]).reshape(-1, n) @ c[:, i]).reshape(shape)
-            if not half:
-                d_kij = (c[:, i] @ rows).reshape(shape).transpose(1, 0, 2)
-                yield (i, 0, 0, 0), (d_ijk + d_jki + d_kij)[None]
-                return
-            d_ikj = d_ijk.transpose(1, 0, 2)  # d[k, i, j] = -d[i, k, j], as c[k, i] = -c[i, k]
-            resid = d_ijk + d_jki
-            resid -= d_ikj
-            yield (i, i, i, 0), resid[None]
-            if i + 1 < n:
-                resid = d_ijk[1:] - d_ikj[1:]  # -resid[j, i, k] for j > i
-                resid += d_jki[1:]
-                yield (i + 1, i, i, 0), resid[:, None]
-            return
-        m = n - s
-        formed = np.flatnonzero(live[i, s:, s:])
-        j, k = np.divmod(formed, m)
-        a_i, a_s = a[i, s:], a[s:, s:]
-        on_j = np.flatnonzero(a_i)
-        d = product_rows(c[i, s + on_j], rows).reshape(len(on_j), m, n)  # d[i, j, k], j in on_j
-        d_ijk = spread_rows(a_i[j], d.reshape(-1, n))
-        pj, pk = np.nonzero(a_s)
-        d_jki = spread_rows(a_s[j, k], product_rows(c[s + pj, s + pk], c[:, i]))
-        d_ikj = spread_rows(a_i[k], d.transpose(1, 0, 2).reshape(-1, n))
-        resid = d_ijk + d_jki
-        resid -= d_ikj
-        yield (i, s + j, s + k, 0), resid
-        q = int(np.searchsorted(j, 1))  # the rows with j > i
-        if q < len(formed):
-            resid = d_ijk[q:] - d_ikj[q:]
-            resid += d_jki[q:]
-            yield (s + j[q:], i, s + k[q:], 0), resid
-
-    slabs = (block for i in busy for block in blocks(i))
-    idx, worst = worst_entry(itertools.chain(zero, slabs))
+    if exactly_antisymmetric(c):  # d[i, k, j] = -d[k, i, j], as c[k, i] = -c[i, k]
+        terms = [(c, c, 0, False), (c, c, 2, False), (c, c, 0, True)]
+        idx, worst = residual_worst(terms, lambda t: isub(t[0] + t[1], t[2]), c.shape,
+                                    (True, True), mirror=lambda t: iadd(t[0] - t[2], t[1]))
+    else:
+        terms = [(c, c, 0, False), (c, c, 2, False), (c, c, 1, True)]
+        idx, worst = residual_worst(terms, lambda t: iadd(t[0] + t[1], t[2]), c.shape)
     return idx[:3], worst
 
 

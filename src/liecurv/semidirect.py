@@ -8,9 +8,9 @@ product spec with block diagonal Gram is built when first read.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import iadd, isub
 
 import numpy as np
 
@@ -20,12 +20,10 @@ from .algebra import (
     MetricAlgebraSpec,
     ValidationReport,
     bilinear,
+    exactly_antisymmetric,
     first_non_finite,
-    plan_slabs,
-    product_rows,
+    residual_worst,
     skew_adjoint,
-    spread_rows,
-    worst_entry,
 )
 from .backend import SemidirectBackendBase
 from .errors import ConfigError, ValidationFailure
@@ -54,12 +52,9 @@ class ActionSpec:
 def validate_action(g: MetricAlgebraSpec, h: MetricAlgebraSpec, action: ActionSpec) -> ValidationReport:
     """Check shapes, the derivation property and the homomorphism property.
 
-    A nan or infinite action entry fails both properties with a nan residual,
-    as ``algebra.validate`` fails a non-finite structure constant.  Each check forms
-    its residual one slab i at a time.  In a slab where at most half the rows can be
-    nonzero, as the any-masks of their factors show, it forms those rows only, with the
-    dot products of the full products, so the report keeps their bits.  Constants of h
-    that are not finite keep every derivation row, as a zero factor times an inf is nan.
+    A nan or infinite action entry fails both properties with a nan residual, as
+    ``algebra.validate`` fails a non-finite structure constant.  Both residuals come from
+    ``algebra.residual_worst``, which keeps the bits of their full products.
     """
     report = ValidationReport(subject="action")
     if action.dim_g != g.dim or action.dim_h != h.dim:
@@ -75,90 +70,25 @@ def validate_action(g: MetricAlgebraSpec, h: MetricAlgebraSpec, action: ActionSp
             report.record(invariant, bad, float("nan"), message="non-finite action entry")
         return report
 
-    ch = h.structure
-    ng, nh = g.dim, h.dim
+    ch, cg = h.structure, g.structure
     bmax = max(1.0, float(np.max(np.abs(B))))
     scale = bmax * max(1.0, float(np.max(np.abs(ch))))
-
-    # derivation: b(e_i)[f_p, f_q] = [b(e_i) f_p, f_q] + [f_p, b(e_i) f_q], residuals
-    # [i, p, q, r] built one i at a time so that no temporary holds more than nh^3 entries.
-    # The terms of row (i, p, q) have the factors ch[p, q], column p of B[i] and column q of
-    # B[i], and are formed as the Jacobi sum's are (``algebra.plan_slabs``).  A zero factor
-    # times an inf is nan, not zero, so constants of h that are not finite keep every row.
-    on_h = ch.any(axis=2)  # on_h[p, q]: ch[p, q, :] has a nonzero entry
-    on_q, on_p = on_h.any(axis=0), on_h.any(axis=1)  # some ch[:, q], some ch[p] is nonzero
-    col_b = B.any(axis=1)  # col_b[i, p]: column p of B[i] has a nonzero entry
-    live_d = col_b[:, :, None] & on_q
-    live_d |= on_p[:, None] & col_b[:, None]
-    live_d |= on_h
-    if not np.isfinite(ch).all():
-        live_d[:] = True
-    count = live_d.reshape(ng, -1).sum(axis=1).tolist()
-    dense_d, busy_d, zero_d = plan_slabs(count, [nh * nh] * ng)
-    if not all(dense_d[i] for i in busy_d):
-        ch_pq = ch[on_h]  # the nonzero rows ch[p, q], in C order
-        ch_q = ch[:, on_q].reshape(nh, -1)  # ch_q[s, (q, r)] = ch[s, q, r]
-        ch_p = np.ascontiguousarray(ch[on_p].transpose(1, 0, 2))  # ch_p[s, p, r] = ch[p, s, r]
-
-    def derivation(i):
-        if dense_d[i]:
-            lhs = (ch.reshape(nh * nh, nh) @ B[i].T).reshape(nh, nh, nh)
-            rhs = (B[i].T @ ch.reshape(nh, nh * nh)).reshape(nh, nh, nh) + B[i].T @ ch
-            return (i, 0, 0, 0), (lhs - rhs)[None]
-        p, q = np.divmod(np.flatnonzero(live_d[i]), nh)
-        bt = B[i].T[col_b[i]]  # the nonzero columns of B[i], as rows
-        lhs = spread_rows(on_h[p, q], product_rows(ch_pq, B[i].T))
-        rhs = spread_rows(col_b[i, p] & on_q[q], product_rows(bt, ch_q).reshape(-1, nh))
-        rhs_q = product_rows(bt, ch_p.reshape(nh, -1)).reshape((len(bt),) + ch_p.shape[1:])
-        rhs_q = rhs_q.transpose(1, 0, 2)
-        rhs += spread_rows(on_p[p] & col_b[i, q], rhs_q.reshape(-1, nh))
-        return (i, p, q, 0), lhs - rhs
-
-    # homomorphism: b([e_i, e_j]) = b(e_i) b(e_j) - b(e_j) b(e_i), residuals [i, j, r, s].
-    # With exactly antisymmetric constants of g both sides negate bit for bit when i and j
-    # swap, so only j >= i is formed.  The terms of row (i, j, r) have the factors cg[i, j],
-    # row r of B[i] and row r of B[j], and are formed as the derivation's are
-    cg = g.structure
     scale2 = (bmax, bmax, max(1.0, float(np.max(np.abs(cg)))))
-    flat = B.reshape(ng, nh * nh)
-    half = not (cg + cg.transpose(1, 0, 2)).any()
-    row_b = B.any(axis=2)  # row_b[i, r]: row r of B[i] has a nonzero entry
-    if row_b.all():  # no B[i] has a zero row, so every row of every slab can be nonzero
-        dense_h, busy_h, zero_h = [True] * ng, range(ng), []
-    else:
-        on_g = cg.any(axis=2)  # on_g[i, j]: cg[i, j, :] has a nonzero entry
-        pairs = row_b & row_b.any(axis=1)[:, None, None]  # row r of B[j] B[i] can be nonzero
-        live_h = on_g[:, :, None] | row_b[:, None]
-        live_h |= pairs
-        start = [i if half else 0 for i in range(ng)]  # slab i forms the rows j >= start[i]
-        count = [np.count_nonzero(live_h[i, s:]) for i, s in enumerate(start)]
-        dense_h, busy_h, zero_h = plan_slabs(count, [(ng - s) * nh for s in start])
-        cols = B.transpose(1, 0, 2).reshape(nh, ng * nh)  # cols[q, (j, s)] = B[j][q, s]
-
-    def homomorphism(i):
-        s = i if half else 0
-        if dense_h[i]:
-            resid = (cg[i, s:] @ flat).reshape(ng - s, nh, nh)
-            commutator = B[i] @ B[s:]
-            commutator -= B[s:] @ B[i]
-            resid -= commutator
-            return (i, s, 0, 0), resid[None]
-        j, r = np.divmod(np.flatnonzero(live_h[i, s:]), nh)
-        on_j = np.flatnonzero(on_g[i, s:])
-        resid = spread_rows(on_g[i, s + j], product_rows(cg[i, s + on_j], flat).reshape(-1, nh))
-        left = product_rows(B[i][row_b[i]], cols[:, s * nh:])  # rows r of B[i] B[j], all j
-        left = left.reshape(len(left), ng - s, nh).transpose(1, 0, 2).reshape(-1, nh)
-        pj, pr = np.nonzero(pairs[i, s:])
-        commutator = spread_rows(row_b[i, r], left)
-        commutator -= spread_rows(pairs[i, s + j, r], product_rows(B[s + pj, pr], B[i]))
-        resid -= commutator
-        return (i, s + j, r, 0), resid
-
+    bt, cols = B.transpose(0, 2, 1), B.transpose(1, 0, 2)  # bt[i] = B[i]^T, cols[t, j] = B[j][t]
+    # derivation: b(e_i)[f_p, f_q] - ([b(e_i) f_p, f_q] + [f_p, b(e_i) f_q]) at [i, p, q, r],
+    # from ch B[i]^T, B[i]^T ch and B[i]^T ch[p]
+    derivation = [(ch, B.transpose(2, 0, 1), 2, False), (bt, ch, 0, False),
+                  (bt, ch.transpose(1, 0, 2), 0, True)]
+    # homomorphism: b([e_i, e_j]) - (b(e_i) b(e_j) - b(e_j) b(e_i)) at [i, j, r, s], from
+    # B[i] B[j], B[j] B[i] and cg B; for j >= i alone when g's constants are exactly
+    # antisymmetric, as both sides then negate bit for bit when i and j swap
+    homomorphism = [(B, cols, 0, True), (B, cols, 2, False), (cg, B, 0, False)]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails with a nan
-        report.record("derivation", *worst_entry(
-            itertools.chain(zero_d, (derivation(i) for i in busy_d))), (scale,))
-        report.record("homomorphism", *worst_entry(
-            itertools.chain(zero_h, (homomorphism(i) for i in busy_h))), scale2)
+        report.record("derivation", *residual_worst(derivation, lambda t: np.subtract(
+            t[0], iadd(t[1], t[2]), out=t[0]), (g.dim, h.dim, h.dim)), (scale,))
+        report.record("homomorphism", *residual_worst(
+            homomorphism, lambda t: isub(t[2], isub(t[0], t[1])), (g.dim, g.dim, h.dim),
+            (exactly_antisymmetric(cg), False)), scale2)
     return report
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import finite_algebras, reference_skew_adjoint, rel_vec_err, relerr
 
-from liecurv import catalog
+from liecurv import algebra, catalog
 from liecurv.algebra import (
     Check,
     DenseBackend,
@@ -16,6 +16,7 @@ from liecurv.algebra import (
     ValidationReport,
     _jacobi_worst,
     bilinear,
+    residual_worst,
     validate,
 )
 from liecurv.errors import DimensionMismatch
@@ -413,3 +414,133 @@ class TestValidate:
         report = validate(MetricAlgebraSpec(structure=c, gram=np.eye(3)))
         assert "FAIL antisymmetry at (0, 1, 2): residual 1.000e+00" in str(report).splitlines()[-1]
         assert all(type(i) is int for issue in report.issues for i in issue.location)
+
+
+#: The axes of a term's full product p[x1, x2, y] that give its rows (i, a, b), by (slot, flip).
+TERM_AXES = {(0, False): (0, 1, 2), (0, True): (0, 2, 1), (1, False): (1, 0, 2),
+             (1, True): (1, 2, 0), (2, False): (2, 0, 1), (2, True): (2, 1, 0)}
+
+
+def _sparse_operands(seed, n=6, m=7, l=3, u_density=0.3, v_density=0.7):
+    """u (n, n, m) with all-zero rows u[x1, x2] and v (m, n, l) with all-zero columns v[:, y]."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((n, n, m)) * (rng.random((n, n, 1)) < u_density)
+    v = rng.standard_normal((m, n, l)) * (rng.random((1, n, 1)) < v_density)
+    return u, v
+
+
+def _term_rows(monkeypatch, u, v, slot, flip, bounded):
+    """The engine's worst entry of one term, the rows it forms as {(i, a, b): row}, the sizes of
+    the products it forms, and the row counts of the blocks of rows formed alone it gives
+    worst_entry, or -1 for a slab formed in full."""
+    rows, sizes, stacks = {}, [], []
+    worst_entry, product_rows = algebra.worst_entry, algebra.product_rows
+
+    def record(blocks):
+        blocks = [(origin, block) for origin, block in blocks]
+        for origin, block in blocks:
+            if block.ndim == 2:  # rows formed alone, as a stack of runs
+                stacks.append(len(block))
+                rows.update({tuple(int(o[r]) for o in origin[:3]): block[r].copy()
+                             for r in range(len(block))})
+            elif block.shape[-1] > 1:  # a full slab; the zero entry has one column
+                i, a0, b0, _ = origin
+                stacks.append(-1)
+                rows.update({(i, a0 + a, b0 + b): block[0, a, b].copy()
+                             for a in range(block.shape[1]) for b in range(block.shape[2])})
+        return worst_entry(blocks)
+
+    monkeypatch.setattr(algebra, "worst_entry", record)
+    monkeypatch.setattr(algebra, "product_rows",
+                        lambda left, right: sizes.append((left @ right).size) or product_rows(left, right))
+    n = len(u)
+    with np.errstate(invalid="ignore"):
+        worst = residual_worst([(u, v, slot, flip)], lambda t: t[0], (n, n, n), bounded)
+    return worst, rows, sizes, stacks
+
+
+def _full_term(u, v, slot, flip):
+    """The term's residual r[i, a, b, :] read off its full product u @ v."""
+    with np.errstate(invalid="ignore"):
+        p = (u @ v.reshape(len(v), -1)).reshape(u.shape[:2] + v.shape[1:])
+    return p.transpose(TERM_AXES[slot, flip] + (3,))
+
+
+def _assert_rows_of_the_full_product(rows, full, bounded):
+    """Every row formed equals the full product's under float.hex (up to the sign of a zero),
+    every row left out is an exact zero of it, and no row out of bounds is formed."""
+    hexes = np.vectorize(lambda x: float.hex(float(x) + 0.0))
+    for (i, a, b), row in rows.items():
+        assert (a >= i or not bounded[0]) and (b >= i or not bounded[1])
+        assert hexes(row).tolist() == hexes(full[i, a, b]).tolist(), (i, a, b)
+    for i, a, b in np.ndindex(full.shape[:3]):
+        if (a >= i or not bounded[0]) and (b >= i or not bounded[1]) and (i, a, b) not in rows:
+            assert (full[i, a, b] == 0).all(), (i, a, b)
+
+
+BOUNDS = [(False, False), (True, True), (True, False), (False, True)]
+
+
+class TestResidualEngine:
+    @pytest.mark.parametrize("bounded", BOUNDS)
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_formed_are_the_full_products(self, monkeypatch, seed, slot, flip, bounded):
+        u, v = _sparse_operands(seed)
+        _, rows, sizes, stacks = _term_rows(monkeypatch, u, v, slot, flip, bounded)
+        _assert_rows_of_the_full_product(rows, _full_term(u, v, slot, flip), bounded)
+        assert max(stacks) > 0, "no row was formed alone"
+        assert max(sizes) <= 6 * 6 * 3  # no product holds more entries than a full slab
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_many_slabs_formed_alone_take_several_chunks(self, monkeypatch, slot):
+        u, v = _sparse_operands(3, n=12, u_density=0.4, v_density=0.6)
+        _, rows, sizes, stacks = _term_rows(monkeypatch, u, v, slot, False, (False, False))
+        _assert_rows_of_the_full_product(rows, _full_term(u, v, slot, False), (False, False))
+        assert sum(k > 0 for k in stacks) > 1 and max(sizes) <= 12 * 12 * 3
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_lone_row_keeps_the_bits_of_the_full_product(self, monkeypatch, slot):
+        # numpy hands a one-row product to gemv, which rounds otherwise than gemm: with
+        # OpenBLAS 0.3.31 these operands give another last bit in gemv
+        u, v = _sparse_operands(0, u_density=1.0, v_density=1.0)
+        u[:] = 0.0
+        u[2, 3] = np.random.default_rng(0).standard_normal(7)
+        _, rows, _, stacks = _term_rows(monkeypatch, u, v, slot, False, (False, False))
+        _assert_rows_of_the_full_product(rows, _full_term(u, v, slot, False), (False, False))
+        assert stacks == [6]  # the row (2, 3) of u against every column of v
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_no_nonzero_row_gives_the_zero_at_the_origin(self, monkeypatch, slot):
+        u, v = _sparse_operands(0)
+        worst, rows, _, _ = _term_rows(monkeypatch, np.zeros_like(u), v, slot, True, (True, True))
+        assert worst == ((0, 0, 0, 0), 0.0) and not rows
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_zero_column_of_v_is_left_out(self, monkeypatch, slot):
+        u, v = _sparse_operands(0, u_density=0.2, v_density=1.0)
+        v[:, 4] = 0.0
+        _, rows, _, stacks = _term_rows(monkeypatch, u, v, slot, False, (False, False))
+        _assert_rows_of_the_full_product(rows, _full_term(u, v, slot, False), (False, False))
+        y = {0: 2, 1: 2, 2: 0}[slot]  # where the y of a row (i, a, b) sits
+        assert -1 not in stacks and rows and not any(key[y] == 4 for key in rows)
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_inf_in_v_forms_the_zero_rows_of_u_as_nan(self, monkeypatch, slot):
+        u, v = _sparse_operands(2)
+        v[1, 3, 0] = np.inf
+        worst, rows, _, _ = _term_rows(monkeypatch, u, v, slot, True, (True, False))
+        full = _full_term(u, v, slot, True)
+        _assert_rows_of_the_full_product(rows, full, (True, False))
+        assert np.isnan(worst[1]) and np.isnan(full).any()
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_inf_in_u_against_a_zero_column_of_v_is_nan(self, monkeypatch, slot):
+        u, v = _sparse_operands(2, u_density=0.2)
+        u[1, 2, 4] = -np.inf
+        v[:, 5] = 0.0
+        worst, rows, _, _ = _term_rows(monkeypatch, u, v, slot, False, (False, False))
+        full = _full_term(u, v, slot, False)
+        _assert_rows_of_the_full_product(rows, full, (False, False))
+        assert np.isnan(worst[1]) and np.isnan(full[..., 0]).any()

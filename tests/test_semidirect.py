@@ -611,7 +611,7 @@ def test_checks_pass_worst_entry_only_the_rows_they_form(monkeypatch):
     # the entries the checks give worst_entry count the rows they form: forming every row,
     # resolving this 32-dimensional magnetic product gave it 1,321,472 entries, and the
     # validation of a dense Gaussian tensor 748,032
-    from liecurv import algebra, semidirect
+    from liecurv import algebra
 
     sizes = []
     original = algebra.worst_entry
@@ -620,7 +620,6 @@ def test_checks_pass_worst_entry_only_the_rows_they_form(monkeypatch):
         return original((origin, sizes.append(block.size) or block) for origin, block in blocks)
 
     monkeypatch.setattr(algebra, "worst_entry", counting)
-    monkeypatch.setattr(semidirect, "worst_entry", counting)
     catalog.resolve_semidirect("magnetic:random-solvable:32:1")
     assert sum(sizes) <= 0.15 * 1_321_472
     sizes.clear()
