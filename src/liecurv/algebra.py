@@ -160,16 +160,6 @@ def exactly_antisymmetric(c: np.ndarray) -> bool:
     return not (c + c.transpose(1, 0, 2)).any()
 
 
-def _transpose_of(x):
-    """``(a, axes)`` with x = a.transpose(axes) for the array a that x views, or (x, (0, 1, 2))."""
-    a, strides = x.base, x.strides
-    if a is not None and a.ndim == 3 and len(set(a.strides + strides)) == 3 == len(set(strides)):
-        axes = tuple(map(a.strides.index, strides))
-        if a.transpose(axes).shape == x.shape:
-            return a, axes
-    return x, (0, 1, 2)
-
-
 def residual_worst(terms, combine, shape, bounded=(False, False), mirror=None):
     """Location (i, a, b, l) and size of the worst entry of a check's residual r[i, a, b, :] of
     the given ``shape``, from ``worst_entry``: ``combine`` adds the arrays of ``terms`` up in
@@ -192,22 +182,21 @@ def residual_worst(terms, combine, shape, bounded=(False, False), mirror=None):
             seen[key] = f()
         return seen[key]
 
-    def whole(x):  # x is finite, x is not all zero: of the array that x transposes
-        a = once(id(x), lambda: _transpose_of(x))[0]
-        return once((id(a),), lambda: (np.isfinite(a).all(), a.any()))
+    def whole(x):  # x is finite, x is not all zero
+        return once((id(x), None), lambda: (np.isfinite(x).all(), x.any()))
 
     def rows_on(x):  # x[p, q] is not all zero
-        a, axes = once(id(x), lambda: _transpose_of(x))
-        rows = once((id(a), axes[2]), lambda: a.any(axis=axes[2]))
-        return rows if axes[0] < axes[1] else rows.T
+        return once((id(x), 2), lambda: x.any(axis=2))
 
     steps, masks, some = [], [], False
     for u, v, slot, flip in terms:  # with the right operand of a full slab's product, which
         u = u.transpose(1, 0, 2) if slot == 1 else u  # forms it in the layout (a, b) if flip
         right = v if slot == 2 else v.transpose(1, 0, 2) if flip else v.reshape(len(v), -1)
-        steps.append(((id(u), id(v), slot == 2), u, v, slot == 2, flip, right))
-        (u_finite, u_any), (v_finite, v_any) = whole(u), whole(v)
-        some |= (u_any or not v_finite) and (v_any or not u_finite)
+        key = (id(u), id(v), slot == 2)
+        share = next((j for j, step in enumerate(steps)  # an earlier term's product, same rows
+                      if step[0] == key and (step[4] == flip or bounded[0] == bounded[1])), None)
+        steps.append((key, u, v, slot == 2, flip, right, share))
+        some = some or ((whole(u)[1] or not whole(v)[0]) and (whole(v)[1] or not whole(u)[0]))
     for _, u, v, *_ in steps if some and ni * na * nb * L > 81 else ():
         u_on = rows_on(u) if whole(v)[0] else np.ones(u.shape[:2], bool)
         v_on = rows_on(v).any(axis=0) if whole(u)[0] else np.ones(v.shape[1], bool)
@@ -218,7 +207,7 @@ def residual_worst(terms, combine, shape, bounded=(False, False), mirror=None):
     full, fi, starts, need = np.full(ni, some), (), [ni], {}
     if masks:
         live = np.zeros(shape, bool)
-        for (u_on, v_on), (*_, in_v, flip, _) in zip(masks, steps):
+        for (u_on, v_on), (_, _, _, in_v, flip, *_) in zip(masks, steps):
             if in_v:
                 live[v_on] |= u_on.T if flip else u_on
             else:
@@ -235,7 +224,7 @@ def residual_worst(terms, combine, shape, bounded=(False, False), mirror=None):
         fa, fb = np.divmod(fa, nb)
     if len(fi):  # chunks of the slabs formed alone; of each product with i in u, the rows
         cost = np.bincount(fi, minlength=ni)  # (i, o) its terms read, and if all read y >= i
-        for (key, u, v, in_v, flip, _), (u_on, _) in zip(steps, masks):
+        for (key, u, v, in_v, flip, *_), (u_on, _) in zip(steps, masks):
             if not in_v:
                 o_bounded, y_bounded = bounded[::-1] if flip else bounded
                 rows = (np.triu(u_on) if o_bounded else u_on) & (cost > 0)[:, None]
@@ -252,24 +241,24 @@ def residual_worst(terms, combine, shape, bounded=(False, False), mirror=None):
 
     def blocks():
         for i in np.flatnonzero(full).tolist():  # full slabs, their products on views
-            lo, formed, t = (i if bounded[0] else 0, i if bounded[1] else 0), {}, []
-            for key, u, v, in_v, flip, right in steps:
-                lo1, lo2 = lo[::-1] if flip else lo  # the bounds on (x1, x2), or on (o, y)
-                if (key, lo1, lo2) not in formed:  # in the layout (a, b) of its first term
-                    left = u[lo1:, lo2:].reshape(-1, u.shape[2]) if in_v else u[i, lo1:]
-                    p = product_rows(left, right[:, i] if in_v else right[lo2:] if flip
-                                     else right[:, lo2 * L:])
-                    formed[key, lo1, lo2] = flip and not in_v, p.reshape(
-                        len(u) - lo1 if in_v else len(p), -1, L)
-                layout, p = formed[key, lo1, lo2]
-                t.append(p if layout == flip else p.transpose(1, 0, 2))
+            lo, t = (i * bounded[0], i * bounded[1]), []
+            for key, u, v, in_v, flip, right, share, *_ in steps:
+                if share is not None:  # read the other way round if the flips differ
+                    t.append(t[share] if steps[share][4] == flip else t[share].transpose(1, 0, 2))
+                    continue
+                lo1, lo2 = (lo[1], lo[0]) if flip else lo  # bounds on (x1, x2), or on (o, y)
+                left = u[lo1:, lo2:].reshape(-1, u.shape[2]) if in_v else u[i, lo1:]
+                p = product_rows(left, right[:, i] if in_v else right[lo2:] if flip
+                                 else right[:, lo2 * L:])
+                p = p.reshape(len(u) - lo1 if in_v else len(p), -1, L)
+                t.append(p.transpose(1, 0, 2) if flip and in_v else p)
             yield (i, *lo, 0), combine(t)[None]
             if mirror is not None and i + 1 < na:
                 yield (i + 1, i, lo[1], 0), mirror([x[i + 1 - lo[0]:] for x in t])[:, None]
         for s0, s1 in zip(starts, starts[1:]):  # chunks, their products on gathered rows
             f = slice(*np.searchsorted(fi, (s0, s1)))
             i, a, b, products, t = fi[f], fa[f], fb[f], {}, []
-            for (key, u, v, in_v, flip, right), (u_on, v_on) in zip(steps, masks):
+            for (key, u, v, in_v, flip, *_), (u_on, v_on) in zip(steps, masks):
                 x, y = (b, a) if flip else (a, b)  # (x1, x2) for i in v, (o, y) for i in u
                 on = np.flatnonzero(u_on[x, y] & v_on[i] if in_v else u_on[i, x] & v_on[y])
                 t.append(np.zeros((len(i), L)))
