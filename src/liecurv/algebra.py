@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import iadd, isub
+from operator import add, iadd, isub
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -138,7 +138,7 @@ def worst_entry(blocks):
         if block.ndim < len(origin):  # a stack of runs: row j[0] starts at origin read at j[0]
             origin = [o[j[0]] if isinstance(o, np.ndarray) else o for o in origin]
             j = [0] * (len(origin) - 1) + j[1:]
-        found.append((tuple(int(o + k) for o, k in zip(origin, j)), worst))
+        found.append((tuple(map(int, map(add, origin, j))), worst))
     nan = [entry for entry in found if entry[1] != entry[1]]
     if nan:
         return min(nan)
@@ -182,21 +182,24 @@ def residual_worst(terms, combine, shape, bounded=(False, False), mirror=None):
             seen[key] = f()
         return seen[key]
 
-    def whole(x):  # x is finite, x is not all zero
-        return once((id(x), None), lambda: (np.isfinite(x).all(), x.any()))
+    def whole(x):  # x is finite, x is not all zero: read off the array x views, if all of it
+        a = x if x.base is None or x.base.size != x.size else x.base
+        return once((id(a), None), lambda: (np.isfinite(a).all(), a.any()))
 
     def rows_on(x):  # x[p, q] is not all zero
         return once((id(x), 2), lambda: x.any(axis=2))
 
-    steps, masks, some = [], [], False
+    steps, masks, some, first = [], [], False, {}
     for u, v, slot, flip in terms:  # with the right operand of a full slab's product, which
         u = u.transpose(1, 0, 2) if slot == 1 else u  # forms it in the layout (a, b) if flip
         right = v if slot == 2 else v.transpose(1, 0, 2) if flip else v.reshape(len(v), -1)
         key = (id(u), id(v), slot == 2)
-        share = next((j for j, step in enumerate(steps)  # an earlier term's product, same rows
-                      if step[0] == key and (step[4] == flip or bounded[0] == bounded[1])), None)
+        j = first.setdefault(key, len(steps))  # an earlier term's product, on the same rows
+        share = j if j < len(steps) and (steps[j][4] == flip or bounded[0] == bounded[1]) else None
         steps.append((key, u, v, slot == 2, flip, right, share))
-        some = some or ((whole(u)[1] or not whole(v)[0]) and (whole(v)[1] or not whole(u)[0]))
+        if not some:
+            (u_finite, u_any), (v_finite, v_any) = whole(u), whole(v)
+            some = (u_any or not v_finite) and (v_any or not u_finite)
     for _, u, v, *_ in steps if some and ni * na * nb * L > 81 else ():
         u_on = rows_on(u) if whole(v)[0] else np.ones(u.shape[:2], bool)
         v_on = rows_on(v).any(axis=0) if whole(u)[0] else np.ones(v.shape[1], bool)
@@ -211,25 +214,25 @@ def residual_worst(terms, combine, shape, bounded=(False, False), mirror=None):
             if in_v:
                 live[v_on] |= u_on.T if flip else u_on
             else:
-                (live.transpose(0, 2, 1) if flip else live)[u_on] |= v_on
+                live |= u_on[:, None, :] & v_on[:, None] if flip else u_on[:, :, None] & v_on
         i = np.arange(ni)[:, None, None]
         if bounded[0]:
             live &= np.arange(na)[:, None] >= i
         if bounded[1]:
             live &= np.arange(nb) >= i
-        rows, i = np.flatnonzero(live), i.ravel()
-        fi = rows // (na * nb)
-        full = 2 * np.bincount(fi, minlength=ni) > (na - bounded[0] * i) * (nb - bounded[1] * i)
-        fi, fa = np.divmod(rows[~full[fi]], na * nb)  # the rows formed alone, in C order
+        i = i.ravel()
+        full = 2 * live.sum(axis=(1, 2)) > (na - bounded[0] * i) * (nb - bounded[1] * i)
+        live[full] = False
+        fi, fa = np.divmod(np.flatnonzero(live), na * nb)  # the rows formed alone, in C order
         fa, fb = np.divmod(fa, nb)
     if len(fi):  # chunks of the slabs formed alone; of each product with i in u, the rows
         cost = np.bincount(fi, minlength=ni)  # (i, o) its terms read, and if all read y >= i
         for (key, u, v, in_v, flip, *_), (u_on, _) in zip(steps, masks):
             if not in_v:
                 o_bounded, y_bounded = bounded[::-1] if flip else bounded
-                rows = (np.triu(u_on) if o_bounded else u_on) & (cost > 0)[:, None]
+                read = (np.triu(u_on) if o_bounded else u_on) & (cost > 0)[:, None]
                 old = need.get(key, (False, True))
-                need[key] = rows | old[0], y_bounded and old[1]
+                need[key] = read | old[0], y_bounded and old[1]
                 cost = np.maximum(cost, need[key][0].sum(axis=1) * v.shape[1])
         starts, total = [], na * nb
         for s in np.flatnonzero(cost).tolist():
@@ -268,11 +271,12 @@ def residual_worst(terms, combine, shape, bounded=(False, False), mirror=None):
                                                 in zip(range(s0, s1), cuts, cuts[1:]) if c1 > c0])
                 elif len(on):
                     if key not in products:  # y >= s0 alone when every term reads y >= i
-                        rows, y_bounded = need[key]
-                        pi, po = np.nonzero(rows[s0:s1])
+                        read, y_bounded = need[key]
+                        pi, po = np.nonzero(read[s0:s1])
                         lo = s0 if y_bounded else 0
-                        p = product_rows(u[pi + s0, po], v.reshape(len(v), -1)[:, lo * L:])
-                        where = rows[s0:s1].cumsum().reshape(s1 - s0, -1) - 1  # gathered rows
+                        flat = once((id(v), 0), lambda: v.reshape(len(v), -1))
+                        p = product_rows(u[pi + s0, po], flat[:, lo * L:])
+                        where = read[s0:s1].cumsum().reshape(s1 - s0, -1) - 1  # gathered rows
                         products[key] = lo, where, p.reshape(len(pi), -1, L)
                     lo, where, p = products[key]
                     t[-1][on] = p[where[i[on] - s0, x[on]], y[on] - lo]
