@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import add, iadd, isub
 from dataclasses import dataclass, field, replace
+from operator import add, iadd, isub
 
 import numpy as np
 
