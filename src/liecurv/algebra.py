@@ -169,11 +169,12 @@ def residual_worst(terms, combine, shape, bounded=(False, False), mirror=None):
     A term ``(u, v, slot, flip)`` reads p[x1, x2, y] = u[x1, x2] @ v[:, y] for u (X1, X2, M) and
     v (M, Y, L): i fills slot ``slot`` (x1, x2, y), and a, b the other two, swapped by ``flip``.
     A row is an exact zero where u[x1, x2] or v[:, y] is all zero and the other operand is
-    finite (0 * inf is nan).  A slab where more than half the rows can be nonzero, and each slab
-    of a residual of at most 81 entries, forms its full products; the others form those rows
-    alone, in chunks within the entries of a full slab, in one gathered product per chunk for i
-    in u and per slab for i in v, each row with its dot products in the full product as far as
-    BLAS rounds one alike wherever it sits (``product_rows``).  Rows left out enter as a zero.
+    finite (0 * inf is nan).  A slab where more than half the rows can be nonzero forms its full
+    products, as does each slab of a residual of at most 81 entries, whose masks would cost more
+    than the rows they leave out; the others form those rows alone, in chunks within the entries
+    of a full slab, in one gathered product per chunk for i in u and per slab for i in v, each
+    row with the dot products of the full product as far as BLAS rounds one alike wherever it
+    sits (``product_rows``).  The rows left out enter ``worst_entry`` as a zero at the origin.
     """
     (ni, na, nb), L, seen = shape, terms[0][1].shape[-1], {}
 
