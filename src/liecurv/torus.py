@@ -8,10 +8,12 @@ positive, first nonzero component > 0; sin(0,0) forbidden) the coefficient
 of cos(k.x) is 2 Re c_k, that of sin(k.x) is -2 Im c_k and the constant is
 c_0.  Products are exact direct convolutions of the grids, formed as BLAS
 matrix products over the grids' nonzero rows and columns (no transform, so no
-transform roundoff), derivatives multiply by i k, and the L^2 metric on
-[0, 2pi)^2 is 4 pi^2 Re <c_f, c_g>, diagonal on canonical modes
-(|1|^2 = 4 pi^2, |cos k|^2 = |sin k|^2 = 2 pi^2).  A vector field stacks
-the grids of its two components as one (2, n, n) array on a common grid.
+transform roundoff): one per element over all their (row, column) pairs when
+there are at most 65, one per nonzero row otherwise.  Derivatives multiply by
+i k, and the L^2 metric on [0, 2pi)^2 is 4 pi^2 Re <c_f, c_g>, diagonal on
+canonical modes (|1|^2 = 4 pi^2, |cos k|^2 = |sin k|^2 = 2 pi^2).  A vector
+field stacks the grids of its two components as one (2, n, n) array on a
+common grid.
 Wavevectors given from outside are bounded by ``MAX_WAVENUMBER``.
 
 Elements stack along leading axes: the grids of a stack of functions are
@@ -34,6 +36,7 @@ which the test suite verifies directly against the L^2 pairing.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -248,6 +251,42 @@ class TrigFunction(_Grid):
         return "TrigFunction(" + " ".join(bits) + ")"
 
 
+#: Most terms of one flattened sum over (R, C) in ``_contract``: the longest
+#: row sum of a product of grids within the wavenumber bound.
+_FLAT_TERMS = 2 * MAX_WAVENUMBER + 1
+
+
+@functools.lru_cache(maxsize=32)
+def _flat_plan(na: int, nb: int, rows: bytes, cols: bytes):
+    """Gather indices of the flattened operands of ``_contract`` for grids of
+    sizes na and nb with nonzero rows R (of a) and columns C (of b), given as
+    the bytes of their intp arrays.
+
+    With n = na + nb - 1, cell (R_i, C_j) of the flattened sum is column
+    i |C| + j of B (rows p = centre .. n - 1, B[p] = b[p - R_i, C_j]) and row
+    i |C| + j of A (columns q = 0 .. n - 1, A[q] = a[R_i, q - C_j]).  The
+    indices point into the flat grids of a and b, or past their last cell,
+    at the zero that ``_with_zero`` appends, where a window leaves the grid.
+    An entry holds 8 |R||C| (2n - centre) bytes: at most 0.2 MB with
+    |R||C| <= 65 and n <= 257 (two products of functions within the bound),
+    so the cache holds at most 6.4 MB.
+    """
+    rows, cols = np.frombuffer(rows, np.intp), np.frombuffer(cols, np.intp)
+    n = na + nb - 1
+    q = np.arange(n) - cols[:, None]  # q - C_j
+    a_cells = np.where((q >= 0) & (q < na), rows[:, None, None] * na + q, na * na)
+    t = np.arange(n // 2, n)[:, None] - rows  # p - R_i
+    b_cells = np.where(((t >= 0) & (t < nb))[..., None], t[..., None] * nb + cols, nb * nb)
+    return a_cells.reshape(-1, n), b_cells.reshape(len(t), -1)
+
+
+def _with_zero(x: np.ndarray) -> np.ndarray:
+    """The grids of the stack x, each flattened, with one zero cell appended."""
+    flat = np.zeros((len(x), x[0].size + 1), complex)
+    flat[:, :-1] = x.reshape(len(x), -1)
+    return flat
+
+
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Convolutions of the stacked grids a[s] and b[s] as stacks of complex
     matrix products.
@@ -257,14 +296,22 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     exact zeros to its sums, but in a matrix product they can move the last
     bits of a rounded sum: elements that share their nonzero rows and columns,
     as a scan's sampled planes do, get their products bit for bit as alone.
-    With n = na + nb - 1, A[s, i1, j2, q] = a[s, i1, q - j2] and
-    B[s, i1, p1, j2] = b[s, p1 - i1, j2] (i1 in R, j2 in C) are windows of
-    zero-padded copies of a[:, R] and b[:, :, C], and out[s, p1, q] is the
-    sum over i1 of (B[s, i1] A[s, i1])[p1, q], added in row order.  Each
-    matrix product sums over C alone, at most 2 * MAX_WAVENUMBER + 1 terms on
-    grids within the wavenumber bound: OpenBLAS adds a sum that short in one
-    block, where it splits a longer one at bounds that move with its thread
-    count.  A and B are formed for as many elements at a time as
+    With n = na + nb - 1, out[s, p1, q] is the sum over i1 in R and j2 in C
+    of b[s, p1 - i1, j2] a[s, i1, q - j2].  OpenBLAS adds a sum of at most
+    2 * MAX_WAVENUMBER + 1 (= 65) terms in one block, where it splits a
+    longer one at bounds that move with its thread count.  So:
+
+    * when |R| |C| <= 65, each element's output rows are one matrix product
+      over the flattened (R, C) sum, of operands gathered from the flat grids
+      by the cached indices of ``_flat_plan``;
+    * otherwise A[s, i1, j2, q] = a[s, i1, q - j2] and B[s, i1, p1, j2] =
+      b[s, p1 - i1, j2] (i1 in R, j2 in C) are windows of zero-padded copies
+      of a[:, R] and b[:, :, C], and out[s, p1, q] is the sum over i1 of
+      (B[s, i1] A[s, i1])[p1, q], added in row order: each matrix product
+      sums over C alone, within 65 terms on grids within the wavenumber
+      bound.
+
+    The operands are formed for as many elements at a time as
     ``STACK_BYTES`` holds.  Rows below the centre of out are left unset: the
     caller mirrors them from the canonical half.
     """
@@ -272,6 +319,15 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = na + nb - 1
     centre = n // 2
     rows, cols = a.any(axis=(0, 2)).nonzero()[0], b.any(axis=(0, 1)).nonzero()[0]
+    out = np.empty((stack, n, n), complex)
+    step = max(1, STACK_BYTES // max(1, 16 * rows.size * cols.size * (2 * n - centre)))
+    if rows.size * cols.size <= _FLAT_TERMS:
+        a_cells, b_cells = _flat_plan(na, nb, rows.tobytes(), cols.tobytes())
+        a_flat, b_flat = _with_zero(a), _with_zero(b)
+        for s in range(0, stack, step):
+            out[s:s + step, centre:] = np.matmul(b_flat[s:s + step].take(b_cells, axis=1),
+                                                 a_flat[s:s + step].take(a_cells, axis=1))
+        return out
     a_pad = np.zeros((stack, rows.size, n + nb - 1), complex)  # a_pad[s, i, t + nb - 1] = a[s, R_i, t]
     a_pad[:, :, nb - 1:n] = a[:, rows]
     b_pad = np.zeros((stack, n + na - 1, cols.size), complex)  # b_pad[s, t + na - 1, j] = b[s, t, C_j]
@@ -279,8 +335,6 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     q = np.arange(n)
     a_window = (nb - 1 - cols)[:, None] + q  # A[s, i] = a_pad[s, i, a_window]
     b_window = (na - 1 + centre - rows)[:, None] + q[:n - centre]  # B[s, i] = b_pad[s, b_window[i]]
-    out = np.empty((stack, n, n), complex)
-    step = max(1, STACK_BYTES // max(1, 16 * rows.size * cols.size * (2 * n - centre)))
     for s in range(0, stack, step):
         products = np.matmul(b_pad[s:s + step].take(b_window, axis=1),
                              a_pad[s:s + step].take(a_window, axis=2))
@@ -311,14 +365,15 @@ def multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
 
     Every output coefficient is a plain sum of products of input coefficients,
     with no transform roundoff.  Finite grids are convolved by complex matrix
-    products, one per nonzero row of f over the nonzero columns of g, added
-    row by row: terms that are structurally zero add an exact 0 and sums of
-    dyadic values are exact, while rounded sums are added in BLAS order within
-    a row.  While g stays within the wavenumber bound, that order does not
-    depend on the BLAS thread count (see ``_contract``).  A grid with a
-    non-finite cell is convolved by shifted copies instead: in a matrix
-    product its inf would meet zero cells of the other grid, and the nan of
-    inf * 0 would replace coefficients that the copies leave at +-inf.  On
+    products over the nonzero rows R of f and the nonzero columns C of g: one
+    per element over the |R| |C| pairs when they are at most 65, and otherwise
+    one per row of R over C, added row by row.  Terms that are structurally
+    zero add an exact 0 and sums of dyadic values are exact, while rounded
+    sums are added in BLAS order.  While g stays within the wavenumber bound,
+    that order does not depend on the BLAS thread count (see ``_contract``).
+    A grid with a non-finite cell is convolved by shifted copies instead: in a
+    matrix product its inf would meet zero cells of the other grid, and the nan
+    of inf * 0 would replace coefficients that the copies leave at +-inf.  On
     stacks (which broadcast) the product is taken element by element, and a
     stack with a non-finite cell picks the method for each element as the
     element alone would.  The canonical half is then mirrored, so

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +301,97 @@ class TestMultiplyKernel:
             again = TrigFunction(f.modes).modes
             assert {k: v.hex() for k, v in again.items()} == {k: v.hex() for k, v in f.modes.items()}
             assert list(again) == list(f.modes) == sorted(f.modes)
+
+
+def _supported(rng, n, rows, cols, stack=(), dyadic=False):
+    """Complex n x n grids, nonzero exactly on the cells of the given rows and columns."""
+    shape = stack + (n, n)
+    if dyadic:
+        parts = [rng.choice((-1.0, -0.5, 0.5, 1.0), shape) for _ in range(2)]
+    else:
+        parts = [rng.standard_normal(shape) for _ in range(2)]
+    mask = np.zeros((n, n), bool)
+    mask[np.ix_(rows, cols)] = True
+    return np.where(mask, parts[0] + 1j * parts[1], 0.0)
+
+
+#: (na, R of a, nb, C of b): |R| |C| terms per output cell, from none to one past the
+#: 2 * MAX_WAVENUMBER + 1 = 65 that one flattened matrix product sums
+FLAT_CASES = {
+    "all-zero a": (5, [], 5, range(5)),
+    "all-zero b": (5, range(5), 5, []),
+    "1x1 constants": (1, [0], 1, [0]),
+    "band 2 by band 2": (5, range(5), 5, range(5)),
+    "sparse rows of a wide grid": (9, [0, 8], 3, [1]),
+    "65 terms": (5, range(5), 13, range(13)),
+    "66 terms": (7, [0, 1, 2, 4, 5, 6], 11, range(11)),
+}
+
+
+class TestFlatKernel:
+    """``_contract`` forms one matrix product per element over the flattened (R, C)
+    sum when |R| |C| <= 65, and one per nonzero row of a otherwise."""
+
+    @pytest.fixture()
+    def plans(self, monkeypatch):
+        calls = []
+        plan = torus._flat_plan
+        monkeypatch.setattr(torus, "_flat_plan", lambda *args: calls.append(args) or plan(*args))
+        return calls
+
+    @pytest.mark.parametrize("dyadic", [False, True], ids=["normal", "dyadic"])
+    @pytest.mark.parametrize("case", FLAT_CASES)
+    def test_matches_shifted_copies(self, case, dyadic, plans):
+        na, rows, nb, cols = FLAT_CASES[case]
+        rng = np.random.default_rng(len(case))
+        a, b = _supported(rng, na, rows, range(na), dyadic=dyadic), \
+            _supported(rng, nb, range(nb), cols, dyadic=dyadic)
+        centre = (na + nb - 1) // 2
+        got = torus._contract(a[None], b[None])[0, centre:]
+        want = torus._shifted_sum(a, b)[centre:]
+        assert bool(plans) == (len(rows) * len(cols) <= 65)
+        assert got.shape == (na + nb - 1 - centre, na + nb - 1)
+        if dyadic:  # every partial sum is exact, in any order
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(initial=0.0)
+
+    @pytest.mark.parametrize("bands", [(2, 2), (2, 6), (3, 5)], ids=["25 terms", "65", "77"])
+    @pytest.mark.parametrize("budget", [torus.STACK_BYTES, 1], ids=["one chunk", "one per chunk"])
+    def test_equal_supports_give_each_element_its_lone_bits(self, bands, budget, monkeypatch):
+        rng = rng_for_seed(47)
+        fs = [random_function(rng, bands[0]) for _ in range(6)]
+        gs = [random_function(rng, bands[1]) for _ in range(6)]
+        alone = [_hex(multiply(f, g).c) for f, g in zip(fs, gs)]
+        monkeypatch.setattr(torus, "STACK_BYTES", budget)
+        stacked = multiply(stack(fs), stack(gs)).c
+        assert [_hex(grid) for grid in stacked] == alone
+
+    def test_plans_are_cached_by_sizes_and_support(self):
+        a = _supported(np.random.default_rng(3), 5, range(5), range(5), stack=(2,))
+        torus._contract(a, a)
+        before = torus._flat_plan.cache_info()
+        torus._contract(2.0 * a, a[::-1])
+        after = torus._flat_plan.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_65_terms_are_independent_of_blas_threads(self):
+        script = (
+            "import numpy as np\n"
+            "from liecurv import torus\n"
+            "rng = np.random.default_rng(5)\n"
+            "a = rng.standard_normal((8, 5, 5)) + 1j * rng.standard_normal((8, 5, 5))\n"
+            "b = rng.standard_normal((8, 13, 13)) + 1j * rng.standard_normal((8, 13, 13))\n"
+            "print([v.hex() for v in torus._contract(a, b)[:, 8:].view(float).ravel().tolist()])\n"
+        )
+        src = str(Path(torus.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestDerivatives:
