@@ -34,9 +34,14 @@ def _combine(basis, coeffs: np.ndarray):
     every c in the row has its sign bit set and +0 elsewhere.  A
     ``torus.ModeBasis`` writes onto its grid."""
     if isinstance(basis, np.ndarray):
-        zero = np.where(np.signbit(coeffs).all(axis=1, keepdims=True), -0.0, 0.0)
-        return np.where(coeffs == 0.0, zero, coeffs)
+        return np.where(coeffs == 0.0, _zero_sum(coeffs)[:, None], coeffs)
     return basis.combine(coeffs)
+
+
+def _zero_sum(coeffs: np.ndarray) -> np.ndarray:
+    """The running sum of c * 0 over each row of ``coeffs``: -0 where every c in
+    the row has its sign bit set, +0 elsewhere."""
+    return np.where(np.signbit(coeffs).all(axis=1), -0.0, 0.0)
 
 
 def random_element(rng, basis):
@@ -113,10 +118,12 @@ def _draw(backend, bases, part, coeffs):
         if part in (None, name):
             return _combine(bases[name], c)
         # drawn one element at a time, the factor a leg leaves out is the running sum of
-        # float(c) * 0 over the row: -0 exactly where every c is negative, which
-        # max(c) * 0 gives on dense and torus zeros alike
+        # float(c) * zero over the row.  On a dense factor that is _zero_sum; a torus
+        # zero times a zero c is +0 (_Grid.__mul__), so a torus factor's real parts are
+        # -0 exactly where every c is negative, which max(c) * zero gives
         zero = getattr(backend, name).zero()
-        return scale(coeffs.max(axis=1), broadcast_to(zero, (len(coeffs),)))
+        s = _zero_sum(coeffs) if isinstance(zero, np.ndarray) else coeffs.max(axis=1)
+        return scale(s, broadcast_to(zero, (len(coeffs),)))
 
     return Pair(factor("g", coeffs[:, :ng]), factor("h", coeffs[:, ng:]))
 

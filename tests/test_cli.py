@@ -915,6 +915,32 @@ class TestSamplePlanes:
             [v.hex() for v in expected.ravel().tolist()]
         assert np.array_equal(np.signbit(combined), np.signbit(expected))
 
+    @pytest.mark.parametrize("selector", ["magnetic:so3:1,2,3", "passive-scalar"])
+    def test_left_out_factor_is_the_running_sum_with_its_signed_zeros(self, selector):
+        backend = catalog.resolve_semidirect(selector)
+        coeffs = np.array([
+            [0.0, -0.0, -1.0],  # np.max meets -0.0 last, yet the running sum is +0
+            [-0.0, 0.0, -1.0],
+            [-1.0, -0.0, -2.0],  # every sign bit set
+            [-1.0, -0.5, -2.0],  # every coefficient negative
+            [-0.0, -0.0, -0.0],
+            [0.0, 0.0, 0.0],
+            [-1.0, 0.5, -2.0],
+        ])
+        basis = backend.g.sample_basis(1)
+        coeffs = np.pad(coeffs, ((0, 0), (0, len(basis) - 3)), mode="edge")  # one c per element
+        drawn = sampling._draw(backend, {"g": basis}, "g", coeffs).y
+
+        def cells(element):
+            grid = element if isinstance(element, np.ndarray) else element.c
+            return [v.hex() for v in np.asarray(grid).view(float).ravel().tolist()]
+
+        for i, row in enumerate(coeffs):
+            total = float(row[0]) * backend.h.zero()
+            for c in row[1:]:
+                total = total + float(c) * backend.h.zero()
+            assert cells(drawn[i]) == cells(total), row
+
 
 class TestGeodesicCommand:
     def test_finite_csv(self, tmp_path, capsys):
