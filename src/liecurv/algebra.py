@@ -291,7 +291,7 @@ def residual_worst(terms, combine, shape, bounded=(False, False), mirror=None):
     return worst_entry(itertools.chain(zero, blocks()))
 
 
-def _jacobi_worst(c: np.ndarray):
+def _jacobi_worst(c: np.ndarray, antisymmetric: bool | None = None):
     """Location (i, j, k) and size of the worst Jacobi residual of finite constants c: the
     cyclic sum resid[i,j,k,l] = d[i,j,k,l] + d[j,k,i,l] + d[k,i,j,l] of the coordinates
     d[i,j,k,l] = sum_m c[i,j,m] c[m,k,l] of [[e_i,e_j],e_k], from ``residual_worst``.
@@ -300,8 +300,11 @@ def _jacobi_worst(c: np.ndarray):
     for bit.  Then only j, k >= i are formed: with a, b, c' the three terms at (i, j, k),
     resid[i,j,k] = (a + b) + c' and resid[j,i,k] = -((a + c') + b), and every other entry
     repeats the size of one of these later in C order.  Other constants keep the full sum.
+    ``antisymmetric`` is ``exactly_antisymmetric(c)``, when the caller has it.
     """
-    if exactly_antisymmetric(c):  # d[i, k, j] = -d[k, i, j], as c[k, i] = -c[i, k]
+    if antisymmetric is None:
+        antisymmetric = exactly_antisymmetric(c)
+    if antisymmetric:  # d[i, k, j] = -d[k, i, j], as c[k, i] = -c[i, k]
         terms = [(c, c, 0, False), (c, c, 2, False), (c, c, 0, True)]
         idx, worst = residual_worst(terms, lambda t: isub(t[0] + t[1], t[2]), c.shape,
                                     (True, True), mirror=lambda t: iadd(t[0] - t[2], t[1]))
@@ -336,9 +339,10 @@ def validate(spec: MetricAlgebraSpec) -> ValidationReport:
     else:
         cmax = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails with a nan
-            report.record("antisymmetry", *worst_entry([((0, 0, 0), c + c.transpose(1, 0, 2))]),
-                          (cmax,))
-            report.record("jacobi", *_jacobi_worst(c), (cmax, cmax))
+            residual = c + c.transpose(1, 0, 2)
+            antisymmetric = not residual.any()
+            report.record("antisymmetry", *worst_entry([((0, 0, 0), residual)]), (cmax,))
+            report.record("jacobi", *_jacobi_worst(c, antisymmetric), (cmax, cmax))
 
     bad = first_non_finite(g)
     if bad is not None:

@@ -415,6 +415,22 @@ class TestValidate:
         assert "FAIL antisymmetry at (0, 1, 2): residual 1.000e+00" in str(report).splitlines()[-1]
         assert all(type(i) is int for issue in report.issues for i in issue.location)
 
+    @pytest.mark.parametrize("case", ["so3", "solvable", "within tolerance", "overflow"])
+    def test_jacobi_check_reads_the_antisymmetry_sum(self, case, monkeypatch):
+        # validate forms c + c^T once, and records what the one-argument Jacobi call gives
+        c = (catalog.random_solvable(16, 3) if case == "solvable" else catalog.so3()).structure.copy()
+        if case == "within tolerance":
+            c[0, 1, 0], c[1, 0, 0] = 1e-11, -1.5e-11
+        if case == "overflow":
+            c[0, 1, 2], c[1, 0, 2] = 1e200, -1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            jacobi = _jacobi_worst(c)
+        monkeypatch.setattr(algebra, "exactly_antisymmetric", lambda c: pytest.fail("c + c^T formed again"))
+        report = validate(MetricAlgebraSpec(structure=c, gram=np.eye(len(c))))
+        check = report.checks[1]
+        assert check.invariant == "jacobi"
+        assert (check.location, check.worst.hex()) == (jacobi[0], jacobi[1].hex())
+
 
 #: The axes of a term's full product p[x1, x2, y] that give its rows (i, a, b), by (slot, flip).
 TERM_AXES = {(0, False): (0, 1, 2), (0, True): (0, 2, 1), (1, False): (1, 0, 2),
