@@ -11,12 +11,17 @@ The input files are written to a temporary directory that is the
 subprocesses' working directory, so argv names them without a path and the
 lines do not depend on where that directory is.  Run the script at two
 commits and diff the outputs: an empty diff means the change left stdout,
-stderr and exit codes byte-identical on this set.
+stderr and exit codes byte-identical on this set.  With ``--save DIR``, the
+stdout of the invocation on line i (counted from 1) is also written to
+``DIR/NNN.out`` (i zero-padded to three digits), so that the outputs behind
+lines that moved can be compared number by number.
 
 Usage:
     python scripts/cli_digest.py > digest.txt
+    python scripts/cli_digest.py --save outputs/ > digest.txt
 """
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -437,7 +442,13 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Digest of the CLI's output on a fixed set of invocations.")
+    parser.add_argument("--save", metavar="DIR", type=Path,
+                        help="also write each invocation's stdout to DIR/NNN.out")
+    save = parser.parse_args(argv).save
+    if save is not None:
+        save.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = "0"
     env["PYTHONPATH"] = os.pathsep.join(
@@ -450,9 +461,11 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="cli_digest_") as work:
         for name, text in FILES.items():
             Path(work, name).write_text(text)
-        for args, shown in runs:
+        for line, (args, shown) in enumerate(runs, 1):
             proc = subprocess.run([sys.executable, *args], cwd=work, env=env,
                                   capture_output=True, check=False)
+            if save is not None:
+                (save / f"{line:03d}.out").write_bytes(proc.stdout)
             print(_sha256(proc.stdout), _sha256(proc.stderr), proc.returncode, " ".join(shown),
                   flush=True)
     return 0
