@@ -442,11 +442,11 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main(argv=None) -> int:
+def main() -> int:
     parser = argparse.ArgumentParser(description="Digest of the CLI's output on a fixed set of invocations.")
     parser.add_argument("--save", metavar="DIR", type=Path,
                         help="also write each invocation's stdout to DIR/NNN.out")
-    save = parser.parse_args(argv).save
+    save = parser.parse_args().save
     if save is not None:
         save.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ)
