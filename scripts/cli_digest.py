@@ -427,6 +427,11 @@ CLI_INVOCATIONS = [
     # stacked dense scans: the five-term numerator, and the expansion over a non-abelian h
     ["scan", "--algebra", "random-solvable:16:2", "--seed", "1", "--count", "20"],
     ["scan", "--semidirect", "conjugation:random-solvable:8:1", "--seed", "1", "--count", "20"],
+    # torus geodesics at the default --support-cap of 16, whose products reach past it
+    ["geodesic", "--algebra", "torus-vol", "--state-file", "torus_state.cfg", "--dt", "0.01",
+     "--steps", "3", "--scheme", "rk4", "--format", "jsonl"],
+    ["geodesic", "--semidirect", "mhd", "--state-file", "torus_mhd_state.cfg", "--dt", "0.01",
+     "--steps", "2", "--scheme", "rk4", "--format", "jsonl"],
 ]
 
 #: Scripts under ``scripts/`` with their arguments.
