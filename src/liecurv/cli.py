@@ -230,11 +230,14 @@ def _run_scan(args) -> int:
 def _run_geodesic(args) -> int:
     backend = _resolve_backend(args)
     state = configio.load_state_file(args.state_file, backend)
-    rhs = geodesic_rhs(backend)
-    if not finite_dimensional(backend):
+    if finite_dimensional(backend):
+        rhs = geodesic_rhs(backend)
+    else:
         if args.format == "csv":  # refused before the run, not after it
             raise ConfigError("CSV trajectories need finite coordinates; use jsonl for torus runs")
-        rhs = torus.capped_rhs(rhs, args.support_cap)
+        # a copy of the backend whose products form only the modes the cap keeps
+        capped = type(backend)(cap=args.support_cap)
+        rhs = torus.capped_rhs(geodesic_rhs(capped), args.support_cap)
         print(
             f"note: torus run truncated at |k|_inf <= {args.support_cap}; "
             "experimental, not the exact geodesic flow",

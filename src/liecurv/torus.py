@@ -257,17 +257,17 @@ _FLAT_TERMS = 2 * MAX_WAVENUMBER + 1
 
 
 @functools.lru_cache(maxsize=32)
-def _flat_plan(na: int, nb: int, rows: bytes, cols: bytes):
+def _flat_plan(na: int, nb: int, rows: bytes, cols: bytes, half: int):
     """Gather indices of the flattened operands of ``_contract`` for grids of
     sizes na and nb with nonzero rows R (of a) and columns C (of b), given as
-    the bytes of their intp arrays.
+    the bytes of their intp arrays, and output rows of half-width ``half``.
 
     With n = na + nb - 1, cell (R_i, C_j) of the flattened sum is column
-    i |C| + j of B (rows p = centre .. n - 1, B[p] = b[p - R_i, C_j]) and row
-    i |C| + j of A (columns q = 0 .. n - 1, A[q] = a[R_i, q - C_j]).  The
-    indices point into the flat grids of a and b, or past their last cell,
+    i |C| + j of B (rows p = centre .. centre + half, B[p] = b[p - R_i, C_j])
+    and row i |C| + j of A (columns q = 0 .. n - 1, A[q] = a[R_i, q - C_j]).
+    The indices point into the flat grids of a and b, or past their last cell,
     at the zero that ``_with_zero`` appends, where a window leaves the grid.
-    An entry holds 8 |R||C| (2n - centre) bytes: at most 0.2 MB with
+    An entry holds 8 |R||C| (n + half + 1) bytes: at most 0.2 MB with
     |R||C| <= 65 and n <= 257 (two products of functions within the bound),
     so the cache holds at most 6.4 MB.
     """
@@ -275,7 +275,7 @@ def _flat_plan(na: int, nb: int, rows: bytes, cols: bytes):
     n = na + nb - 1
     q = np.arange(n) - cols[:, None]  # q - C_j
     a_cells = np.where((q >= 0) & (q < na), rows[:, None, None] * na + q, na * na)
-    t = np.arange(n // 2, n)[:, None] - rows  # p - R_i
+    t = np.arange(n // 2, n // 2 + half + 1)[:, None] - rows  # p - R_i
     b_cells = np.where(((t >= 0) & (t < nb))[..., None], t[..., None] * nb + cols, nb * nb)
     return a_cells.reshape(-1, n), b_cells.reshape(len(t), -1)
 
@@ -287,9 +287,10 @@ def _with_zero(x: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _contract(a: np.ndarray, b: np.ndarray, cap=None) -> np.ndarray:
     """Convolutions of the stacked grids a[s] and b[s] as stacks of complex
-    matrix products.
+    matrix products, formed only on the rows of wavenumber at most ``cap``
+    (every row when it is None).
 
     Only the rows R of a and the columns C of b that hold a nonzero cell in
     some element take part.  The rows and columns that one element lacks add
@@ -311,22 +312,27 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
       sums over C alone, within 65 terms on grids within the wavenumber
       bound.
 
-    The operands are formed for as many elements at a time as
-    ``STACK_BYTES`` holds.  Rows below the centre of out are left unset: the
-    caller mirrors them from the canonical half.
+    Of out, only the 2 half + 1 rows p1 within half = min(cap, centre) of
+    the centre are kept, and only their canonical half is formed.  The
+    operands are formed for as many elements at a time as ``STACK_BYTES``
+    holds.  Rows below the centre of out are left unset: the caller mirrors
+    them from the canonical half.
     """
     stack, na, nb = a.shape[0], a.shape[-1], b.shape[-1]
     n = na + nb - 1
     centre = n // 2
+    half = centre if cap is None else min(cap, centre)
+    # OpenBLAS forms a product of one row as a matrix-vector product, which adds in another order
+    formed = min(max(half, 1), centre)
     rows, cols = a.any(axis=(0, 2)).nonzero()[0], b.any(axis=(0, 1)).nonzero()[0]
-    out = np.empty((stack, n, n), complex)
-    step = max(1, STACK_BYTES // max(1, 16 * rows.size * cols.size * (2 * n - centre)))
+    out = np.empty((stack, 2 * half + 1, n), complex)
+    step = max(1, STACK_BYTES // max(1, 16 * rows.size * cols.size * (n + formed + 1)))
     if rows.size * cols.size <= _FLAT_TERMS:
-        a_cells, b_cells = _flat_plan(na, nb, rows.tobytes(), cols.tobytes())
+        a_cells, b_cells = _flat_plan(na, nb, rows.tobytes(), cols.tobytes(), formed)
         a_flat, b_flat = _with_zero(a), _with_zero(b)
         for s in range(0, stack, step):
-            out[s:s + step, centre:] = np.matmul(b_flat[s:s + step].take(b_cells, axis=1),
-                                                 a_flat[s:s + step].take(a_cells, axis=1))
+            out[s:s + step, half:] = np.matmul(b_flat[s:s + step].take(b_cells, axis=1),
+                                               a_flat[s:s + step].take(a_cells, axis=1))[:, :half + 1]
         return out
     a_pad = np.zeros((stack, rows.size, n + nb - 1), complex)  # a_pad[s, i, t + nb - 1] = a[s, R_i, t]
     a_pad[:, :, nb - 1:n] = a[:, rows]
@@ -334,11 +340,11 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b_pad[:, na - 1:n] = b[:, :, cols]
     q = np.arange(n)
     a_window = (nb - 1 - cols)[:, None] + q  # A[s, i] = a_pad[s, i, a_window]
-    b_window = (na - 1 + centre - rows)[:, None] + q[:n - centre]  # B[s, i] = b_pad[s, b_window[i]]
+    b_window = (na - 1 + centre - rows)[:, None] + q[:formed + 1]  # B[s, i] = b_pad[s, b_window[i]]
     for s in range(0, stack, step):
         products = np.matmul(b_pad[s:s + step].take(b_window, axis=1),
                              a_pad[s:s + step].take(a_window, axis=2))
-        out[s:s + step, centre:] = products.sum(axis=1)
+        out[s:s + step, half:] = products.sum(axis=1)[:, :half + 1]
     return out
 
 
@@ -379,20 +385,39 @@ def multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
     element alone would.  The canonical half is then mirrored, so
     c_{-k} = conj(c_k) holds exactly.
     """
-    a, b = _broadcast(f.c, g.c)
+    return TrigFunction._of(_convolve(f.c, g.c))
+
+
+def _convolve(a: np.ndarray, b: np.ndarray, cap=None) -> np.ndarray:
+    """The grids of ``multiply``, with its modes of |k|_inf above ``cap`` (when
+    given) never formed by the matrix products."""
+    a, b = _broadcast(a, b)
     stack = a.shape[:-2]
     a, b = a.reshape((-1,) + a.shape[-2:]), b.reshape((-1,) + b.shape[-2:])
+    centre = a.shape[-1] // 2 + b.shape[-1] // 2
+    half = centre if cap is None else min(cap, centre)
     # inf and nan propagate without warnings, as in Python float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
         if _finite(a, b):
-            out = _contract(a, b)
+            out = _contract(a, b, cap)
         else:
-            out = np.array([_contract(x[None], y[None])[0] if _finite(x, y) else _shifted_sum(x, y)
+            out = np.array([_contract(x[None], y[None], cap)[0] if _finite(x, y)
+                            else _shifted_sum(x, y)[centre - half:centre + half + 1]
                             for x, y in zip(a, b)])
         flat, mid = out.reshape(len(out), -1), out[0].size // 2
         flat[:, :mid] = np.conj(flat[:, :mid:-1])
     flat[:, mid] = flat[:, mid].real
-    return TrigFunction._of(out.reshape(stack + out.shape[-2:]))
+    if half < centre:
+        out = np.ascontiguousarray(out[..., centre - half:centre + half + 1])
+    return out.reshape(stack + out.shape[-2:])
+
+
+def _product(f: TrigFunction, g: TrigFunction, cap=None) -> TrigFunction:
+    """``multiply(f, g)``, or under a cap the product's modes with |k|_inf <= cap,
+    formed without the others."""
+    if cap is None:
+        return multiply(f, g)
+    return TrigFunction._of(_convolve(f.c, g.c, cap))
 
 
 def _grid_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -479,10 +504,10 @@ def grad(f: TrigFunction) -> TrigVectorField:
     return TrigVectorField(f.partial(0), f.partial(1))
 
 
-def _summed_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _summed_products(a: np.ndarray, b: np.ndarray, cap=None) -> np.ndarray:
     """Grids of a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1], the pairs stacked
-    on axis -3 (which broadcasts): one ``multiply`` for every product."""
-    p = multiply(TrigFunction._of(a), TrigFunction._of(b)).c
+    on axis -3 (which broadcasts): one ``_product`` for every product."""
+    p = _product(TrigFunction._of(a), TrigFunction._of(b), cap).c
     return p[..., 0, :, :] + p[..., 1, :, :]
 
 
@@ -492,31 +517,35 @@ def _partials(f: _Grid) -> np.ndarray:
     return np.stack([grids.partial(0).c, grids.partial(1).c], axis=-3)
 
 
-def scalar_derivative(x: TrigVectorField, f: TrigFunction) -> TrigFunction:
+# The operators below that form products take an optional ``cap``: when it is
+# given, their products form only the modes with |k|_inf <= cap (``_product``).
+
+
+def scalar_derivative(x: TrigVectorField, f: TrigFunction, cap=None) -> TrigFunction:
     """Derivative X(f) = sum_j X_j d_j f of a function along a vector field."""
-    return TrigFunction._of(_summed_products(x.c, _partials(f)))
+    return TrigFunction._of(_summed_products(x.c, _partials(f), cap))
 
 
-def directional_derivative(x: TrigVectorField, y: TrigVectorField) -> TrigVectorField:
+def directional_derivative(x: TrigVectorField, y: TrigVectorField, cap=None) -> TrigVectorField:
     """Flat covariant derivative nabla_X Y: component i is sum_j X_j d_j Y_i."""
-    return TrigVectorField._of(_summed_products(x.c[..., None, :, :, :], _partials(y)))
+    return TrigVectorField._of(_summed_products(x.c[..., None, :, :, :], _partials(y), cap))
 
 
-def jacobian_transpose_apply(x: TrigVectorField, y: TrigVectorField) -> TrigVectorField:
+def jacobian_transpose_apply(x: TrigVectorField, y: TrigVectorField, cap=None) -> TrigVectorField:
     """(grad X)^T Y: component i is sum_j (d_i X_j) Y_j."""
     return TrigVectorField._of(_summed_products(np.swapaxes(_partials(x), -3, -4),
-                                                y.c[..., None, :, :, :]))
+                                                y.c[..., None, :, :, :], cap))
 
 
-def scale_field(f: TrigFunction, x: TrigVectorField) -> TrigVectorField:
-    """Pointwise product f X, both components in one ``multiply``."""
-    product = multiply(TrigFunction._of(f.c[..., None, :, :]), TrigFunction._of(x.c))
+def scale_field(f: TrigFunction, x: TrigVectorField, cap=None) -> TrigVectorField:
+    """Pointwise product f X, both components in one ``_product``."""
+    product = _product(TrigFunction._of(f.c[..., None, :, :]), TrigFunction._of(x.c), cap)
     return TrigVectorField._of(product.c)
 
 
-def jacobi_lie_bracket(x: TrigVectorField, y: TrigVectorField) -> TrigVectorField:
+def jacobi_lie_bracket(x: TrigVectorField, y: TrigVectorField, cap=None) -> TrigVectorField:
     """Geometric vector-field bracket nabla_X Y - nabla_Y X on the flat torus."""
-    return directional_derivative(x, y) - directional_derivative(y, x)
+    return directional_derivative(x, y, cap) - directional_derivative(y, x, cap)
 
 
 def leray_project(x: TrigVectorField) -> TrigVectorField:
@@ -556,18 +585,18 @@ def _require_divergence_free(*fields: TrigVectorField):
             f._unchecked = ()
 
 
-def ad_transpose_vol(x: TrigVectorField, y: TrigVectorField) -> TrigVectorField:
+def ad_transpose_vol(x: TrigVectorField, y: TrigVectorField, cap=None) -> TrigVectorField:
     """Adjoint of ad(X) on divergence-free fields: P(nabla_X Y + (grad X)^T Y)."""
     _require_divergence_free(x, y)
-    return leray_project(directional_derivative(x, y) + jacobian_transpose_apply(x, y))
+    return leray_project(directional_derivative(x, y, cap) + jacobian_transpose_apply(x, y, cap))
 
 
-def ad_transpose_full(x: TrigVectorField, y: TrigVectorField) -> TrigVectorField:
+def ad_transpose_full(x: TrigVectorField, y: TrigVectorField, cap=None) -> TrigVectorField:
     """Adjoint of ad(X) on all fields: nabla_X Y + (div X) Y + (grad X)^T Y."""
     return (
-        directional_derivative(x, y)
-        + scale_field(x.divergence(), y)
-        + jacobian_transpose_apply(x, y)
+        directional_derivative(x, y, cap)
+        + scale_field(x.divergence(), y, cap)
+        + jacobian_transpose_apply(x, y, cap)
     )
 
 
@@ -577,7 +606,15 @@ def ad_transpose_full(x: TrigVectorField, y: TrigVectorField) -> TrigVectorField
 
 
 class _FieldBackend:
-    """Shared interface bits for vector-field backends."""
+    """Shared interface bits for vector-field backends.
+
+    Built with a ``cap``, a backend's products form only the modes with
+    |k|_inf <= cap, as a geodesic truncated at that cap keeps; by default
+    they form every mode.
+    """
+
+    def __init__(self, cap=None):
+        self.cap = cap
 
     def zero(self) -> TrigVectorField:
         return TrigVectorField.zero()
@@ -590,7 +627,7 @@ class _FieldBackend:
 
     def bracket(self, x, y) -> TrigVectorField:
         # algebra bracket = minus the Jacobi-Lie bracket (right-invariant convention)
-        return -jacobi_lie_bracket(x, y)
+        return -jacobi_lie_bracket(x, y, self.cap)
 
 
 class VolumeFieldBackend(_FieldBackend):
@@ -599,7 +636,7 @@ class VolumeFieldBackend(_FieldBackend):
     name = "torus-vol"
 
     def ad_transpose(self, x, y) -> TrigVectorField:
-        return ad_transpose_vol(x, y)
+        return ad_transpose_vol(x, y, self.cap)
 
     def sample_basis(self, band: int = 2):
         return divergence_free_modes(band)
@@ -611,7 +648,7 @@ class FullFieldBackend(_FieldBackend):
     name = "torus-full"
 
     def ad_transpose(self, x, y) -> TrigVectorField:
-        return ad_transpose_full(x, y)
+        return ad_transpose_full(x, y, self.cap)
 
     def sample_basis(self, band: int = 2):
         return full_field_modes(band)
@@ -675,18 +712,19 @@ class PassiveScalarBackend(SemidirectBackendBase):
     name = "passive-scalar"
     isometric = True
 
-    def __init__(self):
-        self.g = VolumeFieldBackend()
+    def __init__(self, cap=None):
+        self.cap = cap
+        self.g = VolumeFieldBackend(cap)
         self.h = FunctionSpaceBackend()
 
     def b(self, x, f) -> TrigFunction:
-        return -scalar_derivative(x, f)
+        return -scalar_derivative(x, f, self.cap)
 
     def b_transpose(self, x, f) -> TrigFunction:
-        return scalar_derivative(x, f)
+        return scalar_derivative(x, f, self.cap)
 
     def h_map(self, f1, f2) -> TrigVectorField:
-        return -leray_project(scale_field(f2, grad(f1)))
+        return -leray_project(scale_field(f2, grad(f1), self.cap))
 
 
 class CompressibleScalarBackend(SemidirectBackendBase):
@@ -695,18 +733,19 @@ class CompressibleScalarBackend(SemidirectBackendBase):
     name = "compressible"
     isometric = False
 
-    def __init__(self):
-        self.g = FullFieldBackend()
+    def __init__(self, cap=None):
+        self.cap = cap
+        self.g = FullFieldBackend(cap)
         self.h = FunctionSpaceBackend()
 
     def b(self, x, f) -> TrigFunction:
-        return -scalar_derivative(x, f)
+        return -scalar_derivative(x, f, self.cap)
 
     def b_transpose(self, x, f) -> TrigFunction:
-        return scalar_derivative(x, f) + multiply(f, x.divergence())
+        return scalar_derivative(x, f, self.cap) + _product(f, x.divergence(), self.cap)
 
     def h_map(self, f1, f2) -> TrigVectorField:
-        return -scale_field(f2, grad(f1))
+        return -scale_field(f2, grad(f1), self.cap)
 
 
 class MhdBackend(SemidirectBackendBase):
@@ -720,18 +759,19 @@ class MhdBackend(SemidirectBackendBase):
     name = "mhd"
     isometric = False
 
-    def __init__(self):
-        self.g = VolumeFieldBackend()
+    def __init__(self, cap=None):
+        self.cap = cap
+        self.g = VolumeFieldBackend(cap)
         self.h = FieldRepSpaceBackend()
 
     def b(self, x, y) -> TrigVectorField:
-        return -ad_transpose_vol(x, y)
+        return -ad_transpose_vol(x, y, self.cap)
 
     def b_transpose(self, x, y) -> TrigVectorField:
         return -self.g.bracket(x, y)
 
     def h_map(self, y1, y2) -> TrigVectorField:
-        return ad_transpose_vol(y2, y1)
+        return ad_transpose_vol(y2, y1, self.cap)
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,108 @@ class TestFlatKernel:
         assert outputs[0] == outputs[1]
 
 
+def _half_width(f, g) -> int:
+    """Half-width of the grid of the uncapped product of f and g."""
+    return f.c.shape[-1] // 2 + g.c.shape[-1] // 2
+
+
+def assert_capped_product(f, g, cap):
+    """The product of f and g under the cap is ``multiply(f, g).truncated(cap)``,
+    on the same grid and bit for bit."""
+    got, want = torus._product(f, g, cap).c, multiply(f, g).truncated(cap).c
+    assert got.shape == want.shape
+    assert _hex(got) == _hex(want)
+
+
+class TestCappedKernel:
+    """Products under a cap form only the modes with |k|_inf <= cap."""
+
+    @pytest.mark.parametrize("below", [None, 0, 1, 4], ids=["cap 0", "half-width", "one below",
+                                                           "four below"])
+    @pytest.mark.parametrize("name, f, g, kind", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+    def test_matches_the_truncated_product(self, name, f, g, kind, below):
+        cap = 0 if below is None else max(0, _half_width(f, g) - below)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_capped_product(f, g, cap)
+            assert_capped_product(g, f, cap)
+
+    @pytest.mark.parametrize("cap", [5, 6, 7, MAX], ids=["between", "at half-width", "above", "MAX"])
+    def test_operands_narrower_than_the_cap(self, cap):
+        rng = rng_for_seed(53)
+        f, g = random_function(rng, 2), random_function(rng, 4)
+        assert_capped_product(f, g, cap)
+        if cap >= _half_width(f, g):  # no mode to drop: the product itself
+            assert _hex(torus._product(f, g, cap).c) == _hex(multiply(f, g).c)
+
+    def test_cap_zero_keeps_the_mean(self):
+        rng = rng_for_seed(59)
+        f, g = random_function(rng, 3), random_function(rng, 2)
+        mean = torus._product(f, g, 0)
+        assert mean.c.shape == (1, 1)
+        assert relerr(mean.c[0, 0].real, function_inner(f, g) / (4 * math.pi**2)) <= 1e-14
+        assert mean.c[0, 0].imag == 0.0
+
+    @pytest.mark.parametrize("case", ["band 2 by band 2", "65 terms", "66 terms"])
+    @pytest.mark.parametrize("cap", [0, 2, 5])
+    def test_both_kernels_match_the_full_contraction(self, case, cap):
+        na, rows, nb, cols = FLAT_CASES[case]
+        rng = np.random.default_rng(len(case) + cap)
+        a, b = _supported(rng, na, rows, range(na), stack=(3,)), \
+            _supported(rng, nb, range(nb), cols, stack=(3,))
+        centre = (na + nb - 1) // 2
+        half = min(cap, centre)
+        got = torus._contract(a, b, cap)[:, half:]
+        want = torus._contract(a, b)[:, centre:centre + half + 1]
+        assert got.shape == want.shape
+        assert _hex(got) == _hex(want)
+
+    @pytest.mark.parametrize("bands", [(2, 2), (2, 6), (3, 5)], ids=["25 terms", "65", "77"])
+    @pytest.mark.parametrize("budget", [torus.STACK_BYTES, 1], ids=["one chunk", "one per chunk"])
+    def test_stacks_give_each_element_its_lone_bits(self, bands, budget, monkeypatch):
+        rng = rng_for_seed(61)
+        fs = [random_function(rng, bands[0]) for _ in range(5)]
+        gs = [random_function(rng, bands[1]) for _ in range(5)]
+        cap = sum(bands) - 2
+        alone = [_hex(torus._product(f, g, cap).c) for f, g in zip(fs, gs)]
+        monkeypatch.setattr(torus, "STACK_BYTES", budget)
+        stacked = torus._product(stack(fs), stack(gs), cap).c
+        assert stacked.shape == (5, 2 * cap + 1, 2 * cap + 1)
+        assert [_hex(grid) for grid in stacked] == alone
+
+    def test_non_finite_grids_are_truncated_after_the_shifted_copies(self):
+        rng = rng_for_seed(67)
+        fs = [random_function(rng, 2), TrigFunction({(1, 2, COS): math.inf, (2, 0, SIN): 2.0}),
+              random_function(rng, 2)]
+        gs = [random_function(rng, 3) for _ in range(3)]
+        stacked = torus._product(stack(fs), stack(gs), 3).c
+        assert stacked.shape == (3, 7, 7)
+        for grid, f, g in zip(stacked, fs, gs):
+            assert _hex(grid) == _hex(torus._product(f, g, 3).c)
+            assert_capped_product(f, g, 3)
+        assert not np.isfinite(stacked[1]).all()
+
+    def test_capped_product_is_independent_of_blas_threads(self):
+        script = (
+            "import numpy as np\n"
+            "from liecurv import torus\n"
+            "rng = np.random.default_rng(7)\n"
+            "for na, nb in ((5, 13), (9, 13)):\n"
+            "    a = rng.standard_normal((4, na, na)) + 1j * rng.standard_normal((4, na, na))\n"
+            "    b = rng.standard_normal((4, nb, nb)) + 1j * rng.standard_normal((4, nb, nb))\n"
+            "    out = torus._convolve(a, b, 6)\n"
+            "    print([v.hex() for v in out.view(float).ravel().tolist()])\n"
+        )
+        src = str(Path(torus.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+
 class TestDerivatives:
     def test_partial_of_cos(self):
         f = TrigFunction.mode(COS, (2, 0), 3.0)
