@@ -16,13 +16,20 @@ stdout of the invocation on line i (counted from 1) is also written to
 ``DIR/NNN.out`` (i zero-padded to three digits), so that the outputs behind
 lines that moved can be compared number by number.
 
+With ``--compare DIR_A DIR_B``, no invocation is run: the stdouts saved in
+two such directories are compared, and each line whose stdout differs is
+reported number by number (see ``compare``).
+
 Usage:
     python scripts/cli_digest.py > digest.txt
     python scripts/cli_digest.py --save outputs/ > digest.txt
+    python scripts/cli_digest.py --compare parent_outputs/ change_outputs/
 """
 
 import argparse
 import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
@@ -447,11 +454,130 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _number(value):
+    """value as a float when it is a number (not a bool), else None."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return None
+
+
+def _json_cells(value, path=()):
+    """{key: value} of the cells of a parsed JSONL record.  A mode row, a list
+    whose first entry is a parity name, ``[parity, k1, k2, coefficient, ...]``,
+    is one cell keyed by the row without its coefficient, so that modes match
+    by wavevector and component; any other list is keyed by position."""
+    if isinstance(value, dict):
+        return {k: v for key, item in value.items() for k, v in _json_cells(item, path + (key,)).items()}
+    if isinstance(value, list):
+        cells = {}
+        for i, item in enumerate(value):
+            if isinstance(item, list) and item and isinstance(item[0], str) and len(item) >= 4:
+                cells[path + (tuple(item[:3]) + tuple(item[4:]),)] = item[3]
+            else:
+                cells.update(_json_cells(item, path + (i,)))
+        return cells
+    return {path: value}
+
+
+def _csv_cells(row: str) -> dict:
+    cells = {}
+    for i, text in enumerate(row.split(",")):
+        try:
+            cells[(i,)] = float(text)
+        except ValueError:
+            cells[(i,)] = text
+    return cells
+
+
+def _records(text: str) -> list:
+    """The cells of each record of an output: one JSONL line or CSV row each."""
+    out = []
+    for line in text.splitlines():
+        try:
+            out.append(_json_cells(json.loads(line)))
+        except ValueError:
+            out.append(_csv_cells(line))
+    return out
+
+
+def compare(text_a: str, text_b: str) -> dict:
+    """Number-by-number comparison of two outputs of one invocation.
+
+    Records pair up in order, and their cells by key.  A mode printed on one
+    side only counts as 0.0 on the other; a record on one side only has every
+    cell there.  A cell moves when its bits differ.  A record's scale is the
+    largest finite |value| among its numeric cells on either side, and a cell
+    counts as above it when max(|a|, |b|) > 1e-12 of it.  Returns the counts
+    of numeric cells, moved cells and other cells (text) that changed, the
+    largest relative change |b - a| / max(|a|, |b|) of a cell above its
+    record's scale, the largest |b - a| over the record's scale, the sign
+    changes among cells above it, and the modes printed on one side only.
+    """
+    records_a, records_b = _records(text_a), _records(text_b)
+    result = {"numeric": 0, "moved": 0, "text": 0, "relative": 0.0, "of_record": 0.0,
+              "signs": 0, "one_side": 0}
+    for i in range(max(len(records_a), len(records_b))):
+        a = records_a[i] if i < len(records_a) else {}
+        b = records_b[i] if i < len(records_b) else {}
+        pairs = []
+        for key in dict.fromkeys([*a, *b]):
+            x, y = _number(a.get(key, 0.0)), _number(b.get(key, 0.0))
+            if x is None or y is None:
+                result["text"] += a.get(key) != b.get(key)
+                continue
+            result["one_side"] += (key in a) != (key in b) and isinstance(key[-1], tuple)
+            pairs.append((x, y))
+        finite = [abs(v) for pair in pairs for v in pair if math.isfinite(v)]
+        scale = max(finite, default=0.0)
+        result["numeric"] += len(pairs)
+        for x, y in pairs:
+            if x.hex() == y.hex():
+                continue
+            result["moved"] += 1
+            size = max(abs(x), abs(y))
+            change = abs(y - x)
+            if scale > 0.0 and size > 1e-12 * scale:
+                result["relative"] = max(result["relative"], change / size)
+                result["signs"] += (x > 0.0) != (y > 0.0) or (x < 0.0) != (y < 0.0)
+            if scale > 0.0:
+                result["of_record"] = max(result["of_record"], change / scale)
+    return result
+
+
+def _report(dir_a: Path, dir_b: Path) -> int:
+    """Print one line per saved stdout that differs between the two directories."""
+    shown = [" ".join(argv) for argv in CLI_INVOCATIONS + SCRIPT_INVOCATIONS]
+    names = sorted({p.name for p in dir_a.glob("*.out")} | {p.name for p in dir_b.glob("*.out")})
+    moved = 0
+    for name in names:
+        path_a, path_b = dir_a / name, dir_b / name
+        text_a = path_a.read_text() if path_a.exists() else ""
+        text_b = path_b.read_text() if path_b.exists() else ""
+        if text_a == text_b:
+            continue
+        moved += 1
+        r = compare(text_a, text_b)
+        line = int(name.split(".")[0])
+        argv = shown[line - 1] if line <= len(shown) else "?"
+        print(f"{line:03d} {argv}: {r['moved']}/{r['numeric']} numeric cells moved; "
+              f"largest relative change above 1e-12 of the record {r['relative']:.1e}; "
+              f"largest change relative to the record {r['of_record']:.1e}; "
+              f"sign changes {r['signs']}; modes on one side only {r['one_side']}; "
+              f"text cells changed {r['text']}")
+    print(f"{moved} of {len(names)} outputs differ")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description="Digest of the CLI's output on a fixed set of invocations.")
     parser.add_argument("--save", metavar="DIR", type=Path,
                         help="also write each invocation's stdout to DIR/NNN.out")
-    save = parser.parse_args().save
+    parser.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"), type=Path,
+                        help="compare the stdouts saved by --save in two directories, and run nothing")
+    args = parser.parse_args()
+    if args.compare:
+        return _report(*args.compare)
+    save = args.save
     if save is not None:
         save.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ)
