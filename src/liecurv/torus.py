@@ -9,11 +9,12 @@ of cos(k.x) is 2 Re c_k, that of sin(k.x) is -2 Im c_k and the constant is
 c_0.  Products are exact direct convolutions of the grids, formed as BLAS
 matrix products over the grids' nonzero rows and columns (no transform, so no
 transform roundoff): one per element over all their (row, column) pairs when
-there are at most 65, one per nonzero row otherwise.  Derivatives multiply by
-i k, and the L^2 metric on [0, 2pi)^2 is 4 pi^2 Re <c_f, c_g>, diagonal on
-canonical modes (|1|^2 = 4 pi^2, |cos k|^2 = |sin k|^2 = 2 pi^2).  A vector
-field stacks the grids of its two components as one (2, n, n) array on a
-common grid.
+there are at most 65, one per nonzero row otherwise.  Under a support cap
+(the ``cap`` of a backend or an operator), a product forms only the modes
+with |k|_inf <= cap.  Derivatives multiply by i k, and the L^2 metric on
+[0, 2pi)^2 is 4 pi^2 Re <c_f, c_g>, diagonal on canonical modes
+(|1|^2 = 4 pi^2, |cos k|^2 = |sin k|^2 = 2 pi^2).  A vector field stacks the
+grids of its two components as one (2, n, n) array on a common grid.
 Wavevectors given from outside are bounded by ``MAX_WAVENUMBER``.
 
 Elements stack along leading axes: the grids of a stack of functions are
@@ -260,24 +261,24 @@ _FLAT_TERMS = 2 * MAX_WAVENUMBER + 1
 def _flat_plan(na: int, nb: int, rows: bytes, cols: bytes, half: int):
     """Gather indices of the flattened operands of ``_contract`` for grids of
     sizes na and nb with nonzero rows R (of a) and columns C (of b), given as
-    the bytes of their intp arrays, and output rows of half-width ``half``.
+    the bytes of their intp arrays, and an output of half-width ``half``.
 
     With n = na + nb - 1, cell (R_i, C_j) of the flattened sum is column
     i |C| + j of B (rows p = centre .. centre + half, B[p] = b[p - R_i, C_j])
-    and row i |C| + j of A (columns q = 0 .. n - 1, A[q] = a[R_i, q - C_j]).
-    The indices point into the flat grids of a and b, or past their last cell,
-    at the zero that ``_with_zero`` appends, where a window leaves the grid.
-    An entry holds 8 |R||C| (n + half + 1) bytes: at most 0.2 MB with
-    |R||C| <= 65 and n <= 257 (two products of functions within the bound),
-    so the cache holds at most 6.4 MB.
+    and row i |C| + j of A (columns q = centre - half .. centre + half,
+    A[q] = a[R_i, q - C_j]).  The indices point into the flat grids of a and
+    b, or past their last cell, at the zero that ``_with_zero`` appends, where
+    a window leaves the grid.  An entry holds 8 |R||C| (3 half + 2) bytes: at
+    most 0.2 MB with |R||C| <= 65 and half <= 128 (two products of functions
+    within the bound), so the cache holds at most 6.4 MB.
     """
     rows, cols = np.frombuffer(rows, np.intp), np.frombuffer(cols, np.intp)
-    n = na + nb - 1
-    q = np.arange(n) - cols[:, None]  # q - C_j
+    centre = na // 2 + nb // 2
+    q = np.arange(centre - half, centre + half + 1) - cols[:, None]  # q - C_j
     a_cells = np.where((q >= 0) & (q < na), rows[:, None, None] * na + q, na * na)
-    t = np.arange(n // 2, n // 2 + half + 1)[:, None] - rows  # p - R_i
+    t = np.arange(centre, centre + half + 1)[:, None] - rows  # p - R_i
     b_cells = np.where(((t >= 0) & (t < nb))[..., None], t[..., None] * nb + cols, nb * nb)
-    return a_cells.reshape(-1, n), b_cells.reshape(len(t), -1)
+    return a_cells.reshape(-1, 2 * half + 1), b_cells.reshape(len(t), -1)
 
 
 def _with_zero(x: np.ndarray) -> np.ndarray:
@@ -289,8 +290,8 @@ def _with_zero(x: np.ndarray) -> np.ndarray:
 
 def _contract(a: np.ndarray, b: np.ndarray, cap=None) -> np.ndarray:
     """Convolutions of the stacked grids a[s] and b[s] as stacks of complex
-    matrix products, formed only on the rows of wavenumber at most ``cap``
-    (every row when it is None).
+    matrix products, formed only on the modes with |k|_inf at most ``cap``
+    (every mode when it is None).
 
     Only the rows R of a and the columns C of b that hold a nonzero cell in
     some element take part.  The rows and columns that one element lacks add
@@ -312,39 +313,37 @@ def _contract(a: np.ndarray, b: np.ndarray, cap=None) -> np.ndarray:
       sums over C alone, within 65 terms on grids within the wavenumber
       bound.
 
-    Of out, only the 2 half + 1 rows p1 within half = min(cap, centre) of
-    the centre are kept, and only their canonical half is formed.  The
-    operands are formed for as many elements at a time as ``STACK_BYTES``
-    holds.  Rows below the centre of out are left unset: the caller mirrors
-    them from the canonical half.
+    Only the rows p1 and columns q within half = min(cap, centre) of the
+    centre are formed: out[s] is the (2 half + 1)^2 grid of the product's
+    modes with |k|_inf <= half.  The operands are formed for as many
+    elements at a time as ``STACK_BYTES`` holds.  Rows below the centre of
+    out are left unset: the caller mirrors them from the canonical half.
     """
     stack, na, nb = a.shape[0], a.shape[-1], b.shape[-1]
     n = na + nb - 1
     centre = n // 2
     half = centre if cap is None else min(cap, centre)
-    # OpenBLAS forms a product of one row as a matrix-vector product, which adds in another order
-    formed = min(max(half, 1), centre)
     rows, cols = a.any(axis=(0, 2)).nonzero()[0], b.any(axis=(0, 1)).nonzero()[0]
-    out = np.empty((stack, 2 * half + 1, n), complex)
-    step = max(1, STACK_BYTES // max(1, 16 * rows.size * cols.size * (n + formed + 1)))
+    out = np.empty((stack, 2 * half + 1, 2 * half + 1), complex)
+    step = max(1, STACK_BYTES // max(1, 16 * rows.size * cols.size * (3 * half + 2)))
     if rows.size * cols.size <= _FLAT_TERMS:
-        a_cells, b_cells = _flat_plan(na, nb, rows.tobytes(), cols.tobytes(), formed)
+        a_cells, b_cells = _flat_plan(na, nb, rows.tobytes(), cols.tobytes(), half)
         a_flat, b_flat = _with_zero(a), _with_zero(b)
         for s in range(0, stack, step):
             out[s:s + step, half:] = np.matmul(b_flat[s:s + step].take(b_cells, axis=1),
-                                               a_flat[s:s + step].take(a_cells, axis=1))[:, :half + 1]
+                                               a_flat[s:s + step].take(a_cells, axis=1))
         return out
     a_pad = np.zeros((stack, rows.size, n + nb - 1), complex)  # a_pad[s, i, t + nb - 1] = a[s, R_i, t]
     a_pad[:, :, nb - 1:n] = a[:, rows]
     b_pad = np.zeros((stack, n + na - 1, cols.size), complex)  # b_pad[s, t + na - 1, j] = b[s, t, C_j]
     b_pad[:, na - 1:n] = b[:, :, cols]
-    q = np.arange(n)
+    q = np.arange(centre - half, centre + half + 1)
     a_window = (nb - 1 - cols)[:, None] + q  # A[s, i] = a_pad[s, i, a_window]
-    b_window = (na - 1 + centre - rows)[:, None] + q[:formed + 1]  # B[s, i] = b_pad[s, b_window[i]]
+    b_window = (na - 1 + centre - rows)[:, None] + np.arange(half + 1)  # B[s, i] = b_pad[s, b_window[i]]
     for s in range(0, stack, step):
         products = np.matmul(b_pad[s:s + step].take(b_window, axis=1),
                              a_pad[s:s + step].take(a_window, axis=2))
-        out[s:s + step, half:] = products.sum(axis=1)[:, :half + 1]
+        out[s:s + step, half:] = products.sum(axis=1)
     return out
 
 
@@ -396,19 +395,17 @@ def _convolve(a: np.ndarray, b: np.ndarray, cap=None) -> np.ndarray:
     a, b = a.reshape((-1,) + a.shape[-2:]), b.reshape((-1,) + b.shape[-2:])
     centre = a.shape[-1] // 2 + b.shape[-1] // 2
     half = centre if cap is None else min(cap, centre)
+    window = slice(centre - half, centre + half + 1)
     # inf and nan propagate without warnings, as in Python float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
         if _finite(a, b):
             out = _contract(a, b, cap)
         else:
             out = np.array([_contract(x[None], y[None], cap)[0] if _finite(x, y)
-                            else _shifted_sum(x, y)[centre - half:centre + half + 1]
-                            for x, y in zip(a, b)])
+                            else _shifted_sum(x, y)[window, window] for x, y in zip(a, b)])
         flat, mid = out.reshape(len(out), -1), out[0].size // 2
         flat[:, :mid] = np.conj(flat[:, :mid:-1])
     flat[:, mid] = flat[:, mid].real
-    if half < centre:
-        out = np.ascontiguousarray(out[..., centre - half:centre + half + 1])
     return out.reshape(stack + out.shape[-2:])
 
 

@@ -979,6 +979,30 @@ class TestGeodesicCommand:
         assert len(rows) == 4
         assert rows[0]["energy"] == pytest.approx(rows[-1]["energy"], rel=1e-6)
 
+    @pytest.mark.parametrize("flag, selector, state", [
+        ("--algebra", "torus-vol", "u =\n    sin 0 1 1.0 1\n    cos 1 1 -0.5 1\n    cos 1 1 0.5 2\n"),
+        ("--algebra", "torus-full", "u =\n    sin 0 1 1.0 1\n    cos 1 2 0.5 2\n"),
+        ("--semidirect", "passive-scalar", "u =\n    sin 0 1 1.0 1\nalpha =\n    cos 1 2 0.5\n"),
+        ("--semidirect", "compressible", "u =\n    cos 1 2 0.5 1\nalpha =\n    cos 1 0 0.5\n"),
+        ("--semidirect", "mhd", "u =\n    sin 0 1 1.0 1\nalpha =\n    sin 1 -1 0.3 1\n    sin 1 -1 0.3 2\n"),
+    ])
+    def test_capped_torus_run_forms_no_mode_past_the_cap(self, flag, selector, state, tmp_path,
+                                                         monkeypatch, capsys):
+        path = tmp_path / "s.cfg"
+        path.write_text("[state]\n" + state)
+        formed = []
+        contract = torus._contract
+        monkeypatch.setattr(torus, "_contract",
+                            lambda a, b, cap=None: formed.append(cap) or contract(a, b, cap))
+        monkeypatch.setattr(torus, "multiply", lambda f, g: pytest.fail("multiply was called"))
+        assert run(["geodesic", flag, selector, "--state-file", str(path), "--dt", "0.01",
+                    "--steps", "2", "--format", "jsonl", "--support-cap", "3"]) == 0
+        assert formed and set(formed) == {3}
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        reach = [max(abs(row[1]), abs(row[2])) for rec in records[1:]
+                 for key in ("u", "alpha") for row in rec.get(key, [])]
+        assert len(records) == 3 and max(reach) == 3
+
     def test_torus_csv_rejected(self, tmp_path):
         state = tmp_path / "s.cfg"
         state.write_text("[state]\nu =\n    sin 0 1 1.0 1\n")

@@ -400,11 +400,19 @@ def _half_width(f, g) -> int:
 
 
 def assert_capped_product(f, g, cap):
-    """The product of f and g under the cap is ``multiply(f, g).truncated(cap)``,
-    on the same grid and bit for bit."""
-    got, want = torus._product(f, g, cap).c, multiply(f, g).truncated(cap).c
-    assert got.shape == want.shape
-    assert _hex(got) == _hex(want)
+    """The product of f and g under the cap is ``multiply(f, g).truncated(cap)``
+    on the same grid: within 1e-15 of the product's coefficient scale where
+    that is finite, since matrix products that form fewer columns can add in
+    another order, and with the same bits where a coefficient is not finite."""
+    full = multiply(f, g)
+    got, want = torus._product(f, g, cap), full.truncated(cap)
+    assert got.c.shape == want.c.shape
+    finite = np.isfinite(want.c)
+    assert _hex(got.c[~finite]) == _hex(want.c[~finite])
+    with np.errstate(invalid="ignore"):
+        scale = full.coefficient_scale()
+    if math.isfinite(scale):
+        assert np.abs(got.c - want.c).max() <= 1e-15 * scale
 
 
 class TestCappedKernel:
@@ -446,9 +454,9 @@ class TestCappedKernel:
         centre = (na + nb - 1) // 2
         half = min(cap, centre)
         got = torus._contract(a, b, cap)[:, half:]
-        want = torus._contract(a, b)[:, centre:centre + half + 1]
+        want = torus._contract(a, b)[:, centre:centre + half + 1, centre - half:centre + half + 1]
         assert got.shape == want.shape
-        assert _hex(got) == _hex(want)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
     @pytest.mark.parametrize("bands", [(2, 2), (2, 6), (3, 5)], ids=["25 terms", "65", "77"])
     @pytest.mark.parametrize("budget", [torus.STACK_BYTES, 1], ids=["one chunk", "one per chunk"])
