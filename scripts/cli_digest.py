@@ -467,7 +467,8 @@ def _json_cells(value, path=()):
     is one cell keyed by the row without its coefficient, so that modes match
     by wavevector and component; any other list is keyed by position."""
     if isinstance(value, dict):
-        return {k: v for key, item in value.items() for k, v in _json_cells(item, path + (key,)).items()}
+        return {k: v for key, item in value.items()
+                for k, v in _json_cells(item, path + (key,)).items()}
     if isinstance(value, list):
         cells = {}
         for i, item in enumerate(value):
@@ -573,7 +574,7 @@ def main() -> int:
     parser.add_argument("--save", metavar="DIR", type=Path,
                         help="also write each invocation's stdout to DIR/NNN.out")
     parser.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"), type=Path,
-                        help="compare the stdouts saved by --save in two directories, and run nothing")
+                        help="compare the stdouts that --save wrote to two directories; run nothing")
     args = parser.parse_args()
     if args.compare:
         return _report(*args.compare)

@@ -980,11 +980,13 @@ class TestGeodesicCommand:
         assert rows[0]["energy"] == pytest.approx(rows[-1]["energy"], rel=1e-6)
 
     @pytest.mark.parametrize("flag, selector, state", [
-        ("--algebra", "torus-vol", "u =\n    sin 0 1 1.0 1\n    cos 1 1 -0.5 1\n    cos 1 1 0.5 2\n"),
+        ("--algebra", "torus-vol",
+         "u =\n    sin 0 1 1.0 1\n    cos 1 1 -0.5 1\n    cos 1 1 0.5 2\n"),
         ("--algebra", "torus-full", "u =\n    sin 0 1 1.0 1\n    cos 1 2 0.5 2\n"),
         ("--semidirect", "passive-scalar", "u =\n    sin 0 1 1.0 1\nalpha =\n    cos 1 2 0.5\n"),
         ("--semidirect", "compressible", "u =\n    cos 1 2 0.5 1\nalpha =\n    cos 1 0 0.5\n"),
-        ("--semidirect", "mhd", "u =\n    sin 0 1 1.0 1\nalpha =\n    sin 1 -1 0.3 1\n    sin 1 -1 0.3 2\n"),
+        ("--semidirect", "mhd",
+         "u =\n    sin 0 1 1.0 1\nalpha =\n    sin 1 -1 0.3 1\n    sin 1 -1 0.3 2\n"),
     ])
     def test_capped_torus_run_forms_no_mode_past_the_cap(self, flag, selector, state, tmp_path,
                                                          monkeypatch, capsys):

@@ -418,8 +418,8 @@ def assert_capped_product(f, g, cap):
 class TestCappedKernel:
     """Products under a cap form only the modes with |k|_inf <= cap."""
 
-    @pytest.mark.parametrize("below", [None, 0, 1, 4], ids=["cap 0", "half-width", "one below",
-                                                           "four below"])
+    @pytest.mark.parametrize("below", [None, 0, 1, 4],
+                             ids=["cap 0", "half-width", "one below", "four below"])
     @pytest.mark.parametrize("name, f, g, kind", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
     def test_matches_the_truncated_product(self, name, f, g, kind, below):
         cap = 0 if below is None else max(0, _half_width(f, g) - below)
@@ -428,7 +428,8 @@ class TestCappedKernel:
             assert_capped_product(f, g, cap)
             assert_capped_product(g, f, cap)
 
-    @pytest.mark.parametrize("cap", [5, 6, 7, MAX], ids=["between", "at half-width", "above", "MAX"])
+    @pytest.mark.parametrize("cap", [5, 6, 7, MAX],
+                             ids=["between", "at half-width", "above", "MAX"])
     def test_operands_narrower_than_the_cap(self, cap):
         rng = rng_for_seed(53)
         f, g = random_function(rng, 2), random_function(rng, 4)
