@@ -384,14 +384,20 @@ class TestFlatKernel:
             "b = rng.standard_normal((8, 13, 13)) + 1j * rng.standard_normal((8, 13, 13))\n"
             "print([v.hex() for v in torus._contract(a, b)[:, 8:].view(float).ravel().tolist()])\n"
         )
-        src = str(Path(torus.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                                  check=True)
-            outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1]
+        one, two = _stdout_with_one_and_two_blas_threads(script)
+        assert one == two
+
+
+def _stdout_with_one_and_two_blas_threads(script: str) -> list:
+    """The stdout of a Python script run with one and with two OpenBLAS threads."""
+    src = str(Path(torus.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              check=True)
+        outputs.append(proc.stdout)
+    return outputs
 
 
 def _half_width(f, g) -> int:
@@ -495,14 +501,8 @@ class TestCappedKernel:
             "    out = torus._convolve(a, b, 6)\n"
             "    print([v.hex() for v in out.view(float).ravel().tolist()])\n"
         )
-        src = str(Path(torus.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                                  check=True)
-            outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1]
+        one, two = _stdout_with_one_and_two_blas_threads(script)
+        assert one == two
 
 
 class TestDerivatives:
