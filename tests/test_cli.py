@@ -375,6 +375,34 @@ def test_kirchhoff_demo_blow_up_is_one_line(dt):
     assert len(lines) == 1 and lines[0].startswith("numerical failure: NonFiniteState: ")
 
 
+def test_cli_digest_compare_reports_moved_cells(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    outputs = {
+        # one mode moves by an ulp, one is printed by the parent only, one by the change only
+        "001.out": ('{"t":0.0,"u":[["cos",1,0,1.0,1],["sin",0,1,-2.0,1]],"energy":5.0}\n',
+                    '{"t":0.0,"u":[["cos",1,0,1.0000000000000002,1],["sin",0,2,1e-20,1]],'
+                    '"energy":5.0}\n'),
+        "002.out": ("t,u1\n0.0,1.0\n", "t,u1\n0.0,1.0\n"),
+        "003.out": ("a,b\n1.0,-3.0\n", "a,b\n1.0,3.0\n"),
+    }
+    for side, directory in enumerate((parent, change)):
+        directory.mkdir()
+        for name, texts in outputs.items():
+            (directory / name).write_text(texts[side])
+    out = _run_with_src([str(SCRIPTS / "cli_digest.py"), "--compare", str(parent), str(change)]).stdout
+    lines = out.splitlines()  # "NNN argv: report" per output that differs, then a count
+    assert [line.split(" ", 1)[0] for line in lines[:2]] == ["001", "003"]
+    assert [line.split(": ", 1)[1] for line in lines[:2]] == [
+        "3/5 numeric cells moved; largest relative change above 1e-12 of the record 1.0e+00; "
+        "largest change relative to the record 4.0e-01; sign changes 1; "
+        "modes on one side only 2; text cells changed 0",
+        "1/2 numeric cells moved; largest relative change above 1e-12 of the record 2.0e+00; "
+        "largest change relative to the record 2.0e+00; sign changes 1; "
+        "modes on one side only 0; text cells changed 0",
+    ]
+    assert lines[2:] == ["2 of 3 outputs differ"]
+
+
 @pytest.mark.parametrize("script,args,named", [
     ("kirchhoff_demo.py", ["--steps", "0"], "argument --steps"),
     ("kirchhoff_demo.py", ["--steps", "-5"], "argument --steps"),
