@@ -583,8 +583,14 @@ def _require_divergence_free(*fields: TrigVectorField):
 
 
 def ad_transpose_vol(x: TrigVectorField, y: TrigVectorField, cap=None) -> TrigVectorField:
-    """Adjoint of ad(X) on divergence-free fields: P(nabla_X Y + (grad X)^T Y)."""
+    """Adjoint of ad(X) on divergence-free fields: P(nabla_X Y + (grad X)^T Y).
+
+    On the diagonal (``y is x``) only P(nabla_X X) is formed: the dropped term
+    is a gradient, which P removes, so the two agree up to roundoff.
+    """
     _require_divergence_free(x, y)
+    if y is x:  # (grad X)^T X = grad(|X|^2 / 2), and a gradient truncated at a cap is one too
+        return leray_project(directional_derivative(x, x, cap))
     return leray_project(directional_derivative(x, y, cap) + jacobian_transpose_apply(x, y, cap))
 
 

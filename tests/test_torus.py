@@ -15,7 +15,7 @@ from helpers import reference_leray, reference_modes, reference_multiply, relerr
 
 from liecurv.backend import Pair, SemidirectBackendBase, norm_from_square, stack
 from liecurv.curvature import curvature_numerator_generic, curvature_numerator_semidirect, oracle_curvature
-from liecurv.errors import NotDivergenceFree
+from liecurv.errors import NonFiniteState, NotDivergenceFree
 from liecurv.geodesic import geodesic_rhs, rhs_magnetic, rhs_semidirect
 from liecurv.sampling import FAMILIES, random_element, rng_for_seed, sample_planes
 from liecurv import torus
@@ -670,6 +670,62 @@ class TestAdTransposeVol:
                     lhs = field_inner(backend.bracket(x, z), y)
                     rhs = field_inner(z, ad_transpose_vol(x, y))
                     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs), abs(rhs)) + 1e-10
+
+    # On the diagonal (y is x), ad_transpose_vol forms P(nabla_X X) only, since
+    # (grad X)^T X = grad(|X|^2 / 2) is removed by P.  A copy of x takes the general path.
+
+    @staticmethod
+    def _assert_diagonal_matches_general(diagonal, x, cap):
+        general = ad_transpose_vol(x, TrigVectorField._of(x.c.copy()), cap)
+        assert diagonal.c.shape == general.c.shape
+        # roundoff of the uncapped products that both paths sum
+        scale = max(np.max(directional_derivative(x, x).coefficient_scale()),
+                    np.max(jacobian_transpose_apply(x, x).coefficient_scale()))
+        assert np.abs(diagonal.c - general.c).max() <= 1e-15 * scale
+
+    @pytest.mark.parametrize("cap", [None, 0, 2, "half-width"])
+    @pytest.mark.parametrize("band", [1, 2, 3, 4])
+    def test_diagonal_matches_the_general_path(self, band, cap):
+        x = random_divfree_field(rng_for_seed(70 + band), band)
+        cap = band if cap == "half-width" else cap
+        self._assert_diagonal_matches_general(ad_transpose_vol(x, x, cap), x, cap)
+
+    @pytest.mark.parametrize("cap", [None, 3])
+    def test_diagonal_of_a_stack(self, cap):
+        rng = rng_for_seed(75)
+        x = TrigVectorField.stack([random_divfree_field(rng, band) for band in (1, 3, 2)])
+        diagonal = ad_transpose_vol(x, x, cap)
+        assert diagonal.c.shape[0] == 3
+        self._assert_diagonal_matches_general(diagonal, x, cap)
+
+    @pytest.mark.parametrize("cap", [None, 2, 4])
+    def test_mhd_h_map_of_one_field(self, cap):
+        b = random_divfree_field(rng_for_seed(76), 3)
+        self._assert_diagonal_matches_general(torus.MhdBackend(cap).h_map(b, b), b, cap)
+
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_diagonal_forms_half_the_products(self, cap, monkeypatch):
+        calls = []
+        original = torus._summed_products
+        monkeypatch.setattr(torus, "_summed_products",
+                            lambda *a: calls.append(a) or original(*a))
+        x = random_divfree_field(rng_for_seed(77), 2)
+        ad_transpose_vol(x, x, cap)
+        assert len(calls) == 1
+        calls.clear()
+        ad_transpose_vol(x, TrigVectorField._of(x.c.copy()), cap)
+        assert len(calls) == 2
+
+    def test_diagonal_rejects_compressible_input(self):
+        bad = SHEAR + TrigVectorField(TrigFunction.mode(COS, (1, 0), 0.5), TrigFunction.zero())
+        with pytest.raises(NotDivergenceFree):
+            ad_transpose_vol(bad, bad)
+
+    def test_diagonal_rejects_a_non_finite_field(self):
+        bad = TrigVectorField(TrigFunction.mode(COS, (1, 1), math.inf),
+                              TrigFunction.mode(COS, (1, 1), -math.inf))
+        with pytest.raises(NonFiniteState), np.errstate(invalid="ignore"):
+            ad_transpose_vol(bad, bad, 2)
 
 
 class TestAdTransposeFull:
