@@ -512,11 +512,12 @@ def compare(text_a: str, text_b: str) -> dict:
     of numeric cells, moved cells and other cells (text) that changed, the
     largest relative change |b - a| / max(|a|, |b|) of a cell above its
     record's scale, the largest |b - a| over the record's scale, the sign
-    changes among cells above it, and the modes printed on one side only.
+    changes among cells above it, and the modes printed by side A only and by
+    side B only.
     """
     records_a, records_b = _records(text_a), _records(text_b)
     result = {"numeric": 0, "moved": 0, "text": 0, "relative": 0.0, "of_record": 0.0,
-              "signs": 0, "one_side": 0}
+              "signs": 0, "a_only": 0, "b_only": 0}
     for i in range(max(len(records_a), len(records_b))):
         a = records_a[i] if i < len(records_a) else {}
         b = records_b[i] if i < len(records_b) else {}
@@ -526,7 +527,8 @@ def compare(text_a: str, text_b: str) -> dict:
             if x is None or y is None:
                 result["text"] += a.get(key) != b.get(key)
                 continue
-            result["one_side"] += (key in a) != (key in b) and isinstance(key[-1], tuple)
+            if (key in a) != (key in b) and isinstance(key[-1], tuple):
+                result["a_only" if key in a else "b_only"] += 1
             pairs.append((x, y))
         finite = [abs(v) for pair in pairs for v in pair if math.isfinite(v)]
         scale = max(finite, default=0.0)
@@ -563,7 +565,8 @@ def _report(dir_a: Path, dir_b: Path) -> int:
         print(f"{line:03d} {argv}: {r['moved']}/{r['numeric']} numeric cells moved; "
               f"largest relative change above 1e-12 of the record {r['relative']:.1e}; "
               f"largest change relative to the record {r['of_record']:.1e}; "
-              f"sign changes {r['signs']}; modes on one side only {r['one_side']}; "
+              f"sign changes {r['signs']}; modes on one side only {r['a_only'] + r['b_only']} "
+              f"(A only {r['a_only']}, B only {r['b_only']}); "
               f"text cells changed {r['text']}")
     print(f"{moved} of {len(names)} outputs differ")
     return 0

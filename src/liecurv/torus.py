@@ -32,7 +32,11 @@ Three semidirect backends are provided on top of this calculus:
 The algebra bracket on field backends is minus the Jacobi-Lie bracket of
 vector fields (the right-invariant convention); with that orientation the
 adjoint of ad(X) on divergence-free fields is P(nabla_X Y + (grad X)^T Y),
-which the test suite verifies directly against the L^2 pairing.
+which the test suite verifies directly against the L^2 pairing.  On the
+diagonal Y = X, the one a geodesic right-hand side -ad(u)^T u needs,
+(grad X)^T X = grad(|X|^2 / 2) is a gradient, which P removes (also under a
+cap, since a truncated gradient is a gradient), so only P(nabla_X X) is
+formed.
 """
 
 from __future__ import annotations

@@ -395,10 +395,10 @@ def test_cli_digest_compare_reports_moved_cells(tmp_path):
     assert [line.split(": ", 1)[1] for line in lines[:2]] == [
         "3/5 numeric cells moved; largest relative change above 1e-12 of the record 1.0e+00; "
         "largest change relative to the record 4.0e-01; sign changes 1; "
-        "modes on one side only 2; text cells changed 0",
+        "modes on one side only 2 (A only 1, B only 1); text cells changed 0",
         "1/2 numeric cells moved; largest relative change above 1e-12 of the record 2.0e+00; "
         "largest change relative to the record 2.0e+00; sign changes 1; "
-        "modes on one side only 0; text cells changed 0",
+        "modes on one side only 0 (A only 0, B only 0); text cells changed 0",
     ]
     assert lines[2:] == ["2 of 3 outputs differ"]
 

@@ -189,3 +189,102 @@ def test_capped_torus_rhs_is_the_truncated_displayed_system(name):
 def test_capped_euler_rhs_keeps_the_enstrophy():
     for state, got, _ in _capped_cases("torus-vol"):
         assert _pairing_rate([_curl(state)], [_curl(got)]) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Casimirs of the uncapped torus right-hand sides
+# ---------------------------------------------------------------------------
+#
+# Under a cap the Casimirs are not kept, since w^2, f^2 and u . B reach past
+# it; without one they are.  Each gradient C'(s) is written from the closed
+# form of C on the coefficient grids, in the order of ``_grids(state)``, with
+# curl* p = (d2 p, -d1 p), the adjoint of the curl, so that
+# d/dt int F(w) = <curl* F'(w), u_t>.  Products of grids are formed here by
+# shifted copies, not by the library.  For B = grad-perp psi with zero mean,
+# psi = inverse-Laplacian(curl B), and d/dt int F(psi) = <curl* inverse-Laplacian(F'(psi)), B_t>.
+
+
+def _grid_product(a, b) -> np.ndarray:
+    """Grid of the product of two functions: the full convolution of their grids."""
+    n = b.shape[-1]
+    out = np.zeros((a.shape[-1] + n - 1,) * 2, complex)
+    for i, j in zip(*np.nonzero(a)):
+        out[i:i + n, j:j + n] += a[i, j] * b
+    return out
+
+
+def _curl_adjoint(p) -> list:
+    r = p.shape[-1] // 2
+    k = np.arange(-r, r + 1)
+    return [1j * k[None, :] * p, -1j * k[:, None] * p]
+
+
+def _inverse_laplacian(p) -> np.ndarray:
+    """-p_k / |k|^2, and 0 at k = 0."""
+    r = p.shape[-1] // 2
+    k = np.arange(-r, r + 1)
+    ksq = k[:, None] ** 2 + k[None, :] ** 2
+    ksq[r, r] = 1
+    out = -p / ksq
+    out[r, r] = 0.0
+    return out
+
+
+def _psi_gradient(b, power: int) -> list:
+    """Grids of the gradient in B of int psi^power, B = grad-perp psi with zero mean."""
+    psi = _inverse_laplacian(_curl(b))
+    f = psi if power == 2 else _grid_product(psi, psi)
+    return _curl_adjoint(power * _inverse_laplacian(f))
+
+
+_NONE = [np.zeros((1, 1), complex)] * 2  # the zero gradient in a field factor
+_ZERO, _ONE = np.zeros((1, 1), complex), np.ones((1, 1), complex)
+
+#: (system, function, state -> the grids of C'(state), whether C is an invariant)
+CASIMIRS = [
+    ("torus-vol", "w^2", lambda u: _curl_adjoint(2.0 * _curl(u)), True),
+    ("torus-vol", "w^3", lambda u: _curl_adjoint(3.0 * _grid_product(_curl(u), _curl(u))), True),
+    ("passive-scalar", "f^2", lambda s: _NONE + [2.0 * s.y.c], True),
+    ("passive-scalar", "f^3", lambda s: _NONE + [3.0 * _grid_product(s.y.c, s.y.c)], True),
+    ("passive-scalar", "w^2", lambda s: _curl_adjoint(2.0 * _curl(s.x)) + [_ZERO], True),
+    ("compressible", "f", lambda s: _NONE + [_ONE], True),
+    ("compressible", "f^2", lambda s: _NONE + [2.0 * s.y.c], False),
+    ("mhd", "u.B", lambda s: _grids(s.y) + _grids(s.x), True),
+    ("mhd", "psi^2", lambda s: _NONE + _psi_gradient(s.y, 2), True),
+    ("mhd", "psi^3", lambda s: _NONE + _psi_gradient(s.y, 3), True),
+]
+
+
+def _uncapped_states(name, zero_mean_b=True):
+    """(state, [geodesic_rhs at it, the displayed system at it]) at each seed."""
+    make, parts, direct = TORUS_SYSTEMS[name]
+    rhs = geodesic_rhs(make())
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        state = [_torus_state(rng, kind) for kind in parts]
+        if name == "mhd" and zero_mean_b:
+            b = state[1].c.copy()
+            b[:, TORUS_BAND, TORUS_BAND] = 0.0
+            state[1] = torus.TrigVectorField._of(b)
+        state = Pair(*state) if len(state) == 2 else state[0]
+        yield state, [rhs(state), direct(state)]
+
+
+@pytest.mark.parametrize("name,function,gradient,invariant", CASIMIRS,
+                         ids=[f"{c[0]}-{c[1]}" for c in CASIMIRS])
+def test_uncapped_torus_rhs_keeps_its_casimirs(name, function, gradient, invariant):
+    rates = [_pairing_rate(gradient(state), _grids(rhs))
+             for state, routes in _uncapped_states(name) for rhs in routes]
+    assert len(rates) == 2 * len(SEEDS)
+    if invariant:
+        assert max(rates) <= 1e-15, rates
+    else:
+        assert min(rates) > 1e-3, rates
+
+
+def test_psi_squared_is_no_invariant_while_b_has_a_mean():
+    # psi is not periodic then, so int psi^2 of the periodic part is not kept
+    gradient = dict(((c[0], c[1]), c[2]) for c in CASIMIRS)["mhd", "psi^2"]
+    rates = [_pairing_rate(gradient(state), _grids(rhs))
+             for state, routes in _uncapped_states("mhd", zero_mean_b=False) for rhs in routes]
+    assert min(rates) > 1e-3, rates
