@@ -1,9 +1,9 @@
 """Semidirect product metric algebras g x| h built from an action by derivations.
 
 The action is given per g-basis vector as a matrix on h.  Building the product
-derives the transposed action matrices, the bilinear map h_map (via Gram
-solves against its defining relation) and the isometric flag; the assembled
-product spec with block diagonal Gram is built when first read.
+derives the transposed action matrices and the bilinear map h_map (via Gram
+solves against its defining relation); the isometric flag and the assembled
+product spec with block diagonal Gram are formed when first read.
 """
 
 from __future__ import annotations
@@ -143,7 +143,11 @@ class SemidirectAlgebra(SemidirectBackendBase):
         v = np.swapaxes(B, 1, 2) @ gram_h  # v[i] = B_i^T G_h
         flat = g.gram_solve(v.reshape(g.dim, -1)).reshape(g.dim, h.dim, h.dim)
         self._h_tensor = np.ascontiguousarray(flat.transpose(1, 0, 2))
-        self.isometric = skew_adjoint(B, gram_h)
+
+    @cached_property
+    def isometric(self) -> bool:
+        """Whether every b(e_i) is skew-adjoint for the metric of h."""
+        return skew_adjoint(self._b, self.h.spec.gram)
 
     @cached_property
     def gram(self) -> np.ndarray:

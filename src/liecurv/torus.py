@@ -8,13 +8,12 @@ positive, first nonzero component > 0; sin(0,0) forbidden) the coefficient
 of cos(k.x) is 2 Re c_k, that of sin(k.x) is -2 Im c_k and the constant is
 c_0.  Products are exact direct convolutions of the grids, formed as BLAS
 matrix products over the grids' nonzero rows and columns (no transform, so no
-transform roundoff): one per element over all their (row, column) pairs when
-there are at most 65, one per nonzero row otherwise.  Under a support cap
-(the ``cap`` of a backend or an operator), a product forms only the modes
-with |k|_inf <= cap.  Derivatives multiply by i k, and the L^2 metric on
-[0, 2pi)^2 is 4 pi^2 Re <c_f, c_g>, diagonal on canonical modes
-(|1|^2 = 4 pi^2, |cos k|^2 = |sin k|^2 = 2 pi^2).  A vector field stacks the
-grids of its two components as one (2, n, n) array on a common grid.
+transform roundoff), each over at most 65 of their (row, column) pairs.
+Under a support cap (the ``cap`` of a backend or an operator), a product
+forms only the modes with |k|_inf <= cap.  Derivatives multiply by i k, and
+the L^2 metric on [0, 2pi)^2 is 4 pi^2 Re <c_f, c_g>, diagonal on canonical
+modes (|1|^2 = 4 pi^2, |cos k|^2 = |sin k|^2 = 2 pi^2).  A vector field
+stacks the grids of its two components as one (2, n, n) array on a common grid.
 Wavevectors given from outside are bounded by ``MAX_WAVENUMBER``.
 
 Elements stack along leading axes: the grids of a stack of functions are
@@ -60,8 +59,8 @@ _FOUR_PI_SQ = 4.0 * math.pi**2
 #: Bytes of gathered operands that one stacked product forms at a time; a
 #: longer stack is split.  On a 2-core Xeon with 2 MB of L2 per core, stacks
 #: of 30 full-band products ran fastest per element within about this budget
-#: (all 30 at band 2, about 8 at band 4, one or two from band 6 on) and up to
-#: 3x slower per element at four times the budget.
+#: (46 elements at band 2, 4 at band 4, 2 at band 6, one from band 8 on): at
+#: twice the budget band 2 ran 3% faster, but bands 6 and 8 17-22% slower.
 STACK_BYTES = 1 << 18
 
 
@@ -256,9 +255,13 @@ class TrigFunction(_Grid):
         return "TrigFunction(" + " ".join(bits) + ")"
 
 
-#: Most terms of one flattened sum over (R, C) in ``_contract``: the longest
-#: row sum of a product of grids within the wavenumber bound.
+#: Most terms of one matrix product in ``_contract``: the longest row sum of a
+#: product of grids within the wavenumber bound.
 _FLAT_TERMS = 2 * MAX_WAVENUMBER + 1
+
+#: Largest plan that ``_flat_plan`` keeps, in bytes of indices (0.44 MB for a capped
+#: cap-16 product of full 33 x 33 grids, 6.6 MB uncapped at band 32).
+_PLAN_BYTES = 1 << 20
 
 
 @functools.lru_cache(maxsize=32)
@@ -267,14 +270,17 @@ def _flat_plan(na: int, nb: int, rows: bytes, cols: bytes, half: int):
     sizes na and nb with nonzero rows R (of a) and columns C (of b), given as
     the bytes of their intp arrays, and an output of half-width ``half``.
 
-    With n = na + nb - 1, cell (R_i, C_j) of the flattened sum is column
-    i |C| + j of B (rows p = centre .. centre + half, B[p] = b[p - R_i, C_j])
-    and row i |C| + j of A (columns q = centre - half .. centre + half,
-    A[q] = a[R_i, q - C_j]).  The indices point into the flat grids of a and
-    b, or past their last cell, at the zero that ``_with_zero`` appends, where
-    a window leaves the grid.  An entry holds 8 |R||C| (3 half + 2) bytes: at
-    most 0.2 MB with |R||C| <= 65 and half <= 128 (two products of functions
-    within the bound), so the cache holds at most 6.4 MB.
+    With n = na + nb - 1, term t = i |C| + j of the flattened sum, for cell
+    (R_i, C_j), is row t of A (columns q = centre - half .. centre + half,
+    A[q] = a[R_i, q - C_j]) and column t of B (rows p = centre .. centre +
+    half, B[p] = b[p - R_i, C_j]).  The indices point into the flat grids of a
+    and b, or past their last cell, at the zero that ``_contract`` appends,
+    where a window leaves the grid.  The terms are split into groups of
+    ``_FLAT_TERMS``, the last one filled up with such zeros (or one group of
+    all |R| |C| <= 65): A is indexed (groups, size, 2 half + 1) and B
+    (groups, half + 1, size).  An index takes 8 bytes, and ``_contract``
+    builds plans above ``_PLAN_BYTES`` past the cache, which so holds at
+    most 32 MiB.
     """
     rows, cols = np.frombuffer(rows, np.intp), np.frombuffer(cols, np.intp)
     centre = na // 2 + nb // 2
@@ -282,14 +288,13 @@ def _flat_plan(na: int, nb: int, rows: bytes, cols: bytes, half: int):
     a_cells = np.where((q >= 0) & (q < na), rows[:, None, None] * na + q, na * na)
     t = np.arange(centre, centre + half + 1)[:, None] - rows  # p - R_i
     b_cells = np.where(((t >= 0) & (t < nb))[..., None], t[..., None] * nb + cols, nb * nb)
-    return a_cells.reshape(-1, 2 * half + 1), b_cells.reshape(len(t), -1)
-
-
-def _with_zero(x: np.ndarray) -> np.ndarray:
-    """The grids of the stack x, each flattened, with one zero cell appended."""
-    flat = np.zeros((len(x), x[0].size + 1), complex)
-    flat[:, :-1] = x.reshape(len(x), -1)
-    return flat
+    terms = rows.size * cols.size
+    groups, size = -(-terms // _FLAT_TERMS), min(terms, _FLAT_TERMS)
+    fill = groups * size - terms
+    a_cells = np.pad(a_cells.reshape(terms, 2 * half + 1), ((0, fill), (0, 0)), constant_values=na * na)
+    b_cells = np.pad(b_cells.reshape(half + 1, terms), ((0, 0), (0, fill)), constant_values=nb * nb)
+    return (a_cells.reshape(groups, size, 2 * half + 1),
+            np.ascontiguousarray(b_cells.reshape(half + 1, groups, size).transpose(1, 0, 2)))
 
 
 def _contract(a: np.ndarray, b: np.ndarray, cap=None) -> np.ndarray:
@@ -303,51 +308,38 @@ def _contract(a: np.ndarray, b: np.ndarray, cap=None) -> np.ndarray:
     bits of a rounded sum: elements that share their nonzero rows and columns,
     as a scan's sampled planes do, get their products bit for bit as alone.
     With n = na + nb - 1, out[s, p1, q] is the sum over i1 in R and j2 in C
-    of b[s, p1 - i1, j2] a[s, i1, q - j2].  OpenBLAS adds a sum of at most
-    2 * MAX_WAVENUMBER + 1 (= 65) terms in one block, where it splits a
-    longer one at bounds that move with its thread count.  So:
-
-    * when |R| |C| <= 65, each element's output rows are one matrix product
-      over the flattened (R, C) sum, of operands gathered from the flat grids
-      by the cached indices of ``_flat_plan``;
-    * otherwise A[s, i1, j2, q] = a[s, i1, q - j2] and B[s, i1, p1, j2] =
-      b[s, p1 - i1, j2] (i1 in R, j2 in C) are windows of zero-padded copies
-      of a[:, R] and b[:, :, C], and out[s, p1, q] is the sum over i1 of
-      (B[s, i1] A[s, i1])[p1, q], added in row order: each matrix product
-      sums over C alone, within 65 terms on grids within the wavenumber
-      bound.
+    of b[s, p1 - i1, j2] a[s, i1, q - j2]: a flattened sum of |R| |C| terms,
+    whose operands are gathered from the flat grids by the indices of
+    ``_flat_plan``.  OpenBLAS adds a sum of at most 2 * MAX_WAVENUMBER + 1
+    (= 65) terms in one block, where it splits a longer one at bounds that
+    move with its thread count.  So each matrix product sums one consecutive
+    group of at most 65 terms (the last one filled up with exact zeros), and
+    numpy sums the groups' products element by element: in group order, or
+    pairwise on an output of one cell (cap 0), alike alone and in a stack.
 
     Only the rows p1 and columns q within half = min(cap, centre) of the
     centre are formed: out[s] is the (2 half + 1)^2 grid of the product's
-    modes with |k|_inf <= half.  The operands are formed for as many
+    modes with |k|_inf <= half.  The operands are gathered for as many
     elements at a time as ``STACK_BYTES`` holds.  Rows below the centre of
     out are left unset: the caller mirrors them from the canonical half.
     """
     stack, na, nb = a.shape[0], a.shape[-1], b.shape[-1]
-    n = na + nb - 1
-    centre = n // 2
+    centre = na // 2 + nb // 2
     half = centre if cap is None else min(cap, centre)
     rows, cols = a.any(axis=(0, 2)).nonzero()[0], b.any(axis=(0, 1)).nonzero()[0]
+    terms = rows.size * cols.size
+    indices = -(-terms // _FLAT_TERMS) * min(terms, _FLAT_TERMS) * (3 * half + 2)  # in the plan, filled
+    plan = _flat_plan if 8 * indices <= _PLAN_BYTES else _flat_plan.__wrapped__
+    a_cells, b_cells = plan(na, nb, rows.tobytes(), cols.tobytes(), half)
+    a_flat, b_flat = np.zeros((stack, na * na + 1), complex), np.zeros((stack, nb * nb + 1), complex)
+    a_flat[:, :-1], b_flat[:, :-1] = a.reshape(stack, -1), b.reshape(stack, -1)  # one zero cell appended
     out = np.empty((stack, 2 * half + 1, 2 * half + 1), complex)
-    step = max(1, STACK_BYTES // max(1, 16 * rows.size * cols.size * (3 * half + 2)))
-    if rows.size * cols.size <= _FLAT_TERMS:
-        a_cells, b_cells = _flat_plan(na, nb, rows.tobytes(), cols.tobytes(), half)
-        a_flat, b_flat = _with_zero(a), _with_zero(b)
-        for s in range(0, stack, step):
-            out[s:s + step, half:] = np.matmul(b_flat[s:s + step].take(b_cells, axis=1),
-                                               a_flat[s:s + step].take(a_cells, axis=1))
-        return out
-    a_pad = np.zeros((stack, rows.size, n + nb - 1), complex)  # a_pad[s, i, t + nb - 1] = a[s, R_i, t]
-    a_pad[:, :, nb - 1:n] = a[:, rows]
-    b_pad = np.zeros((stack, n + na - 1, cols.size), complex)  # b_pad[s, t + na - 1, j] = b[s, t, C_j]
-    b_pad[:, na - 1:n] = b[:, :, cols]
-    q = np.arange(centre - half, centre + half + 1)
-    a_window = (nb - 1 - cols)[:, None] + q  # A[s, i] = a_pad[s, i, a_window]
-    b_window = (na - 1 + centre - rows)[:, None] + np.arange(half + 1)  # B[s, i] = b_pad[s, b_window[i]]
+    step = max(1, STACK_BYTES // max(1, 16 * indices))  # 16 bytes a gathered operand
     for s in range(0, stack, step):
-        products = np.matmul(b_pad[s:s + step].take(b_window, axis=1),
-                             a_pad[s:s + step].take(a_window, axis=2))
-        out[s:s + step, half:] = products.sum(axis=1)
+        products = np.matmul(b_flat[s:s + step].take(b_cells, axis=1),
+                             a_flat[s:s + step].take(a_cells, axis=1))
+        # the sum over the groups; one group is copied as it is, as summing it costs more
+        out[s:s + step, half:] = products[:, 0] if len(b_cells) == 1 else products.sum(axis=1)
     return out
 
 
@@ -374,12 +366,12 @@ def multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
 
     Every output coefficient is a plain sum of products of input coefficients,
     with no transform roundoff.  Finite grids are convolved by complex matrix
-    products over the nonzero rows R of f and the nonzero columns C of g: one
-    per element over the |R| |C| pairs when they are at most 65, and otherwise
-    one per row of R over C, added row by row.  Terms that are structurally
-    zero add an exact 0 and sums of dyadic values are exact, while rounded
-    sums are added in BLAS order.  While g stays within the wavenumber bound,
-    that order does not depend on the BLAS thread count (see ``_contract``).
+    products over the nonzero rows R of f and the nonzero columns C of g, each
+    over a consecutive group of at most 65 of the |R| |C| pairs, and the
+    groups' products are added.  Terms that are structurally zero add an
+    exact 0 and sums of dyadic values are exact, while rounded sums are added
+    in BLAS order, which does not depend on the BLAS thread count while g
+    stays within the wavenumber bound (see ``_contract``).
     A grid with a non-finite cell is convolved by shifted copies instead: in a
     matrix product its inf would meet zero cells of the other grid, and the nan
     of inf * 0 would replace coefficients that the copies leave at +-inf.  On

@@ -1,6 +1,7 @@
 """Shared fixtures-in-spirit: canonical builtin sets and numeric helpers."""
 
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -423,6 +424,17 @@ def _canonical(k1: int, k2: int, parity: str, coeff: float):
     return ((-k1, -k2, parity), coeff if parity == COS else -coeff)
 
 
+def random_function(rng, band=2, scale=1.0) -> TrigFunction:
+    """A function with a standard normal coefficient (times ``scale``) on every
+    canonical mode of |k|_inf <= band."""
+    modes = {}
+    for k in canonical_wavevectors(band):
+        for parity in (COS, SIN):
+            modes[(k[0], k[1], parity)] = scale * rng.standard_normal()
+    modes[(0, 0, COS)] = scale * rng.standard_normal()
+    return TrigFunction(modes)
+
+
 def reference_multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
     """Pairwise product-to-sum loop: the oracle for ``torus.multiply``."""
     out: dict = {}
@@ -451,6 +463,69 @@ def reference_multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
                 put(*sm, SIN, c)
                 put(*df, SIN, -c)
     return TrigFunction(out)
+
+
+def _as_integers(x: np.ndarray):
+    """The finite floats x as exact Python ints x * 2^e, and e: every finite
+    float is a dyadic rational, whose denominator divides 2^e."""
+    ratios = [v.as_integer_ratio() for v in x.ravel().tolist()]
+    e = max(d for _n, d in ratios).bit_length() - 1
+    return np.array([n << (e - d.bit_length() + 1) for n, d in ratios], dtype=object).reshape(x.shape), e
+
+
+def exact_convolution(a: np.ndarray, b: np.ndarray):
+    """The full convolution of the square complex grids a and b in exact rationals:
+    the real and the imaginary parts of its (na + nb - 1)^2 cells as object
+    arrays of ``fractions.Fraction``.  The sums are formed on integer multiples
+    of the coefficients, so no step rounds."""
+    (ar, e1), (ai, e2), (br, e3), (bi, e4) = map(_as_integers, (a.real, a.imag, b.real, b.imag))
+    ea, eb = max(e1, e2), max(e3, e4)
+    ar, ai, br, bi = ar << (ea - e1), ai << (ea - e2), br << (eb - e3), bi << (eb - e4)
+    na, nb = a.shape[0], b.shape[0]
+    re = np.zeros((na + nb - 1,) * 2, dtype=object)
+    im = np.zeros((na + nb - 1,) * 2, dtype=object)
+    for i1, i2 in zip(*np.nonzero(a)):
+        re[i1:i1 + nb, i2:i2 + nb] += ar[i1, i2] * br - ai[i1, i2] * bi
+        im[i1:i1 + nb, i2:i2 + nb] += ar[i1, i2] * bi + ai[i1, i2] * br
+    unit = Fraction(1, 2**(ea + eb))
+    return re * unit, im * unit
+
+
+def modulus_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a| * |b|: the full convolution of the moduli of the square grids a and b,
+    in floats (of booleans, the count of nonzero terms of each cell's sum)."""
+    a, b = np.abs(a).astype(float), np.abs(b).astype(float)
+    na, nb = a.shape[0], b.shape[0]
+    out = np.zeros((na + nb - 1,) * 2)
+    for i1, i2 in zip(*np.nonzero(a)):
+        out[i1:i1 + nb, i2:i2 + nb] += a[i1, i2] * b
+    return out
+
+
+def product_certificate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bound on the error of any floating-point convolution of the grids a and b,
+    cell by cell: sqrt(2) gamma_{T+2} (|a| * |b|), where T counts the nonzero
+    terms of the cell's sum, gamma_n = n u / (1 - n u) and u = 2^-53 (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, sections
+    3.1 and 3.6).  It holds in any summation order, with or without fused
+    multiply-adds: terms that are exact zeros leave a partial sum unchanged."""
+    nu = (modulus_convolution(a != 0, b != 0) + 2.0) * 2.0**-53
+    return math.sqrt(2.0) * nu / (1.0 - nu) * modulus_convolution(a, b)
+
+
+def certificate_ratios(got: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|got - a * b| over ``product_certificate(a, b)``, cell by cell, for the grid
+    ``got`` of a product of a and b truncated to its central (2 h + 1)^2 cells:
+    0 where both are 0, inf where only the bound is."""
+    exact_re, exact_im = exact_convolution(a, b)
+    bound = product_certificate(a, b)
+    h, centre = got.shape[-1] // 2, bound.shape[-1] // 2
+    window = slice(centre - h, centre + h + 1)
+    exact_re, exact_im, bound = exact_re[window, window], exact_im[window, window], bound[window, window]
+    error = np.array([math.hypot(float(Fraction(v.real) - re), float(Fraction(v.imag) - im))
+                      for v, re, im in zip(got.ravel().tolist(), exact_re.ravel(), exact_im.ravel())])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(error == 0.0, 0.0, error / bound.ravel()).reshape(got.shape)
 
 
 def reference_leray(x: TrigVectorField) -> TrigVectorField:

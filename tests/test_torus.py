@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_leray, reference_modes, reference_multiply, relerr
+from helpers import random_function, reference_leray, reference_modes, reference_multiply, relerr
 
 from liecurv.backend import Pair, SemidirectBackendBase, norm_from_square, stack
 from liecurv.curvature import curvature_numerator_generic, curvature_numerator_semidirect, oracle_curvature
@@ -51,15 +52,6 @@ MAX = torus.MAX_WAVENUMBER
 
 def grid_close(f: TrigFunction, values, tol=1e-12):
     return float(np.max(np.abs(f.sample(X1, X2) - values))) <= tol
-
-
-def random_function(rng, band=2, scale=1.0) -> TrigFunction:
-    modes = {}
-    for k in torus.canonical_wavevectors(band):
-        for parity in (COS, SIN):
-            modes[(k[0], k[1], parity)] = scale * rng.standard_normal()
-    modes[(0, 0, COS)] = scale * rng.standard_normal()
-    return TrigFunction(modes)
 
 
 def random_divfree_field(rng, band=2, scale=1.0) -> TrigVectorField:
@@ -315,8 +307,8 @@ def _supported(rng, n, rows, cols, stack=(), dyadic=False):
     return np.where(mask, parts[0] + 1j * parts[1], 0.0)
 
 
-#: (na, R of a, nb, C of b): |R| |C| terms per output cell, from none to one past the
-#: 2 * MAX_WAVENUMBER + 1 = 65 that one flattened matrix product sums
+#: (na, R of a, nb, C of b): |R| |C| terms per output cell, from none to three groups
+#: of at most 2 * MAX_WAVENUMBER + 1 = 65, the terms that one matrix product sums
 FLAT_CASES = {
     "all-zero a": (5, [], 5, range(5)),
     "all-zero b": (5, range(5), 5, []),
@@ -325,12 +317,13 @@ FLAT_CASES = {
     "sparse rows of a wide grid": (9, [0, 8], 3, [1]),
     "65 terms": (5, range(5), 13, range(13)),
     "66 terms": (7, [0, 1, 2, 4, 5, 6], 11, range(11)),
+    "169 terms": (13, range(13), 13, range(13)),
 }
 
 
 class TestFlatKernel:
-    """``_contract`` forms one matrix product per element over the flattened (R, C)
-    sum when |R| |C| <= 65, and one per nonzero row of a otherwise."""
+    """``_contract`` forms the flattened (R, C) sum of every finite product, one
+    matrix product per consecutive group of at most 65 terms."""
 
     @pytest.fixture()
     def plans(self, monkeypatch):
@@ -349,7 +342,7 @@ class TestFlatKernel:
         centre = (na + nb - 1) // 2
         got = torus._contract(a[None], b[None])[0, centre:]
         want = torus._shifted_sum(a, b)[centre:]
-        assert bool(plans) == (len(rows) * len(cols) <= 65)
+        assert len(plans) == 1  # every finite product takes a plan, whatever its support
         assert got.shape == (na + nb - 1 - centre, na + nb - 1)
         if dyadic:  # every partial sum is exact, in any order
             assert np.array_equal(got, want)
@@ -375,14 +368,36 @@ class TestFlatKernel:
         after = torus._flat_plan.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
+    def test_cache_stays_within_its_byte_bound(self):
+        rng = rng_for_seed(71)
+        f, g = random_function(rng, 32), random_function(rng, 32)
+        torus._flat_plan.cache_clear()
+        gc.collect()  # before tracing, under which a full collection takes most of a second
+        tracemalloc.start()
+        try:
+            for cap in (None, 32, 20):  # plans of 6.6, 3.3 and 2.1 MB
+                torus._product(f, g, cap)
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < torus._PLAN_BYTES
+        assert torus._flat_plan.cache_info().currsize == 0
+        torus._product(f.truncated(16), g.truncated(16), 16)  # a plan of 0.44 MB is kept
+        assert torus._flat_plan.cache_info().currsize == 1
+
     def test_65_terms_are_independent_of_blas_threads(self):
+        # one group of 65 terms, then 81 terms in two groups and, capped at 6,
+        # 169 terms in three
         script = (
             "import numpy as np\n"
             "from liecurv import torus\n"
             "rng = np.random.default_rng(5)\n"
-            "a = rng.standard_normal((8, 5, 5)) + 1j * rng.standard_normal((8, 5, 5))\n"
-            "b = rng.standard_normal((8, 13, 13)) + 1j * rng.standard_normal((8, 13, 13))\n"
-            "print([v.hex() for v in torus._contract(a, b)[:, 8:].view(float).ravel().tolist()])\n"
+            "for na, nb, cap in ((5, 13, None), (9, 9, None), (13, 13, 6)):\n"
+            "    a = rng.standard_normal((8, na, na)) + 1j * rng.standard_normal((8, na, na))\n"
+            "    b = rng.standard_normal((8, nb, nb)) + 1j * rng.standard_normal((8, nb, nb))\n"
+            "    out = torus._contract(a, b, cap)\n"
+            "    half = out.shape[-1] // 2\n"
+            "    print([v.hex() for v in out[:, half:].view(float).ravel().tolist()])\n"
         )
         one, two = _stdout_with_one_and_two_blas_threads(script)
         assert one == two
