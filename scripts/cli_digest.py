@@ -13,12 +13,13 @@ lines do not depend on where that directory is.  Run the script at two
 commits and diff the outputs: an empty diff means the change left stdout,
 stderr and exit codes byte-identical on this set.  With ``--save DIR``, the
 stdout of the invocation on line i (counted from 1) is also written to
-``DIR/NNN.out`` (i zero-padded to three digits), so that the outputs behind
-lines that moved can be compared number by number.
+``DIR/NNN.out`` and its stderr to ``DIR/NNN.err`` (i zero-padded to three
+digits), so that the outputs behind lines that moved can be compared.
 
-With ``--compare DIR_A DIR_B``, no invocation is run: the stdouts saved in
-two such directories are compared, and each line whose stdout differs is
-reported number by number (see ``compare``).
+With ``--compare DIR_A DIR_B``, no invocation is run: the outputs saved in
+two such directories are compared.  Each line whose stdout differs is
+reported number by number (see ``compare``), then each line whose stderr
+differs with both texts.
 
 Usage:
     python scripts/cli_digest.py > digest.txt
@@ -188,7 +189,7 @@ FILES = {
         "y =\n"
         "    cos 1 0 0.8 2\n"
     ),
-    # a state whose products overflow, so multiply meets non-finite operands
+    # a state whose products overflow, so multiply meets a non-finite operand
     "torus_overflow_state.cfg": (
         "[state]\n"
         "u =\n"
@@ -365,7 +366,7 @@ CLI_INVOCATIONS = [
        "--scheme", scheme, "--dt", dt, "--steps", steps]
       for scheme, dt, steps in (("implicit_midpoint", "50", "1"), ("rk4", "1e300", "2"))),
     ["validate", "--algebra", "random-solvable:1:3"],
-    # exit 2 after products of non-finite grids
+    # exit 2: a stage field overflows, and the next torus product refuses it
     ["geodesic", "--algebra", "torus-full", "--state-file", "torus_overflow_state.cfg",
      "--dt", "1e10", "--steps", "3", "--format", "jsonl"],
     ["curvature", "--algebra", "torus-vol", "--plane-file", "torus_sparse_bound_plane.cfg"],
@@ -547,37 +548,47 @@ def compare(text_a: str, text_b: str) -> dict:
     return result
 
 
-def _report(dir_a: Path, dir_b: Path) -> int:
-    """Print one line per saved stdout that differs between the two directories."""
+def _differing(dir_a: Path, dir_b: Path, suffix: str):
+    """(line, argv, text A, text B) of each saved output with this suffix that
+    differs between the two directories (a missing file reads as empty), and
+    the count of outputs saved."""
     shown = [" ".join(argv) for argv in CLI_INVOCATIONS + SCRIPT_INVOCATIONS]
-    names = sorted({p.name for p in dir_a.glob("*.out")} | {p.name for p in dir_b.glob("*.out")})
-    moved = 0
+    names = sorted({p.name for d in (dir_a, dir_b) for p in d.glob("*" + suffix)})
+    differing = []
     for name in names:
-        path_a, path_b = dir_a / name, dir_b / name
-        text_a = path_a.read_text() if path_a.exists() else ""
-        text_b = path_b.read_text() if path_b.exists() else ""
-        if text_a == text_b:
-            continue
-        moved += 1
+        text_a, text_b = (p.read_text() if p.exists() else "" for p in (dir_a / name, dir_b / name))
+        if text_a != text_b:
+            line = int(name.split(".")[0])
+            differing.append((line, shown[line - 1] if line <= len(shown) else "?", text_a, text_b))
+    return differing, len(names)
+
+
+def _report(dir_a: Path, dir_b: Path) -> int:
+    """Print one line per saved stdout, then per saved stderr, that differs
+    between the two directories, and the counts."""
+    moved, outputs = _differing(dir_a, dir_b, ".out")
+    for line, argv, text_a, text_b in moved:
         r = compare(text_a, text_b)
-        line = int(name.split(".")[0])
-        argv = shown[line - 1] if line <= len(shown) else "?"
         print(f"{line:03d} {argv}: {r['moved']}/{r['numeric']} numeric cells moved; "
               f"largest relative change above 1e-12 of the record {r['relative']:.1e}; "
               f"largest change relative to the record {r['of_record']:.1e}; "
               f"sign changes {r['signs']}; modes on one side only {r['a_only'] + r['b_only']} "
               f"(A only {r['a_only']}, B only {r['b_only']}); "
               f"text cells changed {r['text']}")
-    print(f"{moved} of {len(names)} outputs differ")
+    errs, stderrs = _differing(dir_a, dir_b, ".err")
+    for line, argv, text_a, text_b in errs:
+        print(f"{line:03d} {argv}: stderr A {text_a!r}; B {text_b!r}")
+    print(f"{len(moved)} of {outputs} outputs differ")
+    print(f"{len(errs)} of {stderrs} stderrs differ")
     return 0
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description="Digest of the CLI's output on a fixed set of invocations.")
     parser.add_argument("--save", metavar="DIR", type=Path,
-                        help="also write each invocation's stdout to DIR/NNN.out")
+                        help="also write each invocation's stdout and stderr to DIR/NNN.out and .err")
     parser.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"), type=Path,
-                        help="compare the stdouts that --save wrote to two directories; run nothing")
+                        help="compare the outputs that --save wrote to two directories; run nothing")
     args = parser.parse_args()
     if args.compare:
         return _report(*args.compare)
@@ -601,6 +612,7 @@ def main() -> int:
                                   capture_output=True, check=False)
             if save is not None:
                 (save / f"{line:03d}.out").write_bytes(proc.stdout)
+                (save / f"{line:03d}.err").write_bytes(proc.stderr)
             print(_sha256(proc.stdout), _sha256(proc.stderr), proc.returncode, " ".join(shown),
                   flush=True)
     return 0

@@ -34,7 +34,7 @@ class MidpointDivergence(LiecurvError):
 
 
 class NonFiniteState(LiecurvError):
-    """A geodesic integration blew up: a state or a stage field is no longer finite."""
+    """A blow-up: a state, a stage field or a torus product operand is no longer finite."""
 
 
 class NotDivergenceFree(LiecurvError):

@@ -343,24 +343,6 @@ def _contract(a: np.ndarray, b: np.ndarray, cap=None) -> np.ndarray:
     return out
 
 
-def _shifted_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Convolution of the grids a and b: one shifted copy of the grid with more
-    nonzero cells added per nonzero cell of the other."""
-    nonzero_a, nonzero_b = np.flatnonzero(a), np.flatnonzero(b)
-    if nonzero_a.size > nonzero_b.size:
-        a, b, nonzero_a = b, a, nonzero_b
-    na, nb = a.shape[0], b.shape[0]
-    out = np.zeros((na + nb - 1, na + nb - 1), complex)
-    for cell, coeff in zip(nonzero_a.tolist(), a.ravel()[nonzero_a].tolist()):
-        i1, i2 = divmod(cell, na)
-        out[i1:i1 + nb, i2:i2 + nb] += coeff * b
-    return out
-
-
-def _finite(*grids: np.ndarray) -> bool:
-    return all(np.isfinite(g).all() for g in grids)
-
-
 def multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
     """Exact product: the direct convolution of the coefficient grids; support adds.
 
@@ -371,14 +353,15 @@ def multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
     groups' products are added.  Terms that are structurally zero add an
     exact 0 and sums of dyadic values are exact, while rounded sums are added
     in BLAS order, which does not depend on the BLAS thread count while g
-    stays within the wavenumber bound (see ``_contract``).
-    A grid with a non-finite cell is convolved by shifted copies instead: in a
-    matrix product its inf would meet zero cells of the other grid, and the nan
-    of inf * 0 would replace coefficients that the copies leave at +-inf.  On
-    stacks (which broadcast) the product is taken element by element, and a
-    stack with a non-finite cell picks the method for each element as the
-    element alone would.  The canonical half is then mirrored, so
-    c_{-k} = conj(c_k) holds exactly.
+    stays within the wavenumber bound (see ``_contract``).  On stacks (which
+    broadcast) the product is taken element by element.  The canonical half
+    is then mirrored, so c_{-k} = conj(c_k) holds exactly.
+
+    Raises ``NonFiniteState`` when a cell of either grid is inf or nan (on a
+    stack, when any element's is), before any matrix product, in which an inf
+    would meet the zero cells of the other grid, and inf * 0 is nan.
+    Products of finite grids can still overflow, to inf or nan, without a
+    warning.
     """
     return TrigFunction._of(_convolve(f.c, g.c))
 
@@ -386,19 +369,14 @@ def multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
 def _convolve(a: np.ndarray, b: np.ndarray, cap=None) -> np.ndarray:
     """The grids of ``multiply``, with its modes of |k|_inf above ``cap`` (when
     given) never formed by the matrix products."""
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NonFiniteState("torus product of a grid with a non-finite coefficient")
     a, b = _broadcast(a, b)
     stack = a.shape[:-2]
     a, b = a.reshape((-1,) + a.shape[-2:]), b.reshape((-1,) + b.shape[-2:])
-    centre = a.shape[-1] // 2 + b.shape[-1] // 2
-    half = centre if cap is None else min(cap, centre)
-    window = slice(centre - half, centre + half + 1)
-    # inf and nan propagate without warnings, as in Python float arithmetic
+    # sums that overflow give inf and nan without warnings, as in Python float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        if _finite(a, b):
-            out = _contract(a, b, cap)
-        else:
-            out = np.array([_contract(x[None], y[None], cap)[0] if _finite(x, y)
-                            else _shifted_sum(x, y)[window, window] for x, y in zip(a, b)])
+        out = _contract(a, b, cap)
         flat, mid = out.reshape(len(out), -1), out[0].size // 2
         flat[:, :mid] = np.conj(flat[:, :mid:-1])
     flat[:, mid] = flat[:, mid].real

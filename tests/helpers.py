@@ -465,6 +465,20 @@ def reference_multiply(f: TrigFunction, g: TrigFunction) -> TrigFunction:
     return TrigFunction(out)
 
 
+def shifted_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Convolution of the grids a and b: one shifted copy of the grid with more
+    nonzero cells added per nonzero cell of the other."""
+    nonzero_a, nonzero_b = np.flatnonzero(a), np.flatnonzero(b)
+    if nonzero_a.size > nonzero_b.size:
+        a, b, nonzero_a = b, a, nonzero_b
+    na, nb = a.shape[0], b.shape[0]
+    out = np.zeros((na + nb - 1, na + nb - 1), complex)
+    for cell, coeff in zip(nonzero_a.tolist(), a.ravel()[nonzero_a].tolist()):
+        i1, i2 = divmod(cell, na)
+        out[i1:i1 + nb, i2:i2 + nb] += coeff * b
+    return out
+
+
 def _as_integers(x: np.ndarray):
     """The finite floats x as exact Python ints x * 2^e, and e: every finite
     float is a dyadic rational, whose denominator divides 2^e."""
@@ -473,20 +487,33 @@ def _as_integers(x: np.ndarray):
     return np.array([n << (e - d.bit_length() + 1) for n, d in ratios], dtype=object).reshape(x.shape), e
 
 
+def _exact_parts(a: np.ndarray):
+    """The real and imaginary parts of the float grids a as object arrays of
+    Python ints n, with a = n / 2^e, and e."""
+    (re, e1), (im, e2) = _as_integers(a.real), _as_integers(a.imag)
+    e = max(e1, e2)
+    return re << (e - e1), im << (e - e2), e
+
+
+def _integer_convolution(ar, ai, br, bi):
+    """Full convolution of the square grids ar + i ai and br + i bi, given as
+    object arrays of Python ints: its real and imaginary parts, with no rounding."""
+    na, nb = ar.shape[0], br.shape[0]
+    re = np.zeros((na + nb - 1,) * 2, dtype=object)
+    im = np.zeros((na + nb - 1,) * 2, dtype=object)
+    for i1, i2 in zip(*np.nonzero((ar != 0) | (ai != 0))):
+        re[i1:i1 + nb, i2:i2 + nb] += ar[i1, i2] * br - ai[i1, i2] * bi
+        im[i1:i1 + nb, i2:i2 + nb] += ar[i1, i2] * bi + ai[i1, i2] * br
+    return re, im
+
+
 def exact_convolution(a: np.ndarray, b: np.ndarray):
     """The full convolution of the square complex grids a and b in exact rationals:
     the real and the imaginary parts of its (na + nb - 1)^2 cells as object
     arrays of ``fractions.Fraction``.  The sums are formed on integer multiples
     of the coefficients, so no step rounds."""
-    (ar, e1), (ai, e2), (br, e3), (bi, e4) = map(_as_integers, (a.real, a.imag, b.real, b.imag))
-    ea, eb = max(e1, e2), max(e3, e4)
-    ar, ai, br, bi = ar << (ea - e1), ai << (ea - e2), br << (eb - e3), bi << (eb - e4)
-    na, nb = a.shape[0], b.shape[0]
-    re = np.zeros((na + nb - 1,) * 2, dtype=object)
-    im = np.zeros((na + nb - 1,) * 2, dtype=object)
-    for i1, i2 in zip(*np.nonzero(a)):
-        re[i1:i1 + nb, i2:i2 + nb] += ar[i1, i2] * br - ai[i1, i2] * bi
-        im[i1:i1 + nb, i2:i2 + nb] += ar[i1, i2] * bi + ai[i1, i2] * br
+    (ar, ai, ea), (br, bi, eb) = _exact_parts(a), _exact_parts(b)
+    re, im = _integer_convolution(ar, ai, br, bi)
     unit = Fraction(1, 2**(ea + eb))
     return re * unit, im * unit
 
@@ -502,6 +529,12 @@ def modulus_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def gamma(n):
+    """gamma_n = n u / (1 - n u), with u = 2^-53, elementwise."""
+    nu = np.asarray(n, float) * 2.0**-53
+    return nu / (1.0 - nu)
+
+
 def product_certificate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bound on the error of any floating-point convolution of the grids a and b,
     cell by cell: sqrt(2) gamma_{T+2} (|a| * |b|), where T counts the nonzero
@@ -509,8 +542,7 @@ def product_certificate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, sections
     3.1 and 3.6).  It holds in any summation order, with or without fused
     multiply-adds: terms that are exact zeros leave a partial sum unchanged."""
-    nu = (modulus_convolution(a != 0, b != 0) + 2.0) * 2.0**-53
-    return math.sqrt(2.0) * nu / (1.0 - nu) * modulus_convolution(a, b)
+    return math.sqrt(2.0) * gamma(modulus_convolution(a != 0, b != 0) + 2.0) * modulus_convolution(a, b)
 
 
 def certificate_ratios(got: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -526,6 +558,117 @@ def certificate_ratios(got: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndar
                       for v, re, im in zip(got.ravel().tolist(), exact_re.ravel(), exact_im.ravel())])
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(error == 0.0, 0.0, error / bound.ravel()).reshape(got.shape)
+
+
+def _wavevectors(n: int) -> np.ndarray:
+    """k1 and k2 of the cells of an n x n grid, as integer arrays on axis 0."""
+    return np.indices((n, n)) - n // 2
+
+
+def exact_leray(re: np.ndarray, im: np.ndarray):
+    """P of a field grid given by the exact real and imaginary parts (2, n, n) of
+    its cells: c_i - k_i (c . k) / |k|^2, in ``fractions.Fraction``, where the
+    division is exact; the constant cell is kept."""
+    k = _wavevectors(re.shape[-1]).astype(object)
+    ksq = k[0] * k[0] + k[1] * k[1]
+    inverse = np.array([Fraction(1, v or 1) for v in ksq.ravel()], dtype=object).reshape(ksq.shape)
+    return tuple(part - k * ((part[0] * k[0] + part[1] * k[1]) * inverse) for part in (re, im))
+
+
+def leray_certificate(modulus: np.ndarray) -> np.ndarray:
+    """Bound on the error of ``torus.leray_project`` on each cell and component of
+    a field grid (2, n, n) whose coefficients have at most the given moduli:
+    gamma_5 (|c_i| + |k_i| (|c_1 k_1| + |c_2 k_2|) / |k|^2).
+
+    On each real part, the term of c_j meets five rounded operations (c_j k_j,
+    the sum of the two, the division by |k|^2, the product with k_i and the
+    difference from c_i), and c_i one, in Higham's model fl(x op y) = (x op
+    y)(1 + d), |d| <= u (Higham, section 3.1).  The moduli of the real and
+    imaginary parts' bounds add up to the bound on the complex modulus.  At
+    k = 0 the cell is kept as it is."""
+    k = np.abs(_wavevectors(modulus.shape[-1])).astype(float)
+    ksq = k[0] * k[0] + k[1] * k[1]
+    ksq[ksq == 0.0] = 1.0  # k = 0: the cross term below is 0
+    return gamma(5) * (modulus + k * ((modulus[0] * k[0] + modulus[1] * k[1]) / ksq))
+
+
+def _pair_ratios(got: np.ndarray, exact_re: np.ndarray, exact_im: np.ndarray, bound: np.ndarray):
+    """The 2-norm of each cell's pair of errors of the field grid ``got`` (2, n, n)
+    against the exact parts, over the bound (n, n): 0 where both are 0, inf
+    where only the bound is."""
+    floats = got.real.ravel().tolist() + got.imag.ravel().tolist()
+    exact = np.concatenate([exact_re.ravel(), exact_im.ravel()])
+    diff = [float(Fraction(v) - e) for v, e in zip(floats, exact)]
+    error = np.sqrt(np.square(np.array(diff).reshape((2,) + got.shape)).sum(axis=(0, 1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(error == 0.0, 0.0, error / bound)
+
+
+def leray_ratios(got: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``_pair_ratios`` of the grid ``got`` of ``torus.leray_project`` of the field
+    grid x (2, n, n) against P on its exact coefficients, over ``leray_certificate``."""
+    re, im, e = _exact_parts(x)
+    unit = Fraction(1, 2**e)
+    exact_re, exact_im = exact_leray(re * unit, im * unit)
+    return _pair_ratios(got, exact_re, exact_im, np.hypot(*leray_certificate(np.abs(x))))
+
+
+def _field_terms(x: np.ndarray, y: np.ndarray, transpose: bool):
+    """Per component i of nabla_X Y (or, when ``transpose``, of (grad X)^T Y),
+    sum_j a_j b_j with a_j = X_j and b_j = d_j Y_i (or a_j = d_i X_j and b_j =
+    Y_j): the exact convolution (its real and imaginary parts in Fractions,
+    with d_j c = i k_j c formed on ints), the sum of |a_j| * |b_j| and the
+    count of nonzero terms, each on the full (2, 2n - 1, 2n - 1) grid."""
+    (xr, xi, ex), (yr, yi, ey) = _exact_parts(x), _exact_parts(y)
+    k = _wavevectors(x.shape[-1])
+    kint = k.astype(object)  # Python ints, which do not wrap
+    re, im, modulus, count = ([0, 0] for _ in range(4))
+    for i in range(2):
+        for j in range(2):
+            if transpose:  # (d_i X_j) Y_j
+                a, b = 1j * k[i] * x[j], y[j]
+                ar, ai, br, bi = -kint[i] * xi[j], kint[i] * xr[j], yr[j], yi[j]
+            else:  # X_j d_j Y_i
+                a, b = x[j], 1j * k[j] * y[i]
+                ar, ai, br, bi = xr[j], xi[j], -kint[j] * yi[i], kint[j] * yr[i]
+            r, m = _integer_convolution(ar, ai, br, bi)
+            re[i], im[i] = re[i] + r, im[i] + m
+            modulus[i] = modulus[i] + modulus_convolution(a, b)
+            count[i] = count[i] + modulus_convolution(a != 0, b != 0)
+    unit = Fraction(1, 2**(ex + ey))
+    return np.stack(re) * unit, np.stack(im) * unit, np.stack(modulus), np.stack(count)
+
+
+def ad_transpose_vol_ratios(got: np.ndarray, x: np.ndarray, diagonal: bool) -> np.ndarray:
+    """|got - P(nabla_X X)| over its certificate, cell by cell in the 2-norm of
+    each cell's pair of components, for the grid ``got`` (2, 2h + 1, 2h + 1) of
+    ``ad_transpose_vol`` on the field grid x and itself, truncated to its
+    central cells: on the diagonal path (``y is x``), which forms
+    P(nabla_X X), or on the general one, which forms P(nabla_X Y + (grad X)^T Y)
+    with Y a copy of X.  The exact reference is the one P(nabla_X X), as
+    (grad X)^T X = grad(|X|^2 / 2) is a gradient, which P removes exactly.
+
+    Each of the 2 N real products of a component's N nonzero complex terms is
+    rounded once, and so is the derivative d_j c = i k_j c in it; a summation
+    tree of 2 N terms adds at most 2 N - 1 roundings to each, and the general
+    path one more in the sum of its two parts.  So a real part is within
+    gamma_{2N+1} (or gamma_{2N+2}) of the sum of |Re a Re b| + |Im a Im b|
+    (or |Re a Im b| + |Im a Re b|) over the terms, and the complex modulus
+    within sqrt(2) gamma_{2N+1} sum |a| |b|.  P is an orthogonal projection of
+    each cell's pair of components, so it does not enlarge that error in the
+    2-norm; its own rounding adds ``leray_certificate`` of P's input, whose
+    moduli are at most the sum of |a| |b| plus that error."""
+    re, im, modulus, count = _field_terms(x, x, transpose=False)
+    error = math.sqrt(2.0) * gamma(2 * count + 1) * modulus
+    if not diagonal:
+        _re, _im, jac_modulus, jac_count = _field_terms(x, x, transpose=True)
+        error = math.sqrt(2.0) * (gamma(2 * count + 2) * modulus + gamma(2 * jac_count + 2) * jac_modulus)
+        modulus = modulus + jac_modulus
+    exact_re, exact_im = exact_leray(re, im)
+    bound = np.hypot(*leray_certificate(modulus + error)) + np.hypot(*error)
+    h, centre = got.shape[-1] // 2, bound.shape[-1] // 2
+    window = (slice(None), slice(centre - h, centre + h + 1), slice(centre - h, centre + h + 1))
+    return _pair_ratios(got, exact_re[window], exact_im[window], bound[window[1:]])
 
 
 def reference_leray(x: TrigVectorField) -> TrigVectorField:

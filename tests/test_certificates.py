@@ -1,22 +1,32 @@
-"""Per-coefficient error certificates of the torus products against exact rationals.
+"""Per-coefficient error certificates of the torus calculus against exact rationals.
 
 Each cell of a product grid is a sum of T complex products of input
 coefficients.  Formed in floating point, in any order, it lies within
 sqrt(2) gamma_{T+2} (|a| * |b|) of the exact sum (``helpers.product_certificate``).
-The exact sums come from ``fractions.Fraction`` arithmetic, so these tests
-bound how far every coefficient of a kernel's output may be from the exact
-product, also on grids whose products cancel, where a tolerance relative to
-the coefficient scale says little.
+The Leray projection and ``ad_transpose_vol`` carry such bounds through a few
+more rounded operations per cell (``helpers.leray_certificate`` and
+``helpers.ad_transpose_vol_ratios``).  The exact values come from
+``fractions.Fraction`` arithmetic, so these tests bound how far every
+coefficient of an output may be from the exact one, also on grids whose
+products cancel, where a tolerance relative to the coefficient scale says
+little.
 """
 
 import pytest
 
-from helpers import certificate_ratios, exact_convolution, modulus_convolution, random_function
+from helpers import (
+    ad_transpose_vol_ratios,
+    certificate_ratios,
+    exact_convolution,
+    leray_ratios,
+    modulus_convolution,
+    random_function,
+)
 
 from liecurv import torus
 from liecurv.backend import stack
 from liecurv.sampling import rng_for_seed
-from liecurv.torus import COS, SIN, TrigFunction, multiply
+from liecurv.torus import COS, SIN, TrigFunction, TrigVectorField, ad_transpose_vol, leray_project, multiply
 
 
 def assert_certified(got: TrigFunction, f: TrigFunction, g: TrigFunction):
@@ -63,3 +73,37 @@ class TestProductCertificate:
         assert cancelled[7:10].all() and cancelled.sum() == 3 * 17
         assert_certified(multiply(f, g), f, g)
         assert_certified(multiply(g, f), g, f)
+
+
+def divergence_free_field(rng, band: int) -> TrigVectorField:
+    """A standard normal combination of the divergence-free modes of the band."""
+    basis = torus.divergence_free_modes(band)
+    return basis.combine(rng.standard_normal(len(basis)))
+
+
+class TestFieldCertificates:
+    @pytest.mark.parametrize("band", [2, 3])
+    def test_leray_projection(self, band):
+        rng = rng_for_seed(band)
+        fields = [TrigVectorField(random_function(rng, band), random_function(rng, band)) for _ in range(2)]
+        grids = leray_project(stack(fields)).c
+        for got, x in zip(grids, fields):  # a stack, element by element
+            assert leray_ratios(got, x.c).max() <= 1.0
+
+    @pytest.mark.parametrize("cap", [None, 3], ids=["uncapped", "cap 3"])
+    @pytest.mark.parametrize("band", [2, 3])
+    def test_ad_transpose_vol_on_both_paths(self, band, cap):
+        x = divergence_free_field(rng_for_seed(10 + band), band)
+        copy = TrigVectorField._of(x.c.copy())
+        for y, diagonal in ((x, True), (copy, False)):
+            assert ad_transpose_vol_ratios(ad_transpose_vol(x, y, cap).c, x.c, diagonal).max() <= 1.0
+
+    @pytest.mark.parametrize("cap", [None, 3], ids=["uncapped", "cap 3"])
+    def test_ad_transpose_vol_on_a_stack(self, cap):
+        rng = rng_for_seed(17)
+        x = stack([divergence_free_field(rng, band) for band in (2, 2, 1)])
+        copy = TrigVectorField._of(x.c.copy())
+        for y, diagonal in ((x, True), (copy, False)):
+            grids = ad_transpose_vol(x, y, cap).c
+            for i in range(3):
+                assert ad_transpose_vol_ratios(grids[i], x.c[i], diagonal).max() <= 1.0

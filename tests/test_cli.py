@@ -384,14 +384,17 @@ def test_cli_digest_compare_reports_moved_cells(tmp_path):
                     '"energy":5.0}\n'),
         "002.out": ("t,u1\n0.0,1.0\n", "t,u1\n0.0,1.0\n"),
         "003.out": ("a,b\n1.0,-3.0\n", "a,b\n1.0,3.0\n"),
+        # one stderr moves, one stays
+        "001.err": ("", ""),
+        "002.err": ("numerical failure: A\n", "numerical failure: B\n"),
     }
     for side, directory in enumerate((parent, change)):
         directory.mkdir()
         for name, texts in outputs.items():
             (directory / name).write_text(texts[side])
     out = _run_with_src([str(SCRIPTS / "cli_digest.py"), "--compare", str(parent), str(change)]).stdout
-    lines = out.splitlines()  # "NNN argv: report" per output that differs, then a count
-    assert [line.split(" ", 1)[0] for line in lines[:2]] == ["001", "003"]
+    lines = out.splitlines()  # "NNN argv: report" per stdout, then stderr, that differs; the counts
+    assert [line.split(" ", 1)[0] for line in lines[:3]] == ["001", "003", "002"]
     assert [line.split(": ", 1)[1] for line in lines[:2]] == [
         "3/5 numeric cells moved; largest relative change above 1e-12 of the record 1.0e+00; "
         "largest change relative to the record 4.0e-01; sign changes 1; "
@@ -400,7 +403,9 @@ def test_cli_digest_compare_reports_moved_cells(tmp_path):
         "largest change relative to the record 2.0e+00; sign changes 1; "
         "modes on one side only 0 (A only 0, B only 0); text cells changed 0",
     ]
-    assert lines[2:] == ["2 of 3 outputs differ"]
+    assert lines[2].split(": ", 1)[1] == (
+        "stderr A 'numerical failure: A\\n'; B 'numerical failure: B\\n'")
+    assert lines[3:] == ["2 of 3 outputs differ", "1 of 2 stderrs differ"]
 
 
 @pytest.mark.parametrize("script,args,named", [
@@ -1057,17 +1062,27 @@ class TestGeodesicCommand:
         ["--algebra", "so3:1,2,3", "--state-file", "dense.cfg", "--dt", "10", "--steps", "20"],
         ["--algebra", "torus-vol", "--state-file", "torus.cfg", "--dt", "1e100", "--steps", "1",
          "--support-cap", "2", "--format", "jsonl"],
+        # stage fields that overflow reach the torus products, which refuse them
+        ["--algebra", "torus-full", "--state-file", "overflow.cfg", "--dt", "1e10", "--steps", "3",
+         "--format", "jsonl"],
+        *(["--semidirect", name, "--state-file", "scalar.cfg", "--dt", "1e10", "--steps", "3",
+           "--format", "jsonl"] for name in ("compressible", "passive-scalar")),
     ])
     def test_rk4_blow_up_is_numerical_failure(self, argv, tmp_path, capsys):
         files = {
             "dense.cfg": "[state]\nu = 1 1 1\n",
             "torus.cfg": "[state]\nu =\n    sin 0 1 1.0 1\n    cos 1 1 0.5 1\n    cos 1 1 -0.5 2\n",
+            "overflow.cfg": "[state]\nu =\n    cos 0 1 1e150 1\n    sin 1 1 1e150 2\n",
+            "scalar.cfg": "[state]\nu =\n    sin 0 1 1.0 1\nalpha =\n    cos 1 0 1e150\n    sin 0 1 1e150\n",
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         argv = [str(tmp_path / a) if a in files else a for a in argv]
         assert run(["geodesic"] + argv) == 2
-        assert "numerical failure: NonFiniteState" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        if lines[0].startswith("note: torus run truncated"):
+            lines = lines[1:]
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: NonFiniteState")
 
     def test_midpoint_divergence_exit_code(self, tmp_path):
         state = tmp_path / "s.cfg"

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_function, reference_leray, reference_modes, reference_multiply, relerr
+from helpers import (
+    random_function,
+    reference_leray,
+    reference_modes,
+    reference_multiply,
+    relerr,
+    shifted_sum,
+)
 
 from liecurv.backend import Pair, SemidirectBackendBase, norm_from_square, stack
 from liecurv.curvature import curvature_numerator_generic, curvature_numerator_semidirect, oracle_curvature
@@ -153,7 +160,8 @@ def _partial_band(rng, band, count, values=None, scale=1) -> TrigFunction:
 def _oracle_cases():
     """(name, f, g, kind).  "exact" products have the loop's coefficients bit for
     bit; "rounded" ones sum standard-normal terms in another order; "overflow"
-    ones have the loop's non-finite coefficients."""
+    ones, of finite operands, are non-finite wherever the loop's are; a
+    "non-finite" operand is refused."""
     rng = np.random.default_rng(20240611)
     one = TrigFunction.mode
     exact = [
@@ -186,7 +194,7 @@ def _oracle_cases():
             "overflow to inf and nan",
             one(COS, (1, 0), 1e300) + one(SIN, (0, 1), float("inf")),
             _full_band(rng, 1),
-            "overflow",
+            "non-finite",
         ),
     ]
     for i in range(24):
@@ -208,6 +216,11 @@ def _oracle_cases():
     centre_row = TrigFunction({(0, k2, parity): float(rng.standard_normal())
                                for k2 in range(7) for parity in (COS, SIN)})
     cases.append(("full band 6 x one nonzero row", _full_band(rng, 6), centre_row, "rounded"))
+    # finite operands whose products overflow: inf - inf inside the complex sums
+    # can give nan where the loop gives +-inf
+    huge = np.random.default_rng(160)
+    cases.append(("overflow of finite operands", _full_band(huge, 1) * 1e160,
+                  _full_band(huge, 1) * 1e160, "overflow"))
     return cases
 
 
@@ -217,22 +230,24 @@ ORACLE_CASES = _oracle_cases()
 def assert_same_product(f, g, kind):
     """multiply(f, g) has the pairwise loop's modes, with Python types: bit for bit
     when the sums are exact, within 1e-15 of the coefficient scale when only their
-    order differs, and with the same non-finite coefficients after an overflow."""
+    order differs, and non-finite wherever the loop's are after an overflow.  A
+    non-finite operand raises ``NonFiniteState``."""
+    if kind == "non-finite":
+        with pytest.raises(NonFiniteState):
+            multiply(f, g)
+        return
     got, want = multiply(f, g).modes, reference_multiply(f, g).modes
     for (k1, k2, parity), val in got.items():
         assert (type(k1), type(k2), type(parity), type(val)) == (int, int, str, float)
+    if kind == "overflow":  # nan can stand where the loop has +-inf, so bits are not compared
+        bad = [k for k, v in want.items() if not math.isfinite(v)]
+        assert bad and not any(math.isfinite(got.get(k, 0.0)) for k in bad)
+        return
     assert got.keys() == want.keys()
     if kind == "rounded":
         scale = reference_multiply(f, g).coefficient_scale()
         assert max((abs(got[k] - want[k]) for k in got), default=0.0) <= 1e-15 * scale
         return
-    if kind == "overflow":
-        # the loop forms no term from an absent mode; the convolution multiplies
-        # an infinite coefficient by the zero cell of one, which gives nan
-        want = {k: v for k, v in want.items() if not math.isfinite(v)}
-        extra = {k: v for k, v in got.items() if not math.isfinite(v) and k not in want}
-        assert want and all(math.isnan(v) for v in extra.values())
-        got = {k: got[k] for k in want}
     # hex() also tells -0.0 from 0.0 and compares nan
     assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
 
@@ -341,7 +356,7 @@ class TestFlatKernel:
             _supported(rng, nb, range(nb), cols, dyadic=dyadic)
         centre = (na + nb - 1) // 2
         got = torus._contract(a[None], b[None])[0, centre:]
-        want = torus._shifted_sum(a, b)[centre:]
+        want = shifted_sum(a, b)[centre:]
         assert len(plans) == 1  # every finite product takes a plan, whatever its support
         assert got.shape == (na + nb - 1 - centre, na + nb - 1)
         if dyadic:  # every partial sum is exact, in any order
@@ -446,8 +461,12 @@ class TestCappedKernel:
         cap = 0 if below is None else max(0, _half_width(f, g) - below)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert_capped_product(f, g, cap)
-            assert_capped_product(g, f, cap)
+            for a, b in ((f, g), (g, f)):
+                if kind == "non-finite":
+                    with pytest.raises(NonFiniteState):
+                        torus._product(a, b, cap)
+                else:
+                    assert_capped_product(a, b, cap)
 
     @pytest.mark.parametrize("cap", [5, 6, 7, MAX],
                              ids=["between", "at half-width", "above", "MAX"])
@@ -493,17 +512,16 @@ class TestCappedKernel:
         assert stacked.shape == (5, 2 * cap + 1, 2 * cap + 1)
         assert [_hex(grid) for grid in stacked] == alone
 
-    def test_non_finite_grids_are_truncated_after_the_shifted_copies(self):
+    def test_a_non_finite_element_rejects_the_capped_stack(self):
         rng = rng_for_seed(67)
         fs = [random_function(rng, 2), TrigFunction({(1, 2, COS): math.inf, (2, 0, SIN): 2.0}),
               random_function(rng, 2)]
         gs = [random_function(rng, 3) for _ in range(3)]
-        stacked = torus._product(stack(fs), stack(gs), 3).c
-        assert stacked.shape == (3, 7, 7)
-        for grid, f, g in zip(stacked, fs, gs):
-            assert _hex(grid) == _hex(torus._product(f, g, 3).c)
+        for a, b in ((stack(fs), stack(gs)), (stack(gs), stack(fs)), (fs[1], gs[1])):
+            with pytest.raises(NonFiniteState):
+                torus._product(a, b, 3)
+        for f, g in zip(fs[::2], gs[::2]):
             assert_capped_product(f, g, 3)
-        assert not np.isfinite(stacked[1]).all()
 
     def test_capped_product_is_independent_of_blas_threads(self):
         script = (
@@ -1173,12 +1191,28 @@ class TestStackedEvaluation:
         finite = [random_function(rng, 2) for _ in range(3)]
         with_inf = [finite[0], TrigFunction({(1, 2, COS): math.inf, (2, 0, SIN): 2.0}), finite[2]]
         gs = [random_function(rng, 3, scale=0.5) for _ in range(3)]
-        cases = [(fs, multiply(stack(fs), stack(gs)).c) for fs in (finite, with_inf)]
+        stacks = [multiply(stack(finite), stack(gs)).c]
         monkeypatch.setattr(torus, "STACK_BYTES", 1)  # one element per matrix product
-        cases.append((finite, multiply(stack(finite), stack(gs)).c))
-        for fs, stacked in cases:
-            for i, (f, g) in enumerate(zip(fs, gs)):
+        stacks.append(multiply(stack(finite), stack(gs)).c)
+        for stacked in stacks:
+            for i, (f, g) in enumerate(zip(finite, gs)):
                 assert _hex(stacked[i]) == _hex(multiply(f, g).c)
+        with pytest.raises(NonFiniteState):  # one non-finite element refuses the stack
+            multiply(stack(with_inf), stack(gs))
+
+    def test_one_non_finite_element_raises_before_any_matrix_product(self, monkeypatch):
+        rng = rng_for_seed(43)
+        monkeypatch.setattr(torus, "_contract", lambda *args: pytest.fail("a matrix product ran"))
+        fs = [random_function(rng, 2), TrigFunction({(1, 2, COS): math.inf}), random_function(rng, 2)]
+        gs = [random_function(rng, 3) for _ in range(3)]
+        with pytest.raises(NonFiniteState):
+            multiply(stack(fs), stack(gs))
+        xs = [random_full_field(rng) for _ in range(3)]
+        xs[1] = TrigVectorField(xs[1].comp1, xs[1].comp2 + TrigFunction.mode(SIN, (1, 1), math.inf))
+        ys = stack([random_full_field(rng) for _ in range(3)])
+        for x, y in ((stack(xs), ys), (ys, stack(xs))):
+            with pytest.raises(NonFiniteState), np.errstate(invalid="ignore"):  # inf * 0 in a derivative
+                ad_transpose_full(x, y)
 
     def test_one_divergent_field_rejects_the_stack(self):
         good = random_divfree_field(rng_for_seed(41), band=2)
